@@ -110,7 +110,8 @@ fn bench_payload_format(c: &mut Criterion) {
 /// at equal profile counts, plus the metadata-pushdown read that skips
 /// whole shards (the predicate selects 10 of n profiles).
 fn bench_store(c: &mut Criterion) {
-    use thicket_perfsim::{load_dir, save_ensemble, MetaPred, Store, Strictness};
+    use thicket_dataframe::PredExpr;
+    use thicket_perfsim::{load_dir, save_ensemble, Store, Strictness};
 
     let mut group = c.benchmark_group("store");
     group.sample_size(10);
@@ -133,7 +134,7 @@ fn bench_store(c: &mut Criterion) {
             b.iter(|| {
                 Store::open(dir)
                     .unwrap()
-                    .load_matching(&MetaPred::lt("seed", 10i64))
+                    .load_matching(&PredExpr::lt("seed", 10i64))
                     .unwrap()
             });
         });
@@ -186,7 +187,7 @@ fn bench_store(c: &mut Criterion) {
                 b.iter(|| {
                     Store::open(dir)
                         .unwrap()
-                        .load_matching(&MetaPred::lt("seed", 10i64))
+                        .load_matching(&PredExpr::lt("seed", 10i64))
                         .unwrap()
                 });
             });

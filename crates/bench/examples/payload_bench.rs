@@ -31,7 +31,7 @@
 use std::time::Instant;
 use thicket_core::{LoadSource, Thicket};
 use thicket_dataframe::{ColKey, PredExpr, Value};
-use thicket_perfsim::{ManifestVersion, MetaPred, Store, StoreOptions};
+use thicket_perfsim::{ManifestVersion, Store, StoreOptions};
 
 const RUNS: usize = 5;
 
@@ -117,11 +117,11 @@ fn store_format_workloads(profiles: &[thicket_perfsim::Profile], n: u64) {
             assert_eq!(p.len() as u64, n);
         }));
         let reader = Store::open(dir).unwrap();
-        let (kept, _) = reader.load_matching(&MetaPred::lt("seed", 10i64)).unwrap();
+        let (kept, _) = reader.load_matching(&PredExpr::lt("seed", 10i64)).unwrap();
         assert_eq!(kept.len(), 10);
         push_bytes.push(reader.bytes_read());
         push.push(median_ms(|| {
-            let (p, _) = Store::open(dir).unwrap().load_matching(&MetaPred::lt("seed", 10i64)).unwrap();
+            let (p, _) = Store::open(dir).unwrap().load_matching(&PredExpr::lt("seed", 10i64)).unwrap();
             assert_eq!(p.len(), 10);
         }));
     }
@@ -292,7 +292,7 @@ fn predicate_engine_workload(profiles: &[thicket_perfsim::Profile], n: u64) {
     let full_bytes = full_reader.bytes_read();
     let push_reader = Store::open(&dir).unwrap();
     push_reader
-        .load_matching_expr(&PredExpr::lt("seed", meta_cut), 1)
+        .load_matching(&PredExpr::lt("seed", meta_cut))
         .unwrap();
     let push_bytes = push_reader.bytes_read();
 
@@ -344,17 +344,15 @@ fn pinning_workload(profiles: &[thicket_perfsim::Profile], n: u64) {
         assert_eq!(p.len() as u64, n);
     });
     let push_plain = median_ms(|| {
-        let (p, _) = Store::open(&dir)
-            .unwrap()
-            .load_matching_expr(&expr, 1)
-            .unwrap();
+        let reader = Store::open(&dir).unwrap();
+        let selected = reader.select_expr(&expr).unwrap();
+        let (p, _) = reader.load_indices(&selected, 1).unwrap();
         assert_eq!(p.len(), expect);
     });
     let push_pinned = median_ms(|| {
-        let (p, _) = Store::open_pinned(&dir)
-            .unwrap()
-            .load_matching_expr(&expr, 1)
-            .unwrap();
+        let snap = Store::open_pinned(&dir).unwrap();
+        let selected = snap.select_expr(&expr).unwrap();
+        let (p, _) = snap.load_indices(&selected, 1).unwrap();
         assert_eq!(p.len(), expect);
     });
 

@@ -7,12 +7,13 @@
 
 use std::time::Instant;
 use thicket_bench::data;
-use thicket_perfsim::{ManifestVersion, MetaPred, Store, StoreOptions};
+use thicket_dataframe::PredExpr;
+use thicket_perfsim::{ManifestVersion, Store, StoreOptions};
 
 fn main() {
     let n = 2000;
     let profiles = data::quartz_runs(n, 1_048_576);
-    let pred = MetaPred::lt("seed", 10i64);
+    let pred = PredExpr::lt("seed", 10i64);
 
     for (label, format) in [("v1", ManifestVersion::V1), ("v2", ManifestVersion::V2)] {
         let dir = std::env::temp_dir().join(format!("thicket-pushdown-probe-{label}"));
@@ -31,7 +32,7 @@ fn main() {
 
         // (b) selection only (no shard I/O).
         let t = Instant::now();
-        let selected = reader.select(&pred).unwrap();
+        let selected = reader.select_expr(&pred).unwrap();
         let select_ms = t.elapsed().as_secs_f64() * 1e3;
 
         // (c) full pushdown load; bytes_read includes the manifest.

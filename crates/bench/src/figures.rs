@@ -97,7 +97,7 @@ pub fn fig02() -> FigureReport {
 
 /// Figure 3: the entity-relationship keys linking the three components.
 pub fn fig03() -> FigureReport {
-    let tk = Thicket::loader(&data::quartz_runs(2, 1_048_576)).load().expect("thicket").0;
+    let tk = Thicket::loader(data::quartz_runs(2, 1_048_576)).load().expect("thicket").0;
     let mut text = String::new();
     text.push_str("component keys (bold/fixed in the paper's ER diagram):\n");
     text.push_str(&format!(
@@ -296,7 +296,7 @@ pub fn fig08() -> FigureReport {
 
 /// Figure 9: aggregated std statistics and `filter_stats`.
 pub fn fig09() -> FigureReport {
-    let mut tk = Thicket::loader(&data::quartz_runs(10, 4_194_304)).load().expect("ensemble").0;
+    let mut tk = Thicket::loader(data::quartz_runs(10, 4_194_304)).load().expect("ensemble").0;
     tk.compute_stats(&[
         (ColKey::new("Retiring"), vec![AggFn::Std]),
         (ColKey::new("Backend bound"), vec![AggFn::Std]),
@@ -479,7 +479,7 @@ pub fn fig11() -> FigureReport {
 
 /// Figure 12: heatmap of std metrics plus histograms of the outliers.
 pub fn fig12() -> FigureReport {
-    let mut tk = Thicket::loader(&data::quartz_runs(10, 4_194_304)).load().expect("ensemble").0;
+    let mut tk = Thicket::loader(data::quartz_runs(10, 4_194_304)).load().expect("ensemble").0;
     tk.compute_stats(&[
         (ColKey::new("Retiring"), vec![AggFn::Std]),
         (ColKey::new("Backend bound"), vec![AggFn::Std]),

@@ -54,7 +54,7 @@ pub use source::{
     TraceSource,
 };
 pub use trace_agg::TraceAggregator;
-pub use thicket_perfsim::{FilterPlan, IngestReport, MetaPred, Strictness};
+pub use thicket_perfsim::{FilterPlan, IngestReport, Strictness};
 pub use thicket_dataframe::{Bitmap, PredExpr, PredOp, StrMatch};
 
 pub use compose::{concat_thickets, concat_thickets_threads, NodeMatch};

@@ -33,18 +33,19 @@
 //!
 //! The same knobs apply to each source: [`Loader::threads`] pins the
 //! worker count (default: auto), [`Loader::strictness`] picks fail-fast
-//! vs lenient ingest, and [`Loader::filter`] accepts **either** a typed
-//! [`MetaPred`](thicket_perfsim::MetaPred) or a compiled predicate-engine
-//! [`PredExpr`] — both flow through the same planner, which pushes
-//! metadata conjuncts below the source read (columnar manifest
-//! selection on store sources — non-matching shards are never opened)
-//! and applies the residual after composition:
+//! vs lenient ingest, and [`Loader::filter`] takes a [`PredExpr`] —
+//! the one predicate AST every filter surface compiles into. A planner
+//! pushes its metadata conjuncts below the source read (columnar
+//! manifest selection on store sources — non-matching shards are never
+//! opened) and applies the residual after composition:
 //!
 //! ```no_run
-//! use thicket_core::{LoadSource, Thicket};
-//! use thicket_perfsim::MetaPred;
+//! use thicket_core::{LoadSource, PredExpr, Thicket};
 //!
-//! let pred = MetaPred::eq("cluster", "quartz").and(MetaPred::ge("problem_size", 1024i64));
+//! let pred = PredExpr::and([
+//!     PredExpr::eq("cluster", "quartz"),
+//!     PredExpr::ge("problem_size", 1024i64),
+//! ]);
 //! let (tk, report) = Thicket::loader(LoadSource::store("runs.tks"))
 //!     .filter(pred)
 //!     .load()
@@ -65,18 +66,12 @@
 //! .unwrap();
 //! # let _ = (tk, report);
 //! ```
-//!
-//! Every deprecated entry point is now a thin wrapper over this
-//! builder; the `builder_equiv` integration suite proves each wrapper
-//! bit-identical to its builder spelling.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use thicket_dataframe::{PredExpr, Value};
-use thicket_perfsim::{
-    default_threads, Diagnostic, FilterPlan, IngestReport, Profile, Strictness, StoreEntry,
-};
+use thicket_perfsim::{default_threads, Diagnostic, FilterPlan, IngestReport, Profile, Strictness};
 
 use crate::source::{
     profile_meta_keys, EnsembleSource, ProfileSource, StoreSource, TraceSource,
@@ -216,23 +211,13 @@ impl From<Vec<Profile>> for LoadSource<'static> {
     }
 }
 
-/// The predicate shapes a loader can carry: a compiled predicate-engine
-/// [`PredExpr`] (which a typed `MetaPred` converts into — metadata
-/// conjuncts push below the read, performance-frame conjuncts run after
-/// composition), or a legacy entry closure (store sources only; forces
-/// full metadata materialization).
-enum Filter<'a> {
-    Expr(PredExpr),
-    Entries(Box<dyn FnMut(&StoreEntry) -> bool + 'a>),
-}
-
 /// Builder for every thicket ingest path; constructed by
 /// [`Thicket::loader`].
 pub struct Loader<'a> {
     source: LoadSource<'a>,
     threads: Option<usize>,
     strictness: Strictness,
-    filter: Option<Filter<'a>>,
+    filter: Option<PredExpr>,
     profile_ids: Option<&'a [Value]>,
     pinned: bool,
 }
@@ -274,42 +259,19 @@ impl<'a> Loader<'a> {
         self
     }
 
-    /// Keep only profiles matching a predicate — a typed
-    /// [`MetaPred`](thicket_perfsim::MetaPred) or a compiled
-    /// predicate-engine [`PredExpr`]; both convert into the same AST
-    /// (the one [`MetaPred::to_expr`](thicket_perfsim::MetaPred::to_expr),
-    /// the query dialect's `parse_pred`, and the frame filters compile
-    /// into) and flow through one planner. The expression may also
-    /// reference performance-frame fields: the planner splits the
-    /// top-level conjunction, pushes every conjunct whose fields the
-    /// source's metadata can answer *below* the read (columnar
-    /// manifest selection on store sources — non-matching shards are
-    /// never opened), and applies the remainder after composition with
-    /// exists-row semantics over the performance frame (a profile
-    /// survives if at least one of its rows satisfies the conjunct;
-    /// fields resolve to perf columns, then index levels, then profile
-    /// metadata). The split is recorded in [`IngestReport::pushdown`].
-    pub fn filter(mut self, pred: impl Into<PredExpr>) -> Self {
-        self.filter = Some(Filter::Expr(pred.into()));
-        self
-    }
-
-    /// Deprecated spelling of [`Loader::filter`], kept for one release
-    /// so existing callers migrate at leisure — `filter` now accepts
-    /// both predicate shapes directly.
-    #[deprecated(note = "use `filter` — it accepts both `MetaPred` and `PredExpr`")]
-    pub fn filter_expr(self, expr: PredExpr) -> Self {
-        self.filter(expr)
-    }
-
-    /// Keep only store entries matching a closure (store sources
-    /// only). This is the escape hatch behind the deprecated
-    /// `from_store_filtered*` shims: unlike [`Loader::filter`] it
-    /// materializes every entry's metadata, so prefer a typed
-    /// [`MetaPred`](thicket_perfsim::MetaPred) wherever one can express
-    /// the selection.
-    pub fn filter_entries(mut self, pred: impl FnMut(&StoreEntry) -> bool + 'a) -> Self {
-        self.filter = Some(Filter::Entries(Box::new(pred)));
+    /// Keep only profiles matching a predicate. The expression may
+    /// reference metadata and performance-frame fields alike: the
+    /// planner splits the top-level conjunction, pushes every conjunct
+    /// whose fields the source's metadata can answer *below* the read
+    /// (columnar manifest selection on store sources — non-matching
+    /// shards are never opened), and applies the remainder after
+    /// composition with exists-row semantics over the performance frame
+    /// (a profile survives if at least one of its rows satisfies the
+    /// conjunct; fields resolve to perf columns, then index levels, then
+    /// profile metadata). The split is recorded in
+    /// [`IngestReport::pushdown`].
+    pub fn filter(mut self, pred: PredExpr) -> Self {
+        self.filter = Some(pred);
         self
     }
 
@@ -372,20 +334,6 @@ impl<'a> Loader<'a> {
             ));
         }
 
-        // Split the filter into the shapes the paths below understand.
-        let (expr_filter, entries_filter) = match filter {
-            None => (None, None),
-            Some(Filter::Expr(expr)) => (Some(expr), None),
-            Some(Filter::Entries(pred)) => (None, Some(pred)),
-        };
-        if entries_filter.is_some() && !matches!(source, LoadSource::Store(_)) {
-            return Err(ThicketError::Invalid(
-                "entry closures apply only to store sources; \
-                 use `filter` with a `MetaPred`"
-                    .into(),
-            ));
-        }
-
         match source {
             // Normalized away above; the compiler cannot see that.
             LoadSource::Owned(_) => unreachable!("Owned normalized to Profiles"),
@@ -393,23 +341,22 @@ impl<'a> Loader<'a> {
             // In-memory fast path: no adapter, no clone for unfiltered
             // loads — the borrowed slice composes directly.
             LoadSource::Profiles(profiles) => {
-                load_in_memory(profiles, profile_ids, threads, strictness, expr_filter)
+                load_in_memory(profiles, profile_ids, threads, strictness, filter)
             }
 
             LoadSource::Ensemble(dir) => load_streaming(
                 Box::new(EnsembleSource::new(&dir, threads, strictness)),
                 threads,
                 strictness,
-                expr_filter,
+                filter,
             ),
 
-            LoadSource::Store(dir) => {
-                let mut src = StoreSource::open(&dir, pinned, threads, strictness)?;
-                if let Some(pred) = entries_filter {
-                    src = src.entry_filter(pred);
-                }
-                load_streaming(Box::new(src), threads, strictness, expr_filter)
-            }
+            LoadSource::Store(dir) => load_streaming(
+                Box::new(StoreSource::open(&dir, pinned, threads, strictness)?),
+                threads,
+                strictness,
+                filter,
+            ),
 
             LoadSource::Trace {
                 path,
@@ -420,10 +367,10 @@ impl<'a> Loader<'a> {
                 if let Some(n) = chunk_events {
                     src = src.chunk_events(n);
                 }
-                load_streaming(Box::new(src), threads, strictness, expr_filter)
+                load_streaming(Box::new(src), threads, strictness, filter)
             }
 
-            LoadSource::Custom(src) => load_streaming(src, threads, strictness, expr_filter),
+            LoadSource::Custom(src) => load_streaming(src, threads, strictness, filter),
         }
     }
 }

@@ -24,8 +24,8 @@ use std::time::Duration;
 
 use thicket_dataframe::PredExpr;
 use thicket_perfsim::{
-    default_threads, load_dir, DiagKind, IngestReport, Profile, Snapshot, Store, StoreEntry,
-    StoreReader, Strictness, TraceError, TraceReader,
+    default_threads, load_dir, DiagKind, IngestReport, Profile, Snapshot, Store, StoreReader,
+    Strictness, TraceError, TraceReader,
 };
 
 use crate::thicket::ThicketError;
@@ -220,9 +220,6 @@ impl ReaderHold {
     }
 }
 
-/// Boxed manifest-entry predicate (the `filter_entries` escape hatch).
-type EntryFilter<'a> = Box<dyn FnMut(&StoreEntry) -> bool + 'a>;
-
 /// Adapter: a sharded store directory as a chunked source.
 ///
 /// Selection (columnar manifest predicate evaluation) happens up front
@@ -232,19 +229,18 @@ type EntryFilter<'a> = Box<dyn FnMut(&StoreEntry) -> bool + 'a>;
 /// memory-mapped pass; [`StoreSource::chunk_size`] opts into smaller
 /// batches. Strictness is enforced per chunk with the same messages and
 /// budgets as the classic store load path.
-pub struct StoreSource<'a> {
+pub struct StoreSource {
     hold: ReaderHold,
     threads: Option<usize>,
     strictness: Strictness,
     chunk_size: Option<usize>,
-    entries: Option<EntryFilter<'a>>,
     expr: Option<PredExpr>,
     selected: Option<Vec<usize>>,
     pos: usize,
     report: IngestReport,
 }
 
-impl<'a> StoreSource<'a> {
+impl StoreSource {
     /// Open a store directory. `pinned` opens a generation-pinned
     /// snapshot (lease registered, shard handles held) so concurrent
     /// appends, compaction, or GC can never tear the read.
@@ -264,7 +260,6 @@ impl<'a> StoreSource<'a> {
             threads,
             strictness,
             chunk_size: None,
-            entries: None,
             expr: None,
             selected: None,
             pos: 0,
@@ -279,13 +274,12 @@ impl<'a> StoreSource<'a> {
         snap: Snapshot,
         threads: Option<usize>,
         strictness: Strictness,
-    ) -> StoreSource<'static> {
+    ) -> StoreSource {
         StoreSource {
             hold: ReaderHold::Pinned(snap),
             threads,
             strictness,
             chunk_size: None,
-            entries: None,
             expr: None,
             selected: None,
             pos: 0,
@@ -299,37 +293,21 @@ impl<'a> StoreSource<'a> {
         self
     }
 
-    /// Select entries with a closure over the materialized manifest
-    /// index (the legacy `filter_entries` escape hatch).
-    pub fn entry_filter(mut self, pred: impl FnMut(&StoreEntry) -> bool + 'a) -> Self {
-        self.entries = Some(Box::new(pred));
-        self
-    }
-
     fn ensure_selected(&mut self) -> Result<(), ThicketError> {
         if self.selected.is_some() {
             return Ok(());
         }
         let reader = self.hold.reader();
-        let selected = if let Some(pred) = self.entries.as_mut() {
-            reader
-                .entries()
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| pred(e))
-                .map(|(i, _)| i)
-                .collect()
-        } else if let Some(expr) = &self.expr {
-            self.hold.reader().select_expr(expr)?
-        } else {
-            (0..self.hold.reader().manifest().profiles.len()).collect()
+        let selected = match &self.expr {
+            Some(expr) => reader.select_expr(expr)?,
+            None => (0..reader.manifest().profiles.len()).collect(),
         };
         self.selected = Some(selected);
         Ok(())
     }
 }
 
-impl ProfileSource for StoreSource<'_> {
+impl ProfileSource for StoreSource {
     fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
         self.ensure_selected()?;
         let selected = self.selected.as_ref().expect("just selected");
@@ -376,9 +354,6 @@ impl ProfileSource for StoreSource<'_> {
     }
 
     fn push_filter(&mut self, expr: &PredExpr) -> bool {
-        if self.entries.is_some() {
-            return false;
-        }
         self.expr = Some(expr.clone());
         self.selected = None;
         true

@@ -5,7 +5,7 @@
 
 use thicket_core::{LoadSource, PredExpr, Thicket};
 use thicket_dataframe::ColKey;
-use thicket_perfsim::{simulate_cpu_run, Compiler, CpuRunConfig, MetaPred, Profile, Store};
+use thicket_perfsim::{simulate_cpu_run, Compiler, CpuRunConfig, Profile, ScratchDir, Store};
 
 /// Six profiles: 2 compilers × 3 seeds, one problem size.
 fn sample_profiles() -> Vec<Profile> {
@@ -21,9 +21,8 @@ fn sample_profiles() -> Vec<Profile> {
     profiles
 }
 
-fn temp_store(tag: &str, profiles: &[Profile]) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-planner-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
+fn temp_store(profiles: &[Profile]) -> ScratchDir {
+    let dir = ScratchDir::new("planner");
     Store::save(&dir, profiles).unwrap();
     dir
 }
@@ -31,34 +30,30 @@ fn temp_store(tag: &str, profiles: &[Profile]) -> std::path::PathBuf {
 #[test]
 fn metadata_only_expr_fully_pushes_on_store() {
     let profiles = sample_profiles();
-    let dir = temp_store("push", &profiles);
+    let dir = temp_store(&profiles);
 
     let expr = PredExpr::eq("compiler", "clang-9.0.0");
-    let (by_expr, report) = Thicket::loader(LoadSource::store(&dir))
-        .filter(expr)
+    let (by_store, report) = Thicket::loader(LoadSource::store(&dir))
+        .filter(expr.clone())
         .load()
         .unwrap();
-    let (by_pred, _) = Thicket::loader(LoadSource::store(&dir))
-        .filter(MetaPred::eq("compiler", "clang-9.0.0"))
-        .load()
-        .unwrap();
+    let (in_memory, memory_report) = Thicket::loader(&profiles).filter(expr).load().unwrap();
 
-    assert_eq!(by_expr.metadata(), by_pred.metadata());
-    assert_eq!(by_expr.perf_data(), by_pred.perf_data());
-    assert_eq!(by_expr.profiles().len(), 3);
+    assert_eq!(by_store.metadata(), in_memory.metadata());
+    assert_eq!(by_store.perf_data(), in_memory.perf_data());
+    assert_eq!(by_store.profiles().len(), 3);
 
     let plan = report.pushdown.expect("expr loads record a plan");
     assert!(plan.fully_pushed(), "no residual expected: {plan}");
     assert_eq!(plan.pushed.len(), 1);
     assert!(plan.pushed[0].contains("compiler"));
-
-    std::fs::remove_dir_all(dir).ok();
+    assert_eq!(memory_report.pushdown, Some(plan));
 }
 
 #[test]
 fn mixed_expr_splits_into_pushed_and_residual() {
     let profiles = sample_profiles();
-    let dir = temp_store("mixed", &profiles);
+    let dir = temp_store(&profiles);
 
     // "time (exc)" lives in the perf frame, not the store metadata:
     // the planner must keep it above the read. Every profile has some
@@ -92,8 +87,6 @@ fn mixed_expr_splits_into_pushed_and_residual() {
         .0;
     assert_eq!(none.profiles().len(), 0);
     assert_eq!(none.perf_data().len(), 0);
-
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -133,25 +126,9 @@ fn residual_uses_exists_row_semantics() {
 }
 
 #[test]
-fn profile_source_expr_matches_metapred_filter() {
-    let profiles = sample_profiles();
-    let (by_expr, report) = Thicket::loader(&profiles)
-        .filter(PredExpr::eq("compiler", "xlc-16.1.1.12"))
-        .load()
-        .unwrap();
-    let (by_pred, _) = Thicket::loader(&profiles)
-        .filter(MetaPred::eq("compiler", "xlc-16.1.1.12"))
-        .load()
-        .unwrap();
-    assert_eq!(by_expr.metadata(), by_pred.metadata());
-    assert_eq!(by_expr.perf_data(), by_pred.perf_data());
-    assert!(report.pushdown.unwrap().fully_pushed());
-}
-
-#[test]
 fn dialect_predicate_flows_to_the_loader() {
     let profiles = sample_profiles();
-    let dir = temp_store("dialect", &profiles);
+    let dir = temp_store(&profiles);
 
     let expr = thicket_query::parse_pred(r#"compiler startswith "clang""#).unwrap();
     let (tk, report) = Thicket::loader(LoadSource::store(&dir))
@@ -160,8 +137,6 @@ fn dialect_predicate_flows_to_the_loader() {
         .unwrap();
     assert_eq!(tk.profiles().len(), 3);
     assert!(report.pushdown.is_some());
-
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// The owned-profiles source (the wire-client plumbing:
@@ -187,21 +162,4 @@ fn owned_source_matches_borrowed_source() {
     let via_from: LoadSource<'static> = profiles.into();
     let (tk, _) = Thicket::loader(via_from).load().unwrap();
     assert_eq!(tk.profiles().len(), 6);
-}
-
-/// The deprecated `filter_expr` spelling stays a thin alias of
-/// `filter` for one release; both produce identical thickets and plans.
-#[test]
-#[allow(deprecated)]
-fn deprecated_filter_expr_aliases_filter() {
-    let profiles = sample_profiles();
-    let expr = PredExpr::eq("compiler", "clang-9.0.0");
-    let (via_alias, ra) = Thicket::loader(&profiles)
-        .filter_expr(expr.clone())
-        .load()
-        .unwrap();
-    let (via_filter, rf) = Thicket::loader(&profiles).filter(expr).load().unwrap();
-    assert_eq!(via_alias.perf_data(), via_filter.perf_data());
-    assert_eq!(via_alias.metadata(), via_filter.metadata());
-    assert_eq!(format!("{:?}", ra.pushdown), format!("{:?}", rf.pushdown));
 }

@@ -64,7 +64,7 @@ use thicket_core::PredExpr;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Planned `filter_expr` loads are thread-count invariant: the
+    /// Planned `Loader::filter` loads are thread-count invariant: the
     /// pushdown split, the vectorized selection, and the residual
     /// exists-row pass give bit-identical thickets and identical plans
     /// at threads 1, 2, and 8.

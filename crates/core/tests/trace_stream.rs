@@ -5,33 +5,27 @@
 //! trace → store path must round-trip to the same thicket as a direct
 //! trace load.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use proptest::prelude::*;
 use thicket_core::{trace_to_store, LoadSource, OwnedSource, SliceSource, Thicket};
 use thicket_perfsim::{
-    emit_trace_to_path, inject, simulate_cpu_run, FaultKind, Strictness, TraceConfig,
+    emit_trace_to_path, inject, simulate_cpu_run, FaultKind, ScratchDir, Strictness, TraceConfig,
     TraceReader,
 };
 
-/// Fresh per-test scratch directory under the system temp dir.
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-trace-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Emit `cfg` into `<temp>/<tag>/run.trace` and return the path.
-fn emit_file(tag: &str, cfg: &TraceConfig) -> PathBuf {
-    let path = temp_dir(tag).join("run.trace");
+/// Emit `cfg` as `run.trace` into a fresh scratch directory; returns
+/// the directory (which owns the file) and the trace's path.
+fn emit_file(cfg: &TraceConfig) -> (ScratchDir, PathBuf) {
+    let dir = ScratchDir::new("trace");
+    let path = dir.join("run.trace");
     emit_trace_to_path(cfg, &path).unwrap();
-    path
+    (dir, path)
 }
 
 /// Timestamp of the last event in the trace (for window sizing).
-fn trace_span_ns(path: &PathBuf) -> u64 {
+fn trace_span_ns(path: &Path) -> u64 {
     let mut reader = TraceReader::open(path).unwrap();
     let mut last = 0;
     loop {
@@ -46,7 +40,7 @@ fn trace_span_ns(path: &PathBuf) -> u64 {
 #[test]
 fn whole_trace_yields_one_profile_per_rank() {
     let cfg = TraceConfig::quartz(3, 2, 7);
-    let path = emit_file("whole", &cfg);
+    let (_dir, path) = emit_file(&cfg);
     let (tk, report) = Thicket::loader(LoadSource::trace(&path)).load().unwrap();
     assert_eq!(tk.metadata().len(), 3, "one profile per rank");
     assert!(report.is_clean());
@@ -64,7 +58,7 @@ fn whole_trace_yields_one_profile_per_rank() {
 #[test]
 fn windowed_ingest_conserves_inclusive_time() {
     let cfg = TraceConfig::quartz(2, 3, 11);
-    let path = emit_file("windows", &cfg);
+    let (_dir, path) = emit_file(&cfg);
     let span = trace_span_ns(&path);
     let window = Duration::from_nanos(span / 5);
 
@@ -105,11 +99,10 @@ fn windowed_ingest_conserves_inclusive_time() {
 #[test]
 fn trace_to_store_roundtrips_to_the_same_thicket() {
     let cfg = TraceConfig::quartz(2, 2, 23);
-    let path = emit_file("tostore", &cfg);
+    let (dir, path) = emit_file(&cfg);
     let span = trace_span_ns(&path);
     let window = Duration::from_nanos(span / 4);
-    let store_dir = temp_dir("tostore-store");
-    let _ = std::fs::remove_dir_all(&store_dir);
+    let store_dir = dir.join("store");
 
     let (report, written) =
         trace_to_store(&path, &store_dir, Some(window), Strictness::FailFast).unwrap();
@@ -162,9 +155,8 @@ const LENIENT: Strictness = Strictness::Lenient { max_errors: 16 };
 #[test]
 fn torn_trace_keeps_closed_windows_and_reports() {
     let cfg = TraceConfig::quartz(2, 3, 5);
-    let path = emit_file("torn", &cfg);
+    let (dir, path) = emit_file(&cfg);
     let span = trace_span_ns(&path);
-    let dir = path.parent().unwrap().to_path_buf();
     // Tear near the end of the stream (the injector indexes its victim
     // line by `seed % events`), so earlier windows have already closed.
     inject(&dir, FaultKind::TornTrace, cfg.events_total() - 2).unwrap();
@@ -199,8 +191,7 @@ fn torn_trace_keeps_closed_windows_and_reports() {
 #[test]
 fn shuffled_events_poison_one_rank_and_report() {
     let cfg = TraceConfig::quartz(3, 2, 6);
-    let path = emit_file("shuffled", &cfg);
-    let dir = path.parent().unwrap().to_path_buf();
+    let (dir, path) = emit_file(&cfg);
     inject(&dir, FaultKind::ShuffledEvents, 77).unwrap();
 
     let err = Thicket::loader(LoadSource::trace(&path))
@@ -216,7 +207,7 @@ fn shuffled_events_poison_one_rank_and_report() {
         .load()
         .unwrap();
     assert!(tk.metadata().len() < 3, "the corrupted rank must be dropped");
-    assert!(tk.metadata().len() >= 1, "healthy ranks must survive");
+    assert!(!tk.metadata().is_empty(), "healthy ranks must survive");
     assert!(
         report.diagnostics.iter().any(|d| FaultKind::ShuffledEvents.matches(&d.kind)),
         "no out-of-order diagnostic in: {}",
@@ -228,8 +219,7 @@ fn shuffled_events_poison_one_rank_and_report() {
 #[test]
 fn unbalanced_trace_drops_the_open_rank_and_reports() {
     let cfg = TraceConfig::quartz(3, 2, 8);
-    let path = emit_file("unbalanced", &cfg);
-    let dir = path.parent().unwrap().to_path_buf();
+    let (dir, path) = emit_file(&cfg);
     inject(&dir, FaultKind::UnbalancedTrace, 13).unwrap();
 
     let err = Thicket::loader(LoadSource::trace(&path))
@@ -266,7 +256,7 @@ proptest! {
         chunk in 1usize..96,
     ) {
         let cfg = TraceConfig::quartz(2, 1, seed);
-        let path = emit_file(&format!("prop-{seed}-{chunk}"), &cfg);
+        let (_dir, path) = emit_file(&cfg);
         let (whole, whole_report) =
             Thicket::loader(LoadSource::trace(&path)).load().unwrap();
         for threads in [1usize, 2, 8] {
@@ -300,8 +290,7 @@ proptest! {
     ) {
         let kind = FaultKind::TRACE[kind_idx];
         let cfg = TraceConfig::quartz(2, 1, seed);
-        let path = emit_file(&format!("fault-{seed}-{kind_idx}-{chunk}"), &cfg);
-        let dir = path.parent().unwrap().to_path_buf();
+        let (dir, path) = emit_file(&cfg);
         inject(&dir, kind, seed).unwrap();
 
         prop_assert!(

@@ -2,9 +2,10 @@
 //! evaluator producing selection [`Bitmap`]s straight from [`Column`]
 //! storage.
 //!
-//! Every filter surface in the workspace compiles into [`PredExpr`]:
-//! `MetaPred` (store metadata pushdown), the query crate's string dialect,
-//! and the core `filter_*` ops. One AST means one set of semantics:
+//! Every filter surface in the workspace speaks [`PredExpr`]: store
+//! metadata pushdown and the thicket loader take it directly, and the
+//! query crate's string dialect and the core `filter_*` ops compile into
+//! it. One AST means one set of semantics:
 //!
 //! * **Missing key is false.** A field the source doesn't provide (or a
 //!   null cell) satisfies no leaf — not even `!=`. `Not` still sees the

@@ -297,13 +297,11 @@ mod tests {
 
     #[test]
     fn file_roundtrip_and_thicket_compose() {
-        let dir = std::env::temp_dir().join("thicket-calitxt");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::faults::ScratchDir::new("calitxt");
         let p = simulate_cpu_run(&CpuRunConfig::quartz_default());
         let path = dir.join("run.cali.txt");
         save_cali_text(&p, &path).unwrap();
         let q = load_cali_text(&path).unwrap();
         assert_eq!(q.profile_hash(), p.profile_hash());
-        std::fs::remove_file(path).ok();
     }
 }

@@ -188,13 +188,8 @@ fn load_paths(paths: &[PathBuf], threads: usize) -> Result<Vec<Profile>, Profile
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::ScratchDir;
     use crate::rajaperf::{simulate_cpu_run, CpuRunConfig};
-
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("thicket-ensemble-{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn load_strict(dir: impl AsRef<Path>) -> Result<Vec<Profile>, ProfileError> {
         load_dir(dir, None, Strictness::FailFast).map(|(profiles, _)| profiles)
@@ -202,7 +197,7 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_profiles() {
-        let dir = tmp("roundtrip");
+        let dir = ScratchDir::new("ensemble-roundtrip");
         let profiles: Vec<Profile> = (0..4)
             .map(|seed| {
                 let mut cfg = CpuRunConfig::quartz_default();
@@ -219,37 +214,33 @@ mod tests {
         orig.sort_unstable();
         back.sort_unstable();
         assert_eq!(orig, back);
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn identical_metadata_disambiguated() {
-        let dir = tmp("dup");
+        let dir = ScratchDir::new("ensemble-dup");
         let p = simulate_cpu_run(&CpuRunConfig::quartz_default());
         let paths = save_ensemble(&dir, &[p.clone(), p]).unwrap();
         assert_eq!(paths.len(), 2);
         assert_ne!(paths[0], paths[1]);
         assert_eq!(load_strict(&dir).unwrap().len(), 2);
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn corrupt_file_fails_loudly() {
-        let dir = tmp("corrupt");
+        let dir = ScratchDir::new("ensemble-corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("bad.json"), "{oops").unwrap();
         assert!(load_strict(&dir).is_err());
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn non_json_files_ignored() {
-        let dir = tmp("mixed");
+        let dir = ScratchDir::new("ensemble-mixed");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("README.txt"), "notes").unwrap();
         save_ensemble(&dir, &[simulate_cpu_run(&CpuRunConfig::quartz_default())]).unwrap();
         assert_eq!(load_strict(&dir).unwrap().len(), 1);
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -260,7 +251,7 @@ mod tests {
 
     #[test]
     fn threaded_load_matches_serial() {
-        let dir = tmp("threads");
+        let dir = ScratchDir::new("ensemble-threads");
         let profiles: Vec<Profile> = (0..6)
             .map(|seed| {
                 let mut cfg = CpuRunConfig::quartz_default();
@@ -274,12 +265,11 @@ mod tests {
         let hashes = |ps: &[Profile]| ps.iter().map(|p| p.profile_hash()).collect::<Vec<_>>();
         assert_eq!(hashes(&one), hashes(&eight));
         assert_eq!(one.len(), 6);
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn strict_error_names_offending_path() {
-        let dir = tmp("strict-path");
+        let dir = ScratchDir::new("ensemble-strict-path");
         std::fs::create_dir_all(&dir).unwrap();
         save_ensemble(&dir, &[simulate_cpu_run(&CpuRunConfig::quartz_default())]).unwrap();
         std::fs::write(dir.join("aa-bad.json"), "{truncated").unwrap();
@@ -291,12 +281,11 @@ mod tests {
                 "threads={threads}: {err}"
             );
         }
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn lenient_load_keeps_healthy_subset() {
-        let dir = tmp("lenient");
+        let dir = ScratchDir::new("ensemble-lenient");
         let profiles: Vec<Profile> = (0..3)
             .map(|seed| {
                 let mut cfg = CpuRunConfig::quartz_default();
@@ -318,12 +307,11 @@ mod tests {
         ));
         // Strict load of the same dir fails.
         assert!(load_strict(&dir).is_err());
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn lenient_drops_duplicate_hashes_with_diagnostic() {
-        let dir = tmp("lenient-dup");
+        let dir = ScratchDir::new("ensemble-lenient-dup");
         let p = simulate_cpu_run(&CpuRunConfig::quartz_default());
         // Two files, identical metadata → identical hash.
         save_ensemble(&dir, &[p.clone(), p]).unwrap();
@@ -339,12 +327,11 @@ mod tests {
         }
         // Strict mode still tolerates duplicates (caller picks ids).
         assert_eq!(load_strict(&dir).unwrap().len(), 2);
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn max_errors_budget_aborts() {
-        let dir = tmp("budget");
+        let dir = ScratchDir::new("ensemble-budget");
         std::fs::create_dir_all(&dir).unwrap();
         save_ensemble(&dir, &[simulate_cpu_run(&CpuRunConfig::quartz_default())]).unwrap();
         std::fs::write(dir.join("bad1.json"), "{").unwrap();
@@ -356,12 +343,11 @@ mod tests {
         assert!(err.unwrap_err().to_string().contains("max_errors"));
         // FailFast through the opts entry point behaves like load_ensemble.
         assert!(load_dir(&dir, Some(2), Strictness::FailFast).is_err());
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn failed_save_rolls_back_partial_output() {
-        let dir = tmp("rollback");
+        let dir = ScratchDir::new("ensemble-rollback");
         let profiles: Vec<Profile> = (0..3)
             .map(|seed| {
                 let mut cfg = CpuRunConfig::quartz_default();
@@ -387,12 +373,11 @@ mod tests {
             .collect();
         assert_eq!(leftovers, vec![planned[0].clone()]);
         Profile::load(&leftovers[0]).expect("surviving file is a valid profile");
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn failed_save_never_deletes_previous_copies() {
-        let dir = tmp("rollback-resave");
+        let dir = ScratchDir::new("ensemble-rollback-resave");
         let profiles: Vec<Profile> = (0..3)
             .map(|seed| {
                 let mut cfg = CpuRunConfig::quartz_default();
@@ -426,12 +411,11 @@ mod tests {
         for p in [&planned[0], &planned[2]] {
             Profile::load(p).expect("previous copy must survive a failed re-save");
         }
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn resave_replaces_instead_of_accumulating() {
-        let dir = tmp("resave");
+        let dir = ScratchDir::new("ensemble-resave");
         let p = simulate_cpu_run(&CpuRunConfig::quartz_default());
         let first = save_ensemble(&dir, std::slice::from_ref(&p)).unwrap();
         let second = save_ensemble(&dir, &[p]).unwrap();
@@ -444,6 +428,5 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp-"))
             .collect();
         assert!(leftovers.is_empty());
-        std::fs::remove_dir_all(dir).ok();
     }
 }

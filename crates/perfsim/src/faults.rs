@@ -45,11 +45,17 @@
 //! of writer operations — appends, compactions, and writer crashes at
 //! seed-chosen crash points — that the concurrency suites replay
 //! against a store while readers hammer it.
+//!
+//! Every suite builds its wreckage inside a [`ScratchDir`], unique per
+//! process and per call, so test threads and concurrently running test
+//! processes never share a path.
 
 use crate::ingest::DiagKind;
 use crate::json::Json;
 use std::io;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One way an ensemble directory can go bad.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1017,6 +1023,52 @@ impl Iterator for ChaosSchedule {
     }
 }
 
+/// A scratch directory for one test: `thicket-<tag>-<pid>-<n>` under
+/// the system temp dir, created empty and removed with its contents on
+/// drop. The pid and a per-process counter keep concurrent test
+/// threads and concurrent test processes out of each other's files;
+/// derefs to [`Path`], so `dir.join(..)` and `&dir` work as for a path.
+#[derive(Debug)]
+pub struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    /// Create a fresh, empty directory tagged `tag`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the directory cannot be created.
+    pub fn new(tag: &str) -> ScratchDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("thicket-{tag}-{}-{n}", std::process::id()));
+        // Leftovers of an earlier process that had the same pid.
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir)
+            .unwrap_or_else(|e| panic!("creating scratch dir {}: {e}", dir.display()));
+        ScratchDir(dir)
+    }
+}
+
+impl Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for ScratchDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1024,9 +1076,8 @@ mod tests {
     use crate::ingest::Strictness;
     use crate::rajaperf::{simulate_cpu_run, CpuRunConfig};
 
-    fn fresh_dir(name: &str, n: u64) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("thicket-faults-{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn fresh_dir(n: u64) -> ScratchDir {
+        let dir = ScratchDir::new("faults");
         let profiles: Vec<_> = (0..n)
             .map(|seed| {
                 let mut cfg = CpuRunConfig::quartz_default();
@@ -1040,8 +1091,8 @@ mod tests {
 
     #[test]
     fn injection_is_deterministic() {
-        let a = fresh_dir("det-a", 8);
-        let b = fresh_dir("det-b", 8);
+        let a = fresh_dir(8);
+        let b = fresh_dir(8);
         let fa = inject_all(&a, 42).unwrap();
         let fb = inject_all(&b, 42).unwrap();
         let names = |v: &[(FaultKind, PathBuf)]| {
@@ -1056,14 +1107,12 @@ mod tests {
                 assert_eq!(std::fs::read(pa).unwrap(), std::fs::read(pb).unwrap());
             }
         }
-        std::fs::remove_dir_all(a).ok();
-        std::fs::remove_dir_all(b).ok();
     }
 
     #[test]
     fn each_fault_surfaces_as_its_typed_diagnostic() {
-        for (i, kind) in FaultKind::ENSEMBLE.iter().enumerate() {
-            let dir = fresh_dir(&format!("kind-{i}"), 6);
+        for kind in FaultKind::ENSEMBLE.iter() {
+            let dir = fresh_dir(6);
             let path = inject(&dir, *kind, 7).unwrap();
             let (profiles, report) = load_dir(&dir, None, Strictness::lenient()).unwrap();
             assert_eq!(
@@ -1085,20 +1134,17 @@ mod tests {
                 _ => 5,
             };
             assert_eq!(profiles.len(), expected, "{kind:?}");
-            std::fs::remove_dir_all(dir).ok();
         }
     }
 
     #[test]
     fn inject_all_requires_enough_victims() {
-        let dir = fresh_dir("small", 3);
+        let dir = fresh_dir(3);
         assert!(inject_all(&dir, 0).is_err());
-        std::fs::remove_dir_all(dir).ok();
     }
 
-    fn fresh_store(name: &str, n: u64) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("thicket-faults-store-{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn fresh_store(n: u64) -> ScratchDir {
+        let dir = ScratchDir::new("faults-store");
         let profiles: Vec<_> = (0..n)
             .map(|seed| {
                 let mut cfg = CpuRunConfig::quartz_default();
@@ -1116,8 +1162,8 @@ mod tests {
 
     #[test]
     fn store_faults_classify_under_fsck() {
-        for (i, kind) in FaultKind::STORE.iter().enumerate() {
-            let dir = fresh_store(&format!("kind-{i}"), 4);
+        for kind in FaultKind::STORE.iter() {
+            let dir = fresh_store(4);
             inject(&dir, *kind, 11).unwrap();
             let fsck = crate::Store::fsck(&dir).unwrap();
             assert!(!fsck.is_clean(), "{kind:?} left a clean store");
@@ -1126,13 +1172,12 @@ mod tests {
                 findings.iter().any(|d| kind.matches(&d.kind)),
                 "{kind:?} produced findings {findings:?}"
             );
-            std::fs::remove_dir_all(dir).ok();
         }
     }
 
     #[test]
     fn store_inject_all_hits_distinct_victims() {
-        let dir = fresh_store("all", 5);
+        let dir = fresh_store(5);
         let faults = inject_all(&dir, 3).unwrap();
         let kinds: Vec<FaultKind> = faults.iter().map(|(k, _)| *k).collect();
         assert_eq!(kinds, FaultKind::STORE.to_vec());
@@ -1155,13 +1200,12 @@ mod tests {
         assert_eq!(loaded.len(), 3);
         assert!(rep.is_clean());
         assert!(crate::Store::fsck(&dir).unwrap().is_clean());
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn v3_payload_faults_pass_structural_checks_but_fail_deep_fsck() {
-        for (i, kind) in FaultKind::STORE_V3.iter().enumerate() {
-            let dir = fresh_store(&format!("v3-{i}"), 4);
+        for kind in FaultKind::STORE_V3.iter() {
+            let dir = fresh_store(4);
             inject(&dir, *kind, 11).unwrap();
             // Every digest was recomputed, so the store still opens and
             // the manifest verifies...
@@ -1176,24 +1220,21 @@ mod tests {
                 findings.iter().any(|d| kind.matches(&d.kind)),
                 "{kind:?} produced findings {findings:?}"
             );
-            std::fs::remove_dir_all(dir).ok();
         }
     }
 
     #[test]
     fn store_inject_all_requires_two_shards() {
-        let dir = std::env::temp_dir().join("thicket-faults-store-oneshard");
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = ScratchDir::new("faults-store");
         let p = simulate_cpu_run(&CpuRunConfig::quartz_default());
         crate::Store::save(&dir, &[p]).unwrap();
         assert!(inject_all(&dir, 0).is_err());
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn coordination_faults_classify_and_reap() {
-        for (i, kind) in FaultKind::COORDINATION.iter().enumerate() {
-            let dir = fresh_store(&format!("coord-{i}"), 3);
+        for kind in FaultKind::COORDINATION.iter() {
+            let dir = fresh_store(3);
             inject(&dir, *kind, 29).unwrap();
             // Every generation is still intact — the damage is pure
             // coordination wreckage...
@@ -1214,13 +1255,12 @@ mod tests {
             assert!(crate::Store::fsck(&dir).unwrap().is_clean(), "{kind:?}");
             let after = crate::Store::open(&dir).unwrap().entries().len();
             assert_eq!(before, after, "{kind:?} lost records");
-            std::fs::remove_dir_all(dir).ok();
         }
     }
 
     #[test]
     fn garbage_lock_does_not_wedge_writers() {
-        let dir = fresh_store("lock-takeover", 3);
+        let dir = fresh_store(3);
         inject(&dir, FaultKind::LockGarbage, 5).unwrap();
         // The epoch-old garbage lock is past every ttl: an append takes
         // it over instead of waiting out the timeout.
@@ -1230,7 +1270,6 @@ mod tests {
         });
         let rep = crate::Store::append(&dir, &[p]).unwrap();
         assert_eq!(rep.appended, 1);
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1259,7 +1298,7 @@ mod tests {
 
     #[test]
     fn truncation_diagnostic_reports_offset() {
-        let dir = fresh_dir("trunc", 6);
+        let dir = fresh_dir(6);
         let path = inject(&dir, FaultKind::Truncate, 3).unwrap();
         let cut_len = std::fs::read(&path).unwrap().len();
         let (_, report) = load_dir(&dir, None, Strictness::lenient()).unwrap();
@@ -1269,6 +1308,5 @@ mod tests {
             }
             other => panic!("expected parse diagnostic, got {other:?}"),
         }
-        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -34,7 +34,6 @@ pub mod ingest;
 pub mod json;
 pub mod machine;
 pub mod marbl;
-pub mod metapred;
 pub mod noise;
 pub mod parallel;
 pub mod profile;
@@ -47,7 +46,7 @@ pub use binprofile::{decode_profile, encode_profile, PROFILE_MAGIC};
 pub use calitxt::{from_cali_text, load_cali_text, save_cali_text, to_cali_text};
 pub use collector::Collector;
 pub use ensemble::{load_dir, save_ensemble};
-pub use faults::{inject, inject_all, ChaosOp, ChaosSchedule, FaultKind};
+pub use faults::{inject, inject_all, ChaosOp, ChaosSchedule, FaultKind, ScratchDir};
 pub use ingest::{DiagKind, Diagnostic, FilterPlan, IngestReport, Strictness};
 pub use json::Json;
 pub use parallel::{
@@ -57,7 +56,6 @@ pub use parallel::{
 pub use machine::{Compiler, CpuSpec, GpuSpec, NetworkSpec};
 pub use marbl::{marbl_ensemble, simulate_marbl_run, MarblCluster, MarblConfig};
 pub use noise::Noise;
-pub use metapred::{CmpOp, MetaPred};
 pub use profile::{Profile, ProfileError};
 pub use backoff::Backoff;
 pub use store::{

@@ -572,13 +572,11 @@ mod tests {
     #[test]
     fn file_roundtrip() {
         let p = sample();
-        let dir = std::env::temp_dir().join("thicket-profile-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::faults::ScratchDir::new("profile-test");
         let path = dir.join("p1.json");
         p.save(&path).unwrap();
         let q = Profile::load(&path).unwrap();
         assert_eq!(q.graph().len(), p.graph().len());
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -27,7 +27,8 @@ pub struct ShardInfo {
 }
 
 /// One profile as the manifest indexes it: identity, byte range, and
-/// the scalar metadata fields a [`StoreReader::load_entries_where`]
+/// the scalar metadata fields a
+/// [`StoreReader::select_expr`](super::StoreReader::select_expr)
 /// predicate can filter on without touching the shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreEntry {

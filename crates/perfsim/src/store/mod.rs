@@ -7,9 +7,10 @@
 //! temp-file + rename). The v2 manifest carries per-shard digests, the
 //! per-profile byte ranges, and a **columnar metadata index** — one
 //! [`MetaBlock`] per key (presence mask + lazily-parsed values) — so
-//! [`StoreReader::select`] over a typed [`MetaPred`](crate::metapred::MetaPred) decodes only the
-//! keys the predicate names and [`StoreReader::load_matching`] skips
-//! whole shards the predicate excludes without even opening them.
+//! [`StoreReader::select_expr`] over a [`PredExpr`](thicket_dataframe::PredExpr)
+//! decodes only the keys the predicate names and
+//! [`StoreReader::load_matching`] skips whole shards the predicate
+//! excludes without even opening them.
 //! Readers auto-detect v1 (row-metadata) manifests; [`Store::append`]
 //! commits new profiles as a new generation that reuses existing
 //! shards, and [`Store::compact`] re-packs fragmented or salvaged

@@ -9,7 +9,6 @@ use super::manifest::{Manifest, StoreEntry};
 use super::{ManifestVersion, Store, StoreError, StoreOptions, RECORD_HEADER_BYTES};
 use crate::backoff::Backoff;
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
-use crate::metapred::MetaPred;
 use crate::parallel::{parallel_map_catch, JobFailure};
 use crate::profile::Profile;
 use std::cell::{Cell, OnceCell};
@@ -114,9 +113,8 @@ impl StoreReader {
 
     /// The manifest's per-profile index, in storage order, with
     /// metadata populated. For a v2 manifest this decodes **every**
-    /// column on first call (cached) — typed selection via
-    /// [`StoreReader::select`] decodes only the predicate's keys, so
-    /// prefer [`MetaPred`] on hot paths.
+    /// column on first call (cached) — [`StoreReader::select_expr`]
+    /// decodes only the predicate's keys, so prefer it on hot paths.
     pub fn entries(&self) -> &[StoreEntry] {
         if self.manifest.version == ManifestVersion::V1 {
             return &self.manifest.profiles;
@@ -170,20 +168,12 @@ impl StoreReader {
         self.bytes_read.get()
     }
 
-    /// Entry indices (storage order) matching a typed predicate,
-    /// without any shard I/O. On a v2 manifest only the columns for
-    /// [`MetaPred::keys`] are decoded — non-referenced metadata is
-    /// never parsed. A named column that fails to decode is
-    /// [`StoreError::Corrupt`] (fsck classifies the damage).
-    pub fn select(&self, pred: &MetaPred) -> Result<Vec<usize>, StoreError> {
-        self.select_expr(&pred.to_expr())
-    }
-
-    /// [`StoreReader::select`] for an already-compiled [`PredExpr`] —
-    /// the unified engine's entry point. On a columnar manifest each
-    /// named key binds its `MetaBlock` (values + presence mask) straight
-    /// into the vectorized evaluator; unreferenced columns stay
-    /// undecoded. A v1 manifest falls back to a per-entry scalar walk.
+    /// Entry indices (storage order) matching a predicate, without any
+    /// shard I/O. On a columnar manifest each named key binds its
+    /// `MetaBlock` (values + presence mask) straight into the vectorized
+    /// evaluator; unreferenced columns stay undecoded. A named column
+    /// that fails to decode is [`StoreError::Corrupt`] (fsck classifies
+    /// the damage). A v1 manifest falls back to a per-entry scalar walk.
     pub fn select_expr(&self, expr: &PredExpr) -> Result<Vec<usize>, StoreError> {
         let n = self.manifest.profiles.len();
         if !self.manifest.version.columnar() {
@@ -208,80 +198,30 @@ impl StoreReader {
 
     /// Load every profile.
     pub fn load_all(&self) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        self.load_matching(&MetaPred::True)
+        self.load_matching(&PredExpr::True)
     }
 
-    /// Load the profiles matching a typed predicate: columnar
-    /// selection ([`StoreReader::select`]) followed by range reads
-    /// that skip shards the predicate excludes entirely.
+    /// Load the profiles matching a predicate: columnar selection
+    /// ([`StoreReader::select_expr`]) followed by range reads that skip
+    /// shards the predicate excludes entirely. The decode fan-out uses
+    /// the default worker count; [`StoreReader::load_indices`] takes an
+    /// explicit one.
     pub fn load_matching(
         &self,
-        pred: &MetaPred,
-    ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        self.load_matching_threads(pred, crate::parallel::default_threads(self.manifest.profiles.len()))
-    }
-
-    /// [`StoreReader::load_matching`] with an explicit worker count
-    /// for the payload-parse fan-out. Results and diagnostics are
-    /// byte-identical for any `threads ≥ 1`.
-    pub fn load_matching_threads(
-        &self,
-        pred: &MetaPred,
-        threads: usize,
-    ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        let selected = self.select(pred)?;
-        self.load_selected(&selected, threads)
-    }
-
-    /// Load the profiles matching a compiled [`PredExpr`]: vectorized
-    /// columnar selection ([`StoreReader::select_expr`]) followed by
-    /// range reads that skip shards the predicate excludes entirely.
-    pub fn load_matching_expr(
-        &self,
         expr: &PredExpr,
-        threads: usize,
     ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
         let selected = self.select_expr(expr)?;
-        self.load_selected(&selected, threads)
-    }
-
-    /// Closure selection over materialized entries: the engine behind
-    /// the loader builder's entry-closure escape hatch. Unlike
-    /// [`StoreReader::load_matching`]
-    /// this materializes every entry's metadata before evaluating
-    /// `pred`; prefer a typed [`MetaPred`] wherever one can express the
-    /// selection.
-    pub fn load_entries_where(
-        &self,
-        mut pred: impl FnMut(&StoreEntry) -> bool,
-        threads: usize,
-    ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        let selected: Vec<usize> = self
-            .entries()
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| pred(e))
-            .map(|(i, _)| i)
-            .collect();
-        self.load_selected(&selected, threads)
+        let threads = crate::parallel::default_threads(self.manifest.profiles.len());
+        self.load_indices(&selected, threads)
     }
 
     /// Load the profiles at `selected` entry indices (storage order,
-    /// as returned by [`StoreReader::select`] /
-    /// [`StoreReader::select_expr`]), skipping shards with no selected
-    /// member. This is the chunked-ingest primitive: select once, then
-    /// load the matching indices a bounded batch at a time.
+    /// as returned by [`StoreReader::select_expr`]), skipping shards
+    /// with no selected member. Results and diagnostics are
+    /// byte-identical for any `threads ≥ 1`. This is the chunked-ingest
+    /// primitive: select once, then load the matching indices a bounded
+    /// batch at a time.
     pub fn load_indices(
-        &self,
-        selected: &[usize],
-        threads: usize,
-    ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        self.load_selected(selected, threads)
-    }
-
-    /// Read, verify, and parse the records at `selected` entry indices
-    /// (storage order), skipping shards with no selected member.
-    fn load_selected(
         &self,
         selected: &[usize],
         threads: usize,

@@ -1,16 +1,9 @@
 use super::layout::{manifest_name, shard_name};
 use super::manifest::{build_columns, mask_from_hex, mask_to_hex};
 use super::*;
-use crate::metapred::MetaPred;
+use crate::faults::ScratchDir;
 use crate::rajaperf::{simulate_cpu_run, CpuRunConfig};
-use std::path::PathBuf;
-use thicket_dataframe::Value;
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-store-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use thicket_dataframe::{PredExpr, Value};
 
 fn runs(n: u64) -> Vec<Profile> {
     (0..n)
@@ -38,7 +31,7 @@ fn crc32c_known_vectors() {
 
 #[test]
 fn save_open_roundtrip() {
-    let dir = tmp("roundtrip");
+    let dir = ScratchDir::new("store-roundtrip");
     let profiles = runs(6);
     let report = Store::save(&dir, &profiles).unwrap();
     assert_eq!(report.generation, 1);
@@ -52,12 +45,11 @@ fn save_open_roundtrip() {
     // fsck of a fresh store is clean.
     let fsck = Store::fsck(&dir).unwrap();
     assert!(fsck.is_clean(), "{fsck}");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn small_shard_target_splits_shards() {
-    let dir = tmp("split");
+    let dir = ScratchDir::new("store-split");
     let profiles = runs(8);
     let opts = StoreOptions {
         shard_bytes: 1, // every record closes its shard
@@ -69,12 +61,11 @@ fn small_shard_target_splits_shards() {
     let (loaded, rep) = reader.load_all().unwrap();
     assert!(rep.is_clean());
     assert_eq!(hashes(&loaded), hashes(&profiles));
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn second_save_bumps_generation_and_retains_previous() {
-    let dir = tmp("generations");
+    let dir = ScratchDir::new("store-generations");
     let first = runs(3);
     let second = runs(5);
     Store::save(&dir, &first).unwrap();
@@ -91,12 +82,11 @@ fn second_save_bumps_generation_and_retains_previous() {
     Store::save(&dir, &first).unwrap();
     assert!(!dir.join(manifest_name(1)).exists());
     assert!(dir.join(manifest_name(2)).exists());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn load_matching_pushdown_reads_fewer_bytes() {
-    let dir = tmp("pushdown");
+    let dir = ScratchDir::new("store-pushdown");
     let profiles = runs(8);
     let opts = StoreOptions {
         shard_bytes: 1,
@@ -112,20 +102,19 @@ fn load_matching_pushdown_reads_fewer_bytes() {
 
     let filtered = Store::open(&dir).unwrap();
     let (subset, rep) = filtered
-        .load_matching(&MetaPred::eq("seed", 2i64))
+        .load_matching(&PredExpr::eq("seed", 2i64))
         .unwrap();
     assert!(rep.is_clean());
     assert!(filtered.bytes_read() < full_bytes);
     assert_eq!(subset.len(), 1);
     assert!(all.len() > subset.len());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn bytes_read_is_exact_frame_accounting() {
     // One record per shard, so each shard's cost is its single
     // record's frame: header + payload.
-    let dir = tmp("bytes-exact");
+    let dir = ScratchDir::new("store-bytes-exact");
     let opts = StoreOptions {
         shard_bytes: 1,
         ..StoreOptions::default()
@@ -164,7 +153,7 @@ fn bytes_read_is_exact_frame_accounting() {
     // (its one record is most of the file), so the cost is that
     // shard's file size; skipped shards are never opened.
     let filtered = Store::open(&dir).unwrap();
-    let (subset, rep) = filtered.load_matching(&MetaPred::eq("seed", 2i64)).unwrap();
+    let (subset, rep) = filtered.load_matching(&PredExpr::eq("seed", 2i64)).unwrap();
     assert!(rep.is_clean());
     assert_eq!(subset.len(), 1);
     let entry = filtered
@@ -175,19 +164,18 @@ fn bytes_read_is_exact_frame_accounting() {
         .unwrap();
     let selected_shard = filtered.manifest().shards[entry.shard].bytes;
     assert_eq!(filtered.bytes_read(), manifest_bytes + selected_shard);
-    std::fs::remove_dir_all(dir).ok();
 
     // Pushdown inside a multi-record shard takes the sparse seek
     // path: the charge is exactly the selected record's frame
     // (header + payload), derived from the layout constant.
-    let dir = tmp("bytes-exact-sparse");
+    let dir = ScratchDir::new("store-bytes-exact-sparse");
     Store::save_opts(&dir, &runs(8), &StoreOptions::default()).unwrap();
     let sparse = Store::open(&dir).unwrap();
     assert_eq!(sparse.manifest().shards.len(), 1, "one shared shard");
     let manifest_bytes = std::fs::metadata(dir.join(manifest_name(sparse.manifest().generation)))
         .unwrap()
         .len();
-    let (subset, rep) = sparse.load_matching(&MetaPred::eq("seed", 2i64)).unwrap();
+    let (subset, rep) = sparse.load_matching(&PredExpr::eq("seed", 2i64)).unwrap();
     assert!(rep.is_clean());
     assert_eq!(subset.len(), 1);
     let entry = sparse
@@ -200,12 +188,11 @@ fn bytes_read_is_exact_frame_accounting() {
         sparse.bytes_read(),
         manifest_bytes + (RECORD_HEADER_BYTES as u64 + entry.len as u64)
     );
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn select_decodes_only_named_columns() {
-    let dir = tmp("lazy-columns");
+    let dir = ScratchDir::new("store-lazy-columns");
     Store::save(&dir, &runs(6)).unwrap();
     let reader = Store::open(&dir).unwrap();
     assert_eq!(reader.manifest().version, ManifestVersion::V3);
@@ -213,7 +200,7 @@ fn select_decodes_only_named_columns() {
         reader.manifest().columns.len() > 2,
         "quartz runs carry several metadata keys"
     );
-    let idx = reader.select(&MetaPred::lt("seed", 3i64)).unwrap();
+    let idx = reader.select_expr(&PredExpr::lt("seed", 3i64)).unwrap();
     assert_eq!(idx, vec![0, 1, 2]);
     for b in &reader.manifest().columns {
         assert_eq!(
@@ -223,36 +210,34 @@ fn select_decodes_only_named_columns() {
             b.key()
         );
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn columnar_selection_matches_row_selection() {
-    let dir = tmp("col-vs-row");
+    let dir = ScratchDir::new("store-col-vs-row");
     let profiles = runs(7);
     Store::save(&dir, &profiles).unwrap();
     let reader = Store::open(&dir).unwrap();
     let preds = [
-        MetaPred::True,
-        MetaPred::eq("cluster", "quartz"),
-        MetaPred::eq("seed", 3i64).not(),
-        MetaPred::is_in("seed", [1i64, 5, 99]),
-        MetaPred::ge("seed", 2i64).and(MetaPred::lt("seed", 6i64)),
-        MetaPred::eq("no-such-key", 1i64),
-        MetaPred::eq("no-such-key", 1i64).not(),
+        PredExpr::True,
+        PredExpr::eq("cluster", "quartz"),
+        PredExpr::not(PredExpr::eq("seed", 3i64)),
+        PredExpr::is_in("seed", [1i64, 5, 99]),
+        PredExpr::and([PredExpr::ge("seed", 2i64), PredExpr::lt("seed", 6i64)]),
+        PredExpr::eq("no-such-key", 1i64),
+        PredExpr::not(PredExpr::eq("no-such-key", 1i64)),
     ];
     for pred in &preds {
-        let columnar = reader.select(pred).unwrap();
+        let columnar = reader.select_expr(pred).unwrap();
         let by_rows: Vec<usize> = reader
             .entries()
             .iter()
             .enumerate()
-            .filter(|(_, e)| pred.eval_with(&mut |k| e.meta(k)))
+            .filter(|(_, e)| pred.eval_lookup(&mut |k| e.meta(k).cloned()))
             .map(|(i, _)| i)
             .collect();
         assert_eq!(columnar, by_rows, "pred: {pred}");
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -351,7 +336,7 @@ fn mask_hex_roundtrip_and_strictness() {
 
 #[test]
 fn append_reuses_shards_and_skips_duplicates() {
-    let dir = tmp("append");
+    let dir = ScratchDir::new("store-append");
     let first = runs(3);
     let more = runs(5); // seeds 0..5 — first three duplicate the store
     let r1 = Store::save(&dir, &first).unwrap();
@@ -375,30 +360,28 @@ fn append_reuses_shards_and_skips_duplicates() {
     assert_eq!(r3.shards, 0);
     // A typed predicate still selects across old + new entries.
     let reader = Store::open(&dir).unwrap();
-    let (subset, _) = reader.load_matching(&MetaPred::ge("seed", 3i64)).unwrap();
+    let (subset, _) = reader.load_matching(&PredExpr::ge("seed", 3i64)).unwrap();
     assert_eq!(subset.len(), 2);
     // Once gen 1 leaves the retention window, its shards survive
     // while still referenced by the live manifest.
     assert!(!dir.join(manifest_name(1)).exists());
     assert!(dir.join(shard_name(1, 0)).exists());
     assert_eq!(r1.profiles, 3);
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn append_to_empty_dir_is_save() {
-    let dir = tmp("append-empty");
+    let dir = ScratchDir::new("store-append-empty");
     let report = Store::append(&dir, &runs(2)).unwrap();
     assert_eq!(report.generation, 1);
     assert_eq!(report.appended, 2);
     let (loaded, _) = Store::open(&dir).unwrap().load_all().unwrap();
     assert_eq!(loaded.len(), 2);
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn compact_repacks_fragmented_shards() {
-    let dir = tmp("compact");
+    let dir = ScratchDir::new("store-compact");
     let profiles = runs(8);
     let fragmented = StoreOptions {
         shard_bytes: 1, // every record its own shard
@@ -416,13 +399,12 @@ fn compact_repacks_fragmented_shards() {
     assert!(rep.is_clean());
     assert_eq!(hashes(&loaded), hashes(&profiles));
     assert!(Store::fsck(&dir).unwrap().is_clean());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn compact_migrates_old_formats_to_v3() {
     for old in [ManifestVersion::V1, ManifestVersion::V2] {
-        let dir = tmp(&format!("migrate-{old:?}"));
+        let dir = ScratchDir::new("store-migrate");
         let profiles = runs(4);
         let old_opts = StoreOptions {
             format: old,
@@ -437,7 +419,7 @@ fn compact_migrates_old_formats_to_v3() {
         assert!(rep.is_clean());
         assert_eq!(hashes(&loaded), hashes(&profiles));
         if old.columnar() {
-            let idx = reader.select(&MetaPred::eq("seed", 1i64)).unwrap();
+            let idx = reader.select_expr(&PredExpr::eq("seed", 1i64)).unwrap();
             assert_eq!(idx.len(), 1);
         }
         // Compaction rewrites it as v3 — binary record payloads
@@ -450,13 +432,12 @@ fn compact_migrates_old_formats_to_v3() {
         assert!(rep.is_clean());
         assert_eq!(hashes(&migrated), hashes(&profiles));
         assert!(Store::fsck(&dir).unwrap().is_clean());
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
 #[test]
 fn store_entry_meta_is_key_sorted_binary_search() {
-    let dir = tmp("meta-sorted");
+    let dir = ScratchDir::new("store-meta-sorted");
     Store::save(&dir, &runs(1)).unwrap();
     let reader = Store::open(&dir).unwrap();
     let e = &reader.entries()[0];
@@ -468,28 +449,25 @@ fn store_entry_meta_is_key_sorted_binary_search() {
         assert_eq!(e.meta(k), Some(v));
     }
     assert_eq!(e.meta("zzz-no-such-key"), None);
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn crash_points_are_enumerable() {
-    let dir = tmp("points");
+    let dir = ScratchDir::new("store-points");
     let report = Store::save(&dir, &runs(3)).unwrap();
     assert!(report.crash_points >= 7, "{}", report.crash_points);
     // Asking for a crash beyond the last point is a clean write.
-    let dir2 = tmp("points-beyond");
+    let dir2 = ScratchDir::new("store-points-beyond");
     let opts = StoreOptions {
         crash_after: Some(report.crash_points + 10),
         ..StoreOptions::default()
     };
     Store::save_opts(&dir2, &runs(3), &opts).unwrap();
-    std::fs::remove_dir_all(dir).ok();
-    std::fs::remove_dir_all(dir2).ok();
 }
 
 #[test]
 fn crash_before_commit_preserves_old_generation() {
-    let dir = tmp("crash-precommit");
+    let dir = ScratchDir::new("store-crash-precommit");
     let old = runs(3);
     Store::save(&dir, &old).unwrap();
     // Crash at point 1 = mid-shard-write of the new generation.
@@ -510,35 +488,32 @@ fn crash_before_commit_preserves_old_generation() {
     let rec = Store::recover(&dir).unwrap();
     assert_eq!(rec.generation, 1);
     assert!(Store::fsck(&dir).unwrap().is_clean());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn empty_store_dir_errors() {
-    let dir = tmp("empty");
+    let dir = ScratchDir::new("store-empty");
     std::fs::create_dir_all(&dir).unwrap();
     assert!(matches!(
         Store::open(&dir),
         Err(StoreError::NoGeneration(_))
     ));
     assert!(Store::recover(&dir).is_err());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn zero_profile_store_roundtrips() {
-    let dir = tmp("zero");
+    let dir = ScratchDir::new("store-zero");
     let report = Store::save(&dir, &[]).unwrap();
     assert_eq!(report.profiles, 0);
     let (loaded, rep) = Store::open(&dir).unwrap().load_all().unwrap();
     assert!(loaded.is_empty());
     assert!(rep.is_clean());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn upsert_replaces_by_profile_id() {
-    let dir = tmp("upsert");
+    let dir = ScratchDir::new("store-upsert");
     let mut profiles = runs(4);
     Store::save(&dir, &profiles).unwrap();
     // Same metadata (same profile hash), different measurements.
@@ -579,12 +554,11 @@ fn upsert_replaces_by_profile_id() {
     Store::compact(&dir).unwrap();
     let (after, _) = Store::open(&dir).unwrap().load_all().unwrap();
     assert_eq!(after.len(), 5);
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn append_cas_surfaces_conflict() {
-    let dir = tmp("cas");
+    let dir = ScratchDir::new("store-cas");
     let profiles = runs(3);
     Store::save(&dir, &profiles[..2]).unwrap(); // generation 1
     // CAS against a stale expectation fails typed, touching nothing.
@@ -606,7 +580,7 @@ fn append_cas_surfaces_conflict() {
     assert_eq!(rep.generation, 2);
     assert_eq!(rep.appended, 1);
     // CAS against an empty store expects generation 0.
-    let empty = tmp("cas-empty");
+    let empty = ScratchDir::new("store-cas-empty");
     let opts = StoreOptions {
         expected_generation: Some(3),
         ..StoreOptions::default()
@@ -615,13 +589,11 @@ fn append_cas_surfaces_conflict() {
         Err(StoreError::Conflict { expected: 3, found: 0 }) => {}
         other => panic!("expected Conflict, got {other:?}"),
     }
-    std::fs::remove_dir_all(dir).ok();
-    std::fs::remove_dir_all(empty).ok();
 }
 
 #[test]
 fn live_foreign_lock_surfaces_busy() {
-    let dir = tmp("busy");
+    let dir = ScratchDir::new("store-busy");
     let profiles = runs(2);
     Store::save(&dir, &profiles).unwrap();
     // A parseable lock owned by *this* (live) process but a token we
@@ -646,12 +618,11 @@ fn live_foreign_lock_surfaces_busy() {
     }
     // The foreign lock is untouched by the failed acquisition.
     assert!(dir.join("LOCK").exists());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn dead_owner_lock_is_taken_over() {
-    let dir = tmp("takeover");
+    let dir = ScratchDir::new("store-takeover");
     let profiles = runs(2);
     Store::save(&dir, &profiles).unwrap();
     // pid 0 is never alive: a parseable lock from a dead writer.
@@ -661,7 +632,6 @@ fn dead_owner_lock_is_taken_over() {
     // The takeover left no residue and the lock was released after.
     assert!(!dir.join("LOCK").exists());
     assert!(Store::fsck(&dir).unwrap().is_clean());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -677,7 +647,7 @@ fn pin_name_roundtrip_and_rejects() {
 
 #[test]
 fn pinned_snapshot_survives_generation_collection() {
-    let dir = tmp("pin-gc");
+    let dir = ScratchDir::new("store-pin-gc");
     let profiles = runs(5);
     Store::save(&dir, &profiles).unwrap();
     let snap = Store::open_pinned(&dir).unwrap();
@@ -705,12 +675,11 @@ fn pinned_snapshot_survives_generation_collection() {
         .filter(|e| e.file_name().to_string_lossy().starts_with("MANIFEST-"))
         .collect();
     assert_eq!(gens.len(), 1, "unpinned generations survived GC");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn pinned_snapshot_survives_unlinked_files() {
-    let dir = tmp("pin-unlink");
+    let dir = ScratchDir::new("store-pin-unlink");
     let profiles = runs(4);
     Store::save(&dir, &profiles).unwrap();
     let snap = Store::open_pinned(&dir).unwrap();
@@ -726,14 +695,13 @@ fn pinned_snapshot_survives_unlinked_files() {
     assert!(rep.is_clean(), "{rep}");
     assert_eq!(hashes(&loaded), hashes(&profiles));
     // Selection and filtered loads ride the same handles.
-    let (subset, _) = snap.load_matching(&MetaPred::ge("seed", 2i64)).unwrap();
+    let (subset, _) = snap.load_matching(&PredExpr::ge("seed", 2i64)).unwrap();
     assert_eq!(subset.len(), 2);
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn shared_in_process_leases_refcount_one_file() {
-    let dir = tmp("pin-shared");
+    let dir = ScratchDir::new("store-pin-shared");
     Store::save(&dir, &runs(3)).unwrap();
     let a = Store::open_pinned(&dir).unwrap();
     let b = Store::open_pinned(&dir).unwrap();
@@ -744,12 +712,11 @@ fn shared_in_process_leases_refcount_one_file() {
     assert!(dir.join(&lease).exists(), "lease dropped while a pin lives");
     drop(b);
     assert!(!dir.join(&lease).exists(), "last pin did not clean up");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn injected_crash_leaves_stale_lock_not_live_lock() {
-    let dir = tmp("crash-lock");
+    let dir = ScratchDir::new("store-crash-lock");
     Store::save(&dir, &runs(2)).unwrap();
     // Crash the writer mid-append: the commit lock must be left in a
     // state a *later* writer can take over immediately, even though
@@ -780,5 +747,4 @@ fn injected_crash_leaves_stale_lock_not_live_lock() {
         "takeover waited out a timeout"
     );
     assert!(Store::fsck(&dir).unwrap().is_clean());
-    std::fs::remove_dir_all(dir).ok();
 }

@@ -19,15 +19,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use thicket_perfsim::{
-    contend, simulate_cpu_run, ChaosOp, ChaosSchedule, ContendTask, CpuRunConfig, Profile, Store,
-    StoreError, StoreOptions,
+    contend, simulate_cpu_run, ChaosOp, ChaosSchedule, ContendTask, CpuRunConfig, Profile,
+    ScratchDir, Store, StoreError, StoreOptions,
 };
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-concurrency-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn run(seed: u64) -> Profile {
     let mut cfg = CpuRunConfig::quartz_default();
@@ -74,7 +68,7 @@ fn readers_never_tear_under_append_and_compact() {
     const APPENDS: u64 = 30;
     const COMPACTS: usize = 25;
 
-    let dir = tmp("matrix");
+    let dir = ScratchDir::new("concurrency-matrix");
     let opts = StoreOptions {
         keep_generations: 0,
         ..StoreOptions::default()
@@ -155,14 +149,13 @@ fn readers_never_tear_under_append_and_compact() {
     let fsck = Store::fsck(&dir).unwrap();
     assert!(fsck.is_clean(), "{fsck}");
     assert!(fsck.live_leases.is_empty(), "leaked leases: {fsck}");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// GC at `keep_generations: 0` must skip a generation a live snapshot
 /// pinned — and collect it promptly once the pin drops.
 #[test]
 fn gc_respects_live_pins_across_many_commits() {
-    let dir = tmp("pin-hold");
+    let dir = ScratchDir::new("concurrency-pin-hold");
     let opts = StoreOptions {
         keep_generations: 0,
         ..StoreOptions::default()
@@ -191,14 +184,13 @@ fn gc_respects_live_pins_across_many_commits() {
         .filter(|e| e.file_name().to_string_lossy().starts_with("MANIFEST-"))
         .count();
     assert_eq!(manifests, 1, "released generations survived GC");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// A stale lease (dead owner pid) must not hold GC hostage: the next
 /// commit collects the generation and reaps the lease file.
 #[test]
 fn dead_owner_lease_is_reaped_by_gc() {
-    let dir = tmp("lease-reap");
+    let dir = ScratchDir::new("concurrency-lease-reap");
     let opts = StoreOptions {
         keep_generations: 0,
         ..StoreOptions::default()
@@ -215,7 +207,6 @@ fn dead_owner_lease_is_reaped_by_gc() {
         .filter(|e| e.file_name().to_string_lossy().starts_with("MANIFEST-"))
         .count();
     assert_eq!(manifests, 1, "stale lease pinned a generation");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Replay a seeded chaos schedule — appends, compactions, and writer
@@ -224,7 +215,7 @@ fn dead_owner_lease_is_reaped_by_gc() {
 /// pre-op or the post-op contents, and fsck comes back clean.
 #[test]
 fn chaos_schedule_linearizes() {
-    let dir = tmp("chaos");
+    let dir = ScratchDir::new("concurrency-chaos");
     let mut committed: Vec<i64> = Vec::new();
     let mut next_seed = 0u64;
     let mut fresh = |n: usize| -> Vec<Profile> {
@@ -325,7 +316,6 @@ fn chaos_schedule_linearizes() {
     // The wreckage of 40 chaotic ops still recovers to a clean store.
     Store::recover(&dir).unwrap();
     assert!(Store::fsck(&dir).unwrap().is_clean());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Subprocess body for [`kill_nine_mid_commit_recovers`]: an unbounded
@@ -351,13 +341,13 @@ fn child_writer_loop() {
 /// fsck, and a contiguous prefix of the child's appends.
 #[test]
 fn kill_nine_mid_commit_recovers() {
-    let dir = tmp("kill9");
+    let dir = ScratchDir::new("concurrency-kill9");
     Store::save(&dir, &[run(0)]).unwrap();
 
     let exe = std::env::current_exe().unwrap();
     let mut child = std::process::Command::new(exe)
         .args(["child_writer_loop", "--exact", "--nocapture"])
-        .env("THICKET_CHILD_DIR", &dir)
+        .env("THICKET_CHILD_DIR", dir.as_os_str())
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -396,7 +386,6 @@ fn kill_nine_mid_commit_recovers() {
         t0.elapsed() < StoreOptions::default().lock_timeout,
         "post-kill append waited out a lock timeout"
     );
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Subprocess body for [`kill_nine_pinned_server_lease_is_reaped`]: a
@@ -423,14 +412,14 @@ fn child_pinned_reader_loop() {
 /// zero records lost and exactly one complete newest generation.
 #[test]
 fn kill_nine_pinned_server_lease_is_reaped() {
-    let dir = tmp("kill9-pin");
+    let dir = ScratchDir::new("concurrency-kill9-pin");
     let initial: Vec<Profile> = (0..3).map(run).collect();
     Store::save(&dir, &initial).unwrap();
 
     let exe = std::env::current_exe().unwrap();
     let mut child = std::process::Command::new(exe)
         .args(["child_pinned_reader_loop", "--exact", "--nocapture"])
-        .env("THICKET_PIN_DIR", &dir)
+        .env("THICKET_PIN_DIR", dir.as_os_str())
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
@@ -473,5 +462,4 @@ fn kill_nine_pinned_server_lease_is_reaped() {
     let (profiles, rep) = Store::open(&dir).unwrap().load_all().unwrap();
     assert!(rep.is_clean(), "{rep}");
     assert_eq!(assert_contiguous_prefix(&profiles, 4), 4);
-    std::fs::remove_dir_all(dir).ok();
 }

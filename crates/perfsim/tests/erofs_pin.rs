@@ -10,18 +10,11 @@
 //! single-test binary on purpose — the env var is process-global, and
 //! sibling tests in the same process would inherit it.
 
-use std::path::PathBuf;
-use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, Store};
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-erofs-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, ScratchDir, Store};
 
 #[test]
 fn open_pinned_on_read_only_store_degrades_to_handles_only() {
-    let dir = tmp("pin");
+    let dir = ScratchDir::new("erofs-pin");
     let profiles: Vec<_> = (0..3)
         .map(|seed| {
             let mut cfg = CpuRunConfig::quartz_default();
@@ -56,5 +49,4 @@ fn open_pinned_on_read_only_store_degrades_to_handles_only() {
     assert!(snap.leased());
     assert!(dir.join(snap.lease_file().unwrap()).exists());
     drop(snap);
-    std::fs::remove_dir_all(dir).ok();
 }

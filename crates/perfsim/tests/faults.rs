@@ -7,15 +7,14 @@
 use std::path::PathBuf;
 use thicket_perfsim::faults::{inject_all, FaultKind};
 use thicket_perfsim::{
-    load_dir, save_ensemble, simulate_cpu_run, CpuRunConfig, DiagKind, Store, StoreOptions,
-    Strictness,
+    load_dir, save_ensemble, simulate_cpu_run, CpuRunConfig, DiagKind, ScratchDir, Store,
+    StoreOptions, Strictness,
 };
 
 const HEALTHY: u64 = 8;
 
-fn corrupted_dir(name: &str, seed: u64) -> (PathBuf, Vec<(FaultKind, PathBuf)>) {
-    let dir = std::env::temp_dir().join(format!("thicket-faults-e2e-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
+fn corrupted_dir(seed: u64) -> (ScratchDir, Vec<(FaultKind, PathBuf)>) {
+    let dir = ScratchDir::new("faults-e2e");
     let profiles: Vec<_> = (0..HEALTHY)
         .map(|s| {
             let mut cfg = CpuRunConfig::quartz_default();
@@ -30,7 +29,7 @@ fn corrupted_dir(name: &str, seed: u64) -> (PathBuf, Vec<(FaultKind, PathBuf)>) 
 
 #[test]
 fn mixed_health_dir_loads_healthy_subset_identically_across_threads() {
-    let (dir, faults) = corrupted_dir("mixed", 11);
+    let (dir, faults) = corrupted_dir(11);
     // 5 corrupting faults knock out 5 of the 8 originals; duplicate and
     // unreadable add 2 more unhealthy entries on top.
     let corrupted = faults
@@ -72,12 +71,11 @@ fn mixed_health_dir_loads_healthy_subset_identically_across_threads() {
             diag.kind
         );
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn strict_mode_identifies_offending_path_without_panicking() {
-    let (dir, faults) = corrupted_dir("strict", 3);
+    let (dir, faults) = corrupted_dir(3);
     for threads in [1, 2, 8] {
         let err = load_dir(&dir, None, Strictness::FailFast).map(|_| ()).unwrap_err();
         let msg = err.to_string();
@@ -88,23 +86,21 @@ fn strict_mode_identifies_offending_path_without_panicking() {
             "threads={threads}: error does not name an injected path: {msg}"
         );
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn fail_fast_strictness_matches_strict_loader() {
-    let (dir, _) = corrupted_dir("failfast", 5);
+    let (dir, _) = corrupted_dir(5);
     let strict = load_dir(&dir, None, Strictness::FailFast).map(|_| ()).unwrap_err();
     let opts = load_dir(&dir, Some(2), Strictness::FailFast)
         .map(|_| ())
         .unwrap_err();
     assert_eq!(strict.to_string(), opts.to_string());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn max_errors_budget_escalates_to_hard_error() {
-    let (dir, faults) = corrupted_dir("budget", 7);
+    let (dir, faults) = corrupted_dir(7);
     // Budget below the fault count: hard error.
     let r = load_dir(&dir, Some(2), Strictness::Lenient { max_errors: 2 });
     assert!(r.is_err(), "{} faults must blow a budget of 2", faults.len());
@@ -117,12 +113,11 @@ fn max_errors_budget_escalates_to_hard_error() {
         },
     );
     assert!(r.is_ok());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn diagnostics_are_path_ordered() {
-    let (dir, _) = corrupted_dir("order", 13);
+    let (dir, _) = corrupted_dir(13);
     let (_, report) = load_dir(&dir, Some(8), Strictness::lenient()).unwrap();
     let sources: Vec<&String> = report.diagnostics.iter().map(|d| &d.source).collect();
     let mut sorted = sources.clone();
@@ -133,13 +128,11 @@ fn diagnostics_are_path_ordered() {
         .diagnostics
         .iter()
         .any(|d| matches!(d.kind, DiagKind::Parse { .. })));
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// A v3 store with one record per shard: plenty of distinct victims.
-fn v3_store(name: &str, n: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-faults-v3-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
+fn v3_store(n: u64) -> ScratchDir {
+    let dir = ScratchDir::new("faults-v3");
     let profiles: Vec<_> = (0..n)
         .map(|s| {
             let mut cfg = CpuRunConfig::quartz_default();
@@ -163,8 +156,8 @@ fn v3_store(name: &str, n: u64) -> PathBuf {
 fn v3_payload_faults_classify_end_to_end() {
     use thicket_perfsim::faults::inject;
 
-    for (i, kind) in FaultKind::STORE_V3.iter().enumerate() {
-        let dir = v3_store(&format!("kind-{i}"), 4);
+    for kind in FaultKind::STORE_V3.iter() {
+        let dir = v3_store(4);
         inject(&dir, *kind, 9).unwrap();
 
         // Deep fsck decodes every payload and pins the poisoned record.
@@ -197,6 +190,5 @@ fn v3_payload_faults_classify_end_to_end() {
         let (reloaded, rep) = Store::open(&dir).unwrap().load_all().unwrap();
         assert_eq!(reloaded.len(), 3, "{kind:?}");
         assert!(rep.is_clean(), "{kind:?}: {rep}");
-        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -6,19 +6,22 @@
 //! restores one complete generation.
 
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ffi::OsString;
+use std::path::Path;
 use std::sync::OnceLock;
-use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, Store, StoreOptions};
+use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, ScratchDir, Store, StoreOptions};
 
-static BASE: OnceLock<(PathBuf, Vec<i64>)> = OnceLock::new();
-static SCRATCH: AtomicUsize = AtomicUsize::new(0);
+/// The base store's files (name, bytes) and profile hashes: four
+/// profiles, one record per shard, saved once per process.
+type BaseStore = (Vec<(OsString, Vec<u8>)>, Vec<i64>);
 
-/// One store, built once: four profiles, one record per shard.
-fn base_store() -> &'static (PathBuf, Vec<i64>) {
-    BASE.get_or_init(|| {
-        let dir = std::env::temp_dir().join("thicket-storeprops-base");
-        let _ = std::fs::remove_dir_all(&dir);
+static BASE: OnceLock<BaseStore> = OnceLock::new();
+
+/// A private copy of the base store in a fresh scratch directory, plus
+/// the hashes of the profiles it holds.
+fn base_store() -> (ScratchDir, &'static [i64]) {
+    let (files, hashes) = BASE.get_or_init(|| {
+        let dir = ScratchDir::new("storeprops-base");
         let profiles: Vec<_> = (0..4)
             .map(|seed| {
                 let mut cfg = CpuRunConfig::quartz_default();
@@ -31,22 +34,20 @@ fn base_store() -> &'static (PathBuf, Vec<i64>) {
             ..StoreOptions::default()
         };
         Store::save_opts(&dir, &profiles, &opts).unwrap();
-        let hashes = profiles.iter().map(|p| p.profile_hash()).collect();
-        (dir, hashes)
-    })
-}
-
-/// Copy the base store into a fresh scratch directory.
-fn scratch_copy(base: &PathBuf) -> PathBuf {
-    let id = SCRATCH.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("thicket-storeprops-{id}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    for entry in std::fs::read_dir(base).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        let files = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        (files, profiles.iter().map(|p| p.profile_hash()).collect())
+    });
+    let dir = ScratchDir::new("storeprops");
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).unwrap();
     }
-    dir
+    (dir, hashes)
 }
 
 proptest! {
@@ -60,8 +61,7 @@ proptest! {
         byte_sel in any::<u32>(),
         bit in 0u8..8,
     ) {
-        let (base, original_hashes) = base_store();
-        let dir = scratch_copy(base);
+        let (dir, original_hashes) = base_store();
 
         let mut shards: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -100,15 +100,13 @@ proptest! {
                 p.profile_hash()
             );
         }
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
 // ---------------------------------------------------------------------
 // Columnar selection ≡ row selection for arbitrary predicates.
 
-use thicket_dataframe::Value;
-use thicket_perfsim::{CmpOp, MetaPred};
+use thicket_dataframe::{PredExpr, PredOp, Value};
 
 /// Keys that exist in the simulated profiles' metadata plus one that
 /// never does (missing-key semantics must agree too).
@@ -135,51 +133,59 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn cmp_strategy() -> impl Strategy<Value = CmpOp> {
+fn op_strategy() -> impl Strategy<Value = PredOp> {
     prop_oneof![
-        Just(CmpOp::Lt),
-        Just(CmpOp::Le),
-        Just(CmpOp::Gt),
-        Just(CmpOp::Ge),
+        Just(PredOp::Eq),
+        Just(PredOp::Ne),
+        Just(PredOp::Lt),
+        Just(PredOp::Le),
+        Just(PredOp::Gt),
+        Just(PredOp::Ge),
     ]
 }
 
-/// Arbitrary predicate ASTs: leaves over the key/value pools, combined
-/// with And/Or/Not up to depth 3.
-fn pred_strategy() -> impl Strategy<Value = MetaPred> {
+/// Arbitrary predicate ASTs: comparison, substring and membership
+/// leaves over the key/value pools, combined with And/Or/Not up to
+/// depth 3.
+fn pred_strategy() -> impl Strategy<Value = PredExpr> {
     let leaf = prop_oneof![
-        Just(MetaPred::True),
-        (key_strategy(), value_strategy()).prop_map(|(k, v)| MetaPred::eq(k, v)),
-        (key_strategy(), cmp_strategy(), value_strategy())
-            .prop_map(|(k, op, v)| MetaPred::Cmp(k, op, v)),
+        Just(PredExpr::True),
+        (key_strategy(), op_strategy(), value_strategy())
+            .prop_map(|(field, op, value)| PredExpr::Cmp { field, op, value }),
+        (
+            key_strategy(),
+            prop_oneof![Just("qua"), Just("tz"), Just("")]
+        )
+            .prop_map(|(k, needle)| PredExpr::contains(k, needle)),
         (key_strategy(), proptest::collection::vec(value_strategy(), 0..3))
-            .prop_map(|(k, vs)| MetaPred::is_in(k, vs)),
+            .prop_map(|(k, vs)| PredExpr::is_in(k, vs)),
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {
         prop_oneof![
-            proptest::collection::vec(inner.clone(), 1..3).prop_map(MetaPred::And),
-            proptest::collection::vec(inner.clone(), 1..3).prop_map(MetaPred::Or),
-            inner.prop_map(|p| p.not()),
+            proptest::collection::vec(inner.clone(), 1..3).prop_map(PredExpr::And),
+            proptest::collection::vec(inner.clone(), 1..3).prop_map(PredExpr::Or),
+            inner.prop_map(PredExpr::not),
         ]
     })
 }
 
 proptest! {
-    /// The v2 columnar index path (`StoreReader::select`, which decodes
-    /// only the key blocks the predicate names) selects exactly the
-    /// rows that evaluating the predicate against each materialized
-    /// manifest entry selects — for arbitrary predicate shapes.
+    /// The columnar index path (`StoreReader::select_expr`, which
+    /// decodes only the key blocks the predicate names and evaluates
+    /// them vectorized) selects exactly the rows that the scalar
+    /// `eval_lookup` walk over each materialized manifest entry
+    /// selects — for arbitrary predicate shapes.
     #[test]
     fn columnar_selection_equals_row_selection(pred in pred_strategy()) {
-        let (base, _) = base_store();
-        let reader = Store::open(base).unwrap();
+        let (dir, _) = base_store();
+        let reader = Store::open(&dir).unwrap();
 
-        let columnar = reader.select(&pred).unwrap();
+        let columnar = reader.select_expr(&pred).unwrap();
         let by_rows: Vec<usize> = reader
             .entries()
             .iter()
             .enumerate()
-            .filter(|(_, e)| pred.eval_with(&mut |k| e.meta(k)))
+            .filter(|(_, e)| pred.eval_lookup(&mut |k| e.meta(k).cloned()))
             .map(|(i, _)| i)
             .collect();
         prop_assert_eq!(
@@ -198,8 +204,8 @@ use thicket_perfsim::{crc32c, Json};
 /// Rewrite one numeric field of one `profiles` entry in the newest
 /// manifest, recomputing the manifest's self-CRC so the reader has to
 /// confront the lie instead of rejecting the file wholesale.
-fn rewrite_manifest_entry(dir: &PathBuf, entry_sel: u32, field: &str, value: f64) {
-    let mut manifests: Vec<PathBuf> = std::fs::read_dir(dir)
+fn rewrite_manifest_entry(dir: &Path, entry_sel: u32, field: &str, value: f64) {
+    let mut manifests: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -254,8 +260,7 @@ proptest! {
         lie in any::<u32>(),
         target_offset in any::<bool>(),
     ) {
-        let (base, original_hashes) = base_store();
-        let dir = scratch_copy(base);
+        let (dir, original_hashes) = base_store();
         let field = if target_offset { "offset" } else { "len" };
         rewrite_manifest_entry(&dir, entry_sel, field, lie as f64);
 
@@ -289,10 +294,9 @@ proptest! {
         prop_assert!(report.is_clean(), "{}", report);
         let mut got: Vec<i64> = restored.iter().map(|p| p.profile_hash()).collect();
         got.sort_unstable();
-        let mut want = original_hashes.clone();
+        let mut want = original_hashes.to_vec();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -322,12 +326,10 @@ proptest! {
                 simulate_cpu_run(&cfg)
             })
             .collect();
-        let tag: String = seeds.iter().map(|s| s.to_string()).collect::<Vec<_>>().join("-");
-        let mut dirs = Vec::new();
+        let scratch = ScratchDir::new("storeprops-eq");
         let mut rendered = Vec::new();
         for (name, version) in [("v2", ManifestVersion::V2), ("v3", ManifestVersion::V3)] {
-            let dir = std::env::temp_dir().join(format!("thicket-storeprops-eq-{name}-{tag}"));
-            let _ = std::fs::remove_dir_all(&dir);
+            let dir = scratch.join(name);
             let opts = StoreOptions { format: version, ..StoreOptions::default() };
             Store::save_opts(&dir, &profiles, &opts).unwrap();
             let (loaded, report) = Store::open(&dir).unwrap().load_all().unwrap();
@@ -335,12 +337,8 @@ proptest! {
             rendered.push(
                 loaded.iter().map(|p| p.to_string_pretty()).collect::<Vec<_>>(),
             );
-            dirs.push(dir);
         }
         prop_assert_eq!(&rendered[0], &rendered[1], "v2 and v3 loads diverge");
-        for d in dirs {
-            std::fs::remove_dir_all(d).ok();
-        }
     }
 }
 
@@ -376,8 +374,7 @@ proptest! {
         lease_bytes in proptest::collection::vec(any::<u8>(), 0..48),
         token in any::<u64>(),
     ) {
-        let (base, original_hashes) = base_store();
-        let dir = scratch_copy(base);
+        let (dir, original_hashes) = base_store();
 
         std::fs::write(dir.join("LOCK"), &lock_bytes).unwrap();
         let impatient = StoreOptions {
@@ -421,43 +418,8 @@ proptest! {
         prop_assert!(report.is_clean(), "{}", report);
         let mut got: Vec<i64> = profiles.iter().map(|p| p.profile_hash()).collect();
         got.sort_unstable();
-        let mut want = original_hashes.clone();
+        let mut want = original_hashes.to_vec();
         want.sort_unstable();
         prop_assert_eq!(got, want);
-        std::fs::remove_dir_all(dir).ok();
-    }
-}
-
-proptest! {
-    /// `MetaPred::to_expr` preserves semantics exactly: both engine
-    /// paths — vectorized columnar selection and the scalar lookup
-    /// walk — match the legacy `eval_with` row walk for arbitrary
-    /// predicate shapes.
-    #[test]
-    fn to_expr_preserves_metapred_semantics(pred in pred_strategy()) {
-        let (base, _) = base_store();
-        let reader = Store::open(base).unwrap();
-        let expr = pred.to_expr();
-
-        let by_engine = reader.select_expr(&expr).unwrap();
-        let legacy: Vec<usize> = reader
-            .entries()
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| pred.eval_with(&mut |k| e.meta(k)))
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(
-            by_engine, legacy,
-            "engine selection diverges from legacy for {}", pred
-        );
-
-        for e in reader.entries() {
-            prop_assert_eq!(
-                expr.eval_lookup(&mut |k| e.meta(k).cloned()),
-                pred.eval_with(&mut |k| e.meta(k)),
-                "scalar engine diverges from legacy for {}", pred
-            );
-        }
     }
 }

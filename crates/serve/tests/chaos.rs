@@ -12,21 +12,15 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use thicket_perfsim::{
-    simulate_cpu_run, CpuRunConfig, DiagKind, FaultKind, Json, Profile, Store,
+    simulate_cpu_run, CpuRunConfig, DiagKind, FaultKind, Json, Profile, ScratchDir, Store,
 };
 use thicket_serve::{
     read_frame, write_frame, Request, Response, ServeError, ServeOptions, Server, ThicketClient,
 };
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-chaos-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn run(seed: u64) -> Profile {
     let mut cfg = CpuRunConfig::quartz_default();
@@ -80,7 +74,7 @@ fn assert_still_serving(addr: &str, fault: FaultKind) {
 /// health probe and a zero-leaked-pins check, then a drain.
 #[test]
 fn socket_fault_schedule_leaves_no_leases_and_a_serving_daemon() {
-    let dir = tmp("socket");
+    let dir = ScratchDir::new("chaos-socket");
     Store::save(&dir, &(0..4).map(run).collect::<Vec<_>>()).unwrap();
     let opts = ServeOptions {
         idle_timeout: Duration::from_millis(100),
@@ -88,7 +82,7 @@ fn socket_fault_schedule_leaves_no_leases_and_a_serving_daemon() {
         enable_debug_ops: true,
         ..ServeOptions::default()
     };
-    let server = Server::bind(&dir, "127.0.0.1:0", opts).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", opts).unwrap();
     let addr = server.addr().to_string();
 
     let mut covered = 0;
@@ -181,7 +175,6 @@ fn socket_fault_schedule_leaves_no_leases_and_a_serving_daemon() {
     assert_eq!(pin_count(&dir), 0);
     let fsck = Store::fsck(&dir).unwrap();
     assert!(fsck.is_clean(), "{fsck}");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Subprocess body for [`kill_nine_daemon_recovers`]: a real `thicketd`
@@ -212,10 +205,10 @@ fn child_server_loop() {
 /// pins, one complete newest generation, zero records lost.
 #[test]
 fn kill_nine_daemon_recovers() {
-    let dir = tmp("kill9");
+    let scratch = ScratchDir::new("chaos-kill9");
+    let dir = scratch.join("store");
+    let portfile = scratch.join("port");
     Store::save(&dir, &(0..4).map(run).collect::<Vec<_>>()).unwrap();
-    let portfile = std::env::temp_dir().join("thicket-chaos-kill9.port");
-    let _ = std::fs::remove_file(&portfile);
 
     let exe = std::env::current_exe().unwrap();
     let mut child = std::process::Command::new(exe)
@@ -298,6 +291,4 @@ fn kill_nine_daemon_recovers() {
         .collect();
     seeds.sort_unstable();
     assert_eq!(seeds, vec![0, 1, 2, 3, 4], "records lost across the kill");
-    std::fs::remove_dir_all(dir).ok();
-    std::fs::remove_file(portfile).ok();
 }

@@ -12,20 +12,14 @@
 //! lease files** — the per-request pin lifecycle is the headline.
 
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, Json, Profile, Store};
+use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, Json, Profile, ScratchDir, Store};
 use thicket_serve::{
     read_frame, write_frame, ClientOptions, Request, Response, ServeError, ServeOptions, Server,
     ThicketClient,
 };
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-serve-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn run(seed: u64) -> Profile {
     let mut cfg = CpuRunConfig::quartz_default();
@@ -64,9 +58,9 @@ fn raw_request(addr: &str, request: &Request) -> Response {
 
 #[test]
 fn filtered_load_query_stats_status_round_trip() {
-    let dir = tmp("roundtrip");
+    let dir = ScratchDir::new("serve-roundtrip");
     let profiles = seed_store(&dir, 6);
-    let server = Server::bind(&dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
     let client = ThicketClient::new(server.addr().to_string());
 
     // Filtered load returns exactly the predicate's subset, decoded
@@ -108,19 +102,18 @@ fn filtered_load_query_stats_status_round_trip() {
 
     server.shutdown();
     assert_eq!(pin_count(&dir), 0, "a request leaked its pin lease");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn full_queue_sheds_typed_overloaded_and_client_backs_off_into_success() {
-    let dir = tmp("overload");
+    let dir = ScratchDir::new("serve-overload");
     seed_store(&dir, 2);
     let opts = ServeOptions {
         workers: 1,
         queue_depth: 1,
         ..debug_opts()
     };
-    let server = Server::bind(&dir, "127.0.0.1:0", opts).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", opts).unwrap();
     let addr = server.addr().to_string();
 
     // Occupy the single worker for a while.
@@ -165,18 +158,17 @@ fn full_queue_sheds_typed_overloaded_and_client_backs_off_into_success() {
     assert!(server.shed() >= 1);
     server.shutdown();
     assert_eq!(pin_count(&dir), 0);
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn blown_deadline_is_a_typed_response_and_releases_the_pin() {
-    let dir = tmp("deadline");
+    let dir = ScratchDir::new("serve-deadline");
     seed_store(&dir, 2);
     let opts = ServeOptions {
         request_deadline: Duration::from_millis(100),
         ..debug_opts()
     };
-    let server = Server::bind(&dir, "127.0.0.1:0", opts).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", opts).unwrap();
     let addr = server.addr().to_string();
 
     let resp = raw_request(&addr, &Request::DebugSleep { ms: 5_000 });
@@ -188,14 +180,13 @@ fn blown_deadline_is_a_typed_response_and_releases_the_pin() {
     assert!(matches!(raw_request(&addr, &Request::Status), Response::Status(_)));
     server.shutdown();
     assert_eq!(pin_count(&dir), 0);
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn worker_panic_is_isolated_typed_and_leaks_nothing() {
-    let dir = tmp("panic");
+    let dir = ScratchDir::new("serve-panic");
     seed_store(&dir, 2);
-    let server = Server::bind(&dir, "127.0.0.1:0", debug_opts()).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", debug_opts()).unwrap();
     let addr = server.addr().to_string();
 
     match raw_request(&addr, &Request::DebugPanic) {
@@ -209,14 +200,13 @@ fn worker_panic_is_isolated_typed_and_leaks_nothing() {
     assert_eq!(loaded.len(), 2);
     server.shutdown();
     assert_eq!(pin_count(&dir), 0, "panicked request leaked its pin");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn graceful_shutdown_drains_in_flight_requests() {
-    let dir = tmp("drain");
+    let dir = ScratchDir::new("serve-drain");
     seed_store(&dir, 2);
-    let server = Server::bind(&dir, "127.0.0.1:0", debug_opts()).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", debug_opts()).unwrap();
     let addr = server.addr().to_string();
 
     // Put a pin-holding request in flight, then shut down underneath it.
@@ -236,14 +226,13 @@ fn graceful_shutdown_drains_in_flight_requests() {
     assert_eq!(pin_count(&dir), 0, "drained request leaked its pin");
     // And the listener is really gone.
     assert!(TcpStream::connect(&addr).is_err(), "listener survived shutdown");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn malformed_frames_get_typed_bad_request_and_connection_survives() {
-    let dir = tmp("badreq");
+    let dir = ScratchDir::new("serve-badreq");
     seed_store(&dir, 2);
-    let server = Server::bind(&dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let server = Server::bind(&*dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
     let addr = server.addr().to_string();
 
     // One persistent connection: garbage JSON, unknown op, disabled
@@ -276,5 +265,4 @@ fn malformed_frames_get_typed_bad_request_and_connection_survives() {
 
     server.shutdown();
     assert_eq!(pin_count(&dir), 0);
-    std::fs::remove_dir_all(dir).ok();
 }

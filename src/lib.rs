@@ -62,8 +62,8 @@ pub mod prelude {
     pub use thicket_model::{fit_model, fit_model2};
     pub use thicket_perfsim::{
         load_dir, marbl_ensemble, save_ensemble, simulate_cpu_run, simulate_gpu_run, Collector,
-        CpuRunConfig, GpuRunConfig, IngestReport, MarblCluster, MarblConfig, MetaPred, Profile,
-        Store, StoreEntry, StoreOptions, Strictness,
+        CpuRunConfig, GpuRunConfig, IngestReport, MarblCluster, MarblConfig, Profile, Store,
+        StoreEntry, StoreOptions, Strictness,
     };
     pub use thicket_query::{parse_pred, pred, Query};
 }

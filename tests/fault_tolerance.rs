@@ -6,11 +6,10 @@
 
 use thicket::prelude::*;
 use thicket_perfsim::faults::{inject, inject_all, FaultKind};
-use thicket_perfsim::{load_dir, DiagKind};
+use thicket_perfsim::{load_dir, DiagKind, ScratchDir};
 
-fn campaign_dir(name: &str, n: u64) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-ft-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
+fn campaign_dir(n: u64) -> ScratchDir {
+    let dir = ScratchDir::new("ft");
     let profiles: Vec<_> = (0..n)
         .map(|seed| {
             let mut cfg = CpuRunConfig::quartz_default();
@@ -25,7 +24,7 @@ fn campaign_dir(name: &str, n: u64) -> std::path::PathBuf {
 /// Disk faults → lenient load → thicket → stats, never panicking.
 #[test]
 fn corrupt_campaign_still_yields_a_workable_thicket() {
-    let dir = campaign_dir("campaign", 10);
+    let dir = campaign_dir(10);
     let faults = inject_all(&dir, 4).unwrap();
     let corrupted = faults
         .iter()
@@ -46,14 +45,13 @@ fn corrupt_campaign_still_yields_a_workable_thicket() {
     tk.compute_stats(&[(ColKey::new("time (exc)"), vec![AggFn::Mean])])
         .unwrap();
     assert!(tk.statsframe().has_column(&ColKey::new("time (exc)_mean")));
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// The lenient pipeline is deterministic: same faults, same report,
 /// for every worker-thread count.
 #[test]
 fn lenient_pipeline_is_thread_count_invariant() {
-    let dir = campaign_dir("invariant", 9);
+    let dir = campaign_dir(9);
     inject_all(&dir, 2).unwrap();
     let baseline = load_dir(&dir, Some(1), Strictness::lenient()).unwrap();
     for threads in [2, 8] {
@@ -66,14 +64,13 @@ fn lenient_pipeline_is_thread_count_invariant() {
             "profile count differs at threads={threads}"
         );
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Strict mode surfaces the first fault as a typed error naming the
 /// offending file — the acceptance contract for fail-fast campaigns.
 #[test]
 fn strict_mode_error_names_the_corrupt_file() {
-    let dir = campaign_dir("strictpath", 6);
+    let dir = campaign_dir(6);
     let victim = inject(&dir, FaultKind::Truncate, 1).unwrap();
     let err = load_dir(&dir, None, Strictness::FailFast).map(|_| ()).unwrap_err();
     assert!(
@@ -81,7 +78,6 @@ fn strict_mode_error_names_the_corrupt_file() {
         "error {err} does not name {}",
         victim.display()
     );
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Every individual ensemble-level fault kind drives the full pipeline
@@ -90,8 +86,8 @@ fn strict_mode_error_names_the_corrupt_file() {
 /// `store_recovery.rs`; they target shard files, not JSON ensembles.)
 #[test]
 fn every_fault_kind_maps_to_its_diagnostic() {
-    for (i, kind) in FaultKind::ENSEMBLE.iter().enumerate() {
-        let dir = campaign_dir(&format!("matrix-{i}"), 6);
+    for kind in FaultKind::ENSEMBLE.iter() {
+        let dir = campaign_dir(6);
         inject(&dir, *kind, 9).unwrap();
         let (profiles, report) = load_dir(&dir, None, Strictness::lenient()).unwrap();
         assert_eq!(report.dropped(), 1, "{kind:?}");
@@ -105,7 +101,6 @@ fn every_fault_kind_maps_to_its_diagnostic() {
         let (tk, r) = Thicket::loader(&profiles).strictness(Strictness::lenient()).load().unwrap();
         assert!(r.is_clean());
         assert_eq!(tk.profiles().len(), profiles.len());
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -113,7 +108,7 @@ fn every_fault_kind_maps_to_its_diagnostic() {
 /// a pointer back to the first occurrence.
 #[test]
 fn duplicate_diagnostic_points_at_first_occurrence() {
-    let dir = campaign_dir("dup", 6);
+    let dir = campaign_dir(6);
     inject(&dir, FaultKind::DuplicateProfile, 0).unwrap();
     let (_, report) = load_dir(&dir, None, Strictness::lenient()).unwrap();
     match &report.diagnostics[0].kind {
@@ -122,5 +117,4 @@ fn duplicate_diagnostic_points_at_first_occurrence() {
         }
         other => panic!("expected duplicate diagnostic, got {other:?}"),
     }
-    std::fs::remove_dir_all(dir).ok();
 }

@@ -4,14 +4,13 @@
 use thicket::prelude::*;
 use thicket_dataframe::AggFn;
 use thicket_perfsim::engine::{run_stream_suite, StreamRunConfig};
-use thicket_perfsim::Compiler;
+use thicket_perfsim::{Compiler, ScratchDir};
 
 /// Figure 1 end-to-end: run (simulated) → profiles on disk → load →
 /// compose → filter → group → stats.
 #[test]
 fn full_workflow_via_disk() {
-    let dir = std::env::temp_dir().join("thicket-it-workflow");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("it-workflow");
 
     // Step 1–2: run the app under measurement, write profiles.
     let mut paths = Vec::new();
@@ -45,10 +44,6 @@ fn full_workflow_via_disk() {
     tk.compute_stats(&[(ColKey::new("time (exc)"), vec![AggFn::Mean, AggFn::Std])])
         .unwrap();
     assert!(tk.statsframe().has_column(&ColKey::new("time (exc)_std")));
-
-    for p in paths {
-        std::fs::remove_file(p).ok();
-    }
 }
 
 /// Real execution path: collector-produced profiles compose and analyze
@@ -202,12 +197,10 @@ fn failure_modes() {
     assert!(Thicket::loader(&[]).load().is_err());
 
     // Corrupt profile file.
-    let dir = std::env::temp_dir().join("thicket-it-corrupt");
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::new("it-corrupt");
     let bad = dir.join("bad.json");
     std::fs::write(&bad, "{not json").unwrap();
     assert!(Profile::load(&bad).is_err());
-    std::fs::remove_file(bad).ok();
 
     // Composing thickets with clashing labels.
     let p = simulate_cpu_run(&CpuRunConfig::quartz_default());

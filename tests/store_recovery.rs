@@ -7,7 +7,7 @@
 
 use thicket::prelude::*;
 use thicket_perfsim::faults::{inject, FaultKind};
-use thicket_perfsim::StoreError;
+use thicket_perfsim::{ScratchDir, StoreError};
 
 fn runs(seeds: std::ops::Range<u64>) -> Vec<Profile> {
     seeds
@@ -21,12 +21,6 @@ fn runs(seeds: std::ops::Range<u64>) -> Vec<Profile> {
 
 fn hash_set(ps: &[Profile]) -> std::collections::BTreeSet<i64> {
     ps.iter().map(|p| p.profile_hash()).collect()
-}
-
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-storerec-{name}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// Small shards so every write exercises multiple shard files (and
@@ -50,14 +44,13 @@ fn crash_point_matrix_recovers_to_exactly_one_generation() {
 
     // Probe a clean two-generation write to count the crash points of
     // the second save.
-    let probe = tmp("probe");
+    let probe = ScratchDir::new("storerec-probe");
     Store::save_opts(&probe, &old_batch, &opts()).unwrap();
     let clean = Store::save_opts(&probe, &new_batch, &opts()).unwrap();
-    std::fs::remove_dir_all(&probe).ok();
     assert!(clean.crash_points >= 7, "points: {}", clean.crash_points);
 
     for point in 0..clean.crash_points {
-        let dir = tmp(&format!("matrix-{point}"));
+        let dir = ScratchDir::new("storerec-matrix");
         Store::save_opts(&dir, &old_batch, &opts()).unwrap();
         let crash_opts = StoreOptions {
             crash_after: Some(point),
@@ -81,7 +74,6 @@ fn crash_point_matrix_recovers_to_exactly_one_generation() {
         );
         // Recovery converges: a second pass finds nothing to fix.
         assert!(Store::fsck(&dir).unwrap().is_clean(), "point {point}");
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -89,8 +81,8 @@ fn crash_point_matrix_recovers_to_exactly_one_generation() {
 /// with its pinned diagnostic → recover → the store reloads clean.
 #[test]
 fn store_fault_matrix_classify_recover_reload() {
-    for (i, kind) in FaultKind::STORE.iter().enumerate() {
-        let dir = tmp(&format!("fault-{i}"));
+    for kind in FaultKind::STORE.iter() {
+        let dir = ScratchDir::new("storerec-fault");
         let profiles = runs(0..4);
         Store::save_opts(&dir, &profiles, &opts()).unwrap();
 
@@ -113,7 +105,6 @@ fn store_fault_matrix_classify_recover_reload() {
         if *kind == FaultKind::StaleManifest {
             assert_eq!(hash_set(&reloaded), hash_set(&profiles), "{kind:?}");
         }
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -122,7 +113,7 @@ fn store_fault_matrix_classify_recover_reload() {
 /// full load.
 #[test]
 fn pushdown_reads_fewer_bytes_and_matches_filter_after_load() {
-    let dir = tmp("pushdown");
+    let dir = ScratchDir::new("storerec-pushdown");
     let profiles = runs(0..8);
     Store::save_opts(&dir, &profiles, &opts()).unwrap();
 
@@ -133,7 +124,7 @@ fn pushdown_reads_fewer_bytes_and_matches_filter_after_load() {
 
     let filtered = Store::open(&dir).unwrap();
     let (subset, report) = filtered
-        .load_matching(&MetaPred::lt("seed", 3i64))
+        .load_matching(&PredExpr::lt("seed", 3i64))
         .unwrap();
     assert!(report.is_clean());
     assert_eq!(subset.len(), 3);
@@ -146,7 +137,7 @@ fn pushdown_reads_fewer_bytes_and_matches_filter_after_load() {
 
     // The pushdown thicket equals the filter-after-full-load thicket.
     let (tk_push, rep_push) = thicket::core::Thicket::loader(LoadSource::store(&dir))
-    .filter(MetaPred::lt("seed", 3i64))
+    .filter(PredExpr::lt("seed", 3i64))
     .strictness(Strictness::lenient())
     .load()
     .unwrap();
@@ -161,14 +152,13 @@ fn pushdown_reads_fewer_bytes_and_matches_filter_after_load() {
     assert_eq!(tk_push.profiles(), tk_post.profiles());
     assert_eq!(tk_push.perf_data(), tk_post.perf_data());
     assert_eq!(tk_push.metadata(), tk_post.metadata());
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// A lenient store load on a clean store composes every stored
 /// profile; its report chains the store read and the build.
 #[test]
 fn from_store_composes_full_ensemble() {
-    let dir = tmp("fromstore");
+    let dir = ScratchDir::new("storerec-fromstore");
     let profiles = runs(0..5);
     Store::save_opts(&dir, &profiles, &opts()).unwrap();
     let (tk, report) = thicket::core::Thicket::loader(LoadSource::store(&dir))
@@ -179,24 +169,26 @@ fn from_store_composes_full_ensemble() {
     assert_eq!(report.attempted, 5);
     assert_eq!(tk.profiles().len(), 5);
     assert_eq!(report.summary(), "ingest: 5/5 loaded, 0 dropped");
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Store-load diagnostics are byte-identical for any worker-thread
 /// count, even when records are corrupt.
 #[test]
 fn corrupt_store_reports_identical_across_thread_counts() {
-    let dir = tmp("threads");
+    let dir = ScratchDir::new("storerec-threads");
     let profiles = runs(0..6);
     Store::save_opts(&dir, &profiles, &opts()).unwrap();
     inject(&dir, FaultKind::BitRot, 5).unwrap();
 
-    let baseline_reader = Store::open(&dir).unwrap();
-    let (base_profiles, baseline) = baseline_reader.load_matching_threads(&MetaPred::True, 1).unwrap();
+    let load = |threads| {
+        let reader = Store::open(&dir).unwrap();
+        let all = reader.select_expr(&PredExpr::True).unwrap();
+        reader.load_indices(&all, threads).unwrap()
+    };
+    let (base_profiles, baseline) = load(1);
     assert_eq!(baseline.dropped(), 1, "{baseline}");
     for threads in [2, 8] {
-        let reader = Store::open(&dir).unwrap();
-        let (got_profiles, got) = reader.load_matching_threads(&MetaPred::True, threads).unwrap();
+        let (got_profiles, got) = load(threads);
         assert_eq!(baseline, got, "report differs at threads={threads}");
         assert_eq!(
             hash_set(&base_profiles),
@@ -204,7 +196,6 @@ fn corrupt_store_reports_identical_across_thread_counts() {
             "profiles differ at threads={threads}"
         );
     }
-    std::fs::remove_dir_all(dir).ok();
 }
 
 /// Abort `Store::append` at every enumerable crash point; recovery
@@ -220,15 +211,14 @@ fn append_crash_point_matrix_recovers_to_exactly_one_generation() {
         base_hashes.iter().copied().chain(hash_set(&new_batch)).collect();
 
     // Probe a clean append to enumerate its crash points.
-    let probe = tmp("append-probe");
+    let probe = ScratchDir::new("storerec-append-probe");
     Store::save_opts(&probe, &base_batch, &opts()).unwrap();
     let clean = Store::append_opts(&probe, &new_batch, &opts()).unwrap();
-    std::fs::remove_dir_all(&probe).ok();
     assert_eq!(clean.appended, 3);
     assert!(clean.crash_points >= 7, "points: {}", clean.crash_points);
 
     for point in 0..clean.crash_points {
-        let dir = tmp(&format!("append-matrix-{point}"));
+        let dir = ScratchDir::new("storerec-append-matrix");
         Store::save_opts(&dir, &base_batch, &opts()).unwrap();
         let crash_opts = StoreOptions {
             crash_after: Some(point),
@@ -251,7 +241,6 @@ fn append_crash_point_matrix_recovers_to_exactly_one_generation() {
             rec.generation
         );
         assert!(Store::fsck(&dir).unwrap().is_clean(), "point {point}");
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -263,18 +252,17 @@ fn compact_crash_point_matrix_never_loses_a_profile() {
     let profiles = runs(0..5);
     let hashes = hash_set(&profiles);
 
-    let probe = tmp("compact-probe");
+    let probe = ScratchDir::new("storerec-compact-probe");
     Store::save_opts(&probe, &profiles, &opts()).unwrap();
     // Repack the 1-byte-budget shards (one per profile) into one full
     // shard per generation.
     let clean = Store::compact_opts(&probe, &StoreOptions::default()).unwrap();
-    std::fs::remove_dir_all(&probe).ok();
     assert_eq!(clean.profiles, 5);
     assert!(clean.shards < 5, "compaction did not repack: {}", clean.shards);
     assert!(clean.crash_points >= 5, "points: {}", clean.crash_points);
 
     for point in 0..clean.crash_points {
-        let dir = tmp(&format!("compact-matrix-{point}"));
+        let dir = ScratchDir::new("storerec-compact-matrix");
         Store::save_opts(&dir, &profiles, &opts()).unwrap();
         let crash_opts = StoreOptions {
             crash_after: Some(point),
@@ -296,7 +284,6 @@ fn compact_crash_point_matrix_never_loses_a_profile() {
             "point {point}: compaction crash lost or mixed profiles"
         );
         assert!(Store::fsck(&dir).unwrap().is_clean(), "point {point}");
-        std::fs::remove_dir_all(dir).ok();
     }
 }
 
@@ -309,7 +296,7 @@ fn old_format_stores_load_unchanged_and_compact_migrates_to_v3() {
     use thicket_perfsim::ManifestVersion;
 
     for old in [ManifestVersion::V1, ManifestVersion::V2] {
-        let dir = tmp(&format!("{old:?}-migrate"));
+        let dir = ScratchDir::new("storerec-migrate");
         let profiles = runs(0..4);
         let old_opts = StoreOptions {
             format: old,
@@ -321,7 +308,7 @@ fn old_format_stores_load_unchanged_and_compact_migrates_to_v3() {
         // The old format loads through the same unified front door,
         // pushdown included.
         let (tk_old, report) = thicket::core::Thicket::loader(LoadSource::store(&dir))
-            .filter(MetaPred::lt("seed", 2i64))
+            .filter(PredExpr::lt("seed", 2i64))
             .strictness(Strictness::lenient())
             .load()
             .unwrap();
@@ -334,7 +321,7 @@ fn old_format_stores_load_unchanged_and_compact_migrates_to_v3() {
         assert_eq!(reader.manifest().version, ManifestVersion::V3);
 
         let (tk_v3, report) = thicket::core::Thicket::loader(LoadSource::store(&dir))
-            .filter(MetaPred::lt("seed", 2i64))
+            .filter(PredExpr::lt("seed", 2i64))
             .strictness(Strictness::lenient())
             .load()
             .unwrap();
@@ -342,6 +329,5 @@ fn old_format_stores_load_unchanged_and_compact_migrates_to_v3() {
         assert_eq!(tk_old.profiles(), tk_v3.profiles());
         assert_eq!(tk_old.perf_data(), tk_v3.perf_data());
         assert_eq!(tk_old.metadata(), tk_v3.metadata());
-        std::fs::remove_dir_all(dir).ok();
     }
 }

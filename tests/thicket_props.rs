@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 use thicket::prelude::*;
 use thicket_graph::{Frame, Graph};
+use thicket_perfsim::ScratchDir;
 
 /// Random profile: a tree from a parent vector, metrics on every node,
 /// metadata with a categorical "cfg" and a run id.
@@ -146,13 +147,7 @@ proptest! {
     /// Profile round trip through disk preserves the composed thicket.
     #[test]
     fn disk_roundtrip_preserves_thicket(profiles in ensemble_strategy()) {
-        let dir = std::env::temp_dir().join(format!(
-            "thicket-prop-{}",
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
+        let dir = ScratchDir::new("prop");
         let _ = save_ensemble(&dir, &profiles).unwrap();
         let (loaded, _) = load_dir(&dir, None, Strictness::FailFast).unwrap();
         let a = Thicket::loader(&profiles).load().unwrap().0;
@@ -164,6 +159,5 @@ proptest! {
         pa.sort();
         pb.sort();
         prop_assert_eq!(pa, pb);
-        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -4,31 +4,16 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
+# Every workspace crate (root `default-members`): unit, integration,
+# property and doc tests, fault-injection and crash-safety suites, the
+# predicate-engine equivalence properties, trace ingest and the service
+# suites, all in debug mode.
 cargo test -q
-# Fault-injection smoke: corrupt ensembles must degrade into typed
-# diagnostics, never a panic (cheap: binaries already built above).
-cargo test -q --test fault_tolerance
-cargo test -q -p thicket-perfsim --test faults
-# Store crash-safety smoke: write a sharded store, inject each store
-# fault, fsck classifies, recover, reload clean — plus the writer
-# crash-point matrix and the single-bit-flip CRC property.
-cargo test -q --test store_recovery
-cargo test -q -p thicket-perfsim --test store_props
-# Doc examples (the loader-builder docs especially) must compile and run.
-cargo test -q --doc
 # v3 fault-injection smoke + writer/append crash-point matrices under
 # --release: optimized builds must hit the same typed-diagnostic paths
 # (bounds checks and CRC verification are not debug-only behavior).
 cargo test -q --release -p thicket-perfsim --test faults v3_
 cargo test -q --release --test store_recovery crash_point
-# Predicate-engine equivalence properties: vectorized bitmap evaluation
-# must agree with the row-wise reference on random frames/null masks/ASTs,
-# compiled MetaPred/dialect predicates with their legacy semantics, and
-# loader results must be thread-count invariant (1/2/8).
-cargo test -q -p thicket-dataframe --test proptests
-cargo test -q -p thicket-query --test proptests
-cargo test -q -p thicket-core --test planner
-cargo test -q -p thicket-core --test proptests filter_expr_thread_invariant
 # Concurrency smoke under --release: the live-contention matrix (readers
 # × appender × compactor with GC on), the chaos-schedule linearization
 # check, and the kill-9 subprocess recovery test — timing-sensitive
@@ -36,24 +21,17 @@ cargo test -q -p thicket-core --test proptests filter_expr_thread_invariant
 cargo test -q --release -p thicket-perfsim --test concurrency
 # W4 smoke under --release: the predicate workload end-to-end (row-walk
 # vs vectorized vs planner pushdown) on a small 60-profile store — this
-# exercises select_expr, load_matching_expr, and the residual path on
+# exercises select_expr, load_matching, and the residual path on
 # optimized builds, not the recorded PERF.md numbers.
 cargo run -q -p thicket-bench --release --example payload_bench -- 60 w4
-# Streaming trace ingest: emitter/reader round-trips, the chunk-boundary
-# and thread invariance properties, and the trace fault family (torn /
-# out-of-order / unbalanced event streams → typed diagnostics).
-cargo test -q -p thicket-perfsim --lib trace
-cargo test -q -p thicket-core --test trace_stream
 # W7 bounded-memory smoke under --release: stream a trace ≥4× the RSS
 # budget through the LoadSource::trace pipeline in a fresh child process
 # and fail if its VmHWM reaches the budget — the O(depth × ranks)
 # memory claim is enforced, not just documented.
 cargo run -q -p thicket-bench --release --example trace_bench -- smoke
-# Service layer: protocol/service suites, then the wire chaos schedule
-# (torn frames, oversized lengths, slow-loris, connection kills, one
-# kill-9 of the daemon) under --release — recovery timing only means
-# something on optimized builds.
-cargo test -q -p thicket-serve
+# Service layer: the wire chaos schedule (torn frames, oversized
+# lengths, slow-loris, connection kills, one kill-9 of the daemon) under
+# --release — recovery timing only means something on optimized builds.
 cargo test -q --release -p thicket-serve --test chaos
 # Live daemon smoke under --release: seed a store, start thicketd on an
 # ephemeral port, one filtered query + one call-path query through the
