@@ -79,48 +79,19 @@ fn bench_join(c: &mut Criterion) {
     group.finish();
 }
 
-/// v2 (JSON payloads) vs v3 (binary columnar payloads) on the shard
-/// hot path: the same ensemble saved under both formats, timed through
-/// the identical `load_all` read path. The only variable is the
-/// per-record decode.
-fn bench_payload_format(c: &mut Criterion) {
-    use thicket_perfsim::{ManifestVersion, Store, StoreOptions};
-
-    let mut group = c.benchmark_group("payload_format");
-    group.sample_size(10);
-    for &n in &[560u64, 2000] {
-        let profiles = data::quartz_runs(n, 1_048_576);
-        for (name, version) in [("v2", ManifestVersion::V2), ("v3", ManifestVersion::V3)] {
-            let dir = std::env::temp_dir().join(format!("thicket-bench-fmt-{name}-{n}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            let opts = StoreOptions {
-                format: version,
-                ..StoreOptions::default()
-            };
-            Store::save_opts(&dir, &profiles, &opts).unwrap();
-            group.bench_with_input(BenchmarkId::new(name, n), &dir, |b, dir| {
-                b.iter(|| Store::open(dir).unwrap().load_all().unwrap());
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Sharded-store read path vs the JSON ensemble directory: full loads
 /// at equal profile counts, plus the metadata-pushdown read that skips
 /// whole shards (the predicate selects 10 of n profiles).
 fn bench_store(c: &mut Criterion) {
     use thicket_dataframe::PredExpr;
-    use thicket_perfsim::{load_dir, save_ensemble, Store, Strictness};
+    use thicket_perfsim::{load_dir, save_ensemble, ScratchDir, Store, Strictness};
 
     let mut group = c.benchmark_group("store");
     group.sample_size(10);
     for &n in &[100u64, 560] {
         let profiles = data::quartz_runs(n, 1_048_576);
-        let json_dir = std::env::temp_dir().join(format!("thicket-bench-json-{n}"));
-        let store_dir = std::env::temp_dir().join(format!("thicket-bench-store-{n}"));
-        let _ = std::fs::remove_dir_all(&json_dir);
-        let _ = std::fs::remove_dir_all(&store_dir);
+        let json_dir = ScratchDir::new(&format!("bench-json-{n}"));
+        let store_dir = ScratchDir::new(&format!("bench-store-{n}"));
         save_ensemble(&json_dir, &profiles).unwrap();
         Store::save(&store_dir, &profiles).unwrap();
 
@@ -147,7 +118,7 @@ fn bench_store(c: &mut Criterion) {
         let base = data::quartz_runs(200, 1_048_576);
         let batch = data::quartz_runs_seeded(10, 1_048_576, 10_000);
         group.bench_function("append_10_onto_200", |b| {
-            let dir = std::env::temp_dir().join("thicket-bench-append");
+            let dir = ScratchDir::new("bench-append");
             b.iter(|| {
                 let _ = std::fs::remove_dir_all(&dir);
                 Store::save(&dir, &base).unwrap();
@@ -155,7 +126,7 @@ fn bench_store(c: &mut Criterion) {
             });
         });
         group.bench_function("compact_200_fragmented", |b| {
-            let dir = std::env::temp_dir().join("thicket-bench-compact");
+            let dir = ScratchDir::new("bench-compact");
             let frag = thicket_perfsim::StoreOptions {
                 shard_bytes: 1, // one shard per profile: worst-case fragmentation
                 ..thicket_perfsim::StoreOptions::default()
@@ -168,33 +139,8 @@ fn bench_store(c: &mut Criterion) {
         });
     }
 
-    // Pushdown at 2,000 profiles: selection cost and bytes actually
-    // read, v2 columnar manifest vs the v1 row manifest.
-    {
-        let profiles = data::quartz_runs(2000, 1_048_576);
-        for (label, format) in [
-            ("pushdown_2000_v2", thicket_perfsim::ManifestVersion::V2),
-            ("pushdown_2000_v1", thicket_perfsim::ManifestVersion::V1),
-        ] {
-            let dir = std::env::temp_dir().join(format!("thicket-bench-{label}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            let opts = thicket_perfsim::StoreOptions {
-                format,
-                ..thicket_perfsim::StoreOptions::default()
-            };
-            Store::save_opts(&dir, &profiles, &opts).unwrap();
-            group.bench_with_input(BenchmarkId::new(label, 2000), &dir, |b, dir| {
-                b.iter(|| {
-                    Store::open(dir)
-                        .unwrap()
-                        .load_matching(&PredExpr::lt("seed", 10i64))
-                        .unwrap()
-                });
-            });
-        }
-    }
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest, bench_join, bench_payload_format, bench_store);
+criterion_group!(benches, bench_ingest, bench_join, bench_store);
 criterion_main!(benches);

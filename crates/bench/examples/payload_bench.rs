@@ -1,5 +1,5 @@
-//! PERF.md workload driver: medians for the canonical store-format and
-//! ingest experiments, printed as ready-to-paste markdown.
+//! PERF.md workload driver: medians for the canonical ingest, predicate
+//! and pinning experiments, printed as ready-to-paste markdown.
 //!
 //! ```sh
 //! cargo run -p thicket-bench --release --example payload_bench            # all workloads, 2000 profiles
@@ -7,14 +7,10 @@
 //! cargo run -p thicket-bench --release --example payload_bench -- 60 w4  # W4 smoke only
 //! ```
 //!
-//! Workloads (one change per experiment):
+//! Workloads (one change per experiment; W1 and W2, the v2-vs-v3 store
+//! format comparison, left with the v2 writer — their PERF.md rows are
+//! history):
 //!
-//! * **W1 — store load, v2 vs v3**: the same 2,000-profile RAJAPerf
-//!   ensemble saved under v2 (JSON payloads) and v3 (binary columnar
-//!   payloads), timed through the identical `load_all` path. The only
-//!   variable is the per-record decode.
-//! * **W2 — pushdown read**: same stores, `seed < 10` predicate (10 of
-//!   2,000 kept), plus the `bytes_read` accounting for each.
 //! * **W3 — threaded ingest**: thicket assembly from 560 in-memory
 //!   profiles at 1/2/4/8 worker threads (the multicore scaling curve;
 //!   on a single-core host this measures the fan-out overhead floor).
@@ -23,15 +19,14 @@
 //!   metadata (selection only) and over the composed perf frame, plus
 //!   the end-to-end planner split (metadata conjunct pushed below the
 //!   shard read, frame conjunct applied post-compose) vs a full load.
-//! * **W5 — snapshot pinning**: the W1 full load and the W2-style
-//!   pushdown read through a plain reader vs a generation-pinned
-//!   snapshot (`Store::open_pinned`: lease file + held shard handles).
+//! * **W5 — snapshot pinning**: a full load and a `seed`-pushdown read
+//!   through a plain reader vs a generation-pinned snapshot (`Store::open_pinned`: lease file + held shard handles).
 //!   The only variable is the pinning layer; it must be ~free.
 
 use std::time::Instant;
 use thicket_core::{LoadSource, Thicket};
 use thicket_dataframe::{ColKey, PredExpr, Value};
-use thicket_perfsim::{ManifestVersion, Store, StoreOptions};
+use thicket_perfsim::{ScratchDir, Store};
 
 const RUNS: usize = 5;
 
@@ -70,7 +65,6 @@ fn main() {
     let profiles = thicket_bench::data::quartz_runs(n, 1_048_576);
 
     if !w4_only {
-        store_format_workloads(&profiles, n);
         threaded_ingest_workload(&profiles, n, nproc);
     }
     predicate_engine_workload(&profiles, n);
@@ -78,72 +72,6 @@ fn main() {
         pinning_workload(&profiles, n);
     }
     eprintln!("done");
-}
-
-/// W1 + W2: v2 vs v3 full load and metadata pushdown.
-fn store_format_workloads(profiles: &[thicket_perfsim::Profile], n: u64) {
-    println!("## Store payload format: v2 (JSON) vs v3 (binary), {n} profiles\n");
-    let mut dirs = Vec::new();
-    let mut store_bytes = Vec::new();
-    for (name, version) in [("v2", ManifestVersion::V2), ("v3", ManifestVersion::V3)] {
-        let dir = std::env::temp_dir().join(format!("thicket-payloadbench-{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = StoreOptions {
-            format: version,
-            ..StoreOptions::default()
-        };
-        let t = Instant::now();
-        Store::save_opts(&dir, profiles, &opts).unwrap();
-        let save_ms = t.elapsed().as_secs_f64() * 1e3;
-        let bytes: u64 = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().metadata().unwrap().len())
-            .sum();
-        println!("- {name}: save {save_ms:.0} ms, {:.1} MiB on disk", bytes as f64 / (1 << 20) as f64);
-        dirs.push((name, dir));
-        store_bytes.push(bytes);
-    }
-    println!();
-    println!("| workload | v2 median | v3 median | speedup |");
-    println!("|---|---|---|---|");
-
-    let mut full = Vec::new();
-    let mut push = Vec::new();
-    let mut push_bytes = Vec::new();
-    for (_, dir) in &dirs {
-        full.push(median_ms(|| {
-            let (p, rep) = Store::open(dir).unwrap().load_all().unwrap();
-            assert!(rep.is_clean());
-            assert_eq!(p.len() as u64, n);
-        }));
-        let reader = Store::open(dir).unwrap();
-        let (kept, _) = reader.load_matching(&PredExpr::lt("seed", 10i64)).unwrap();
-        assert_eq!(kept.len(), 10);
-        push_bytes.push(reader.bytes_read());
-        push.push(median_ms(|| {
-            let (p, _) = Store::open(dir).unwrap().load_matching(&PredExpr::lt("seed", 10i64)).unwrap();
-            assert_eq!(p.len(), 10);
-        }));
-    }
-    println!(
-        "| full load ({n} profiles) | {:.0} ms | {:.0} ms | {:.2}x |",
-        full[0], full[1], full[0] / full[1]
-    );
-    println!(
-        "| pushdown load (10 of {n}) | {:.1} ms | {:.1} ms | {:.2}x |",
-        push[0], push[1], push[0] / push[1]
-    );
-    println!(
-        "\npushdown bytes_read: v2 {} / v3 {}; store size: v2 {:.1} MiB / v3 {:.1} MiB ({:.2}x)\n",
-        push_bytes[0],
-        push_bytes[1],
-        store_bytes[0] as f64 / (1 << 20) as f64,
-        store_bytes[1] as f64 / (1 << 20) as f64,
-        store_bytes[0] as f64 / store_bytes[1] as f64,
-    );
-    for (_, dir) in &dirs {
-        std::fs::remove_dir_all(dir).ok();
-    }
 }
 
 /// W3: thicket assembly at 1/2/4/8 worker threads.
@@ -183,17 +111,8 @@ fn predicate_engine_workload(profiles: &[thicket_perfsim::Profile], n: u64) {
     let meta_cut = (n / 10).max(1) as i64; // keep ~10% of profiles
 
     println!("## W4: predicate engine, {n}-profile store (selection reps = {reps})\n");
-    let dir = std::env::temp_dir().join("thicket-payloadbench-w4");
-    let _ = std::fs::remove_dir_all(&dir);
-    Store::save_opts(
-        &dir,
-        profiles,
-        &StoreOptions {
-            format: ManifestVersion::V3,
-            ..StoreOptions::default()
-        },
-    )
-    .unwrap();
+    let dir = ScratchDir::new("payloadbench-w4");
+    Store::save(&dir, profiles).unwrap();
 
     // --- metadata-only selection: row walk over materialized entries
     // vs vectorized evaluation straight off the columnar manifest.
@@ -309,8 +228,6 @@ fn predicate_engine_workload(profiles: &[thicket_perfsim::Profile], n: u64) {
         full_bytes as f64 / push_bytes as f64,
         full_ms / planned_ms
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// W5: pinned vs unpinned reads. `Snapshot` derefs to `StoreReader`,
@@ -318,18 +235,9 @@ fn predicate_engine_workload(profiles: &[thicket_perfsim::Profile], n: u64) {
 /// lease write + handle pinning at open, amortized over the read.
 fn pinning_workload(profiles: &[thicket_perfsim::Profile], n: u64) {
     let meta_cut = (n / 10).max(1) as i64;
-    println!("## W5: snapshot pinning, {n}-profile v3 store (pinned vs unpinned)\n");
-    let dir = std::env::temp_dir().join("thicket-payloadbench-w5");
-    let _ = std::fs::remove_dir_all(&dir);
-    Store::save_opts(
-        &dir,
-        profiles,
-        &StoreOptions {
-            format: ManifestVersion::V3,
-            ..StoreOptions::default()
-        },
-    )
-    .unwrap();
+    println!("## W5: snapshot pinning, {n}-profile store (pinned vs unpinned)\n");
+    let dir = ScratchDir::new("payloadbench-w5");
+    Store::save(&dir, profiles).unwrap();
 
     let expr = PredExpr::lt("seed", meta_cut);
     let expect = meta_cut.min(n as i64) as usize;
@@ -367,5 +275,4 @@ fn pinning_workload(profiles: &[thicket_perfsim::Profile], n: u64) {
         (push_pinned / push_plain - 1.0) * 1e2
     );
     println!();
-    std::fs::remove_dir_all(&dir).ok();
 }

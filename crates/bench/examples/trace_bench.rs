@@ -19,12 +19,12 @@
 //! bounded-memory claim (resident state is O(tree depth × ranks), not
 //! O(events)) is enforced in CI, not just asserted in prose.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
 use thicket_core::{LoadSource, Thicket};
-use thicket_perfsim::{emit_trace_to_path, TraceConfig};
+use thicket_perfsim::{emit_trace_to_path, ScratchDir, TraceConfig};
 
 /// Peak resident set size of this process in KiB, from Linux procfs.
 fn vmhwm_kib() -> Option<u64> {
@@ -34,13 +34,6 @@ fn vmhwm_kib() -> Option<u64> {
         .find(|l| l.starts_with("VmHWM:"))
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse().ok())
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("thicket-trace-bench-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
 }
 
 /// Child mode: stream one trace into a thicket, report to stdout in a
@@ -86,7 +79,7 @@ fn run_child(trace: &Path) -> (f64, u64) {
 /// W7 curve: ingest time and peak RSS at doubling trace lengths. The
 /// headline is the last column staying flat while the first doubles.
 fn curve() {
-    let dir = scratch("curve");
+    let dir = ScratchDir::new("trace-bench-curve");
     println!("## W7: streaming trace ingest (`trace_bench`)");
     println!();
     println!("| events | trace size | ingest | events/s | peak RSS |");
@@ -104,14 +97,13 @@ fn curve() {
             hwm_kib as f64 / 1024.0,
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Bounded-memory smoke: a trace ≥ 4× the RSS budget must stream
 /// through ingest with peak RSS strictly under the budget.
 fn smoke(budget_mib: u64) {
     let budget_bytes = budget_mib * (1 << 20);
-    let dir = scratch("smoke");
+    let dir = ScratchDir::new("trace-bench-smoke");
     let path = dir.join("smoke.trace");
 
     // Size the trace from the per-pass event count (conservative 20
@@ -136,7 +128,7 @@ fn smoke(budget_mib: u64) {
         events as f64 / (ms / 1e3) / 1e6,
         hwm_kib as f64 / 1024.0,
     );
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(dir); // `exit` below skips destructors
     if hwm_bytes >= budget_bytes {
         eprintln!(
             "trace_bench: FAIL — peak RSS {hwm_bytes} bytes reached the \

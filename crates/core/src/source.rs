@@ -24,8 +24,8 @@ use std::time::Duration;
 
 use thicket_dataframe::PredExpr;
 use thicket_perfsim::{
-    default_threads, load_dir, DiagKind, IngestReport, Profile, Snapshot, Store, StoreReader,
-    Strictness, TraceError, TraceReader,
+    default_threads, load_dir, DiagKind, IngestReport, Profile, Snapshot, Store, StoreError,
+    StoreReader, Strictness, TraceError, TraceReader,
 };
 
 use crate::thicket::ThicketError;
@@ -522,7 +522,13 @@ pub fn trace_to_store(
 ) -> Result<(IngestReport, usize), ThicketError> {
     let store_dir = store_dir.as_ref();
     let mut src = TraceSource::open(trace, window, strictness)?;
-    let mut have_store = Store::open(store_dir).is_ok();
+    let mut have_store = match Store::open(store_dir) {
+        Ok(_) => true,
+        // An older build's store waits for the migrator; a fresh save
+        // over it would drop its profiles from the newest generation.
+        Err(e @ StoreError::NeedsMigration { .. }) => return Err(e.into()),
+        Err(_) => false,
+    };
     let mut written = 0usize;
     while let Some(profiles) = src.next_chunk()? {
         if have_store {

@@ -1,7 +1,7 @@
-//! Binary v3 shard payload codec (`TKP3`): the store's hot-path
-//! profile encoding. Where the JSON payload pays a full parse tree plus
-//! a per-token allocation on every load, a v3 payload is decoded with a
-//! bounds-checked cursor over the read buffer — strings are borrowed as
+//! Binary shard payload codec (`TKP3`): the store's one record
+//! encoding. Where a JSON document pays a full parse tree plus a
+//! per-token allocation on every load, a `TKP3` payload is decoded with
+//! a bounds-checked cursor over the read buffer — strings are borrowed as
 //! `&str` slices straight out of the buffer and only materialized once
 //! (metadata/frame keys as owned `String`s, string *values* through the
 //! global `Arc<str>` interner), and metric columns are bulk-copied.
@@ -46,15 +46,10 @@ use std::sync::Arc;
 use thicket_dataframe::{intern, Value};
 use thicket_graph::Frame;
 
-/// Magic prefix of every binary (v3) profile payload. JSON payloads
-/// start with `{`, so the first byte alone distinguishes the formats —
-/// shards may mix encodings record by record (appends onto a v2 store).
+/// Magic prefix of every binary profile payload. The JSON records an
+/// older build wrote start with `{`, so the first bytes alone tell the
+/// migrator's decoder which encoding a record uses.
 pub const PROFILE_MAGIC: &[u8; 4] = b"TKP3";
-
-/// Does this payload carry the binary profile encoding?
-pub(crate) fn is_binary_payload(bytes: &[u8]) -> bool {
-    bytes.starts_with(PROFILE_MAGIC)
-}
 
 fn malformed(msg: impl Into<String>) -> ProfileError {
     ProfileError::Malformed(msg.into())
@@ -109,7 +104,7 @@ fn put_value<'a>(out: &mut Vec<u8>, names: &mut NameTable<'a>, v: &'a Value) {
     }
 }
 
-/// Encode a profile as a v3 binary payload.
+/// Encode a profile as a `TKP3` binary payload.
 pub fn encode_profile(p: &Profile) -> Vec<u8> {
     let mut names = NameTable::default();
     let mut body = Vec::new();
@@ -300,15 +295,20 @@ fn get_value(
     }
 }
 
-/// Decode a v3 binary payload, validating every length and count
+/// Decode a `TKP3` binary payload, validating every length and count
 /// against the remaining buffer before use. Structural failures are
 /// [`ProfileError::Malformed`]; non-finite metric bits are
 /// [`ProfileError::NonFinite`] with node/metric coordinates, exactly as
-/// the JSON decoder reports them.
+/// the JSON decoder reports them. A record without the magic — such as
+/// a JSON record an older build wrote — is malformed, and the message
+/// names the migrator.
 pub fn decode_profile(bytes: &[u8]) -> Result<Profile, ProfileError> {
     let mut cur = Cursor::new(bytes);
     if cur.take(4, "payload magic")? != PROFILE_MAGIC {
-        return Err(malformed("bad payload magic (expected TKP3)"));
+        return Err(malformed(
+            "bad payload magic (expected TKP3); a record from an older store \
+             format is migrated by Store::compact",
+        ));
     }
 
     // Name table. Shortest possible entry: 4 length bytes.
@@ -438,22 +438,7 @@ pub fn decode_profile(bytes: &[u8]) -> Result<Profile, ProfileError> {
     assemble_profile(shells, &root_idxs, metadata)
 }
 
-/// Decode a store payload of either encoding: binary if the `TKP3`
-/// magic leads, JSON otherwise. This is the store reader's per-record
-/// dispatch — shards may mix encodings (e.g. a v3 append onto v2
-/// shards), and both decoders converge on identical validation.
-pub fn decode_payload(bytes: &[u8]) -> Result<Profile, ProfileError> {
-    if is_binary_payload(bytes) {
-        decode_profile(bytes)
-    } else {
-        Profile::parse(
-            std::str::from_utf8(bytes)
-                .map_err(|_| malformed("record is neither TKP3 binary nor UTF-8 JSON"))?,
-        )
-    }
-}
-
-/// Absolute byte offsets of one metric column inside a v3 payload.
+/// Absolute byte offsets of one metric column inside a `TKP3` payload.
 ///
 /// This is the fault-injection map for [`crate::faults`]: each field
 /// locates a rewritable scalar (or the data block) so a corruptor can
@@ -480,7 +465,7 @@ fn skip_value(cur: &mut Cursor<'_>, what: &str) -> Result<(), ProfileError> {
     }
 }
 
-/// Walk a well-formed v3 payload and return the byte layout of its
+/// Walk a well-formed `TKP3` payload and return the byte layout of its
 /// metric columns. Used by the fault corruptors, which must target a
 /// *healthy* record — structural failures mean the victim was already
 /// corrupt and are returned as errors, not skipped.
@@ -560,7 +545,7 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let p = sample();
         let bytes = encode_profile(&p);
-        assert!(is_binary_payload(&bytes));
+        assert!(bytes.starts_with(PROFILE_MAGIC));
         let q = decode_profile(&bytes).unwrap();
         assert_eq!(q.profile_hash(), p.profile_hash());
         assert_eq!(q.graph().len(), 3);

@@ -568,7 +568,7 @@ fn corrupt_coordination(dir: &Path, kind: FaultKind, seed: u64) -> io::Result<Pa
 /// digest, and a rewritten (self-CRC'd) manifest. The damage survives
 /// every structural check and reaches the payload decoder.
 fn corrupt_v3_record(dir: &Path, kind: FaultKind, seed: u64) -> io::Result<PathBuf> {
-    use crate::binprofile::{metric_column_spans, PROFILE_MAGIC};
+    use crate::binprofile::metric_column_spans;
     use crate::store::{crc32c, Manifest, RECORD_HEADER_BYTES};
 
     let pool = manifest_pool(dir)?;
@@ -589,11 +589,6 @@ fn corrupt_v3_record(dir: &Path, kind: FaultKind, seed: u64) -> io::Result<PathB
     let payload = bytes
         .get(start..end)
         .ok_or_else(|| io::Error::other("manifest entry range exceeds shard"))?;
-    if !payload.starts_with(PROFILE_MAGIC) {
-        return Err(io::Error::other(
-            "victim record is not a v3 binary payload (TKP3)",
-        ));
-    }
     let spans = metric_column_spans(payload)
         .map_err(|e| io::Error::other(format!("victim payload does not walk: {e}")))?;
     if spans.is_empty() {
@@ -1046,6 +1041,22 @@ impl ScratchDir {
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| panic!("creating scratch dir {}: {e}", dir.display()));
         ScratchDir(dir)
+    }
+
+    /// A fresh scratch directory tagged `tag` holding a copy of every
+    /// file directly inside `src` (a private, writable copy of a
+    /// checked-in store).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `src` cannot be listed or a file cannot be copied.
+    pub fn copy_of(tag: &str, src: &Path) -> ScratchDir {
+        let dir = ScratchDir::new(tag);
+        for entry in std::fs::read_dir(src).expect("listing the copy source") {
+            let entry = entry.expect("listing the copy source");
+            std::fs::copy(entry.path(), dir.join(entry.file_name())).expect("copying a file");
+        }
+        dir
     }
 }
 

@@ -284,7 +284,8 @@ pub struct IngestReport {
     pub diagnostics: Vec<Diagnostic>,
     /// When the load carried a predicate through the loader's planner:
     /// how it was split around the store read. `None` for unfiltered
-    /// loads and legacy entry points that bypass the planner.
+    /// loads and for direct `StoreReader` calls, which take a predicate
+    /// that is already split.
     pub pushdown: Option<FilterPlan>,
 }
 

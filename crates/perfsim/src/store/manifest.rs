@@ -4,8 +4,7 @@
 
 use super::crc::crc32c;
 use super::{
-    ManifestVersion, MANIFEST_FORMAT, MANIFEST_FORMAT_V2, MANIFEST_FORMAT_V3, MANIFEST_MAGIC,
-    RECORD_HEADER_BYTES, SHARD_MAGIC,
+    legacy, StoreError, MANIFEST_FORMAT, MANIFEST_MAGIC, RECORD_HEADER_BYTES, SHARD_MAGIC,
 };
 use crate::json::Json;
 use crate::profile::{json_to_value, value_to_json, Profile};
@@ -42,10 +41,10 @@ pub struct StoreEntry {
     pub len: u32,
     /// CRC32C of the payload.
     pub crc: u32,
-    /// Scalar metadata fields, **sorted by key** (since v2; v1
-    /// manifests are re-sorted at parse time) so lookups are a binary
-    /// search instead of a per-call linear scan. Empty in a v2
-    /// manifest's raw entries — [`StoreReader::entries`] materializes
+    /// Scalar metadata fields, **sorted by key** so lookups are a
+    /// binary search instead of a per-call linear scan. Empty in a
+    /// manifest's raw entries (the metadata lives in
+    /// [`Manifest::columns`]) — [`StoreReader::entries`] materializes
     /// it from the columnar index on demand.
     pub meta: Vec<(String, Value)>,
 }
@@ -60,7 +59,7 @@ impl StoreEntry {
     }
 }
 
-/// One key's column in the v2 manifest's metadata index: a presence
+/// One key's column in the manifest's metadata index: a presence
 /// mask plus the key's values for the profiles that carry it, held as
 /// unparsed JSON text until first use. Selection against a predicate
 /// decodes only the blocks whose keys the predicate names.
@@ -143,10 +142,10 @@ impl MetaBlock {
 
 /// Build the sorted columnar index from per-profile key-sorted rows.
 /// The decode cache is pre-filled (the writer just had the values).
-pub(crate) fn build_columns(rows: &[Vec<(String, Value)>]) -> Vec<MetaBlock> {
+pub(crate) fn build_columns<R: AsRef<[(String, Value)]>>(rows: &[R]) -> Vec<MetaBlock> {
     let mut keys: BTreeSet<&str> = BTreeSet::new();
     for row in rows {
-        for (k, _) in row {
+        for (k, _) in row.as_ref() {
             keys.insert(k);
         }
     }
@@ -156,6 +155,7 @@ pub(crate) fn build_columns(rows: &[Vec<(String, Value)>]) -> Vec<MetaBlock> {
             let mut vals = Vec::new();
             let mut full = vec![Value::Null; rows.len()];
             for (i, row) in rows.iter().enumerate() {
+                let row = row.as_ref();
                 if let Ok(pos) = row.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
                     present[i] = true;
                     vals.push(value_to_json(&row[pos].1));
@@ -230,21 +230,20 @@ pub(crate) fn mask_from_hex(hex: &str, n: usize) -> Result<Vec<bool>, String> {
 pub struct Manifest {
     /// Generation number.
     pub generation: u64,
-    /// Which on-disk format the body used (auto-detected at parse).
-    pub version: ManifestVersion,
     /// Shard descriptors, index-addressed by [`StoreEntry::shard`].
     pub shards: Vec<ShardInfo>,
-    /// Per-profile index, in storage order. Under
-    /// [`ManifestVersion::V2`] the entries carry no metadata (it lives
-    /// in [`Manifest::columns`]).
+    /// Per-profile index, in storage order. The entries carry no
+    /// metadata (it lives in [`Manifest::columns`]).
     pub profiles: Vec<StoreEntry>,
-    /// v2 columnar metadata index, one block per key, key-sorted.
-    /// Empty for v1.
+    /// Columnar metadata index, one block per key, key-sorted.
     pub columns: Vec<MetaBlock>,
+    /// The format tag of a body an older build wrote (`None` for
+    /// [`MANIFEST_FORMAT`]). Only the migrator reads such a generation.
+    pub(crate) legacy: Option<&'static str>,
 }
 
 impl Manifest {
-    /// The column indexing `key`, if any profile carries it (v2 only).
+    /// The column indexing `key`, if any profile carries it.
     pub fn column(&self, key: &str) -> Option<&MetaBlock> {
         self.columns
             .binary_search_by(|b| b.key.as_str().cmp(key))
@@ -252,13 +251,22 @@ impl Manifest {
             .map(|i| &self.columns[i])
     }
 
-    /// Every profile's key-sorted metadata row: borrowed from the
-    /// entries (v1) or decoded out of every column (v2). Strict — a
-    /// column that fails to decode fails the whole call.
-    pub(crate) fn meta_rows(&self) -> Result<Vec<Vec<(String, Value)>>, String> {
-        if !self.version.columnar() {
-            return Ok(self.profiles.iter().map(|e| e.meta.clone()).collect());
+    /// Refuse a generation an older build wrote: only the migrator
+    /// ([`Store::compact`](super::Store::compact)) reads those.
+    pub(crate) fn ensure_current(&self) -> Result<(), StoreError> {
+        match self.legacy {
+            None => Ok(()),
+            Some(format) => Err(StoreError::NeedsMigration {
+                generation: self.generation,
+                format,
+            }),
         }
+    }
+
+    /// Every profile's key-sorted metadata row, decoded out of every
+    /// column. Strict — a column that fails to decode fails the whole
+    /// call.
+    pub(crate) fn meta_rows(&self) -> Result<Vec<Vec<(String, Value)>>, String> {
         let mut rows = vec![Vec::new(); self.profiles.len()];
         for b in &self.columns {
             let vals = b.values()?;
@@ -276,9 +284,6 @@ impl Manifest {
     /// instead of failing (for best-effort entry materialization; fsck
     /// reports the damage).
     pub(crate) fn meta_rows_lossy(&self) -> Vec<Vec<(String, Value)>> {
-        if !self.version.columnar() {
-            return self.profiles.iter().map(|e| e.meta.clone()).collect();
-        }
         let mut rows = vec![Vec::new(); self.profiles.len()];
         for b in &self.columns {
             if let Ok(vals) = b.values() {
@@ -310,7 +315,7 @@ impl Manifest {
             self.profiles
                 .iter()
                 .map(|p| {
-                    let mut fields = vec![
+                    Json::Obj(vec![
                         // Full-range i64: goes through a decimal string
                         // so it survives the JSON f64 round trip.
                         ("hash".into(), Json::Str(p.hash.to_string())),
@@ -318,59 +323,32 @@ impl Manifest {
                         ("offset".into(), Json::Num(p.offset as f64)),
                         ("len".into(), Json::Num(p.len as f64)),
                         ("crc".into(), Json::Num(p.crc as f64)),
-                    ];
-                    if self.version == ManifestVersion::V1 {
-                        fields.push((
-                            "meta".into(),
-                            Json::Obj(
-                                p.meta
-                                    .iter()
-                                    .map(|(k, v)| (k.clone(), value_to_json(v)))
-                                    .collect(),
-                            ),
-                        ));
-                    }
-                    Json::Obj(fields)
+                    ])
                 })
                 .collect(),
         );
-        let mut body_fields = vec![
-            (
-                "format".into(),
-                Json::Str(
-                    match self.version {
-                        ManifestVersion::V1 => MANIFEST_FORMAT,
-                        ManifestVersion::V2 => MANIFEST_FORMAT_V2,
-                        ManifestVersion::V3 => MANIFEST_FORMAT_V3,
-                    }
-                    .into(),
-                ),
-            ),
+        // Each column's values ship as a JSON *string* holding the
+        // compact array text: a reader that never references the key
+        // scans past one string token instead of parsing every value.
+        let columns = Json::Arr(
+            self.columns
+                .iter()
+                .map(|b| {
+                    Json::Obj(vec![
+                        ("key".into(), Json::Str(b.key.clone())),
+                        ("mask".into(), Json::Str(mask_to_hex(&b.present))),
+                        ("values".into(), Json::Str(b.raw.clone())),
+                    ])
+                })
+                .collect(),
+        );
+        let body_fields = vec![
+            ("format".into(), Json::Str(MANIFEST_FORMAT.into())),
             ("generation".into(), Json::Num(self.generation as f64)),
             ("shards".into(), shards),
             ("profiles".into(), profiles),
+            ("columns".into(), columns),
         ];
-        if self.version.columnar() {
-            // Each column's values ship as a JSON *string* holding the
-            // compact array text: a reader that never references the
-            // key scans past one string token instead of parsing every
-            // value.
-            body_fields.push((
-                "columns".into(),
-                Json::Arr(
-                    self.columns
-                        .iter()
-                        .map(|b| {
-                            Json::Obj(vec![
-                                ("key".into(), Json::Str(b.key.clone())),
-                                ("mask".into(), Json::Str(mask_to_hex(&b.present))),
-                                ("values".into(), Json::Str(b.raw.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
         let body = Json::Obj(body_fields).to_string_compact();
         let mut out = Vec::with_capacity(body.len() + 13);
         out.extend_from_slice(MANIFEST_MAGIC);
@@ -380,8 +358,9 @@ impl Manifest {
         out
     }
 
-    /// Parse and self-verify a manifest file's bytes, auto-detecting
-    /// the format version.
+    /// Parse and self-verify a manifest file's bytes. A body an older
+    /// build wrote goes through the `legacy` decoder into the same
+    /// shape, marked with its tag ([`Manifest::ensure_current`]).
     pub(crate) fn from_file_bytes(bytes: &[u8]) -> Result<Manifest, String> {
         if bytes.len() < 13 || &bytes[..4] != MANIFEST_MAGIC {
             return Err("bad manifest magic".into());
@@ -398,17 +377,22 @@ impl Manifest {
         }
         let text = std::str::from_utf8(body).map_err(|_| "manifest body not UTF-8")?;
         let doc = Json::parse(text).map_err(|e| format!("manifest JSON: {e}"))?;
-        let version = match doc.get("format").and_then(Json::as_str) {
-            Some(MANIFEST_FORMAT) => ManifestVersion::V1,
-            Some(MANIFEST_FORMAT_V2) => ManifestVersion::V2,
-            Some(MANIFEST_FORMAT_V3) => ManifestVersion::V3,
-            _ => return Err("unsupported manifest format".into()),
+        let legacy = match doc.get("format").and_then(Json::as_str) {
+            Some(MANIFEST_FORMAT) => None,
+            tag => Some(
+                tag.and_then(legacy::format)
+                    .ok_or("unsupported manifest format")?,
+            ),
         };
         let generation = doc
             .get("generation")
             .and_then(Json::as_i64)
             .filter(|&g| g > 0)
             .ok_or("missing generation")? as u64;
+        // Every integer must fit its field: a value past the field's
+        // range is malformed, never wrapped into a plausible one.
+        let uint = |j: &Json, key: &str| j.get(key)?.as_i64().filter(|&v| v >= 0);
+        let u32_of = |j: &Json, key: &str| u32::try_from(uint(j, key)?).ok();
         let shards = doc
             .get("shards")
             .and_then(Json::as_arr)
@@ -417,38 +401,27 @@ impl Manifest {
             .map(|s| {
                 Some(ShardInfo {
                     file: s.get("file")?.as_str()?.to_string(),
-                    bytes: s.get("bytes")?.as_i64().filter(|&v| v >= 0)? as u64,
-                    crc: s.get("crc")?.as_i64().filter(|&v| v >= 0)? as u32,
-                    records: s.get("records")?.as_i64().filter(|&v| v >= 0)? as usize,
+                    bytes: uint(s, "bytes")? as u64,
+                    crc: u32_of(s, "crc")?,
+                    records: uint(s, "records")? as usize,
                 })
             })
             .collect::<Option<Vec<_>>>()
             .ok_or("malformed shard entry")?;
-        let profiles = doc
+        let entries = doc
             .get("profiles")
             .and_then(Json::as_arr)
-            .ok_or("missing profiles")?
+            .ok_or("missing profiles")?;
+        let profiles = entries
             .iter()
             .map(|p| {
-                let mut meta: Vec<(String, Value)> = if version.columnar() {
-                    Vec::new()
-                } else {
-                    p.get("meta")?
-                        .as_obj()?
-                        .iter()
-                        .map(|(k, v)| (k.clone(), json_to_value(v)))
-                        .collect()
-                };
-                // v1 rows were written in profile insertion order;
-                // StoreEntry::meta binary-searches, so sort on entry.
-                meta.sort_by(|a, b| a.0.cmp(&b.0));
                 Some(StoreEntry {
                     hash: p.get("hash")?.as_str()?.parse::<i64>().ok()?,
-                    shard: p.get("shard")?.as_i64().filter(|&v| v >= 0)? as usize,
-                    offset: p.get("offset")?.as_i64().filter(|&v| v >= 0)? as u64,
-                    len: p.get("len")?.as_i64().filter(|&v| v >= 0)? as u32,
-                    crc: p.get("crc")?.as_i64().filter(|&v| v >= 0)? as u32,
-                    meta,
+                    shard: uint(p, "shard")? as usize,
+                    offset: uint(p, "offset")? as u64,
+                    len: u32_of(p, "len")?,
+                    crc: u32_of(p, "crc")?,
+                    meta: Vec::new(),
                 })
             })
             .collect::<Option<Vec<_>>>()
@@ -476,11 +449,10 @@ impl Manifest {
                 ));
             }
         }
-        let mut columns = if !version.columnar() {
-            Vec::new()
+        let mut columns = if legacy == Some(legacy::V1) {
+            legacy::v1_columns(entries).ok_or("malformed profile entry")?
         } else {
-            doc
-                .get("columns")
+            doc.get("columns")
                 .and_then(Json::as_arr)
                 .ok_or("missing columns")?
                 .iter()
@@ -498,10 +470,10 @@ impl Manifest {
         columns.sort_by(|a, b| a.key.cmp(&b.key));
         Ok(Manifest {
             generation,
-            version,
             shards,
             profiles,
             columns,
+            legacy,
         })
     }
 }

@@ -4,26 +4,27 @@
 //! Profiles are packed into fixed-size **shards**, each record framed as
 //! `[u32 len][u32 crc32c(payload)][payload]`, and committed under a
 //! generation-numbered **manifest** (`MANIFEST-<gen>`, written via
-//! temp-file + rename). The v2 manifest carries per-shard digests, the
+//! temp-file + rename). The manifest carries per-shard digests, the
 //! per-profile byte ranges, and a **columnar metadata index** — one
 //! [`MetaBlock`] per key (presence mask + lazily-parsed values) — so
 //! [`StoreReader::select_expr`] over a [`PredExpr`](thicket_dataframe::PredExpr)
 //! decodes only the keys the predicate names and
 //! [`StoreReader::load_matching`] skips whole shards the predicate
-//! excludes without even opening them.
-//! Readers auto-detect v1 (row-metadata) manifests; [`Store::append`]
-//! commits new profiles as a new generation that reuses existing
-//! shards, and [`Store::compact`] re-packs fragmented or salvaged
-//! shards (doubling as the v1/v2 → v3 migrator).
+//! excludes without even opening them. Every record payload is a
+//! `TKP3` binary profile ([`crate::binprofile`]): name-table-interned
+//! strings plus columnar metric arrays, decoded by a bounds-checked
+//! cursor instead of a parse tree. [`Store::append`] commits new
+//! profiles as a new generation that reuses existing shards, and
+//! [`Store::compact`] re-packs fragmented or salvaged shards.
 //!
-//! The v3 format keeps the v2 manifest body but switches record
-//! payloads from JSON documents to the `TKP3` binary profile encoding
-//! ([`crate::binprofile`]): name-table-interned strings plus columnar
-//! metric arrays, decoded by a bounds-checked cursor instead of a parse
-//! tree. Payload encoding is detected per record (binary payloads lead
-//! with the `TKP3` magic, JSON with `{`), so shards written by
-//! different format generations — e.g. a v3 append reusing v2 shards —
-//! stay readable record by record.
+//! ## One format on the read path
+//!
+//! The store writes and serves one format ([`MANIFEST_FORMAT`]). A
+//! newest generation an older build wrote (v1 per-entry metadata rows,
+//! or v2 with JSON record payloads) is refused with
+//! [`StoreError::NeedsMigration`]; [`Store::compact`] migrates it. What
+//! those builds wrote decodes in one private module (`legacy`), which
+//! only `compact` and the maintenance paths (fsck, recover, GC) reach.
 //!
 //! ## Commit protocol
 //!
@@ -88,6 +89,7 @@
 mod crc;
 mod layout;
 mod lease;
+mod legacy;
 mod lock;
 mod manifest;
 mod reader;
@@ -112,42 +114,15 @@ use std::time::Duration;
 pub const SHARD_MAGIC: &[u8; 4] = b"TKS1";
 /// Magic prefix of every manifest file (followed by 8 hex CRC chars).
 pub const MANIFEST_MAGIC: &[u8; 4] = b"TKM1";
-/// Format tag of a v1 manifest body (per-profile metadata rows).
-pub const MANIFEST_FORMAT: &str = "thicket-store-1";
-/// Format tag of a v2 manifest body (columnar metadata index).
-pub const MANIFEST_FORMAT_V2: &str = "thicket-store-2";
-/// Format tag of a v3 manifest body (columnar metadata index + binary
-/// `TKP3` record payloads).
-pub const MANIFEST_FORMAT_V3: &str = "thicket-store-3";
+/// Format tag of a manifest body: columnar metadata index, binary
+/// `TKP3` record payloads. The only tag this build writes or serves.
+pub const MANIFEST_FORMAT: &str = "thicket-store-3";
 
 /// Bytes of framing ahead of every record payload: `[u32 len][u32 crc]`.
 /// Derived from the frame layout so reader accounting, writer
 /// placement, and the salvage walk can never drift apart.
 pub const RECORD_HEADER_BYTES: usize = size_of::<u32>() + size_of::<u32>();
 
-/// Which on-disk manifest format a writer emits. Readers auto-detect
-/// the version from the body's format tag; [`Store::compact`] migrates
-/// older stores to the newest format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ManifestVersion {
-    /// Row-oriented metadata: every [`StoreEntry`] carries its full
-    /// `Vec<(String, Value)>`.
-    V1,
-    /// Columnar metadata index: one [`MetaBlock`] per key (presence
-    /// mask + lazily-parsed value block), entries carry no metadata.
-    V2,
-    /// v2 manifest body, but record payloads use the binary `TKP3`
-    /// profile encoding ([`crate::binprofile`]) instead of JSON.
-    #[default]
-    V3,
-}
-
-impl ManifestVersion {
-    /// Does this version index metadata columnarly (v2 and later)?
-    pub fn columnar(self) -> bool {
-        !matches!(self, ManifestVersion::V1)
-    }
-}
 // ---------------------------------------------------------------------
 // Errors, options, reports.
 // ---------------------------------------------------------------------
@@ -180,6 +155,15 @@ pub enum StoreError {
         /// The newest generation actually present (0 = empty store).
         found: u64,
     },
+    /// The newest generation is in a format an older build wrote (its
+    /// manifest's format tag is `format`). This build neither serves
+    /// nor appends to it; run [`Store::compact`] once to migrate it.
+    NeedsMigration {
+        /// The generation that needs migrating.
+        generation: u64,
+        /// Its manifest's format tag.
+        format: &'static str,
+    },
     /// The crash-point harness aborted the writer (fault injection
     /// only; never produced by a real write).
     InjectedCrash {
@@ -203,6 +187,11 @@ impl fmt::Display for StoreError {
             StoreError::Conflict { expected, found } => write!(
                 f,
                 "commit conflict: expected generation {expected}, found {found}"
+            ),
+            StoreError::NeedsMigration { generation, format } => write!(
+                f,
+                "generation {generation} is in the older format {format}; \
+                 run Store::compact to migrate it"
             ),
             StoreError::InjectedCrash { point, label } => {
                 write!(f, "injected crash at point {point} ({label})")
@@ -256,9 +245,6 @@ pub struct StoreOptions {
     /// of points a write passes is reported in
     /// [`WriteReport::crash_points`].
     pub crash_after: Option<usize>,
-    /// Manifest format to write (v3 by default; v1 and v2 are kept
-    /// writable so migration can be exercised end to end).
-    pub format: ManifestVersion,
     /// Duplicate-hash policy for [`Store::append`].
     pub append_mode: AppendMode,
     /// Compare-and-swap: with `Some(g)`, [`Store::append`] commits only
@@ -287,7 +273,6 @@ impl Default for StoreOptions {
             shard_bytes: 256 * 1024,
             keep_generations: 1,
             crash_after: None,
-            format: ManifestVersion::V3,
             append_mode: AppendMode::Skip,
             expected_generation: None,
             lock_timeout: Duration::from_secs(30),
@@ -489,7 +474,7 @@ impl Store {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         // Stage (encode) outside the lock; only I/O runs inside it.
-        let staged = writer::stage(profiles, opts.format);
+        let staged = writer::stage(profiles);
         let refs: Vec<&writer::Staged> = staged.iter().collect();
         let lock = lock::CommitLock::acquire(dir, opts)?;
         lock.seal(writer::save_locked(dir, &refs, opts))
@@ -528,7 +513,7 @@ impl Store {
     ) -> Result<WriteReport, StoreError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let staged = writer::stage(profiles, opts.format);
+        let staged = writer::stage(profiles);
         let lock = lock::CommitLock::acquire(dir, opts)?;
         lock.seal(writer::append_locked(dir, &staged, opts))
     }
@@ -540,22 +525,20 @@ impl Store {
 
     /// Rewrite the newest verified generation into freshly-packed full
     /// shards ([`StoreOptions::shard_bytes`]) — the answer to
-    /// fragmentation from repeated appends or salvages. Record payloads
-    /// already in the target format's encoding are carried over
-    /// byte-for-byte (CRC-verified, never reparsed); payloads in the
-    /// *other* encoding (JSON under a v3 target, binary under v1/v2)
-    /// are transcoded, which is what makes `compact` the format
-    /// migrator. Corrupt records are dropped with typed diagnostics
-    /// like [`Store::recover`] salvage. The rewrite runs under the same
+    /// fragmentation from repeated appends or salvages. `TKP3` record
+    /// payloads are carried over byte-for-byte (CRC-verified, never
+    /// reparsed); JSON payloads an older build wrote are transcoded to
+    /// `TKP3`. Corrupt records are dropped with typed diagnostics like
+    /// [`Store::recover`] salvage. The rewrite runs under the same
     /// stage-then-rename protocol with the same enumerable crash
     /// points, so an interruption leaves the previous generation
     /// serving. The commit lock is held across the *whole* operation —
     /// read phase included — so the generation being rewritten cannot
     /// be superseded or collected mid-rewrite.
     ///
-    /// Because the output manifest defaults to
-    /// [`ManifestVersion::V3`], `compact` doubles as the v1/v2 → v3
-    /// migrator (and, with an explicit v2 target, the downgrade path).
+    /// `compact` is the migrator: it is the one operation that reads a
+    /// generation an older build wrote ([`StoreError::NeedsMigration`]
+    /// everywhere else), and it always writes [`MANIFEST_FORMAT`].
     /// With `keep_generations = 1` the pre-compaction generation (and
     /// its shards) survives until the next commit; set it to 0 to
     /// reclaim the space immediately.
@@ -572,27 +555,19 @@ impl Store {
     ///
     /// Verification here is manifest-level only (cheap); record CRCs
     /// are checked as records are read, and [`Store::fsck`] deep-checks
-    /// everything. The returned reader holds no handles and no lease:
-    /// under concurrent GC, prefer [`Store::open_pinned`] (or
-    /// [`StoreReader::pin`]).
+    /// everything. A newest generation in an older build's format is
+    /// refused with [`StoreError::NeedsMigration`]: opening never
+    /// writes, so it never migrates. The returned reader holds no
+    /// handles and no lease: under concurrent GC, prefer
+    /// [`Store::open_pinned`] (or [`StoreReader::pin`]).
     pub fn open(dir: impl AsRef<Path>) -> Result<StoreReader, StoreError> {
-        let dir = dir.as_ref().to_path_buf();
-        if layout::list_generations(&dir)?.is_empty() {
-            return Err(StoreError::NoGeneration(format!(
-                "no manifest in {}",
-                dir.display()
-            )));
-        }
-        match writer::newest_manifest(&dir)? {
-            // bytes_read starts at the manifest bytes consumed while
-            // probing: pushdown accounting reflects true I/O, not just
-            // shard payloads.
-            Some((m, manifest_bytes)) => Ok(StoreReader::new(dir, m, manifest_bytes)),
-            None => Err(StoreError::NoGeneration(format!(
-                "no manifest in {} verifies (run Store::recover)",
-                dir.display()
-            ))),
-        }
+        let dir = dir.as_ref();
+        // bytes_read starts at the manifest bytes consumed while
+        // probing: pushdown accounting reflects true I/O, not just
+        // shard payloads.
+        let (m, manifest_bytes) = writer::newest_manifest(dir)?;
+        m.ensure_current()?;
+        Ok(StoreReader::new(dir.to_path_buf(), m, manifest_bytes))
     }
 
     /// Open the newest generation as a pinned [`Snapshot`] with default

@@ -5,8 +5,8 @@
 use super::crc::crc32c;
 use super::layout::manifest_name;
 use super::lease::{self, LeaseCore};
-use super::manifest::{Manifest, StoreEntry};
-use super::{ManifestVersion, Store, StoreError, StoreOptions, RECORD_HEADER_BYTES};
+use super::manifest::{Manifest, ShardInfo, StoreEntry};
+use super::{Store, StoreError, StoreOptions, RECORD_HEADER_BYTES};
 use crate::backoff::Backoff;
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
 use crate::parallel::{parallel_map_catch, JobFailure};
@@ -31,7 +31,7 @@ pub struct StoreReader {
     /// Bytes read so far (manifest probing + shard headers, payloads,
     /// and magics), for pushdown accounting.
     bytes_read: Cell<u64>,
-    /// v2 entries with metadata materialized out of the columnar index
+    /// Entries with metadata materialized out of the columnar index
     /// (built on first [`StoreReader::entries`] call).
     materialized: OnceCell<Vec<StoreEntry>>,
     /// Open handles on every shard file, in shard order — present once
@@ -112,13 +112,10 @@ impl StoreReader {
     }
 
     /// The manifest's per-profile index, in storage order, with
-    /// metadata populated. For a v2 manifest this decodes **every**
-    /// column on first call (cached) — [`StoreReader::select_expr`]
-    /// decodes only the predicate's keys, so prefer it on hot paths.
+    /// metadata populated. This decodes **every** column on first call
+    /// (cached) — [`StoreReader::select_expr`] decodes only the
+    /// predicate's keys, so prefer it on hot paths.
     pub fn entries(&self) -> &[StoreEntry] {
-        if self.manifest.version == ManifestVersion::V1 {
-            return &self.manifest.profiles;
-        }
         self.materialized.get_or_init(|| {
             let rows = self.manifest.meta_rows_lossy();
             self.manifest
@@ -139,23 +136,14 @@ impl StoreReader {
     }
 
     /// Every metadata key this store can answer predicates about
-    /// without shard I/O: the columnar index keys (v2/v3), or the
-    /// union of per-entry keys (v1). The loader's planner uses this to
-    /// decide which conjuncts push below the read.
+    /// without shard I/O: the columnar index keys. The loader's planner
+    /// uses this to decide which conjuncts push below the read.
     pub fn meta_keys(&self) -> BTreeSet<String> {
-        if self.manifest.version.columnar() {
-            self.manifest
-                .columns
-                .iter()
-                .map(|b| b.key().to_string())
-                .collect()
-        } else {
-            self.manifest
-                .profiles
-                .iter()
-                .flat_map(|e| e.meta.iter().map(|(k, _)| k.clone()))
-                .collect()
-        }
+        self.manifest
+            .columns
+            .iter()
+            .map(|b| b.key().to_string())
+            .collect()
     }
 
     /// Total bytes this reader has read so far — manifest bytes from
@@ -169,21 +157,12 @@ impl StoreReader {
     }
 
     /// Entry indices (storage order) matching a predicate, without any
-    /// shard I/O. On a columnar manifest each named key binds its
-    /// `MetaBlock` (values + presence mask) straight into the vectorized
-    /// evaluator; unreferenced columns stay undecoded. A named column
-    /// that fails to decode is [`StoreError::Corrupt`] (fsck classifies
-    /// the damage). A v1 manifest falls back to a per-entry scalar walk.
+    /// shard I/O. Each named key binds its `MetaBlock` (values + presence
+    /// mask) straight into the vectorized evaluator; unreferenced
+    /// columns stay undecoded. A named column that fails to decode is
+    /// [`StoreError::Corrupt`] (fsck classifies the damage).
     pub fn select_expr(&self, expr: &PredExpr) -> Result<Vec<usize>, StoreError> {
         let n = self.manifest.profiles.len();
-        if !self.manifest.version.columnar() {
-            return Ok((0..n)
-                .filter(|&i| {
-                    let e = &self.manifest.profiles[i];
-                    expr.eval_lookup(&mut |k| e.meta(k).cloned())
-                })
-                .collect());
-        }
         let mut src = BoundSource::new(n);
         for key in expr.fields() {
             if let Some(b) = self.manifest.column(key) {
@@ -255,11 +234,11 @@ impl StoreReader {
                 Err(d) => order.push((i, Some(d))),
             }
         }
-        // Per-record encoding dispatch: binary `TKP3` payloads decode
-        // through the bounds-checked cursor, anything else through the
-        // JSON parser — shards may mix encodings across generations.
+        // Records decode as `TKP3` only. A JSON record an older build's
+        // append left under a current manifest fails the magic check
+        // as a `schema` diagnostic that names `Store::compact`.
         let parsed = parallel_map_catch(&jobs, threads, |(_, payload)| {
-            crate::binprofile::decode_payload(payload.as_slice())
+            crate::binprofile::decode_profile(payload.as_slice())
         });
 
         let mut profiles = Vec::with_capacity(jobs.len());
@@ -307,7 +286,6 @@ impl StoreReader {
         out: &mut Vec<(usize, Result<PayloadSlice, Diagnostic>)>,
     ) -> Result<(), StoreError> {
         let info = &self.manifest.shards[si];
-        let path = self.dir.join(&info.file);
         let member_frame_bytes: u64 = members
             .iter()
             .map(|&i| RECORD_HEADER_BYTES as u64 + self.manifest.profiles[i].len as u64)
@@ -320,52 +298,21 @@ impl StoreReader {
         let owned;
         let mut file: &File = match self.handles.as_ref().map(|hs| &hs[si]) {
             Some(f) => f,
-            None => match File::open(&path) {
+            None => match File::open(self.dir.join(&info.file)) {
                 Ok(f) => {
                     owned = f;
                     &owned
                 }
-                Err(e) => {
-                    // The whole shard is unreadable: every member gets
-                    // the same classified diagnostic.
-                    for &i in members {
-                        out.push((
-                            i,
-                            Err(Diagnostic {
-                                source: info.file.clone(),
-                                kind: DiagKind::Io(format!("{}: {e}", info.file)),
-                            }),
-                        ));
-                    }
-                    return Ok(());
-                }
+                Err(e) => return unreadable(info, members, e, out),
             },
         };
         let file_len = file.metadata().map(|m| m.len()).unwrap_or(0);
         for &i in members {
-            let entry = &self.manifest.profiles[i];
-            // Framing extends past EOF → the shard is torn. Manifest
-            // parsing already bounds every entry against its shard's
-            // *declared* size; this re-checks against the file's
-            // *actual* size (overflow-proof) before the length is used
-            // to allocate, so a truncated file or a stale manifest can
-            // never trigger an oversized read.
-            let payload_end = entry.offset.checked_add(entry.len as u64);
-            if payload_end.is_none()
-                || payload_end.unwrap() > file_len
-                || entry.offset < RECORD_HEADER_BYTES as u64
-            {
-                out.push((
-                    i,
-                    Err(Diagnostic {
-                        source: record_source(&self.manifest, i),
-                        kind: DiagKind::TornShard {
-                            shard: info.file.clone(),
-                        },
-                    }),
-                ));
+            if let Err(d) = self.frame_in_file(i, file_len) {
+                out.push((i, Err(d)));
                 continue;
             }
+            let entry = &self.manifest.profiles[i];
             let mut header = [0u8; RECORD_HEADER_BYTES];
             let mut payload = vec![0u8; entry.len as usize];
             let read = (|| -> io::Result<()> {
@@ -376,35 +323,16 @@ impl StoreReader {
             })();
             self.bytes_read
                 .set(self.bytes_read.get() + (RECORD_HEADER_BYTES + entry.len as usize) as u64);
-            if let Err(e) = read {
-                out.push((
-                    i,
-                    Err(Diagnostic {
-                        source: record_source(&self.manifest, i),
-                        kind: DiagKind::Io(format!("{}: {e}", info.file)),
-                    }),
-                ));
-                continue;
-            }
-            let framed_len = u32::from_le_bytes(header[..4].try_into().unwrap());
-            let framed_crc = u32::from_le_bytes(header[4..].try_into().unwrap());
-            let ok = framed_len == entry.len
-                && framed_crc == entry.crc
-                && crc32c(&payload) == entry.crc;
-            if ok {
-                out.push((i, Ok(PayloadSlice::owned(payload))));
-            } else {
-                out.push((
-                    i,
-                    Err(Diagnostic {
-                        source: record_source(&self.manifest, i),
-                        kind: DiagKind::ChecksumMismatch {
-                            shard: info.file.clone(),
-                            record: record_index_of(&self.manifest, i),
-                        },
-                    }),
-                ));
-            }
+            let record = match read {
+                Ok(()) => self
+                    .check_frame(i, &header, &payload)
+                    .map(|()| PayloadSlice::owned(payload)),
+                Err(e) => Err(Diagnostic {
+                    source: record_source(&self.manifest, i),
+                    kind: DiagKind::Io(format!("{}: {e}", info.file)),
+                }),
+            };
+            out.push((i, record));
         }
         Ok(())
     }
@@ -422,84 +350,97 @@ impl StoreReader {
         let info = &self.manifest.shards[si];
         let whole = match self.handles.as_ref().map(|hs| &hs[si]) {
             // Pinned: rewind the held handle and drain it — works even
-            // after the file is unlinked.
-            Some(mut f) => f
-                .seek(SeekFrom::Start(0))
-                .and_then(|_| {
-                    let mut buf = Vec::with_capacity(info.bytes as usize);
-                    f.read_to_end(&mut buf).map(|_| buf)
-                }),
+            // after the file is unlinked. The buffer starts empty:
+            // `read_to_end` reserves the file's real length, never the
+            // size the manifest declares.
+            Some(mut f) => f.seek(SeekFrom::Start(0)).and_then(|_| {
+                let mut buf = Vec::new();
+                f.read_to_end(&mut buf).map(|_| buf)
+            }),
             None => std::fs::read(self.dir.join(&info.file)),
         };
         let bytes = match whole {
             Ok(b) => Arc::new(b),
-            Err(e) => {
-                for &i in members {
-                    out.push((
-                        i,
-                        Err(Diagnostic {
-                            source: info.file.clone(),
-                            kind: DiagKind::Io(format!("{}: {e}", info.file)),
-                        }),
-                    ));
-                }
-                return Ok(());
-            }
+            Err(e) => return unreadable(info, members, e, out),
         };
         self.bytes_read
             .set(self.bytes_read.get() + bytes.len() as u64);
-        let file_len = bytes.len() as u64;
         for &i in members {
-            let entry = &self.manifest.profiles[i];
-            // Same torn-shard guard as the seek path: every declared
-            // range is proven inside the actual file before slicing.
-            let payload_end = entry.offset.checked_add(entry.len as u64);
-            if payload_end.is_none()
-                || payload_end.unwrap() > file_len
-                || entry.offset < RECORD_HEADER_BYTES as u64
-            {
-                out.push((
+            let record = self.frame_in_file(i, bytes.len() as u64).and_then(|()| {
+                let start = self.manifest.profiles[i].offset as usize;
+                let end = start + self.manifest.profiles[i].len as usize;
+                self.check_frame(
                     i,
-                    Err(Diagnostic {
-                        source: record_source(&self.manifest, i),
-                        kind: DiagKind::TornShard {
-                            shard: info.file.clone(),
-                        },
-                    }),
-                ));
-                continue;
-            }
-            let start = entry.offset as usize;
-            let header = &bytes[start - RECORD_HEADER_BYTES..start];
-            let payload = &bytes[start..start + entry.len as usize];
-            let framed_len = u32::from_le_bytes(header[..4].try_into().unwrap());
-            let framed_crc = u32::from_le_bytes(header[4..].try_into().unwrap());
-            let ok = framed_len == entry.len
-                && framed_crc == entry.crc
-                && crc32c(payload) == entry.crc;
-            if ok {
-                out.push((
-                    i,
-                    Ok(PayloadSlice::shared(
-                        Arc::clone(&bytes),
-                        start..start + entry.len as usize,
-                    )),
-                ));
-            } else {
-                out.push((
-                    i,
-                    Err(Diagnostic {
-                        source: record_source(&self.manifest, i),
-                        kind: DiagKind::ChecksumMismatch {
-                            shard: info.file.clone(),
-                            record: record_index_of(&self.manifest, i),
-                        },
-                    }),
-                ));
-            }
+                    &bytes[start - RECORD_HEADER_BYTES..start],
+                    &bytes[start..end],
+                )
+                .map(|()| PayloadSlice::shared(Arc::clone(&bytes), start..end))
+            });
+            out.push((i, record));
         }
         Ok(())
     }
+
+    /// Entry `i`'s declared frame lies inside a shard file of
+    /// `file_len` actual bytes (overflow-proof). Manifest parsing
+    /// already bounds every entry against its shard's *declared* size;
+    /// this re-checks against the *actual* size before the length is
+    /// used to allocate, seek or slice, so a truncated file or a stale
+    /// manifest can never trigger an oversized or out-of-bounds read.
+    fn frame_in_file(&self, i: usize, file_len: u64) -> Result<(), Diagnostic> {
+        let e = &self.manifest.profiles[i];
+        let inside = e.offset >= RECORD_HEADER_BYTES as u64
+            && e.offset
+                .checked_add(e.len as u64)
+                .is_some_and(|end| end <= file_len);
+        if inside {
+            return Ok(());
+        }
+        Err(Diagnostic {
+            source: record_source(&self.manifest, i),
+            kind: DiagKind::TornShard {
+                shard: self.manifest.shards[e.shard].file.clone(),
+            },
+        })
+    }
+
+    /// Entry `i`'s frame header and payload agree with the length and
+    /// CRC its manifest entry declares.
+    fn check_frame(&self, i: usize, header: &[u8], payload: &[u8]) -> Result<(), Diagnostic> {
+        let e = &self.manifest.profiles[i];
+        let framed_len = u32::from_le_bytes(header[..4].try_into().unwrap());
+        let framed_crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+        if framed_len == e.len && framed_crc == e.crc && crc32c(payload) == e.crc {
+            return Ok(());
+        }
+        Err(Diagnostic {
+            source: record_source(&self.manifest, i),
+            kind: DiagKind::ChecksumMismatch {
+                shard: self.manifest.shards[e.shard].file.clone(),
+                record: record_index_of(&self.manifest, i),
+            },
+        })
+    }
+}
+
+/// The whole shard is unreadable: every member gets the same classified
+/// diagnostic, and the load goes on (so this is always `Ok`).
+fn unreadable(
+    info: &ShardInfo,
+    members: &[usize],
+    e: io::Error,
+    out: &mut Vec<(usize, Result<PayloadSlice, Diagnostic>)>,
+) -> Result<(), StoreError> {
+    for &i in members {
+        out.push((
+            i,
+            Err(Diagnostic {
+                source: info.file.clone(),
+                kind: DiagKind::Io(format!("{}: {e}", info.file)),
+            }),
+        ));
+    }
+    Ok(())
 }
 
 /// A record payload: either its own buffer (sparse seek reads) or a

@@ -2,6 +2,7 @@ use super::layout::{manifest_name, shard_name};
 use super::manifest::{build_columns, mask_from_hex, mask_to_hex};
 use super::*;
 use crate::faults::ScratchDir;
+use crate::ingest::DiagKind;
 use crate::rajaperf::{simulate_cpu_run, CpuRunConfig};
 use thicket_dataframe::{PredExpr, Value};
 
@@ -195,7 +196,6 @@ fn select_decodes_only_named_columns() {
     let dir = ScratchDir::new("store-lazy-columns");
     Store::save(&dir, &runs(6)).unwrap();
     let reader = Store::open(&dir).unwrap();
-    assert_eq!(reader.manifest().version, ManifestVersion::V3);
     assert!(
         reader.manifest().columns.len() > 2,
         "quartz runs carry several metadata keys"
@@ -242,31 +242,47 @@ fn columnar_selection_matches_row_selection() {
 
 #[test]
 fn manifest_roundtrip_and_self_check() {
+    let rows = vec![
+        vec![
+            ("cluster".to_string(), Value::from("quartz")),
+            ("size".to_string(), Value::Int(1 << 60)),
+        ],
+        vec![("cluster".to_string(), Value::from("lassen"))],
+    ];
     let m = Manifest {
         generation: 7,
-        version: ManifestVersion::V1,
         shards: vec![ShardInfo {
             file: shard_name(7, 0),
             bytes: 100,
             crc: 42,
-            records: 1,
+            records: 2,
         }],
-        profiles: vec![StoreEntry {
-            hash: i64::MIN + 3,
-            shard: 0,
-            offset: 12,
-            len: 88,
-            crc: 7,
-            meta: vec![
-                ("cluster".into(), Value::from("quartz")),
-                ("size".into(), Value::Int(1 << 60)),
-            ],
-        }],
-        columns: Vec::new(),
+        profiles: (0..2)
+            .map(|i| StoreEntry {
+                hash: i64::MIN + i,
+                shard: 0,
+                offset: 12 + i as u64,
+                len: 4,
+                crc: 7,
+                meta: Vec::new(),
+            })
+            .collect(),
+        columns: build_columns(&rows),
+        legacy: None,
     };
     let bytes = m.to_file_bytes();
     let back = Manifest::from_file_bytes(&bytes).unwrap();
     assert_eq!(back, m);
+    // Parsed columns start undecoded; decode recovers the values
+    // and the presence mask distinguishes absent from Null.
+    let size = back.column("size").unwrap();
+    assert!(!size.is_decoded());
+    assert_eq!(size.values().unwrap(), &[Value::Int(1 << 60), Value::Null]);
+    assert!(size.present_at(0) && !size.present_at(1));
+    assert!(back.column("cluster").unwrap().present_at(1));
+    assert!(back.column("nope").is_none());
+    // meta_rows reconstructs the per-profile rows, key-sorted.
+    assert_eq!(back.meta_rows().unwrap(), rows);
     // Any body mutation breaks the self-CRC.
     let mut bad = bytes.clone();
     let last = bad.len() - 1;
@@ -274,6 +290,14 @@ fn manifest_roundtrip_and_self_check() {
     assert!(Manifest::from_file_bytes(&bad).is_err());
     // Truncation breaks it too.
     assert!(Manifest::from_file_bytes(&bytes[..bytes.len() / 2]).is_err());
+}
+
+/// A manifest body sealed under a fresh self-CRC, as a writer seals it.
+fn seal(body: &str) -> Vec<u8> {
+    let mut out = MANIFEST_MAGIC.to_vec();
+    out.extend_from_slice(format!("{:08x}\n", crc32c(body.as_bytes())).as_bytes());
+    out.extend_from_slice(body.as_bytes());
+    out
 }
 
 #[test]
@@ -287,7 +311,6 @@ fn v2_manifest_roundtrips_columns_and_masks() {
     ];
     let m = Manifest {
         generation: 3,
-        version: ManifestVersion::V2,
         shards: vec![ShardInfo {
             file: shard_name(3, 0),
             bytes: 64,
@@ -305,11 +328,31 @@ fn v2_manifest_roundtrips_columns_and_masks() {
             })
             .collect(),
         columns: build_columns(&rows),
+        legacy: None,
     };
+    // A v2 body is today's body under the older tag: the legacy reader
+    // parses its columns and masks into the same shape, marked v2.
     let bytes = m.to_file_bytes();
-    let back = Manifest::from_file_bytes(&bytes).unwrap();
-    assert_eq!(back, m);
-    assert_eq!(back.version, ManifestVersion::V2);
+    let body = std::str::from_utf8(&bytes[13..]).unwrap();
+    let tag = format!("\"format\":\"{MANIFEST_FORMAT}\"");
+    assert!(body.contains(&tag));
+    let v2 = seal(&body.replacen(&tag, "\"format\":\"thicket-store-2\"", 1));
+    let back = Manifest::from_file_bytes(&v2).unwrap();
+    assert_eq!(back.legacy, Some("thicket-store-2"));
+    assert_eq!(
+        back,
+        Manifest {
+            legacy: back.legacy,
+            ..m.clone()
+        }
+    );
+    assert!(matches!(
+        back.ensure_current(),
+        Err(StoreError::NeedsMigration {
+            generation: 3,
+            format: "thicket-store-2"
+        })
+    ));
     // Parsed columns start undecoded; decode recovers the values
     // and the presence mask distinguishes absent from Null.
     let size = back.column("size").unwrap();
@@ -320,6 +363,61 @@ fn v2_manifest_roundtrips_columns_and_masks() {
     assert!(back.column("nope").is_none());
     // meta_rows reconstructs the per-profile rows, key-sorted.
     assert_eq!(back.meta_rows().unwrap(), rows);
+    // Rewritten, the index carries over unchanged under today's tag.
+    let current = Manifest::from_file_bytes(&back.to_file_bytes()).unwrap();
+    assert_eq!(current, m);
+}
+
+#[test]
+fn out_of_range_manifest_integers_are_malformed() {
+    let dir = ScratchDir::new("store-u32-range");
+    Store::save(&dir, &runs(2)).unwrap();
+    let path = dir.join(manifest_name(1));
+    let bytes = std::fs::read(&path).unwrap();
+    let m = Manifest::from_file_bytes(&bytes).unwrap();
+    let body = std::str::from_utf8(&bytes[13..]).unwrap();
+    // Each lie is the true value + 2^32: it would wrap back to the
+    // truth in a u32, so a wrapping parse serves the store as healthy.
+    let (len, crc) = (m.profiles[0].len as u64, m.shards[0].crc as u64);
+    for (field, truth) in [("len", len), ("crc", crc)] {
+        let lie = format!("\"{field}\":{},", truth + (1 << 32));
+        let lied = seal(&body.replacen(&format!("\"{field}\":{truth},"), &lie, 1));
+        assert!(Manifest::from_file_bytes(&lied).is_err(), "{lie} parsed");
+        std::fs::write(&path, &lied).unwrap();
+        let fsck = Store::fsck(&dir).unwrap();
+        let stale = fsck.findings().any(|d| d.kind.label() == "stale-manifest");
+        assert!(stale, "{lie}: {fsck}");
+    }
+}
+
+#[test]
+fn pinned_bulk_read_never_reserves_the_declared_shard_size() {
+    let dir = ScratchDir::new("store-huge-shard");
+    Store::save(&dir, &runs(1)).unwrap();
+    let path = dir.join(manifest_name(1));
+    let mut m = Manifest::from_file_bytes(&std::fs::read(&path).unwrap()).unwrap();
+    // A self-CRC-valid lie: the real one-record shard declared as 1 TiB
+    // holding 128 records of u32::MAX bytes, so a full load reads the
+    // shard in bulk.
+    let template = m.profiles[0].clone();
+    m.shards[0].bytes = 1 << 40;
+    m.shards[0].records = 128;
+    m.profiles = (0..128u64)
+        .map(|k| StoreEntry {
+            hash: k as i64,
+            offset: 12 + k * (u32::MAX as u64 + RECORD_HEADER_BYTES as u64),
+            len: u32::MAX,
+            ..template.clone()
+        })
+        .collect();
+    m.columns = Vec::new();
+    std::fs::write(&path, m.to_file_bytes()).unwrap();
+    let (loaded, report) = Store::open_pinned(&dir).unwrap().load_all().unwrap();
+    assert!(loaded.is_empty());
+    assert_eq!(
+        report.summary(),
+        "ingest: 0/128 loaded, 128 dropped (torn-shard \u{d7}128)"
+    );
 }
 
 #[test]
@@ -401,38 +499,80 @@ fn compact_repacks_fragmented_shards() {
     assert!(Store::fsck(&dir).unwrap().is_clean());
 }
 
+/// A private copy of a store an older build wrote, checked in under
+/// `tests/fixtures/legacy` (see its README). `v1`, `v2` and the `v3`
+/// oracle hold the same four profiles.
+fn fixture(name: &str) -> ScratchDir {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy");
+    ScratchDir::copy_of("store-fixture", &src.join(name))
+}
+
+/// Every profile's canonical JSON, in load order, from a clean load.
+fn canonical(dir: &std::path::Path) -> Vec<String> {
+    let (loaded, report) = Store::open(dir).unwrap().load_all().unwrap();
+    assert!(report.is_clean(), "{report}");
+    loaded.iter().map(Profile::to_string_pretty).collect()
+}
+
 #[test]
 fn compact_migrates_old_formats_to_v3() {
-    for old in [ManifestVersion::V1, ManifestVersion::V2] {
-        let dir = ScratchDir::new("store-migrate");
-        let profiles = runs(4);
-        let old_opts = StoreOptions {
-            format: old,
-            ..StoreOptions::default()
-        };
-        Store::save_opts(&dir, &profiles, &old_opts).unwrap();
-        // The old format loads unchanged through the auto-detecting
-        // reader.
-        let reader = Store::open(&dir).unwrap();
-        assert_eq!(reader.manifest().version, old);
-        let (loaded, rep) = reader.load_all().unwrap();
-        assert!(rep.is_clean());
-        assert_eq!(hashes(&loaded), hashes(&profiles));
-        if old.columnar() {
-            let idx = reader.select_expr(&PredExpr::eq("seed", 1i64)).unwrap();
-            assert_eq!(idx.len(), 1);
+    let oracle = canonical(&fixture("v3"));
+    assert_eq!(oracle.len(), 4);
+    for (name, tag) in [("v1", "thicket-store-1"), ("v2", "thicket-store-2")] {
+        let dir = fixture(name);
+        let before = layout::list_dir(&dir).unwrap();
+        // Serving and appending refuse it, typed, and write nothing.
+        for err in [
+            Store::open(&dir).err(),
+            Store::open_pinned(&dir).err(),
+            Store::append(&dir, &runs(5)[4..]).err(),
+        ] {
+            let e = err.expect("an older format is refused");
+            assert!(
+                matches!(e, StoreError::NeedsMigration { generation: 1, format } if format == tag),
+                "{name}: {e}"
+            );
+            assert!(e.to_string().contains("Store::compact"), "{e}");
         }
-        // Compaction rewrites it as v3 — binary record payloads
-        // under an intact columnar index.
-        Store::compact(&dir).unwrap();
+        assert_eq!(layout::list_dir(&dir).unwrap(), before, "{name}");
+        assert!(Store::fsck(&dir).unwrap().is_clean(), "{name}");
+        // One compaction migrates it to the oracle's profiles, in order,
+        // under a working columnar index.
+        let c = Store::compact(&dir).unwrap();
+        assert!(c.report.is_clean(), "{name}: {}", c.report);
+        assert_eq!(canonical(&dir), oracle, "{name}");
         let reader = Store::open(&dir).unwrap();
-        assert_eq!(reader.manifest().version, ManifestVersion::V3);
-        assert!(reader.manifest().column("seed").is_some());
-        let (migrated, rep) = reader.load_all().unwrap();
-        assert!(rep.is_clean());
-        assert_eq!(hashes(&migrated), hashes(&profiles));
-        assert!(Store::fsck(&dir).unwrap().is_clean());
+        assert_eq!(
+            reader.select_expr(&PredExpr::eq("seed", 1i64)).unwrap(),
+            vec![1]
+        );
+        // The pre-migration generation survives one commit, and fsck
+        // still passes it.
+        assert!(dir.join(manifest_name(1)).exists());
+        assert!(Store::fsck(&dir).unwrap().is_clean(), "{name}");
     }
+}
+
+#[test]
+fn compact_transcodes_json_records_an_older_append_left() {
+    // `mixed`: an older build's default append onto a v2 store — a
+    // current manifest over two JSON records and two TKP3 records.
+    let dir = fixture("mixed");
+    let (loaded, report) = Store::open(&dir).unwrap().load_all().unwrap();
+    assert_eq!(loaded.len(), 2);
+    assert_eq!(report.diagnostics.len(), 2, "{report}");
+    for d in &report.diagnostics {
+        assert!(
+            matches!(&d.kind, DiagKind::Schema(m) if m.contains("Store::compact")),
+            "{d}"
+        );
+    }
+    // fsck checks integrity, not currency.
+    assert!(Store::fsck(&dir).unwrap().is_clean());
+    let c = Store::compact(&dir).unwrap();
+    assert!(c.report.is_clean(), "{}", c.report);
+    assert_eq!(canonical(&dir), canonical(&fixture("v3")));
+    assert!(Store::fsck(&dir).unwrap().is_clean());
 }
 
 #[test]

@@ -6,9 +6,9 @@ use super::crc::crc32c;
 use super::layout::{
     list_dir, manifest_name, parse_manifest_name, parse_shard_name, LOCK_NAME,
 };
-use super::lease;
 use super::lock::{classify_lock, LockState};
 use super::manifest::{Manifest, ShardInfo};
+use super::{lease, legacy};
 use super::{
     FsckReport, GenCheck, RecoverReport, Store, StoreError, StoreOptions, RECORD_HEADER_BYTES,
     SHARD_MAGIC,
@@ -138,9 +138,11 @@ fn check_shard(
         // record (rewriting the frame CRC and manifest to match) keeps
         // all digests consistent while still breaking the payload, so
         // deep verification must run each record through the decoder.
+        // fsck checks integrity, not currency: a JSON record an older
+        // build wrote decodes here and passes (`compact` migrates it).
         let (records, _) = walk_shard(&bytes, &info.file);
         for (ri, payload) in records {
-            if let Err(e) = crate::binprofile::decode_payload(payload) {
+            if let Err(e) = legacy::decode_record(payload) {
                 findings.push(Diagnostic {
                     source: format!("{}#{ri}", info.file),
                     kind: DiagKind::from_profile_error(&e),
@@ -230,8 +232,8 @@ pub(crate) fn fsck(dir: &Path, opts: &StoreOptions) -> Result<FsckReport, StoreE
                     referenced.insert(info.file.clone());
                     findings.extend(check_shard(dir, info, entry_ranges(&m, si)));
                 }
-                // Deep-verify the v2 columnar index: every block
-                // must decode and agree with its presence mask.
+                // Deep-verify the columnar index: every block must
+                // decode and agree with its presence mask.
                 for b in &m.columns {
                     if let Err(why) = b.values() {
                         findings.push(Diagnostic {
@@ -366,7 +368,8 @@ pub(crate) fn recover(dir: &Path, opts: &StoreOptions) -> Result<RecoverReport, 
 
     // No generation verifies: salvage every intact record from
     // every shard file present, newest generation's shards first so
-    // its copy of a profile wins the hash dedupe.
+    // its copy of a profile wins the hash dedupe. Records in an older
+    // build's encoding are salvaged too: the rewrite below is TKP3.
     let mut shard_files: Vec<(u64, usize, String)> = list_dir(dir)?
         .into_iter()
         .filter_map(|n| parse_shard_name(&n).map(|(g, i)| (g, i, n)))
@@ -379,7 +382,7 @@ pub(crate) fn recover(dir: &Path, opts: &StoreOptions) -> Result<RecoverReport, 
         let bytes = std::fs::read(dir.join(name))?;
         let (records, finding) = walk_shard(&bytes, name);
         for (ri, payload) in records {
-            match crate::binprofile::decode_payload(payload) {
+            match legacy::decode_record(payload) {
                 Ok(p) => {
                     if seen.insert(p.profile_hash()) {
                         salvaged.push(p);

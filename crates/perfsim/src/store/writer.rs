@@ -14,11 +14,10 @@ use super::crc::crc32c;
 use super::layout::{
     list_dir, list_generations, manifest_name, parse_manifest_name, parse_shard_name, shard_name,
 };
-use super::lease;
 use super::manifest::{build_columns, sorted_meta, Manifest, ShardInfo, StoreEntry};
-use super::reader::{record_index_of, PayloadSlice};
+use super::reader::{record_index_of, PayloadSlice, StoreReader};
 use super::{
-    AppendMode, CompactReport, ManifestVersion, Store, StoreError, StoreOptions, WriteReport,
+    lease, legacy, AppendMode, CompactReport, StoreError, StoreOptions, WriteReport,
     RECORD_HEADER_BYTES, SHARD_MAGIC,
 };
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
@@ -63,17 +62,24 @@ struct Placement {
     crc: u32,
 }
 
-/// Encode one profile as a record payload in the target format's
-/// encoding: binary `TKP3` for v3, a JSON document otherwise.
-pub(crate) fn encode_payload(p: &Profile, format: ManifestVersion) -> Vec<u8> {
-    match format {
-        ManifestVersion::V3 => crate::binprofile::encode_profile(p),
-        _ => p.to_string_pretty().into_bytes(),
+impl Placement {
+    /// This payload's manifest entry; `shard_base` offsets the shard
+    /// index past the shards an append reuses. Entries carry no
+    /// metadata: the manifest's columns do.
+    fn entry(&self, hash: i64, shard_base: usize) -> StoreEntry {
+        StoreEntry {
+            hash,
+            shard: shard_base + self.shard,
+            offset: self.offset,
+            len: self.len,
+            crc: self.crc,
+            meta: Vec::new(),
+        }
     }
 }
 
 /// One profile fully prepared for commit — hash, sorted metadata row,
-/// and encoded payload — so the commit lock is held only for I/O, not
+/// and `TKP3` payload — so the commit lock is held only for I/O, not
 /// for encoding.
 pub(crate) struct Staged {
     pub(crate) hash: i64,
@@ -81,13 +87,13 @@ pub(crate) struct Staged {
     pub(crate) payload: Vec<u8>,
 }
 
-pub(crate) fn stage(profiles: &[Profile], format: ManifestVersion) -> Vec<Staged> {
+pub(crate) fn stage(profiles: &[Profile]) -> Vec<Staged> {
     profiles
         .iter()
         .map(|p| Staged {
             hash: p.profile_hash(),
             row: sorted_meta(p),
-            payload: encode_payload(p, format),
+            payload: crate::binprofile::encode_profile(p),
         })
         .collect()
 }
@@ -230,22 +236,24 @@ fn gc_generations(
     Ok(())
 }
 
-/// Read-only probe for the newest self-verifying manifest, counting
-/// every manifest byte read along the way (for
-/// [`super::StoreReader::bytes_read`] accounting).
+/// Read-only probe for the newest self-verifying manifest, in whatever
+/// format wrote it, counting every manifest byte read along the way
+/// (for [`super::StoreReader::bytes_read`] accounting).
+/// [`StoreError::NoGeneration`] when there is none.
 ///
 /// A manifest listed a moment ago can be GC'd before we read it — that
 /// is only legal when a newer generation just committed, so on a
 /// vanished read the listing is retried (bounded; each retry means
 /// another writer made progress, and the newest manifest is never
 /// deleted).
-pub(crate) fn newest_manifest(dir: &Path) -> Result<Option<(Manifest, u64)>, StoreError> {
+pub(crate) fn newest_manifest(dir: &Path) -> Result<(Manifest, u64), StoreError> {
     let mut bytes_total = 0u64;
+    let mut gens = Vec::new();
     for _pass in 0..16 {
-        let mut gens = list_generations(dir)?;
+        gens = list_generations(dir)?;
         gens.reverse();
         let mut vanished = false;
-        for gen in gens {
+        for &gen in &gens {
             let bytes = match std::fs::read(dir.join(manifest_name(gen))) {
                 Ok(b) => b,
                 Err(e) if e.kind() == io::ErrorKind::NotFound => {
@@ -257,15 +265,19 @@ pub(crate) fn newest_manifest(dir: &Path) -> Result<Option<(Manifest, u64)>, Sto
             bytes_total += bytes.len() as u64;
             if let Ok(m) = Manifest::from_file_bytes(&bytes) {
                 if m.generation == gen {
-                    return Ok(Some((m, bytes_total)));
+                    return Ok((m, bytes_total));
                 }
             }
         }
         if !vanished {
-            return Ok(None);
+            break;
         }
     }
-    Ok(None)
+    Err(StoreError::NoGeneration(if gens.is_empty() {
+        format!("no manifest in {}", dir.display())
+    } else {
+        format!("no manifest in {} verifies (run Store::recover)", dir.display())
+    }))
 }
 
 /// [`Store::save_opts`]'s critical section: write `staged` as a fresh
@@ -287,31 +299,18 @@ pub(crate) fn save_locked(
     let packs = pack_shards(&payloads, opts.shard_bytes);
     let (shard_infos, placements) = write_shards(dir, gen, &payloads, &packs, &mut clock)?;
 
-    let rows: Vec<Vec<(String, Value)>> = staged.iter().map(|s| s.row.clone()).collect();
     let entries: Vec<StoreEntry> = staged
         .iter()
         .zip(&placements)
-        .zip(&rows)
-        .map(|((s, pl), row)| StoreEntry {
-            hash: s.hash,
-            shard: pl.shard,
-            offset: pl.offset,
-            len: pl.len,
-            crc: pl.crc,
-            meta: row.clone(),
-        })
+        .map(|(s, pl)| pl.entry(s.hash, 0))
         .collect();
-    let columns = if opts.format.columnar() {
-        build_columns(&rows)
-    } else {
-        Vec::new()
-    };
+    let rows: Vec<&[(String, Value)]> = staged.iter().map(|s| s.row.as_slice()).collect();
     let manifest = Manifest {
         generation: gen,
-        version: opts.format,
         shards: shard_infos,
         profiles: entries,
-        columns,
+        columns: build_columns(&rows),
+        legacy: None,
     };
     commit_manifest(dir, &manifest, &mut clock)?;
     gc_generations(
@@ -343,15 +342,24 @@ pub(crate) fn append_locked(
     staged: &[Staged],
     opts: &StoreOptions,
 ) -> Result<WriteReport, StoreError> {
-    let base = newest_manifest(dir)?;
+    let base = match newest_manifest(dir) {
+        Ok((m, _)) => Some(m),
+        Err(StoreError::NoGeneration(_)) => None,
+        Err(e) => return Err(e),
+    };
+    // Never write a store that mixes encodings: appending onto an older
+    // build's generation waits for the migrator.
+    if let Some(m) = &base {
+        m.ensure_current()?;
+    }
     if let Some(expected) = opts.expected_generation {
-        let found = base.as_ref().map(|(m, _)| m.generation).unwrap_or(0);
+        let found = base.as_ref().map(|m| m.generation).unwrap_or(0);
         if found != expected {
             return Err(StoreError::Conflict { expected, found });
         }
     }
-    let Some((base, _)) = base else {
-        // Empty directory: an append is exactly a save.
+    let Some(base) = base else {
+        // No verifying generation: an append is exactly a save.
         let all: Vec<&Staged> = staged.iter().collect();
         return save_locked(dir, &all, opts);
     };
@@ -389,52 +397,36 @@ pub(crate) fn append_locked(
     let (new_infos, placements) = write_shards(dir, gen, &payloads, &packs, &mut clock)?;
 
     let shard_base = base.shards.len();
-    let mut rows = base_rows;
+    let mut rows: Vec<&[(String, Value)]> = base_rows.iter().map(Vec::as_slice).collect();
     let mut entries = base.profiles.clone();
-    for (i, e) in entries.iter_mut().enumerate() {
-        e.meta = rows[i].clone();
-    }
     let mut appended = 0usize;
     let mut replaced = 0usize;
-    for (j, s) in writing.iter().enumerate() {
-        let pl = &placements[j];
-        let entry = StoreEntry {
-            hash: s.hash,
-            shard: shard_base + pl.shard,
-            offset: pl.offset,
-            len: pl.len,
-            crc: pl.crc,
-            meta: s.row.clone(),
-        };
+    for (s, pl) in writing.iter().zip(&placements) {
+        let entry = pl.entry(s.hash, shard_base);
         match base_index.get(&s.hash) {
             // Upsert: the entry is replaced in place (load order keeps
             // the original slot); the superseded record's bytes stay in
             // their shard until the next compact.
             Some(&bi) => {
-                rows[bi] = s.row.clone();
+                rows[bi] = &s.row;
                 entries[bi] = entry;
                 replaced += 1;
             }
             None => {
-                rows.push(s.row.clone());
+                rows.push(&s.row);
                 entries.push(entry);
                 appended += 1;
             }
         }
     }
-    let columns = if opts.format.columnar() {
-        build_columns(&rows)
-    } else {
-        Vec::new()
-    };
     let mut shards = base.shards.clone();
     shards.extend(new_infos);
     let manifest = Manifest {
         generation: gen,
-        version: opts.format,
         shards,
         profiles: entries,
-        columns,
+        columns: build_columns(&rows),
+        legacy: None,
     };
     let total = manifest.profiles.len();
     commit_manifest(dir, &manifest, &mut clock)?;
@@ -460,8 +452,11 @@ pub(crate) fn append_locked(
 /// rewritten cannot be GC'd or superseded mid-rewrite.
 pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactReport, StoreError> {
     // Read phase: load the newest generation's records and metadata
-    // before the first crash point (reads never mutate).
-    let reader = Store::open(dir)?;
+    // before the first crash point (reads never mutate). The newest
+    // generation may be in an older build's format: this is the one
+    // writer that reads it.
+    let (m, manifest_bytes) = newest_manifest(dir)?;
+    let reader = StoreReader::new(dir.to_path_buf(), m, manifest_bytes);
     let base = reader.manifest();
     let rows = base.meta_rows().map_err(StoreError::Corrupt)?;
     let mut raw: Vec<(usize, Result<PayloadSlice, Diagnostic>)> =
@@ -477,36 +472,25 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
     let mut diagnostics = Vec::new();
     let mut kept: Vec<usize> = Vec::with_capacity(raw.len());
     let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(raw.len());
-    let want_binary = opts.format == ManifestVersion::V3;
     for (i, r) in raw {
         match r {
-            // A payload already in the target encoding is carried
-            // byte-for-byte; one in the other encoding is
-            // transcoded (the migration path). A record that fails
-            // to transcode is dropped with a typed diagnostic, like
-            // salvage.
-            Ok(payload) => {
-                let bytes = payload.as_slice();
-                if crate::binprofile::is_binary_payload(bytes) == want_binary {
+            // A JSON record is transcoded to TKP3 (the migration path);
+            // one that fails to transcode is dropped with a typed
+            // diagnostic, like salvage.
+            Ok(payload) => match legacy::to_tkp3(payload.as_slice()) {
+                Ok(bytes) => {
                     kept.push(i);
-                    payloads.push(bytes.to_vec());
-                    continue;
+                    payloads.push(bytes);
                 }
-                match crate::binprofile::decode_payload(bytes) {
-                    Ok(p) => {
-                        kept.push(i);
-                        payloads.push(encode_payload(&p, opts.format));
-                    }
-                    Err(e) => diagnostics.push(Diagnostic {
-                        source: format!(
-                            "{}#{}",
-                            base.shards[base.profiles[i].shard].file,
-                            record_index_of(base, i)
-                        ),
-                        kind: DiagKind::from_profile_error(&e),
-                    }),
-                }
-            }
+                Err(e) => diagnostics.push(Diagnostic {
+                    source: format!(
+                        "{}#{}",
+                        base.shards[base.profiles[i].shard].file,
+                        record_index_of(base, i)
+                    ),
+                    kind: DiagKind::from_profile_error(&e),
+                }),
+            },
             Err(d) => diagnostics.push(d),
         }
     }
@@ -521,31 +505,18 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
     let packs = pack_shards(&payload_slices, opts.shard_bytes);
     let (shard_infos, placements) = write_shards(dir, gen, &payload_slices, &packs, &mut clock)?;
 
-    let kept_rows: Vec<Vec<(String, Value)>> = kept.iter().map(|&i| rows[i].clone()).collect();
     let entries: Vec<StoreEntry> = kept
         .iter()
         .zip(&placements)
-        .zip(&kept_rows)
-        .map(|((&i, pl), row)| StoreEntry {
-            hash: base.profiles[i].hash,
-            shard: pl.shard,
-            offset: pl.offset,
-            len: pl.len,
-            crc: pl.crc,
-            meta: row.clone(),
-        })
+        .map(|(&i, pl)| pl.entry(base.profiles[i].hash, 0))
         .collect();
-    let columns = if opts.format.columnar() {
-        build_columns(&kept_rows)
-    } else {
-        Vec::new()
-    };
+    let kept_rows: Vec<&[(String, Value)]> = kept.iter().map(|&i| rows[i].as_slice()).collect();
     let manifest = Manifest {
         generation: gen,
-        version: opts.format,
         shards: shard_infos,
         profiles: entries,
-        columns,
+        columns: build_columns(&kept_rows),
+        legacy: None,
     };
     let attempted = base.profiles.len();
     let loaded = manifest.profiles.len();

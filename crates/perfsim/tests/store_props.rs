@@ -3,7 +3,9 @@
 //! the reader never serves a silently-wrong profile. A manifest whose
 //! declared record lengths/offsets are rewritten to arbitrary (possibly
 //! huge) values never over-allocates or panics, and recovery always
-//! restores one complete generation.
+//! restores one complete generation. A checked-in fixture manifest
+//! damaged by a bit flip, a truncation or an out-of-range number (and
+//! re-sealed) never panics any read, check or migration path.
 
 use proptest::prelude::*;
 use std::ffi::OsString;
@@ -237,13 +239,15 @@ fn rewrite_manifest_entry(dir: &Path, entry_sel: u32, field: &str, value: f64) {
             .unwrap();
         *slot = Json::Num(value);
     }
-    let new_body = doc.to_string_compact();
-    let mut out = Vec::with_capacity(new_body.len() + 13);
-    out.extend_from_slice(&bytes[..4]);
-    out.extend_from_slice(format!("{:08x}", crc32c(new_body.as_bytes())).as_bytes());
-    out.push(b'\n');
-    out.extend_from_slice(new_body.as_bytes());
-    std::fs::write(&mpath, &out).unwrap();
+    std::fs::write(&mpath, seal(doc.to_string_compact().as_bytes())).unwrap();
+}
+
+/// A manifest file holding `body` under a valid self-CRC header.
+fn seal(body: &[u8]) -> Vec<u8> {
+    let mut out = b"TKM1".to_vec();
+    out.extend_from_slice(format!("{:08x}\n", crc32c(body)).as_bytes());
+    out.extend_from_slice(body);
+    out
 }
 
 proptest! {
@@ -301,44 +305,87 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// v2 (JSON payloads) and v3 (binary payloads) loads are bit-identical.
+// Mutated fixture manifests: typed outcomes on every path, never a panic.
 
-use thicket_perfsim::ManifestVersion;
+/// Numbers spliced over a number in a manifest body: past `u32`, past
+/// `u64`, past `i64`, negative, fractional, and exponent forms.
+const SPLICES: [&str; 8] = [
+    "4294967296",
+    "18446744073709551616",
+    "99999999999999999999999",
+    "-1",
+    "-4294967297",
+    "0.5",
+    "1e300",
+    "9.25e18",
+];
+
+/// Every manifest of every checked-in fixture store: (store, file).
+const FIXTURE_MANIFESTS: [(&str, &str); 5] = [
+    ("v1", "MANIFEST-000001"),
+    ("v2", "MANIFEST-000001"),
+    ("v3", "MANIFEST-000001"),
+    ("mixed", "MANIFEST-000001"),
+    ("mixed", "MANIFEST-000002"),
+];
+
+/// Damage a manifest body: flip one bit, truncate it, or splice one of
+/// [`SPLICES`] over one of its numbers (a digit run that starts a JSON
+/// number, the embedded metadata column arrays included).
+fn mutate(body: &mut Vec<u8>, kind: u32, at: u32, pick: u32) {
+    let (at, len) = (at as usize, body.len());
+    match kind % 3 {
+        0 => body[at % len] ^= 1 << (pick % 8),
+        1 => body.truncate(at % len),
+        _ => {
+            let mut numbers = Vec::new();
+            let mut i = 0;
+            while i < body.len() {
+                let start = i;
+                while i < body.len() && body[i].is_ascii_digit() {
+                    i += 1;
+                }
+                if i > start && start > 0 && matches!(body[start - 1], b':' | b',' | b'[') {
+                    numbers.push(start..i);
+                }
+                i += 1;
+            }
+            let run = numbers[at % numbers.len()].clone();
+            body.splice(run, SPLICES[pick as usize % SPLICES.len()].bytes());
+        }
+    }
+}
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The same ensemble saved under v2 (JSON payloads) and v3 (binary
-    /// payloads) loads back bit-identically: every profile's canonical
-    /// JSON rendering — metadata, frames, edges, metrics — matches
-    /// byte for byte.
+    /// A fixture manifest damaged by a bit flip, a truncation or an
+    /// out-of-range number, then re-sealed under a valid self-CRC so
+    /// the parser has to confront the damage: open + load, pinned open
+    /// + load, fsck and compact each return `Ok` or a typed error —
+    /// never a panic, never an allocation of a declared size.
     #[test]
-    fn v2_and_v3_payloads_decode_bit_identically(
-        seeds in proptest::collection::hash_set(0u64..32, 1..5),
+    fn mutated_fixture_manifests_never_panic(
+        which in any::<u32>(),
+        kind in any::<u32>(),
+        at in any::<u32>(),
+        pick in any::<u32>(),
     ) {
-        let mut seeds: Vec<u64> = seeds.into_iter().collect();
-        seeds.sort_unstable();
-        let profiles: Vec<_> = seeds
-            .iter()
-            .map(|&s| {
-                let mut cfg = CpuRunConfig::quartz_default();
-                cfg.seed = s;
-                simulate_cpu_run(&cfg)
-            })
-            .collect();
-        let scratch = ScratchDir::new("storeprops-eq");
-        let mut rendered = Vec::new();
-        for (name, version) in [("v2", ManifestVersion::V2), ("v3", ManifestVersion::V3)] {
-            let dir = scratch.join(name);
-            let opts = StoreOptions { format: version, ..StoreOptions::default() };
-            Store::save_opts(&dir, &profiles, &opts).unwrap();
-            let (loaded, report) = Store::open(&dir).unwrap().load_all().unwrap();
-            prop_assert!(report.is_clean(), "{name}: {report}");
-            rendered.push(
-                loaded.iter().map(|p| p.to_string_pretty()).collect::<Vec<_>>(),
-            );
+        let (store, name) = FIXTURE_MANIFESTS[which as usize % FIXTURE_MANIFESTS.len()];
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy").join(store);
+        let dir = ScratchDir::copy_of("storeprops-mutant", &src);
+        let mut body = std::fs::read(dir.join(name)).unwrap().split_off(13);
+        mutate(&mut body, kind, at, pick);
+        std::fs::write(dir.join(name), seal(&body)).unwrap();
+
+        if let Ok(reader) = Store::open(&dir) {
+            let _ = reader.load_all();
         }
-        prop_assert_eq!(&rendered[0], &rendered[1], "v2 and v3 loads diverge");
+        if let Ok(snap) = Store::open_pinned(&dir) {
+            let _ = snap.load_all();
+        }
+        let _ = Store::fsck(&dir);
+        let _ = Store::compact(&dir);
     }
 }
 

@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, Store};
+use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, ScratchDir, Store};
 use thicket_serve::{ServeOptions, Server, ThicketClient};
 
 /// Requests per client per cell — enough for a stable median, small
@@ -81,8 +81,7 @@ fn main() {
     println!("_host: nproc = {nproc}, {rustc}_\n");
 
     eprintln!("seeding {n}-profile store...");
-    let dir = std::env::temp_dir().join("thicket-service-bench");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new("service-bench");
     let profiles: Vec<_> = (0..n)
         .map(|seed| {
             let mut cfg = CpuRunConfig::quartz_default();
@@ -93,7 +92,7 @@ fn main() {
     Store::save(&dir, &profiles).unwrap();
     drop(profiles);
 
-    let server = Server::bind(&dir, "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let server = Server::bind(dir.to_path_buf(), "127.0.0.1:0", ServeOptions::default()).unwrap();
     let addr = server.addr().to_string();
 
     println!("## W6: concurrent clients vs one thicketd, {n}-profile store, 2 workers\n");
@@ -119,6 +118,5 @@ fn main() {
         .filter(|e| e.file_name().to_string_lossy().starts_with("pin-"))
         .count();
     assert_eq!(leases, 0, "bench leaked {leases} pin leases");
-    let _ = std::fs::remove_dir_all(&dir);
     eprintln!("done (zero pin leases left behind)");
 }

@@ -287,47 +287,57 @@ fn compact_crash_point_matrix_never_loses_a_profile() {
     }
 }
 
-/// Older-format stores (v1 row manifests, v2 columnar manifests with
-/// JSON payloads) load unchanged through the unified loader, and
-/// `Store::compact` migrates each to the v3 binary-payload format with
-/// the same profiles and working pushdown.
+/// Stores an older build wrote (the checked-in `v1` and `v2` fixtures:
+/// v1 row manifests, v2 columnar manifests, both with JSON payloads)
+/// are refused by the loader and by `trace_to_store` with the typed
+/// `NeedsMigration`; after one `Store::compact` the unified loader
+/// builds exactly the thicket the `v3` fixture builds, pushdown
+/// included.
 #[test]
-fn old_format_stores_load_unchanged_and_compact_migrates_to_v3() {
-    use thicket_perfsim::ManifestVersion;
+fn legacy_fixtures_compact_to_the_v3_thicket() {
+    use std::path::Path;
+    use thicket::core::{trace_to_store, ThicketError};
+    use thicket_perfsim::{emit_trace_to_path, TraceConfig};
 
-    for old in [ManifestVersion::V1, ManifestVersion::V2] {
-        let dir = ScratchDir::new("storerec-migrate");
-        let profiles = runs(0..4);
-        let old_opts = StoreOptions {
-            format: old,
-            ..opts()
-        };
-        Store::save_opts(&dir, &profiles, &old_opts).unwrap();
-        assert_eq!(Store::open(&dir).unwrap().manifest().version, old);
-
-        // The old format loads through the same unified front door,
-        // pushdown included.
-        let (tk_old, report) = thicket::core::Thicket::loader(LoadSource::store(&dir))
+    let fixtures =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/perfsim/tests/fixtures/legacy");
+    let load = |dir: &Path| {
+        thicket::core::Thicket::loader(LoadSource::store(dir))
             .filter(PredExpr::lt("seed", 2i64))
             .strictness(Strictness::lenient())
             .load()
-            .unwrap();
-        assert!(report.is_clean(), "{report}");
-        assert_eq!(tk_old.profiles().len(), 2);
+    };
+    let oracle = ScratchDir::copy_of("storerec-migrate", &fixtures.join("v3"));
+    let (tk_v3, report) = load(&oracle).unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(tk_v3.profiles().len(), 2);
+    let trace_dir = ScratchDir::new("storerec-migrate-trace");
+    let trace = trace_dir.join("run.trace");
+    emit_trace_to_path(&TraceConfig::quartz(2, 1, 0), &trace).unwrap();
 
+    for old in ["v1", "v2"] {
+        let dir = ScratchDir::copy_of("storerec-migrate", &fixtures.join(old));
+        for err in [
+            load(&dir).err(),
+            trace_to_store(&trace, &dir, None, Strictness::FailFast).err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    Some(ThicketError::Store(StoreError::NeedsMigration {
+                        generation: 1,
+                        ..
+                    }))
+                ),
+                "{old}: {err:?}"
+            );
+        }
         let migrated = Store::compact(&dir).unwrap();
-        assert_eq!(migrated.profiles, 4, "{old:?}");
-        let reader = Store::open(&dir).unwrap();
-        assert_eq!(reader.manifest().version, ManifestVersion::V3);
-
-        let (tk_v3, report) = thicket::core::Thicket::loader(LoadSource::store(&dir))
-            .filter(PredExpr::lt("seed", 2i64))
-            .strictness(Strictness::lenient())
-            .load()
-            .unwrap();
+        assert_eq!(migrated.profiles, 4, "{old}");
+        let (tk, report) = load(&dir).unwrap();
         assert!(report.is_clean(), "{report}");
-        assert_eq!(tk_old.profiles(), tk_v3.profiles());
-        assert_eq!(tk_old.perf_data(), tk_v3.perf_data());
-        assert_eq!(tk_old.metadata(), tk_v3.metadata());
+        assert_eq!(tk.profiles(), tk_v3.profiles());
+        assert_eq!(tk.perf_data(), tk_v3.perf_data());
+        assert_eq!(tk.metadata(), tk_v3.metadata());
     }
 }
