@@ -49,13 +49,18 @@ pub(crate) fn parse_pin_name(name: &str) -> Option<(u64, u32, u64)> {
     Some((gen, pid, u64::from_str_radix(token, 16).ok()?))
 }
 
+/// Regular files in `dir`, sorted by name. The type comes from the
+/// directory entry itself (no `stat` per file where the filesystem
+/// reports it); store files are never symlinks. An entry that vanishes
+/// before its type is known is skipped, as a concurrent removal is.
 pub(crate) fn list_dir(dir: &Path) -> io::Result<Vec<String>> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)?
-        .collect::<io::Result<Vec<_>>>()?
-        .into_iter()
-        .filter(|e| e.path().is_file())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .collect();
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        if entry.file_type().is_ok_and(|t| t.is_file()) {
+            names.push(entry.file_name().to_string_lossy().into_owned());
+        }
+    }
     names.sort();
     Ok(names)
 }

@@ -225,6 +225,21 @@ pub(crate) fn mask_from_hex(hex: &str, n: usize) -> Result<Vec<bool>, String> {
     Ok(present)
 }
 
+/// Bytes of a manifest file's header: the magic, the body CRC as 8 hex
+/// chars, and a newline.
+pub(crate) const MANIFEST_HEADER_BYTES: usize = MANIFEST_MAGIC.len() + 8 + 1;
+
+/// The body CRC a manifest file's header declares; `None` when the
+/// header is short or malformed.
+pub(crate) fn header_crc(bytes: &[u8]) -> Option<u32> {
+    let header = bytes.get(..MANIFEST_HEADER_BYTES)?;
+    let (magic, rest) = header.split_at(MANIFEST_MAGIC.len());
+    if magic != MANIFEST_MAGIC || rest[8] != b'\n' {
+        return None;
+    }
+    u32::from_str_radix(std::str::from_utf8(&rest[..8]).ok()?, 16).ok()
+}
+
 /// A parsed, self-CRC-verified manifest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Manifest {
@@ -350,7 +365,7 @@ impl Manifest {
             ("columns".into(), columns),
         ];
         let body = Json::Obj(body_fields).to_string_compact();
-        let mut out = Vec::with_capacity(body.len() + 13);
+        let mut out = Vec::with_capacity(MANIFEST_HEADER_BYTES + body.len());
         out.extend_from_slice(MANIFEST_MAGIC);
         out.extend_from_slice(format!("{:08x}", crc32c(body.as_bytes())).as_bytes());
         out.push(b'\n');
@@ -362,15 +377,11 @@ impl Manifest {
     /// build wrote goes through the `legacy` decoder into the same
     /// shape, marked with its tag ([`Manifest::ensure_current`]).
     pub(crate) fn from_file_bytes(bytes: &[u8]) -> Result<Manifest, String> {
-        if bytes.len() < 13 || &bytes[..4] != MANIFEST_MAGIC {
+        if !bytes.starts_with(MANIFEST_MAGIC) {
             return Err("bad manifest magic".into());
         }
-        let hex = std::str::from_utf8(&bytes[4..12]).map_err(|_| "bad CRC header")?;
-        let want = u32::from_str_radix(hex, 16).map_err(|_| "bad CRC header")?;
-        if bytes[12] != b'\n' {
-            return Err("bad manifest header".into());
-        }
-        let body = &bytes[13..];
+        let want = header_crc(bytes).ok_or("bad manifest header")?;
+        let body = &bytes[MANIFEST_HEADER_BYTES..];
         let got = crc32c(body);
         if got != want {
             return Err(format!("manifest body CRC {got:08x} != header {want:08x}"));

@@ -68,6 +68,20 @@
 //!   (`pin-<gen>-<pid>-<token>`, heartbeat = mtime). GC skips
 //!   generations with a live lease and reaps leases whose owner died
 //!   or stopped heartbeating.
+//! * **Manifest registry.** A process-wide registry (`registry`)
+//!   shares one verified `Arc<Manifest>` per store directory among all
+//!   readers, so an open of an unchanged generation reads a 13-byte
+//!   header and takes one `fstat` instead of parsing the manifest. The
+//!   key is (canonical directory, generation, header CRC, file length,
+//!   inode, mtime); a file modified less than a second before its last
+//!   verification has its body CRC re-checked on every hit, so an
+//!   in-place rewrite is never served. Only the immutable manifest is
+//!   shared: leases, shard handles and `bytes_read` stay per snapshot,
+//!   and query results are never cached. Writers, fsck, recover and GC
+//!   read manifests from disk, and an older build's generation is
+//!   never registered. The registry holds a fixed handful of
+//!   directories, drops entries whose manifest file is gone, and never
+//!   holds its lock across I/O or a parse.
 //!
 //! `fsync` placement: shard files and the manifest temp are synced
 //! before the commit rename; lock and lease files are not load-bearing
@@ -93,6 +107,7 @@ mod legacy;
 mod lock;
 mod manifest;
 mod reader;
+mod registry;
 mod verify;
 mod writer;
 
@@ -560,12 +575,23 @@ impl Store {
     /// writes, so it never migrates. The returned reader holds no
     /// handles and no lease: under concurrent GC, prefer
     /// [`Store::open_pinned`] (or [`StoreReader::pin`]).
+    ///
+    /// Readers in one process share each verified manifest. An open
+    /// lists the directory, reads the newest manifest's 13-byte header
+    /// and takes one `fstat`. When the canonical directory, generation,
+    /// header CRC, length, inode and mtime match a manifest this
+    /// process already verified, the reader shares it, decoded metadata
+    /// columns included, instead of reading and parsing the body.
+    /// Timestamps tick coarsely, so a file modified less than a second
+    /// before its last verification has its body CRC re-checked before
+    /// it is shared. Writers, fsck, recover and GC always read manifests
+    /// from disk, and an older build's generation is never shared.
     pub fn open(dir: impl AsRef<Path>) -> Result<StoreReader, StoreError> {
         let dir = dir.as_ref();
         // bytes_read starts at the manifest bytes consumed while
         // probing: pushdown accounting reflects true I/O, not just
-        // shard payloads.
-        let (m, manifest_bytes) = writer::newest_manifest(dir)?;
+        // shard payloads (a shared manifest costs its header).
+        let (m, manifest_bytes) = registry::newest(dir)?;
         m.ensure_current()?;
         Ok(StoreReader::new(dir.to_path_buf(), m, manifest_bytes))
     }
@@ -581,7 +607,12 @@ impl Store {
     /// appends, compactions, and GC (this process or another) can never
     /// tear the snapshot's reads. The open-then-pin race against a
     /// concurrent collection is retried internally with [`Backoff`](crate::backoff::Backoff);
-    /// each retry re-opens whatever generation is newest.
+    /// each retry re-opens whatever generation is newest. A directory
+    /// with no verifiable generation fails at once with
+    /// [`StoreError::NoGeneration`], without backing off.
+    ///
+    /// The manifest is shared as [`Store::open`] describes; the lease,
+    /// the shard handles and the retry stay per snapshot.
     pub fn open_pinned_opts(
         dir: impl AsRef<Path>,
         opts: &StoreOptions,

@@ -27,7 +27,9 @@ use thicket_dataframe::{BoundSource, PredExpr};
 /// worker-thread count, and the healthy subset is returned.
 pub struct StoreReader {
     dir: PathBuf,
-    manifest: Manifest,
+    /// Shared with every reader of the same manifest file in this
+    /// process through the manifest registry.
+    manifest: Arc<Manifest>,
     /// Bytes read so far (manifest probing + shard headers, payloads,
     /// and magics), for pushdown accounting.
     bytes_read: Cell<u64>,
@@ -41,7 +43,7 @@ pub struct StoreReader {
 }
 
 impl StoreReader {
-    pub(crate) fn new(dir: PathBuf, manifest: Manifest, manifest_bytes: u64) -> StoreReader {
+    pub(crate) fn new(dir: PathBuf, manifest: Arc<Manifest>, manifest_bytes: u64) -> StoreReader {
         StoreReader {
             dir,
             manifest,
@@ -502,6 +504,8 @@ pub(crate) fn record_index_of(m: &Manifest, i: usize) -> usize {
 ///
 /// In-process snapshots of the same (directory, generation) share one
 /// lease file via a refcount; dropping the last snapshot removes it.
+/// They share one verified manifest too (see [`Store::open`]); the
+/// lease, the shard handles and `bytes_read` stay per snapshot.
 /// Using the snapshot heartbeats the lease (re-touches its mtime) so
 /// long-lived pins are not mistaken for leaks by other processes' GC.
 pub struct Snapshot {
@@ -544,10 +548,10 @@ impl Deref for Snapshot {
 
 /// Open + pin with a bounded retry loop: the window between reading
 /// the newest manifest and opening its shard handles can race a
-/// concurrent GC (surfacing as a retryable
-/// [`StoreError::NoGeneration`]); every retry re-opens whatever
-/// generation is newest *now*. Non-retryable errors return
-/// immediately.
+/// concurrent GC (a pin-time [`StoreError::NoGeneration`]); every retry
+/// re-opens whatever generation is newest *now*. An open that finds no
+/// verifiable generation, and every other error, returns at once:
+/// waiting cannot make an empty or broken store pinnable.
 pub(crate) fn open_pinned(dir: &Path, opts: &StoreOptions) -> Result<Snapshot, StoreError> {
     let mut backoff = Backoff::new(
         std::time::Duration::from_micros(100),
@@ -559,7 +563,7 @@ pub(crate) fn open_pinned(dir: &Path, opts: &StoreOptions) -> Result<Snapshot, S
         if attempt > 0 {
             std::thread::sleep(backoff.next_delay());
         }
-        match Store::open(dir).and_then(|r| r.pin_opts(opts)) {
+        match Store::open(dir)?.pin_opts(opts) {
             Ok(snap) => return Ok(snap),
             Err(e @ StoreError::NoGeneration(_)) => last = Some(e),
             Err(e) => return Err(e),

@@ -1,0 +1,241 @@
+// ---------------------------------------------------------------------
+// Process-wide registry of verified manifests, shared by every reader.
+// ---------------------------------------------------------------------
+//
+// A committed generation never changes, so one verified parse of its
+// manifest can serve every reader in the process. `Store::open` (and so
+// `open_pinned`) still lists the directory. For each generation, newest
+// first, it opens the manifest, takes one `fstat` and reads the 13-byte
+// header. When the file's identity — canonical directory, generation,
+// header CRC, length, inode, mtime — matches the directory's entry, the
+// reader shares that entry's `Arc<Manifest>`, lazily decoded metadata
+// columns included, instead of reading, CRC-checking and parsing the
+// body.
+//
+// File timestamps tick coarsely, so an in-place rewrite can leave the
+// mtime as it was. A hit on a file modified less than `SETTLE` before its
+// last verification therefore re-reads the body and re-checks its CRC
+// (no parse) before it is served. Once that gap reaches `SETTLE`, any
+// later write moves the mtime, and the next open misses.
+//
+// Only readers use the registry. `append`, `compact`, fsck, recover and
+// GC read manifests from disk, and a generation an older build wrote
+// (`NeedsMigration`) is never registered. Leases and shard handles stay
+// per snapshot: only the immutable manifest is shared, never a result.
+//
+// The lock is never held across I/O, a parse or a manifest's drop:
+// lookups clone an `Arc`, and inserts stat the other entries' manifests
+// before taking it and free what they evict after releasing it.
+
+use super::crc::crc32c;
+use super::layout::manifest_name;
+use super::manifest::{header_crc, Manifest, MANIFEST_HEADER_BYTES};
+use super::writer::newest_by;
+use super::StoreError;
+use parking_lot::Mutex;
+use std::fs::{File, Metadata};
+use std::io::{self, Read};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, SystemTime};
+
+/// Most store directories the registry holds at once.
+const MAX_DIRS: usize = 8;
+
+/// How long before its verification a manifest must have been modified
+/// for its mtime alone to vouch for its body: a write after the
+/// verification then always moves the mtime, even on a filesystem whose
+/// timestamps tick once a second.
+const SETTLE: Duration = Duration::from_secs(1);
+
+/// What a manifest file looked like when its body was verified.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Identity {
+    generation: u64,
+    header_crc: u32,
+    len: u64,
+    inode: u64,
+    mtime: SystemTime,
+}
+
+/// One directory's registered manifest.
+struct Entry {
+    /// Canonical store directory.
+    dir: PathBuf,
+    id: Identity,
+    manifest: Arc<Manifest>,
+    /// Wall-clock time taken before the bytes were last verified.
+    verified_at: SystemTime,
+}
+
+impl Entry {
+    /// Modified too close to its last verification for the mtime alone
+    /// to rule out a rewrite since.
+    fn young(&self) -> bool {
+        self.verified_at
+            .duration_since(self.id.mtime)
+            .map_or(true, |gap| gap < SETTLE)
+    }
+}
+
+/// Registered directories, least recently used first.
+fn entries() -> &'static Mutex<Vec<Entry>> {
+    static ENTRIES: OnceLock<Mutex<Vec<Entry>>> = OnceLock::new();
+    ENTRIES.get_or_init(Default::default)
+}
+
+/// The newest generation in `dir` whose manifest verifies, shared with
+/// every other reader of it in this process, plus the manifest bytes
+/// read to find it.
+pub(crate) fn newest(dir: &Path) -> Result<(Arc<Manifest>, u64), StoreError> {
+    let dir = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
+    newest_by(&dir, |gen, read| probe(&dir, gen, read))
+}
+
+/// Generation `gen`'s manifest in `dir`, through the registry. `Ok(None)`
+/// when it does not verify, exactly as a cold parse would decide.
+fn probe(dir: &Path, gen: u64, read: &mut u64) -> io::Result<Option<Arc<Manifest>>> {
+    let mut file = File::open(dir.join(manifest_name(gen)))?;
+    let meta = file.metadata()?;
+    // Taken before any byte is read: a write this read misses lands
+    // later, so its mtime is no earlier than this, less one tick.
+    let now = SystemTime::now();
+    let mut bytes = Vec::with_capacity(MANIFEST_HEADER_BYTES);
+    (&mut file)
+        .take(MANIFEST_HEADER_BYTES as u64)
+        .read_to_end(&mut bytes)?;
+    *read += bytes.len() as u64;
+    let Some(crc) = header_crc(&bytes) else {
+        return Ok(None);
+    };
+    let id = Identity {
+        generation: gen,
+        header_crc: crc,
+        len: meta.len(),
+        inode: inode(&meta),
+        mtime: meta.modified()?,
+    };
+    let hit = lookup(dir, &id);
+    if let Some((manifest, false)) = hit {
+        return Ok(Some(manifest));
+    }
+    *read += file.read_to_end(&mut bytes)? as u64;
+    if let Some((manifest, _young)) = hit {
+        // A young file must still hold the body its header vouches for.
+        if crc32c(&bytes[MANIFEST_HEADER_BYTES..]) != crc {
+            return Ok(None);
+        }
+        settle(dir, &id, now);
+        return Ok(Some(manifest));
+    }
+    let Some(m) = Manifest::from_file_bytes(&bytes)
+        .ok()
+        .filter(|m| m.generation == gen)
+    else {
+        return Ok(None);
+    };
+    let m = Arc::new(m);
+    if m.legacy.is_none() {
+        insert(dir, id, Arc::clone(&m), now);
+    }
+    Ok(Some(m))
+}
+
+#[cfg(unix)]
+fn inode(meta: &Metadata) -> u64 {
+    std::os::unix::fs::MetadataExt::ino(meta)
+}
+
+#[cfg(not(unix))]
+fn inode(_: &Metadata) -> u64 {
+    0
+}
+
+/// The manifest registered for `dir` under `id`, if any, marked most
+/// recently used; `true` when it is young.
+fn lookup(dir: &Path, id: &Identity) -> Option<(Arc<Manifest>, bool)> {
+    let mut entries = entries().lock();
+    let i = entries.iter().position(|e| e.dir == dir && e.id == *id)?;
+    let entry = entries.remove(i);
+    let hit = (Arc::clone(&entry.manifest), entry.young());
+    entries.push(entry);
+    Some(hit)
+}
+
+/// A young entry's body verified again at `at`: from then on its mtime
+/// vouches for it.
+fn settle(dir: &Path, id: &Identity, at: SystemTime) {
+    if let Some(e) = entries()
+        .lock()
+        .iter_mut()
+        .find(|e| e.dir == dir && e.id == *id)
+    {
+        e.verified_at = e.verified_at.max(at);
+    }
+}
+
+/// Register `dir`'s freshly verified manifest, first dropping entries
+/// whose manifest file is gone.
+fn insert(dir: &Path, id: Identity, manifest: Arc<Manifest>, verified_at: SystemTime) {
+    // Listed under the lock, stat'ed after it.
+    let listed: Vec<(PathBuf, Identity)> = entries()
+        .lock()
+        .iter()
+        .map(|e| (e.dir.clone(), e.id))
+        .collect();
+    let gone: Vec<(PathBuf, Identity)> = listed
+        .into_iter()
+        .filter(|(dir, id)| !dir.join(manifest_name(id.generation)).exists())
+        .collect();
+    let entry = Entry {
+        dir: dir.to_path_buf(),
+        id,
+        manifest,
+        verified_at,
+    };
+    // The guard is a temporary of this statement: the evicted manifests
+    // are freed after the lock is released.
+    let evicted = admit(&mut entries().lock(), entry, &gone);
+    drop(evicted);
+}
+
+/// Under the lock: drop the `gone` entries and put `new` in its
+/// directory's slot, unless a newer generation another reader
+/// registered meanwhile holds it. Past [`MAX_DIRS`], the least recently
+/// used directory no reader holds leaves (evicting a manifest a reader
+/// still holds would free nothing), else the least recently used.
+/// Returns what left.
+fn admit(entries: &mut Vec<Entry>, new: Entry, gone: &[(PathBuf, Identity)]) -> Vec<Entry> {
+    let (mut evicted, kept): (Vec<Entry>, Vec<Entry>) = std::mem::take(entries)
+        .into_iter()
+        .partition(|e| gone.iter().any(|(dir, id)| *dir == e.dir && *id == e.id));
+    *entries = kept;
+    match entries.iter().position(|e| e.dir == new.dir) {
+        Some(i) if entries[i].id.generation > new.id.generation => {
+            evicted.push(new);
+            return evicted;
+        }
+        Some(i) => evicted.push(entries.remove(i)),
+        None => {}
+    }
+    entries.push(new);
+    if entries.len() > MAX_DIRS {
+        let victim = entries
+            .iter()
+            .position(|e| Arc::strong_count(&e.manifest) == 1)
+            .unwrap_or(0);
+        evicted.push(entries.remove(victim));
+    }
+    evicted
+}
+
+/// The manifest registered for `dir`, if any.
+#[cfg(test)]
+pub(crate) fn registered(dir: &Path) -> Option<Arc<Manifest>> {
+    let dir = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
+    entries()
+        .lock()
+        .iter()
+        .find(|e| e.dir == dir)
+        .map(|e| Arc::clone(&e.manifest))
+}

@@ -1,9 +1,10 @@
 use super::layout::{manifest_name, shard_name};
-use super::manifest::{build_columns, mask_from_hex, mask_to_hex};
+use super::manifest::{build_columns, mask_from_hex, mask_to_hex, MANIFEST_HEADER_BYTES};
 use super::*;
 use crate::faults::ScratchDir;
 use crate::ingest::DiagKind;
 use crate::rajaperf::{simulate_cpu_run, CpuRunConfig};
+use std::time::{Duration, Instant, SystemTime};
 use thicket_dataframe::{PredExpr, Value};
 
 fn runs(n: u64) -> Vec<Profile> {
@@ -111,6 +112,36 @@ fn load_matching_pushdown_reads_fewer_bytes() {
     assert!(all.len() > subset.len());
 }
 
+/// Set generation `gen`'s manifest mtime to `when`: the registry's
+/// young-file rule keys on it.
+fn set_manifest_mtime(dir: &std::path::Path, gen: u64, when: SystemTime) {
+    std::fs::File::options()
+        .write(true)
+        .open(dir.join(manifest_name(gen)))
+        .unwrap()
+        .set_modified(when)
+        .unwrap();
+}
+
+/// Backdate generation `gen`'s manifest, so the registry entry an open
+/// makes from it is settled at once: its mtime alone vouches for it.
+fn settle_manifest(dir: &std::path::Path, gen: u64) {
+    set_manifest_mtime(
+        dir,
+        gen,
+        SystemTime::UNIX_EPOCH + Duration::from_secs(1_700_000_000),
+    );
+}
+
+/// The `pin-*` lease files in `dir`.
+fn lease_files(dir: &std::path::Path) -> Vec<String> {
+    layout::list_dir(dir)
+        .unwrap()
+        .into_iter()
+        .filter(|n| n.starts_with("pin-"))
+        .collect()
+}
+
 #[test]
 fn bytes_read_is_exact_frame_accounting() {
     // One record per shard, so each shard's cost is its single
@@ -121,6 +152,10 @@ fn bytes_read_is_exact_frame_accounting() {
         ..StoreOptions::default()
     };
     Store::save_opts(&dir, &runs(4), &opts).unwrap();
+    // An old mtime makes the second open a settled registry hit, however
+    // long the first one takes.
+    settle_manifest(&dir, 1);
+    let header = MANIFEST_HEADER_BYTES as u64;
 
     let reader = Store::open(&dir).unwrap();
     let manifest_bytes = std::fs::metadata(dir.join(manifest_name(reader.manifest().generation)))
@@ -129,7 +164,7 @@ fn bytes_read_is_exact_frame_accounting() {
     assert_eq!(
         reader.bytes_read(),
         manifest_bytes,
-        "opening costs exactly the manifest file"
+        "a cold open costs exactly the manifest file"
     );
 
     // A full load is dense in every shard, so each shard is one
@@ -150,10 +185,16 @@ fn bytes_read_is_exact_frame_accounting() {
         .sum();
     assert_eq!(reader.bytes_read(), manifest_bytes + shard_bytes_total);
 
-    // Pushdown on one-record shards: the selected shard is dense
-    // (its one record is most of the file), so the cost is that
+    // The second open shares the verified manifest and reads only its
+    // header. Pushdown on one-record shards: the selected shard is
+    // dense (its one record is most of the file), so the cost is that
     // shard's file size; skipped shards are never opened.
     let filtered = Store::open(&dir).unwrap();
+    assert_eq!(
+        filtered.bytes_read(),
+        header,
+        "a settled warm open costs the header"
+    );
     let (subset, rep) = filtered.load_matching(&PredExpr::eq("seed", 2i64)).unwrap();
     assert!(rep.is_clean());
     assert_eq!(subset.len(), 1);
@@ -164,13 +205,14 @@ fn bytes_read_is_exact_frame_accounting() {
         .cloned()
         .unwrap();
     let selected_shard = filtered.manifest().shards[entry.shard].bytes;
-    assert_eq!(filtered.bytes_read(), manifest_bytes + selected_shard);
+    assert_eq!(filtered.bytes_read(), header + selected_shard);
 
     // Pushdown inside a multi-record shard takes the sparse seek
     // path: the charge is exactly the selected record's frame
     // (header + payload), derived from the layout constant.
     let dir = ScratchDir::new("store-bytes-exact-sparse");
     Store::save_opts(&dir, &runs(8), &StoreOptions::default()).unwrap();
+    settle_manifest(&dir, 1);
     let sparse = Store::open(&dir).unwrap();
     assert_eq!(sparse.manifest().shards.len(), 1, "one shared shard");
     let manifest_bytes = std::fs::metadata(dir.join(manifest_name(sparse.manifest().generation)))
@@ -185,10 +227,13 @@ fn bytes_read_is_exact_frame_accounting() {
         .find(|e| e.meta("seed") == Some(&Value::Int(2)))
         .cloned()
         .unwrap();
-    assert_eq!(
-        sparse.bytes_read(),
-        manifest_bytes + (RECORD_HEADER_BYTES as u64 + entry.len as u64)
-    );
+    let frame = RECORD_HEADER_BYTES as u64 + entry.len as u64;
+    assert_eq!(sparse.bytes_read(), manifest_bytes + frame);
+    let warm = Store::open(&dir).unwrap();
+    let (subset, rep) = warm.load_matching(&PredExpr::eq("seed", 2i64)).unwrap();
+    assert!(rep.is_clean());
+    assert_eq!(subset.len(), 1);
+    assert_eq!(warm.bytes_read(), header + frame);
 }
 
 #[test]
@@ -887,4 +932,259 @@ fn injected_crash_leaves_stale_lock_not_live_lock() {
         "takeover waited out a timeout"
     );
     assert!(Store::fsck(&dir).unwrap().is_clean());
+}
+
+#[test]
+fn open_pinned_fails_fast_on_a_store_it_can_never_pin() {
+    let empty = ScratchDir::new("pin-empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    // A store whose only manifest fails its body CRC.
+    let broken = ScratchDir::new("pin-broken");
+    Store::save(&broken, &runs(2)).unwrap();
+    let path = broken.join(manifest_name(1));
+    let mut bytes = std::fs::read(&path).unwrap();
+    *bytes.last_mut().unwrap() ^= 0xff;
+    std::fs::write(&path, &bytes).unwrap();
+    for dir in [&empty, &broken] {
+        let t0 = Instant::now();
+        let err = Store::open_pinned(dir).err().expect("nothing to pin");
+        let took = t0.elapsed();
+        assert!(matches!(err, StoreError::NoGeneration(_)), "{err}");
+        // The 31 back-offs of the pin-race retry sleep at least 240 ms.
+        assert!(took < Duration::from_millis(100), "backed off for {took:?}");
+        assert!(lease_files(dir).is_empty());
+    }
+}
+
+// ---------------------------------------------------------------------
+// The manifest registry.
+// ---------------------------------------------------------------------
+
+#[test]
+fn registry_snapshots_share_one_manifest_and_lease_until_the_last_drops() {
+    let dir = ScratchDir::new("registry-share");
+    let profiles = runs(4);
+    Store::save(&dir, &profiles).unwrap();
+    let mut snaps: Vec<Snapshot> = (0..3).map(|_| Store::open_pinned(&dir).unwrap()).collect();
+    let shared = registry::registered(&dir).expect("the open registered the manifest");
+    for snap in &snaps {
+        assert!(
+            std::ptr::eq(snap.manifest(), &*shared),
+            "a snapshot parsed its own copy"
+        );
+    }
+    assert_eq!(
+        lease_files(&dir).len(),
+        1,
+        "one lease file for every snapshot"
+    );
+    drop(shared);
+
+    // keep_generations 0: every commit would collect generation 1, but
+    // a live snapshot holds it until the last one drops.
+    let keep0 = StoreOptions {
+        keep_generations: 0,
+        ..StoreOptions::default()
+    };
+    let more = runs(7);
+    for p in &more[4..6] {
+        drop(snaps.pop());
+        Store::append_opts(&dir, std::slice::from_ref(p), &keep0).unwrap();
+        assert!(
+            dir.join(manifest_name(1)).exists(),
+            "generation 1 collected under {} live snapshots",
+            snaps.len()
+        );
+    }
+    let (loaded, rep) = snaps[0].load_all().unwrap();
+    assert!(rep.is_clean(), "{rep}");
+    assert_eq!(hashes(&loaded), hashes(&profiles));
+    drop(snaps);
+    assert!(
+        lease_files(&dir).is_empty(),
+        "the last drop released the lease"
+    );
+    Store::append_opts(&dir, &more[6..], &keep0).unwrap();
+    assert!(
+        !dir.join(manifest_name(1)).exists(),
+        "generation 1 outlived its snapshots"
+    );
+}
+
+#[test]
+fn registry_pin_after_commit_sees_the_new_generation() {
+    let dir = ScratchDir::new("registry-commit");
+    Store::save(&dir, &runs(3)).unwrap();
+    settle_manifest(&dir, 1);
+    let old = Store::open_pinned(&dir).unwrap();
+    let warm = Store::open_pinned(&dir).unwrap();
+    assert_eq!(
+        warm.bytes_read(),
+        MANIFEST_HEADER_BYTES as u64,
+        "not a registry hit"
+    );
+    drop(warm);
+    Store::append(&dir, &runs(5)[3..]).unwrap();
+    let new = Store::open_pinned(&dir).unwrap();
+    assert_eq!(new.generation(), 2);
+    assert_eq!(new.manifest().profiles.len(), 5);
+    assert!(!std::ptr::eq(new.manifest(), old.manifest()));
+    let (loaded, rep) = new.load_all().unwrap();
+    assert!(rep.is_clean(), "{rep}");
+    assert_eq!(hashes(&loaded), hashes(&runs(5)));
+    // The older snapshot still serves its own generation.
+    assert_eq!(old.generation(), 1);
+    assert_eq!(old.load_all().unwrap().0.len(), 3);
+}
+
+#[test]
+fn registry_young_entry_settles_after_a_recheck() {
+    let dir = ScratchDir::new("registry-settle");
+    Store::save(&dir, &runs(2)).unwrap();
+    let manifest_bytes = std::fs::metadata(dir.join(manifest_name(1))).unwrap().len();
+    // Modified half a second before the first verification: young.
+    set_manifest_mtime(&dir, 1, SystemTime::now() - Duration::from_millis(500));
+    let cold = Store::open(&dir).unwrap();
+    assert_eq!(cold.bytes_read(), manifest_bytes);
+    std::thread::sleep(Duration::from_millis(600));
+    // A second after the mtime, a re-check of the body settles the
+    // entry; from then on a hit reads the header alone.
+    let _recheck = Store::open(&dir).unwrap();
+    let settled = Store::open(&dir).unwrap();
+    assert_eq!(settled.bytes_read(), MANIFEST_HEADER_BYTES as u64);
+    assert!(std::ptr::eq(settled.manifest(), cold.manifest()));
+}
+
+#[test]
+fn registry_never_serves_a_wiped_and_resaved_store() {
+    let dir = ScratchDir::new("registry-resave");
+    let first_profiles = runs(3);
+    let second_profiles = runs(6)[3..].to_vec();
+    Store::save(&dir, &first_profiles).unwrap();
+    settle_manifest(&dir, 1);
+    let first = Store::open(&dir).unwrap();
+    // Wiped and saved again: generation 1 once more, with the same
+    // (old) mtime, and likely a recycled inode.
+    std::fs::remove_dir_all(&dir).unwrap();
+    Store::save(&dir, &second_profiles).unwrap();
+    settle_manifest(&dir, 1);
+    let second = Store::open(&dir).unwrap();
+    assert_eq!(second.generation(), 1);
+    assert!(!std::ptr::eq(first.manifest(), second.manifest()));
+    let (loaded, rep) = second.load_all().unwrap();
+    assert!(rep.is_clean(), "{rep}");
+    assert_eq!(hashes(&loaded), hashes(&second_profiles));
+}
+
+#[test]
+fn registry_in_place_rewrite_behaves_as_a_cold_open() {
+    let dir = ScratchDir::new("registry-rewrite");
+    Store::save(&dir, &runs(3)).unwrap();
+    Store::append(&dir, &runs(4)[3..]).unwrap();
+    // An mtime that cannot be older than any verification keeps the
+    // entry young: the case of a rewrite within one timestamp tick.
+    let tick = SystemTime::now() + Duration::from_secs(3600);
+    set_manifest_mtime(&dir, 2, tick);
+    let cold = Store::open(&dir).unwrap();
+    let warm = Store::open(&dir).unwrap();
+    assert_eq!(warm.generation(), 2);
+    assert!(std::ptr::eq(cold.manifest(), warm.manifest()));
+    drop((cold, warm));
+
+    // Same length, header untouched, one body byte changed, same inode
+    // and mtime: only the body CRC tells.
+    let path = dir.join(manifest_name(2));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = bytes.len() - 2;
+    bytes[at] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    set_manifest_mtime(&dir, 2, tick);
+
+    let reference = ScratchDir::copy_of("registry-rewrite-cold", &dir);
+    let expect = Store::open(&reference).unwrap();
+    let got = Store::open(&dir).unwrap();
+    assert_eq!(
+        expect.generation(),
+        1,
+        "a cold open falls back to generation 1"
+    );
+    assert_eq!(got.generation(), expect.generation());
+    assert_eq!(got.bytes_read(), expect.bytes_read());
+    let (got_profiles, got_report) = got.load_all().unwrap();
+    let (expect_profiles, expect_report) = expect.load_all().unwrap();
+    assert_eq!(got_report, expect_report);
+    assert_eq!(hashes(&got_profiles), hashes(&expect_profiles));
+    let pinned = Store::open_pinned(&dir).unwrap();
+    assert_eq!(pinned.generation(), 1);
+}
+
+#[test]
+fn registry_never_holds_a_legacy_generation() {
+    for name in ["v1", "v2"] {
+        let dir = fixture(name);
+        for _ in 0..3 {
+            for err in [Store::open(&dir).err(), Store::open_pinned(&dir).err()] {
+                let e = err.expect("an older format is refused");
+                assert!(
+                    matches!(e, StoreError::NeedsMigration { .. }),
+                    "{name}: {e}"
+                );
+            }
+        }
+        assert!(registry::registered(&dir).is_none(), "{name} registered");
+        assert!(lease_files(&dir).is_empty());
+        // Once migrated, the directory's readers share its manifest.
+        Store::compact(&dir).unwrap();
+        let reader = Store::open(&dir).unwrap();
+        let shared = registry::registered(&dir).expect("the migrated generation registers");
+        assert!(std::ptr::eq(reader.manifest(), &*shared));
+    }
+}
+
+#[test]
+fn registry_drops_removed_directories() {
+    let gone = ScratchDir::new("registry-gone");
+    Store::save(&gone, &runs(2)).unwrap();
+    let canonical = gone.canonicalize().unwrap();
+    let reader = Store::open(&gone).unwrap();
+    assert!(registry::registered(&canonical).is_some());
+    drop(reader);
+    std::fs::remove_dir_all(&gone).unwrap();
+    // The next registration sweeps out entries whose manifest is gone.
+    let next = ScratchDir::new("registry-next");
+    Store::save(&next, &runs(2)).unwrap();
+    let _reader = Store::open(&next).unwrap();
+    assert!(registry::registered(&canonical).is_none());
+}
+
+#[test]
+fn registry_cold_and_warm_loads_are_bit_identical() {
+    let dir = ScratchDir::new("registry-cold-warm");
+    let opts = StoreOptions {
+        shard_bytes: 1,
+        ..StoreOptions::default()
+    };
+    Store::save_opts(&dir, &runs(8), &opts).unwrap();
+    settle_manifest(&dir, 1);
+    let pred = PredExpr::and([PredExpr::ge("seed", 3i64), PredExpr::lt("seed", 7i64)]);
+    let cold = Store::open_pinned(&dir).unwrap();
+    let (cold_profiles, cold_report) = cold.load_matching(&pred).unwrap();
+    let warm = Store::open_pinned(&dir).unwrap();
+    assert_eq!(
+        warm.bytes_read(),
+        MANIFEST_HEADER_BYTES as u64,
+        "not a registry hit"
+    );
+    let (warm_profiles, warm_report) = warm.load_matching(&pred).unwrap();
+    assert_eq!(warm_report, cold_report);
+    assert_eq!(cold_profiles.len(), 4);
+    let encode = |ps: &[Profile]| -> Vec<Vec<u8>> {
+        ps.iter().map(crate::binprofile::encode_profile).collect()
+    };
+    assert_eq!(encode(&warm_profiles), encode(&cold_profiles));
+    assert_eq!(
+        warm.entries(),
+        cold.entries(),
+        "materialized metadata differs"
+    );
 }

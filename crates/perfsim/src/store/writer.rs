@@ -25,6 +25,7 @@ use crate::profile::Profile;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 use thicket_dataframe::Value;
 
@@ -237,16 +238,32 @@ fn gc_generations(
 }
 
 /// Read-only probe for the newest self-verifying manifest, in whatever
-/// format wrote it, counting every manifest byte read along the way
-/// (for [`super::StoreReader::bytes_read`] accounting).
-/// [`StoreError::NoGeneration`] when there is none.
-///
-/// A manifest listed a moment ago can be GC'd before we read it — that
-/// is only legal when a newer generation just committed, so on a
-/// vanished read the listing is retried (bounded; each retry means
-/// another writer made progress, and the newest manifest is never
-/// deleted).
+/// format wrote it, read from disk: the writers' and the migrator's
+/// base. Readers go through the registry instead.
 pub(crate) fn newest_manifest(dir: &Path) -> Result<(Manifest, u64), StoreError> {
+    newest_by(dir, |gen, read| {
+        let bytes = std::fs::read(dir.join(manifest_name(gen)))?;
+        *read += bytes.len() as u64;
+        Ok(Manifest::from_file_bytes(&bytes)
+            .ok()
+            .filter(|m| m.generation == gen))
+    })
+}
+
+/// The newest generation `probe` accepts, plus every manifest byte the
+/// probes read along the way (for [`super::StoreReader::bytes_read`]
+/// accounting). `probe(gen, read)` returns `Ok(None)` for a manifest
+/// that does not verify; [`StoreError::NoGeneration`] when none does.
+///
+/// A manifest listed a moment ago can be GC'd before the probe reads it
+/// (`NotFound`) — that is only legal when a newer generation just
+/// committed, so on a vanished read the listing is retried (bounded;
+/// each retry means another writer made progress, and the newest
+/// manifest is never deleted).
+pub(crate) fn newest_by<M>(
+    dir: &Path,
+    mut probe: impl FnMut(u64, &mut u64) -> io::Result<Option<M>>,
+) -> Result<(M, u64), StoreError> {
     let mut bytes_total = 0u64;
     let mut gens = Vec::new();
     for _pass in 0..16 {
@@ -254,19 +271,11 @@ pub(crate) fn newest_manifest(dir: &Path) -> Result<(Manifest, u64), StoreError>
         gens.reverse();
         let mut vanished = false;
         for &gen in &gens {
-            let bytes = match std::fs::read(dir.join(manifest_name(gen))) {
-                Ok(b) => b,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    vanished = true;
-                    continue;
-                }
+            match probe(gen, &mut bytes_total) {
+                Ok(Some(m)) => return Ok((m, bytes_total)),
+                Ok(None) => {}
+                Err(e) if e.kind() == io::ErrorKind::NotFound => vanished = true,
                 Err(e) => return Err(StoreError::Io(e)),
-            };
-            bytes_total += bytes.len() as u64;
-            if let Ok(m) = Manifest::from_file_bytes(&bytes) {
-                if m.generation == gen {
-                    return Ok((m, bytes_total));
-                }
             }
         }
         if !vanished {
@@ -456,7 +465,7 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
     // generation may be in an older build's format: this is the one
     // writer that reads it.
     let (m, manifest_bytes) = newest_manifest(dir)?;
-    let reader = StoreReader::new(dir.to_path_buf(), m, manifest_bytes);
+    let reader = StoreReader::new(dir.to_path_buf(), Arc::new(m), manifest_bytes);
     let base = reader.manifest();
     let rows = base.meta_rows().map_err(StoreError::Corrupt)?;
     let mut raw: Vec<(usize, Result<PayloadSlice, Diagnostic>)> =

@@ -151,6 +151,101 @@ fn readers_never_tear_under_append_and_compact() {
     assert!(fsck.live_leases.is_empty(), "leaked leases: {fsck}");
 }
 
+/// The generation a `pin-<gen>-<pid>-<token>` lease file names.
+fn lease_generation(name: &str) -> u64 {
+    let rest = name.strip_prefix("pin-").expect("a lease file name");
+    rest.split('-')
+        .next()
+        .unwrap()
+        .parse()
+        .expect("a generation")
+}
+
+/// The `pin-*` lease files left in `dir`.
+fn lease_files(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("pin-"))
+        .collect()
+}
+
+/// The manifest registry under contention: four readers pin and load
+/// in a loop, sharing each generation's verified manifest, while an
+/// appender commits at `keep_generations: 0`, so every commit replaces
+/// the registered generation and collects the one before. Zero torn
+/// reads, every snapshot's manifest is the generation its lease names,
+/// and no lease outlives its snapshots.
+#[test]
+fn registry_readers_stay_whole_under_appends() {
+    const READERS: usize = 4;
+    const SEED_PROFILES: u64 = 3;
+    const APPENDS: u64 = 25;
+
+    let dir = ScratchDir::new("concurrency-registry");
+    let opts = StoreOptions {
+        keep_generations: 0,
+        ..StoreOptions::default()
+    };
+    let initial: Vec<Profile> = (0..SEED_PROFILES).map(run).collect();
+    Store::save_opts(&dir, &initial, &opts).unwrap();
+    let dir_ref = &dir;
+    let opts_ref = &opts;
+
+    let appender: ContendTask<'_, usize> = Box::new(move |_: &AtomicBool| {
+        for i in 0..APPENDS {
+            let rep =
+                Store::append_opts(dir_ref, &[run(SEED_PROFILES + i)], opts_ref).expect("append");
+            assert_eq!(rep.appended, 1);
+        }
+        APPENDS as usize
+    });
+    let readers: Vec<ContendTask<'_, usize>> = (0..READERS)
+        .map(|_| {
+            Box::new(move |stop: &AtomicBool| {
+                let mut iterations = 0usize;
+                let mut watermark = SEED_PROFILES as usize;
+                while !stop.load(Ordering::Relaxed) {
+                    let snap = Store::open_pinned(dir_ref).expect("open_pinned");
+                    let lease = snap.lease_file().expect("a writable store leases");
+                    assert_eq!(
+                        lease_generation(&lease),
+                        snap.manifest().generation,
+                        "snapshot of generation {} holds lease {lease}",
+                        snap.manifest().generation
+                    );
+                    let (profiles, rep) = snap.load_all().expect("pinned load");
+                    assert!(rep.is_clean(), "torn read: {rep}");
+                    assert_eq!(profiles.len(), snap.manifest().profiles.len());
+                    watermark = assert_contiguous_prefix(&profiles, watermark);
+                    iterations += 1;
+                }
+                iterations
+            }) as ContendTask<'_, usize>
+        })
+        .collect();
+
+    let (driver_results, reader_results) = contend(vec![appender], readers);
+    for r in &driver_results {
+        r.as_ref().expect("appender panicked");
+    }
+    let total_reads: usize = reader_results
+        .iter()
+        .map(|r| *r.as_ref().expect("reader panicked"))
+        .sum();
+    assert!(total_reads > 0, "readers never completed a single load");
+
+    let (final_profiles, rep) = Store::open(&dir).unwrap().load_all().unwrap();
+    assert!(rep.is_clean(), "{rep}");
+    assert_eq!(
+        assert_contiguous_prefix(&final_profiles, 0),
+        (SEED_PROFILES + APPENDS) as usize
+    );
+    assert_eq!(lease_files(&dir), Vec::<String>::new(), "leaked leases");
+    assert!(Store::fsck(&dir).unwrap().is_clean());
+}
+
 /// GC at `keep_generations: 0` must skip a generation a live snapshot
 /// pinned — and collect it promptly once the pin drops.
 #[test]

@@ -17,7 +17,10 @@
 //!   the request scope and releases it on every exit path: success,
 //!   typed error, deadline, client disconnect, and worker panic (the
 //!   snapshot lives inside the `catch_unwind` closure, so an unwind
-//!   drops it before the panic is even caught).
+//!   drops it before the panic is even caught). Pins share the
+//!   process's verified manifest (see [`Store::open`]), so a request
+//!   pays a directory listing, a header read, the lease and the shard
+//!   handles, never a manifest parse of an unchanged generation.
 //! * **Per-request deadlines.** The clock starts when the request
 //!   frame completes; stages check it between pin, select, and load.
 //!   A blown deadline is a typed [`ServeError::DeadlineExceeded`], and

@@ -154,6 +154,43 @@ fn pushdown_reads_fewer_bytes_and_matches_filter_after_load() {
     assert_eq!(tk_push.metadata(), tk_post.metadata());
 }
 
+/// The manifest registry changes no load: the first filtered load of a
+/// store in this process (a cold open that parses the manifest) and the
+/// next one (a warm open sharing that parse) compose identical thickets
+/// with equal reports.
+#[test]
+fn cold_and_warm_store_loads_compose_identical_thickets() {
+    let dir = ScratchDir::new("storerec-registry");
+    Store::save_opts(&dir, &runs(0..8), &opts()).unwrap();
+    // An old mtime: the registry trusts the file's stat from the start.
+    std::fs::File::options()
+        .write(true)
+        .open(dir.join("MANIFEST-000001"))
+        .unwrap()
+        .set_modified(std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30))
+        .unwrap();
+    let load = || {
+        Thicket::loader(LoadSource::store(&dir))
+            .filter(PredExpr::ge("seed", 2i64))
+            .load()
+            .unwrap()
+    };
+    let (cold, cold_report) = load();
+    let probe = Store::open(&dir).unwrap();
+    assert_eq!(
+        probe.bytes_read(),
+        13,
+        "the next open reads only the manifest header"
+    );
+    let (warm, warm_report) = load();
+    assert!(cold_report.is_clean(), "{cold_report}");
+    assert_eq!(warm_report, cold_report);
+    assert_eq!(warm.profiles(), cold.profiles());
+    assert_eq!(warm.perf_data(), cold.perf_data());
+    assert_eq!(warm.metadata(), cold.metadata());
+    assert_eq!(warm.profiles().len(), 6);
+}
+
 /// A lenient store load on a clean store composes every stored
 /// profile; its report chains the store read and the build.
 #[test]
