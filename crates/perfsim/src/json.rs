@@ -7,6 +7,7 @@
 //! order is preserved on write and read (profiles diff cleanly).
 
 use std::fmt;
+use std::fmt::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,7 +90,8 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Append the compact serialization to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -143,28 +145,46 @@ impl Json {
     }
 }
 
-fn write_num(n: f64, out: &mut String) {
+/// Lowercase hex digits, indexed by nibble.
+pub(crate) const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Append a JSON number: integral values below 9e15 as integers, the
+/// rest in the shortest round-trip form. Writes straight into `out`.
+pub(crate) fn write_num(n: f64, out: &mut String) {
     if n == n.trunc() && n.abs() < 9.0e15 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
         // {:?} prints shortest round-trip representation.
-        out.push_str(&format!("{n:?}"));
+        let _ = write!(out, "{n:?}");
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Append `s` as a quoted JSON string. Runs that need no escape are
+/// copied whole; every byte that does is ASCII, so each run ends on a
+/// character boundary.
+pub(crate) fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX_DIGITS[usize::from(b >> 4)] as char);
+                out.push(HEX_DIGITS[usize::from(b & 0xf)] as char);
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -351,6 +371,8 @@ impl<'a> Parser<'a> {
                                 char::from_u32(code).ok_or_else(|| self.err("bad code point"))?
                             };
                             out.push(ch);
+                            // Past the (last) escape's four hex digits.
+                            self.pos += 4;
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -549,6 +571,16 @@ mod tests {
             Json::parse(r#""😀""#).unwrap().as_str(),
             Some("\u{1F600}")
         );
+        // `\u` escapes consume their hex digits, alone or as a pair.
+        assert_eq!(
+            Json::parse(r#""a\u0001b\u00e9\ud83d\ude00c""#).unwrap().as_str(),
+            Some("a\u{1}b\u{e9}\u{1F600}c")
+        );
+        // Control characters write as `\u00XX` and round-trip.
+        let ctl: String = (0u8..0x20).map(char::from).chain("\u{7f}é".chars()).collect();
+        let text = Json::Str(ctl.clone()).to_string_compact();
+        assert!(text.starts_with(r#""\u0000\u0001"#), "{text}");
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(ctl.as_str()));
     }
 
     #[test]

@@ -447,7 +447,8 @@ pub(crate) fn assemble_profile(
 }
 
 /// Map a Value into its JSON encoding. Integers beyond 2⁵³ are wrapped as
-/// `{"$i": "<decimal>"}` so profile hashes survive the float round trip.
+/// `{"$i": "<decimal>"}` so profile hashes survive the float round trip;
+/// integral and non-finite floats as `{"$f": "<repr>"}`.
 pub(crate) fn value_to_json(v: &Value) -> Json {
     match v {
         Value::Null => Json::Null,
@@ -460,9 +461,11 @@ pub(crate) fn value_to_json(v: &Value) -> Json {
             }
         }
         Value::Float(f) => {
-            if *f == f.trunc() && f.is_finite() {
-                // An integral float would parse back as Int; tag it so
-                // the dtype (and the profile hash) survives.
+            if *f == f.trunc() || !f.is_finite() {
+                // An integral float would parse back as Int, and JSON
+                // has no NaN or infinity: tag both so the dtype (and the
+                // profile hash) survives. `{:?}` prints `NaN`, `inf` and
+                // `-inf`, which `str::parse::<f64>` reads back.
                 Json::Obj(vec![("$f".into(), Json::Str(format!("{f:?}")))])
             } else {
                 Json::Num(*f)

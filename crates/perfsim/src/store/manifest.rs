@@ -6,9 +6,10 @@ use super::crc::crc32c;
 use super::{
     legacy, StoreError, MANIFEST_FORMAT, MANIFEST_MAGIC, RECORD_HEADER_BYTES, SHARD_MAGIC,
 };
-use crate::json::Json;
+use crate::json::{write_num, write_str, Json, HEX_DIGITS};
 use crate::profile::{json_to_value, value_to_json, Profile};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 use thicket_dataframe::Value;
 
@@ -140,8 +141,46 @@ impl MetaBlock {
     }
 }
 
+/// `key`'s value in a key-sorted metadata row.
+fn cell<'a>(row: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+    row.binary_search_by(|(k, _)| k.as_str().cmp(key))
+        .ok()
+        .map(|pos| &row[pos].1)
+}
+
+/// Append `v`'s compact JSON to a column's value text, after a comma
+/// unless it is the first value.
+fn push_value(raw: &mut String, v: &Value) {
+    if !raw.ends_with('[') {
+        raw.push(',');
+    }
+    value_to_json(v).write(raw);
+}
+
+/// Encode one key's column from its per-profile cells (`None` = absent);
+/// `None` when no profile carries the key.
+fn encode_column<'a>(
+    key: &str,
+    cells: impl Iterator<Item = Option<&'a Value>>,
+) -> Option<MetaBlock> {
+    let mut present = Vec::new();
+    let mut raw = String::from("[");
+    for c in cells {
+        present.push(c.is_some());
+        if let Some(v) = c {
+            push_value(&mut raw, v);
+        }
+    }
+    raw.push(']');
+    present.contains(&true).then(|| MetaBlock {
+        key: key.to_string(),
+        present,
+        raw,
+        decoded: OnceLock::new(),
+    })
+}
+
 /// Build the sorted columnar index from per-profile key-sorted rows.
-/// The decode cache is pre-filled (the writer just had the values).
 pub(crate) fn build_columns<R: AsRef<[(String, Value)]>>(rows: &[R]) -> Vec<MetaBlock> {
     let mut keys: BTreeSet<&str> = BTreeSet::new();
     for row in rows {
@@ -150,28 +189,81 @@ pub(crate) fn build_columns<R: AsRef<[(String, Value)]>>(rows: &[R]) -> Vec<Meta
         }
     }
     keys.into_iter()
-        .map(|key| {
-            let mut present = vec![false; rows.len()];
-            let mut vals = Vec::new();
-            let mut full = vec![Value::Null; rows.len()];
-            for (i, row) in rows.iter().enumerate() {
-                let row = row.as_ref();
-                if let Ok(pos) = row.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
-                    present[i] = true;
-                    vals.push(value_to_json(&row[pos].1));
-                    full[i] = row[pos].1.clone();
-                }
-            }
-            let decoded = OnceLock::new();
-            let _ = decoded.set(Ok(full));
-            MetaBlock {
-                key: key.to_string(),
-                present,
-                raw: Json::Arr(vals).to_string_compact(),
-                decoded,
-            }
-        })
+        .filter_map(|key| encode_column(key, rows.iter().map(|r| cell(r.as_ref(), key))))
         .collect()
+}
+
+/// The columnar index after an append, from the base's `columns` over
+/// `n_base` profiles: `replaced` rows overwrite base slots (Upsert) and
+/// `tail` rows follow the base. Equal to [`build_columns`] over the
+/// resulting rows, without rebuilding what the batch leaves alone:
+///
+/// * every base block is decoded once, so a base whose column does not
+///   decode fails the append;
+/// * a block no replaced row carries, before or after, keeps its mask
+///   and value text verbatim and gains the tail's values at the end;
+/// * a block a replaced row carries is rebuilt from its decoded values;
+/// * a key new in the batch gets an all-absent prefix.
+pub(crate) fn append_columns(
+    columns: Vec<MetaBlock>,
+    n_base: usize,
+    replaced: &[(usize, &[(String, Value)])],
+    tail: &[&[(String, Value)]],
+) -> Result<Vec<MetaBlock>, String> {
+    for b in &columns {
+        b.values()?;
+    }
+    let replacing: HashMap<usize, &[(String, Value)]> = replaced.iter().copied().collect();
+    let mut new_keys: BTreeSet<&str> = BTreeSet::new();
+    for row in replaced.iter().map(|(_, r)| r).chain(tail) {
+        new_keys.extend(row.iter().map(|(k, _)| k.as_str()));
+    }
+    let mut out = Vec::with_capacity(columns.len() + new_keys.len());
+    for b in columns {
+        new_keys.remove(b.key.as_str());
+        let carried = replaced
+            .iter()
+            .any(|&(i, row)| b.present_at(i) || cell(row, &b.key).is_some());
+        if carried {
+            let vals = b.values()?;
+            let base_cells = (0..n_base).map(|i| match replacing.get(&i) {
+                Some(row) => cell(row, &b.key),
+                None => b.present[i].then(|| &vals[i]),
+            });
+            let tail_cells = tail.iter().map(|row| cell(row, &b.key));
+            out.extend(encode_column(&b.key, base_cells.chain(tail_cells)));
+            continue;
+        }
+        let MetaBlock {
+            key,
+            mut present,
+            mut raw,
+            ..
+        } = b;
+        // `values` parsed the text as an array: it ends in `]`.
+        raw.truncate(raw.trim_end().len() - 1);
+        for row in tail {
+            let c = cell(row, &key);
+            present.push(c.is_some());
+            if let Some(v) = c {
+                push_value(&mut raw, v);
+            }
+        }
+        raw.push(']');
+        out.push(MetaBlock {
+            key,
+            present,
+            raw,
+            decoded: OnceLock::new(),
+        });
+    }
+    for key in new_keys {
+        let base_cells = (0..n_base).map(|i| replacing.get(&i).and_then(|row| cell(row, key)));
+        let tail_cells = tail.iter().map(|row| cell(row, key));
+        out.extend(encode_column(key, base_cells.chain(tail_cells)));
+    }
+    out.sort_by(|a, b| a.key.cmp(&b.key));
+    Ok(out)
 }
 
 /// A profile's scalar metadata as a key-sorted row (the order
@@ -185,20 +277,17 @@ pub(crate) fn sorted_meta(p: &Profile) -> Vec<(String, Value)> {
     meta
 }
 
-/// Presence mask → lowercase hex, one byte per 8 profiles, LSB-first
-/// within each byte.
-pub(crate) fn mask_to_hex(present: &[bool]) -> String {
-    let mut out = String::with_capacity(present.len().div_ceil(8) * 2);
+/// Append a presence mask as lowercase hex, one byte per 8 profiles,
+/// LSB-first within each byte.
+pub(crate) fn push_mask_hex(present: &[bool], out: &mut String) {
     for chunk in present.chunks(8) {
-        let mut byte = 0u8;
-        for (bit, &p) in chunk.iter().enumerate() {
-            if p {
-                byte |= 1 << bit;
-            }
-        }
-        out.push_str(&format!("{byte:02x}"));
+        let byte = chunk
+            .iter()
+            .enumerate()
+            .fold(0u8, |byte, (bit, &p)| byte | (u8::from(p) << bit));
+        out.push(HEX_DIGITS[usize::from(byte >> 4)] as char);
+        out.push(HEX_DIGITS[usize::from(byte & 0xf)] as char);
     }
-    out
 }
 
 /// Hex mask → presence vector of exactly `n` profiles. Rejects wrong
@@ -312,65 +401,86 @@ impl Manifest {
         rows
     }
 
+    /// The manifest file: header, then the compact JSON body, written
+    /// field by field into one buffer (no `Json` tree).
     pub(crate) fn to_file_bytes(&self) -> Vec<u8> {
-        let shards = Json::Arr(
-            self.shards
-                .iter()
-                .map(|s| {
-                    Json::Obj(vec![
-                        ("file".into(), Json::Str(s.file.clone())),
-                        ("bytes".into(), Json::Num(s.bytes as f64)),
-                        ("crc".into(), Json::Num(s.crc as f64)),
-                        ("records".into(), Json::Num(s.records as f64)),
-                    ])
-                })
-                .collect(),
+        let column_bytes: usize = self
+            .columns
+            .iter()
+            .map(|b| b.key.len() + b.present.len() / 4 + b.raw.len() * 5 / 4 + 48)
+            .sum();
+        let mut out = String::with_capacity(
+            MANIFEST_HEADER_BYTES
+                + 96
+                + self.shards.len() * 96
+                + self.profiles.len() * 96
+                + column_bytes,
         );
-        let profiles = Json::Arr(
-            self.profiles
-                .iter()
-                .map(|p| {
-                    Json::Obj(vec![
-                        // Full-range i64: goes through a decimal string
-                        // so it survives the JSON f64 round trip.
-                        ("hash".into(), Json::Str(p.hash.to_string())),
-                        ("shard".into(), Json::Num(p.shard as f64)),
-                        ("offset".into(), Json::Num(p.offset as f64)),
-                        ("len".into(), Json::Num(p.len as f64)),
-                        ("crc".into(), Json::Num(p.crc as f64)),
-                    ])
-                })
-                .collect(),
-        );
+        // Magic and a CRC placeholder, patched once the body is written.
+        out.push_str(std::str::from_utf8(MANIFEST_MAGIC).expect("ASCII magic"));
+        out.push_str("00000000\n");
+        out.push_str("{\"format\":");
+        write_str(MANIFEST_FORMAT, &mut out);
+        out.push_str(",\"generation\":");
+        write_num(self.generation as f64, &mut out);
+        out.push_str(",\"shards\":[");
+        for (i, s) in self.shards.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"file\":");
+            write_str(&s.file, &mut out);
+            out.push_str(",\"bytes\":");
+            write_num(s.bytes as f64, &mut out);
+            out.push_str(",\"crc\":");
+            write_num(s.crc as f64, &mut out);
+            out.push_str(",\"records\":");
+            write_num(s.records as f64, &mut out);
+            out.push('}');
+        }
+        out.push_str("],\"profiles\":[");
+        for (i, p) in self.profiles.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            // Full-range i64: goes through a decimal string so it
+            // survives the JSON f64 round trip.
+            out.push_str("{\"hash\":\"");
+            let _ = write!(out, "{}", p.hash);
+            out.push_str("\",\"shard\":");
+            write_num(p.shard as f64, &mut out);
+            out.push_str(",\"offset\":");
+            write_num(p.offset as f64, &mut out);
+            out.push_str(",\"len\":");
+            write_num(p.len as f64, &mut out);
+            out.push_str(",\"crc\":");
+            write_num(p.crc as f64, &mut out);
+            out.push('}');
+        }
         // Each column's values ship as a JSON *string* holding the
         // compact array text: a reader that never references the key
         // scans past one string token instead of parsing every value.
-        let columns = Json::Arr(
-            self.columns
-                .iter()
-                .map(|b| {
-                    Json::Obj(vec![
-                        ("key".into(), Json::Str(b.key.clone())),
-                        ("mask".into(), Json::Str(mask_to_hex(&b.present))),
-                        ("values".into(), Json::Str(b.raw.clone())),
-                    ])
-                })
-                .collect(),
-        );
-        let body_fields = vec![
-            ("format".into(), Json::Str(MANIFEST_FORMAT.into())),
-            ("generation".into(), Json::Num(self.generation as f64)),
-            ("shards".into(), shards),
-            ("profiles".into(), profiles),
-            ("columns".into(), columns),
-        ];
-        let body = Json::Obj(body_fields).to_string_compact();
-        let mut out = Vec::with_capacity(MANIFEST_HEADER_BYTES + body.len());
-        out.extend_from_slice(MANIFEST_MAGIC);
-        out.extend_from_slice(format!("{:08x}", crc32c(body.as_bytes())).as_bytes());
-        out.push(b'\n');
-        out.extend_from_slice(body.as_bytes());
-        out
+        out.push_str("],\"columns\":[");
+        for (i, b) in self.columns.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"key\":");
+            write_str(&b.key, &mut out);
+            out.push_str(",\"mask\":\"");
+            push_mask_hex(&b.present, &mut out);
+            out.push_str("\",\"values\":");
+            write_str(&b.raw, &mut out);
+            out.push('}');
+        }
+        out.push_str("]}");
+        let mut bytes = out.into_bytes();
+        let crc = crc32c(&bytes[MANIFEST_HEADER_BYTES..]);
+        let hex = &mut bytes[MANIFEST_MAGIC.len()..MANIFEST_HEADER_BYTES - 1];
+        for (k, digit) in hex.iter_mut().enumerate() {
+            *digit = HEX_DIGITS[(crc >> (28 - 4 * k)) as usize & 0xf];
+        }
+        bytes
     }
 
     /// Parse and self-verify a manifest file's bytes. A body an older

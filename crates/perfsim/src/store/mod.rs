@@ -307,9 +307,11 @@ pub struct WriteReport {
     pub shards: usize,
     /// Number of profiles the committed generation holds in total.
     pub profiles: usize,
-    /// How many of this call's input profiles were newly added (for
-    /// [`Store::save`] that is all of them; [`Store::append`] skips
-    /// or replaces profiles whose hash the store already holds).
+    /// How many distinct profiles this call newly added. Within one
+    /// call, the first of the profiles that share a hash wins and the
+    /// rest are not counted; for [`Store::save`] that leaves every
+    /// distinct input, while [`Store::append`] also skips or replaces
+    /// profiles whose hash the store already holds.
     pub appended: usize,
     /// How many stored profiles this call replaced in place
     /// ([`AppendMode::Upsert`] only; always 0 under
@@ -490,9 +492,8 @@ impl Store {
         std::fs::create_dir_all(dir)?;
         // Stage (encode) outside the lock; only I/O runs inside it.
         let staged = writer::stage(profiles);
-        let refs: Vec<&writer::Staged> = staged.iter().collect();
         let lock = lock::CommitLock::acquire(dir, opts)?;
-        lock.seal(writer::save_locked(dir, &refs, opts))
+        lock.seal(writer::save_locked(dir, &staged, opts))
     }
 
     /// [`Store::append`] with default options.
@@ -502,11 +503,11 @@ impl Store {
 
     /// Commit `profiles` **on top of** the newest verified generation
     /// as a new generation that reuses the existing shard files —
-    /// nothing already stored is rewritten. Profiles whose hash the
-    /// store already holds (and in-batch duplicates) are skipped — or,
-    /// under [`AppendMode::Upsert`], replace the stored copy in place;
-    /// [`WriteReport::appended`] / [`WriteReport::replaced`] count what
-    /// actually happened.
+    /// nothing already stored is rewritten. Of in-batch duplicates the
+    /// first wins. Profiles whose hash the store already holds are
+    /// skipped — or, under [`AppendMode::Upsert`], replace the stored
+    /// copy in place; [`WriteReport::appended`] /
+    /// [`WriteReport::replaced`] count what actually happened.
     ///
     /// The batch is staged (encoded) before the commit lock is taken
     /// and the base manifest re-read after — the optimistic rebase: a
@@ -521,6 +522,17 @@ impl Store {
     /// generations GC'd — by reference, so shard files the new manifest
     /// still points at survive their original manifest's collection.
     /// On an empty directory this is exactly [`Store::save_opts`].
+    ///
+    /// The manifest work is proportional to the batch, apart from
+    /// parsing the base, decoding its columns and writing the result.
+    /// Every base metadata column is decoded once before anything is
+    /// written, so a base whose index does not decode fails with
+    /// [`StoreError::Corrupt`] and leaves the directory unchanged. A
+    /// column the batch does not replace keeps its stored text and gains
+    /// the batch's values at its end. GC takes the shards of the base
+    /// and of the new manifest from memory and reads from disk only
+    /// other surviving generations (pinned, or kept by
+    /// [`StoreOptions::keep_generations`] above 1).
     pub fn append_opts(
         dir: impl AsRef<Path>,
         profiles: &[Profile],

@@ -1,5 +1,5 @@
 use super::layout::{manifest_name, shard_name};
-use super::manifest::{build_columns, mask_from_hex, mask_to_hex, MANIFEST_HEADER_BYTES};
+use super::manifest::{build_columns, mask_from_hex, push_mask_hex, MANIFEST_HEADER_BYTES};
 use super::*;
 use crate::faults::ScratchDir;
 use crate::ingest::DiagKind;
@@ -469,7 +469,8 @@ fn pinned_bulk_read_never_reserves_the_declared_shard_size() {
 fn mask_hex_roundtrip_and_strictness() {
     for n in [0usize, 1, 7, 8, 9, 17] {
         let present: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
-        let hex = mask_to_hex(&present);
+        let mut hex = String::new();
+        push_mask_hex(&present, &mut hex);
         assert_eq!(mask_from_hex(&hex, n).unwrap(), present);
     }
     assert!(mask_from_hex("ff", 4).is_err(), "stray high bits");
@@ -520,6 +521,89 @@ fn append_to_empty_dir_is_save() {
     assert_eq!(report.appended, 2);
     let (loaded, _) = Store::open(&dir).unwrap().load_all().unwrap();
     assert_eq!(loaded.len(), 2);
+    // One duplicate rule for every commit: the first of profiles that
+    // share a hash wins, whether the batch is appended onto an empty
+    // directory, saved, or appended onto a store.
+    let ps = runs(3);
+    let batch = [ps[0].clone(), ps[0].clone(), ps[1].clone()];
+    let empty = ScratchDir::new("store-append-empty-dup");
+    let saved = ScratchDir::new("store-save-dup");
+    for (dir, report) in [
+        (&empty, Store::append(&empty, &batch)),
+        (&saved, Store::save(&saved, &batch)),
+    ] {
+        let report = report.unwrap();
+        assert_eq!((report.appended, report.profiles), (2, 2));
+        let (loaded, rep) = Store::open(dir).unwrap().load_all().unwrap();
+        assert!(rep.is_clean(), "{rep}");
+        assert_eq!(hashes(&loaded), hashes(&ps[..2]));
+    }
+    let report = Store::append(&saved, &[ps[2].clone(), ps[2].clone(), ps[0].clone()]).unwrap();
+    assert_eq!((report.appended, report.profiles), (1, 3));
+}
+
+#[test]
+fn non_finite_float_metadata_survives_every_commit() {
+    for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let same = |v: Option<&Value>| match v {
+            Some(Value::Float(f)) => f.to_bits() == x.to_bits(),
+            _ => false,
+        };
+        let dir = ScratchDir::new("store-non-finite");
+        let mut ps = runs(4);
+        ps[1].set_metadata("ratio", x);
+        ps[2].set_metadata("ratio", x);
+        Store::save(&dir, &ps[..2]).unwrap();
+        let report = Store::append(&dir, &ps[2..]).unwrap();
+        assert_eq!(report.appended, 2, "{x}");
+        let reader = Store::open(&dir).unwrap();
+        let ratio = reader.manifest().column("ratio").unwrap().values().unwrap();
+        assert!(same(ratio.get(1)) && same(ratio.get(2)), "{x}: {ratio:?}");
+        assert_eq!((&ratio[0], &ratio[3]), (&Value::Null, &Value::Null));
+        reader.select_expr(&PredExpr::eq("ratio", x)).unwrap();
+        let fsck = Store::fsck(&dir).unwrap();
+        assert!(fsck.is_clean(), "{x}: {fsck}");
+        let (loaded, rep) = reader.load_all().unwrap();
+        assert!(rep.is_clean(), "{x}: {rep}");
+        assert!(same(loaded[1].metadata("ratio")) && same(loaded[2].metadata("ratio")));
+        // The profile's own JSON (the thicketd wire form) round-trips.
+        let text = ps[1].to_string_pretty();
+        let back = Profile::parse(&text).unwrap_or_else(|e| panic!("{x}: {e}: {text}"));
+        assert!(same(back.metadata("ratio")), "{x}");
+        assert_eq!(back.profile_hash(), ps[1].profile_hash());
+    }
+}
+
+#[test]
+fn append_onto_an_undecodable_column_is_corrupt_and_writes_nothing() {
+    let dir = ScratchDir::new("store-append-bad-column");
+    Store::save(&dir, &runs(2)).unwrap();
+    let path = dir.join(manifest_name(1));
+    let bytes = std::fs::read(&path).unwrap();
+    let body = std::str::from_utf8(&bytes[MANIFEST_HEADER_BYTES..]).unwrap();
+    // The manifest itself verifies: only one column's text is damaged.
+    let damaged = seal(&body.replacen(",\"values\":\"[", ",\"values\":\"[[", 1));
+    assert!(Manifest::from_file_bytes(&damaged).is_ok());
+    std::fs::write(&path, &damaged).unwrap();
+    let before = layout::list_dir(&dir).unwrap();
+    let err = Store::append(&dir, &runs(4)[2..]).unwrap_err();
+    assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+    assert_eq!(layout::list_dir(&dir).unwrap(), before);
+    assert_eq!(std::fs::read(&path).unwrap(), damaged);
+}
+
+#[test]
+fn manifest_bytes_reproduce_the_checked_in_fixtures() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy");
+    for file in ["v3/MANIFEST-000001", "mixed/MANIFEST-000002"] {
+        let bytes = std::fs::read(src.join(file)).unwrap();
+        let m = Manifest::from_file_bytes(&bytes).unwrap();
+        assert_eq!(m.legacy, None, "{file}");
+        assert!(
+            m.to_file_bytes() == bytes,
+            "{file} re-serialized differently"
+        );
+    }
 }
 
 #[test]
@@ -638,9 +722,21 @@ fn store_entry_meta_is_key_sorted_binary_search() {
 
 #[test]
 fn crash_points_are_enumerable() {
+    // begin, two per shard, three for the manifest (mid-write, written,
+    // committed), one for GC.
     let dir = ScratchDir::new("store-points");
     let report = Store::save(&dir, &runs(3)).unwrap();
-    assert!(report.crash_points >= 7, "{}", report.crash_points);
+    assert_eq!((report.shards, report.crash_points), (1, 7));
+    let one_per_record = StoreOptions {
+        shard_bytes: 1,
+        ..StoreOptions::default()
+    };
+    let report = Store::append_opts(&dir, &runs(5)[3..], &one_per_record).unwrap();
+    assert_eq!((report.shards, report.crash_points), (2, 9));
+    let report = Store::compact(&dir).unwrap();
+    assert_eq!((report.shards, report.crash_points), (1, 7));
+    let report = Store::save_opts(&dir, &runs(3), &one_per_record).unwrap();
+    assert_eq!((report.shards, report.crash_points), (3, 11));
     // Asking for a crash beyond the last point is a clean write.
     let dir2 = ScratchDir::new("store-points-beyond");
     let opts = StoreOptions {
@@ -1187,4 +1283,201 @@ fn registry_cold_and_warm_loads_are_bit_identical() {
         cold.entries(),
         "materialized metadata differs"
     );
+}
+
+/// A one-node profile carrying `row` as its metadata (its hash is the
+/// row's) and `time` as its only metric.
+fn tiny(row: &[(String, Value)], time: f64) -> Profile {
+    let mut g = thicket_graph::Graph::new();
+    let root = g.add_root(thicket_graph::Frame::named("main"));
+    let mut p = Profile::new(g);
+    p.set_metric(root, "time", time);
+    for (k, v) in row {
+        p.set_metadata(k.clone(), v.clone());
+    }
+    p
+}
+
+/// A value from every branch of the column encoding.
+fn oracle_value(rng: &mut rand::rngs::StdRng) -> Value {
+    use rand::Rng;
+    let r: i64 = rng.gen_range(-1000..1000);
+    match rng.gen_range(0..9u8) {
+        0 => Value::Int(r),
+        1 if r < 0 => Value::Int(i64::MIN + 1000 + r),
+        1 => Value::Int((1 << 60) + r),
+        2 => Value::Float(r as f64),
+        3 => Value::Float([f64::NAN, f64::INFINITY, f64::NEG_INFINITY][r.rem_euclid(3) as usize]),
+        4 => Value::Float(r as f64 + 0.25),
+        5 => Value::from(format!("q\"{r}\\\u{1}\t\n\u{7f}é😀").as_str()),
+        6 => Value::from(r.to_string().as_str()),
+        7 => Value::Bool(r % 2 == 0),
+        _ => Value::Null,
+    }
+}
+
+/// The same row under another profile: one value swapped for one that
+/// displays the same (`Int(n)` ↔ `Str("n")`), so the hash is unchanged
+/// while the stored row differs.
+fn same_hash_other_row(row: &[(String, Value)]) -> Vec<(String, Value)> {
+    let mut row = row.to_vec();
+    for (_, v) in row.iter_mut() {
+        let swapped = match &*v {
+            Value::Int(i) => Some(Value::from(i.to_string().as_str())),
+            Value::Str(s) => s.parse::<i64>().ok().map(Value::Int),
+            _ => None,
+        };
+        if let Some(swapped) = swapped {
+            *v = swapped;
+            break;
+        }
+    }
+    row
+}
+
+/// One commit sequence against a model of the newest generation's
+/// profiles, in storage order: after every commit, the newest
+/// manifest's columns equal `build_columns` of the model's rows, fsck
+/// is clean, and `load_all` returns the model's profiles. A snapshot
+/// pinned on the first generation, when asked for, must still load it
+/// at the end.
+fn column_and_gc_oracle(seed: u64, keep: usize, pin: bool) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let dir = ScratchDir::new("store-oracle");
+    let mut model: Vec<(Vec<(String, Value)>, f64)> = Vec::new();
+    let mut first_gen: Option<(Snapshot, Vec<String>)> = None;
+    let mut next_id = 0i64;
+    // Loads come back grouped by shard: compare them as sorted lists.
+    let canonical = |profiles: Vec<Profile>| -> Vec<String> {
+        let mut texts: Vec<String> = profiles.iter().map(Profile::to_string_pretty).collect();
+        texts.sort();
+        texts
+    };
+    let modelled = |rows: &[(Vec<(String, Value)>, f64)]| -> Vec<String> {
+        canonical(rows.iter().map(|(r, t)| tiny(r, *t)).collect())
+    };
+    let commits = rng.gen_range(2..=6usize);
+    for c in 0..commits {
+        let ctx = format!("seed {seed} keep {keep} pin {pin} commit {c}");
+        let op = if c == 0 { 0 } else { rng.gen_range(1..4u8) };
+        let opts = StoreOptions {
+            keep_generations: keep,
+            shard_bytes: rng.gen_range(1..400usize),
+            append_mode: if op == 2 {
+                AppendMode::Upsert
+            } else {
+                AppendMode::Skip
+            },
+            ..StoreOptions::default()
+        };
+        // Keys come and go: a few shared ones and one per commit.
+        let keys = ["a", "b", "c\"q", "é"].map(String::from);
+        let mut batch: Vec<(Vec<(String, Value)>, f64)> = Vec::new();
+        for _ in 0..rng.gen_range(0..7usize) {
+            let time = rng.gen_range(0.0..1.0);
+            let pick = rng.gen_range(0..10u8);
+            if pick < 2 && !batch.is_empty() {
+                // An in-batch duplicate (same hash, other payload).
+                let (row, _) = batch[rng.gen_range(0..batch.len())].clone();
+                batch.push((row, time));
+            } else if pick < 5 && !model.is_empty() {
+                let (row, _) = &model[rng.gen_range(0..model.len())];
+                let row = if pick == 4 {
+                    same_hash_other_row(row)
+                } else {
+                    row.clone()
+                };
+                batch.push((row, time));
+            } else {
+                next_id += 1;
+                let mut row = vec![("id".to_string(), Value::Int(next_id))];
+                for k in keys.iter().cloned().chain([format!("k{c}")]) {
+                    if rng.gen_range(0..2u8) == 0 {
+                        row.push((k, oracle_value(&mut rng)));
+                    }
+                }
+                row.sort_by(|a, b| a.0.cmp(&b.0));
+                batch.push((row, time));
+            }
+        }
+        let profiles: Vec<Profile> = batch.iter().map(|(r, t)| tiny(r, *t)).collect();
+        let hash = |(r, t): &(Vec<(String, Value)>, f64)| tiny(r, *t).profile_hash();
+        let generation = match op {
+            0..=2 => {
+                let report = if op == 0 {
+                    Store::save_opts(&dir, &profiles, &opts).unwrap()
+                } else {
+                    Store::append_opts(&dir, &profiles, &opts).unwrap()
+                };
+                if op == 0 {
+                    model.clear();
+                }
+                let mut seen = std::collections::HashSet::new();
+                for item in batch.iter().filter(|item| seen.insert(hash(item))) {
+                    match model.iter().position(|m| hash(m) == hash(item)) {
+                        Some(i) if op == 2 => model[i] = item.clone(),
+                        Some(_) => {}
+                        None => model.push(item.clone()),
+                    }
+                }
+                report.generation
+            }
+            _ => {
+                // Compaction regroups the profiles by the shard that
+                // holds them, in storage order within each shard.
+                let shard_of: Vec<usize> = Store::open(&dir)
+                    .unwrap()
+                    .manifest()
+                    .profiles
+                    .iter()
+                    .map(|e| e.shard)
+                    .collect();
+                let mut order: Vec<usize> = (0..model.len()).collect();
+                order.sort_by_key(|&i| shard_of[i]);
+                model = order.into_iter().map(|i| model[i].clone()).collect();
+                Store::compact_opts(&dir, &opts).unwrap().generation
+            }
+        };
+        let bytes = std::fs::read(dir.join(manifest_name(generation))).unwrap();
+        let newest = Manifest::from_file_bytes(&bytes).unwrap();
+        let rows: Vec<&[(String, Value)]> = model.iter().map(|(r, _)| r.as_slice()).collect();
+        assert!(
+            newest.columns == build_columns(&rows),
+            "{ctx}: columns differ"
+        );
+        let fsck = Store::fsck(&dir).unwrap();
+        assert!(fsck.is_clean(), "{ctx}: {fsck}");
+        let (loaded, report) = Store::open(&dir).unwrap().load_all().unwrap();
+        assert!(report.is_clean(), "{ctx}: {report}");
+        assert_eq!(canonical(loaded), modelled(&model), "{ctx}");
+        if pin && c == 0 {
+            first_gen = Some((Store::open_pinned(&dir).unwrap(), modelled(&model)));
+        }
+    }
+    if let Some((snapshot, profiles)) = first_gen {
+        let (loaded, report) = snapshot.load_all().unwrap();
+        assert!(report.is_clean(), "seed {seed} keep {keep}: {report}");
+        assert_eq!(
+            canonical(loaded),
+            profiles,
+            "seed {seed} keep {keep}: pinned generation"
+        );
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
+
+    /// Appended column tails and GC from the manifests in hand agree
+    /// with a full rebuild, at every retention window, with and without
+    /// a pinned older generation.
+    #[test]
+    fn columns_and_gc_match_a_rebuilt_model(seed in proptest::arbitrary::any::<u64>()) {
+        for keep in 0..=3 {
+            for pin in [false, true] {
+                column_and_gc_oracle(seed, keep, pin);
+            }
+        }
+    }
 }

@@ -14,7 +14,9 @@ use super::crc::crc32c;
 use super::layout::{
     list_dir, list_generations, manifest_name, parse_manifest_name, parse_shard_name, shard_name,
 };
-use super::manifest::{build_columns, sorted_meta, Manifest, ShardInfo, StoreEntry};
+use super::manifest::{
+    append_columns, build_columns, sorted_meta, Manifest, ShardInfo, StoreEntry,
+};
 use super::reader::{record_index_of, PayloadSlice, StoreReader};
 use super::{
     lease, legacy, AppendMode, CompactReport, StoreError, StoreOptions, WriteReport,
@@ -23,7 +25,7 @@ use super::{
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
 use crate::profile::Profile;
 use std::collections::{HashMap, HashSet};
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,6 +40,11 @@ pub(crate) struct CrashClock {
 }
 
 impl CrashClock {
+    /// True when the next tick is the injected crash.
+    fn fires_next(&self) -> bool {
+        self.trigger == Some(self.next)
+    }
+
     pub(crate) fn tick(&mut self, label: &'static str) -> Result<(), StoreError> {
         let point = self.next;
         self.next += 1;
@@ -49,8 +56,24 @@ impl CrashClock {
     }
 }
 
-fn sync_file(path: &Path) -> io::Result<()> {
-    std::fs::OpenOptions::new().read(true).open(path)?.sync_all()
+/// Write `bytes` to `path` and sync them through the same handle, behind
+/// the crash point `label` ("the process died mid-write"). Only when
+/// that point is the injected crash does the file get its torn state:
+/// the first half of `bytes`.
+fn write_synced(
+    path: &Path,
+    bytes: &[u8],
+    label: &'static str,
+    clock: &mut CrashClock,
+) -> Result<(), StoreError> {
+    if clock.fires_next() {
+        std::fs::write(path, &bytes[..bytes.len() / 2])?;
+    }
+    clock.tick(label)?;
+    let mut file = std::fs::File::create(path)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    Ok(())
 }
 
 /// Where one payload landed: shard index *within this write's packs*,
@@ -148,12 +171,7 @@ fn write_shards(
             bytes.extend_from_slice(&crc.to_le_bytes());
             bytes.extend_from_slice(pl);
         }
-        let path = dir.join(shard_name(gen, si));
-        // Model a crash mid-write: only a prefix reached the disk.
-        std::fs::write(&path, &bytes[..bytes.len() / 2])?;
-        clock.tick("mid-shard-write")?;
-        std::fs::write(&path, &bytes)?;
-        sync_file(&path)?;
+        write_synced(&dir.join(shard_name(gen, si)), &bytes, "mid-shard-write", clock)?;
         clock.tick("shard-written")?;
         infos.push(ShardInfo {
             file: shard_name(gen, si),
@@ -170,10 +188,7 @@ fn commit_manifest(dir: &Path, manifest: &Manifest, clock: &mut CrashClock) -> R
     let gen = manifest.generation;
     let bytes = manifest.to_file_bytes();
     let tmp = dir.join(format!(".{}.tmp", manifest_name(gen)));
-    std::fs::write(&tmp, &bytes[..bytes.len() / 2])?;
-    clock.tick("mid-manifest-write")?;
-    std::fs::write(&tmp, &bytes)?;
-    sync_file(&tmp)?;
+    write_synced(&tmp, &bytes, "mid-manifest-write", clock)?;
     clock.tick("manifest-written")?;
     std::fs::rename(&tmp, dir.join(manifest_name(gen)))?;
     clock.tick("manifest-committed")?;
@@ -197,6 +212,12 @@ fn remove_quiet(dir: &Path, name: &str) -> Result<(), StoreError> {
 /// referencing older shard files, which must survive the GC of the
 /// manifest that originally wrote them.
 ///
+/// `held` lists the shards of manifests the commit already has in
+/// memory, by generation (the one it wrote and its base): a surviving
+/// manifest among them is not read again. Only survivors the commit
+/// does not hold (pinned or retained older generations) are read and
+/// parsed from disk.
+///
 /// Generations holding a live reader lease are skipped entirely (their
 /// manifest survives, so their shards stay referenced); stale lease
 /// files — dead owner pid or heartbeat past `lease_ttl` — are reaped
@@ -205,6 +226,7 @@ fn gc_generations(
     dir: &Path,
     cutoff: u64,
     lease_ttl: Duration,
+    held: &[(u64, &[ShardInfo])],
     clock: &mut CrashClock,
 ) -> Result<(), StoreError> {
     let names = list_dir(dir)?;
@@ -221,11 +243,14 @@ fn gc_generations(
     }
     let mut referenced: HashSet<String> = HashSet::new();
     for name in list_dir(dir)? {
-        if parse_manifest_name(&name).is_some() {
-            if let Ok(bytes) = std::fs::read(dir.join(&name)) {
-                if let Ok(m) = Manifest::from_file_bytes(&bytes) {
-                    referenced.extend(m.shards.iter().map(|s| s.file.clone()));
-                }
+        let Some(gen) = parse_manifest_name(&name) else {
+            continue;
+        };
+        if let Some((_, shards)) = held.iter().find(|(g, _)| *g == gen) {
+            referenced.extend(shards.iter().map(|s| s.file.clone()));
+        } else if let Ok(bytes) = std::fs::read(dir.join(&name)) {
+            if let Ok(m) = Manifest::from_file_bytes(&bytes) {
+                referenced.extend(m.shards.into_iter().map(|s| s.file));
             }
         }
     }
@@ -290,12 +315,15 @@ pub(crate) fn newest_by<M>(
 }
 
 /// [`Store::save_opts`]'s critical section: write `staged` as a fresh
-/// generation. Caller holds the commit lock.
+/// generation, keeping the first of profiles that share a hash. Caller
+/// holds the commit lock.
 pub(crate) fn save_locked(
     dir: &Path,
-    staged: &[&Staged],
+    staged: &[Staged],
     opts: &StoreOptions,
 ) -> Result<WriteReport, StoreError> {
+    let mut seen: HashSet<i64> = HashSet::new();
+    let staged: Vec<&Staged> = staged.iter().filter(|s| seen.insert(s.hash)).collect();
     let mut clock = CrashClock {
         next: 0,
         trigger: opts.crash_after,
@@ -326,6 +354,7 @@ pub(crate) fn save_locked(
         dir,
         gen.saturating_sub(opts.keep_generations as u64),
         opts.lease_ttl,
+        &[(gen, &manifest.shards)],
         &mut clock,
     )?;
 
@@ -367,24 +396,10 @@ pub(crate) fn append_locked(
             return Err(StoreError::Conflict { expected, found });
         }
     }
-    let Some(base) = base else {
+    let Some(mut base) = base else {
         // No verifying generation: an append is exactly a save.
-        let all: Vec<&Staged> = staged.iter().collect();
-        return save_locked(dir, &all, opts);
+        return save_locked(dir, staged, opts);
     };
-    let base_rows = base.meta_rows().map_err(StoreError::Corrupt)?;
-    let mut clock = CrashClock {
-        next: 0,
-        trigger: opts.crash_after,
-    };
-    clock.tick("begin")?;
-
-    let gen = list_generations(dir)?
-        .last()
-        .copied()
-        .unwrap_or(0)
-        .max(base.generation)
-        + 1;
     let base_index: HashMap<i64, usize> = base
         .profiles
         .iter()
@@ -401,57 +416,75 @@ pub(crate) fn append_locked(
                 && (opts.append_mode == AppendMode::Upsert || !base_index.contains_key(&s.hash))
         })
         .collect();
+    let mut replaced: Vec<(usize, &[(String, Value)])> = Vec::new();
+    let mut tail: Vec<&[(String, Value)]> = Vec::new();
+    for s in &writing {
+        match base_index.get(&s.hash) {
+            Some(&bi) => replaced.push((bi, &s.row)),
+            None => tail.push(&s.row),
+        }
+    }
+    // Decodes every base column before anything is written: a base
+    // whose index does not decode fails here, typed, untouched.
+    let n_base = base.profiles.len();
+    let columns = append_columns(std::mem::take(&mut base.columns), n_base, &replaced, &tail)
+        .map_err(StoreError::Corrupt)?;
+    let mut clock = CrashClock {
+        next: 0,
+        trigger: opts.crash_after,
+    };
+    clock.tick("begin")?;
+
+    let gen = list_generations(dir)?
+        .last()
+        .copied()
+        .unwrap_or(0)
+        .max(base.generation)
+        + 1;
     let payloads: Vec<&[u8]> = writing.iter().map(|s| s.payload.as_slice()).collect();
     let packs = pack_shards(&payloads, opts.shard_bytes);
     let (new_infos, placements) = write_shards(dir, gen, &payloads, &packs, &mut clock)?;
 
-    let shard_base = base.shards.len();
-    let mut rows: Vec<&[(String, Value)]> = base_rows.iter().map(Vec::as_slice).collect();
-    let mut entries = base.profiles.clone();
-    let mut appended = 0usize;
-    let mut replaced = 0usize;
+    let mut shards = std::mem::take(&mut base.shards);
+    let shard_base = shards.len();
+    shards.extend(new_infos);
+    let mut entries = std::mem::take(&mut base.profiles);
     for (s, pl) in writing.iter().zip(&placements) {
         let entry = pl.entry(s.hash, shard_base);
         match base_index.get(&s.hash) {
-            // Upsert: the entry is replaced in place (load order keeps
-            // the original slot); the superseded record's bytes stay in
-            // their shard until the next compact.
-            Some(&bi) => {
-                rows[bi] = &s.row;
-                entries[bi] = entry;
-                replaced += 1;
-            }
-            None => {
-                rows.push(&s.row);
-                entries.push(entry);
-                appended += 1;
-            }
+            // Upsert: the entry is replaced in place (storage order
+            // keeps the original slot); the superseded record's bytes
+            // stay in their shard until the next compact.
+            Some(&bi) => entries[bi] = entry,
+            None => entries.push(entry),
         }
     }
-    let mut shards = base.shards.clone();
-    shards.extend(new_infos);
     let manifest = Manifest {
         generation: gen,
         shards,
         profiles: entries,
-        columns: build_columns(&rows),
+        columns,
         legacy: None,
     };
-    let total = manifest.profiles.len();
     commit_manifest(dir, &manifest, &mut clock)?;
+    // The base's shards are the new manifest's first `shard_base`.
     gc_generations(
         dir,
         gen.saturating_sub(opts.keep_generations as u64),
         opts.lease_ttl,
+        &[
+            (gen, &manifest.shards),
+            (base.generation, &manifest.shards[..shard_base]),
+        ],
         &mut clock,
     )?;
 
     Ok(WriteReport {
         generation: gen,
         shards: packs.len(),
-        profiles: total,
-        appended,
-        replaced,
+        profiles: manifest.profiles.len(),
+        appended: tail.len(),
+        replaced: replaced.len(),
         crash_points: clock.next,
     })
 }
@@ -534,6 +567,7 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
         dir,
         gen.saturating_sub(opts.keep_generations as u64),
         opts.lease_ttl,
+        &[(gen, &manifest.shards), (base.generation, &base.shards)],
         &mut clock,
     )?;
 

@@ -32,6 +32,37 @@ fn opts() -> StoreOptions {
     }
 }
 
+/// At a mid-write crash point the torn file holds exactly the first half
+/// of the bytes a clean run leaves under its final name in `clean`: the
+/// newest shard file, or the manifest's dot-temp file.
+fn assert_torn(dir: &std::path::Path, clean: &std::path::Path, err: &StoreError, point: usize) {
+    let StoreError::InjectedCrash { label, .. } = err else {
+        panic!("point {point}: {err}");
+    };
+    let names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    let (torn, fin) = match *label {
+        "mid-shard-write" => {
+            let shard = names
+                .iter()
+                .filter(|n| n.starts_with("shard-"))
+                .max()
+                .unwrap();
+            (shard.clone(), shard.clone())
+        }
+        "mid-manifest-write" => {
+            let tmp = names.iter().find(|n| n.ends_with(".tmp")).unwrap();
+            (tmp.clone(), tmp[1..tmp.len() - 4].to_string())
+        }
+        _ => return,
+    };
+    let full = std::fs::metadata(clean.join(&fin)).unwrap().len();
+    let got = std::fs::metadata(dir.join(&torn)).unwrap().len();
+    assert_eq!(got, full / 2, "point {point} ({label}): {torn}");
+}
+
 /// Abort the writer at every enumerable crash point; after recovery the
 /// store must serve exactly the old batch or exactly the new batch —
 /// never a mix, never a loss.
@@ -61,6 +92,7 @@ fn crash_point_matrix_recovers_to_exactly_one_generation() {
             matches!(err, StoreError::InjectedCrash { .. }),
             "point {point}: {err}"
         );
+        assert_torn(&dir, &probe, &err, point);
 
         let rec = Store::recover(&dir).unwrap();
         let reader = Store::open(&dir).unwrap();
@@ -266,6 +298,7 @@ fn append_crash_point_matrix_recovers_to_exactly_one_generation() {
             matches!(err, thicket_perfsim::StoreError::InjectedCrash { .. }),
             "point {point}: {err}"
         );
+        assert_torn(&dir, &probe, &err, point);
 
         let rec = Store::recover(&dir).unwrap();
         let reader = Store::open(&dir).unwrap();
@@ -310,6 +343,7 @@ fn compact_crash_point_matrix_never_loses_a_profile() {
             matches!(err, thicket_perfsim::StoreError::InjectedCrash { .. }),
             "point {point}: {err}"
         );
+        assert_torn(&dir, &probe, &err, point);
 
         Store::recover(&dir).unwrap();
         let reader = Store::open(&dir).unwrap();
