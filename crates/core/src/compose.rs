@@ -140,7 +140,7 @@ pub fn concat_thickets_threads(
                         .iter()
                         .map(|k| {
                             let old = tk.node_of_value(&k[0]).ok_or(())?;
-                            let new = mapping.get(&old).ok_or(())?;
+                            let new = mapping[old.index()];
                             Ok(vec![Value::Int(new.index() as i64), k[1].clone()])
                         })
                         .collect::<Result<_, ()>>()

@@ -3,11 +3,9 @@
 //! (Hatchet's `squash`), node intersection across profiles,
 //! string-dialect querying, and CSV export.
 
-use crate::thicket::{profile_fragments, Thicket, ThicketError, NODE_LEVEL, PROFILE_LEVEL};
+use crate::thicket::{Thicket, ThicketError, NODE_LEVEL, PROFILE_LEVEL};
 use std::collections::{HashMap, HashSet};
-use thicket_dataframe::{
-    merge_fragments, to_csv, ColKey, ColumnFragments, DataFrame, FrameBuilder, Index, Key, Value,
-};
+use thicket_dataframe::{to_csv, ColKey, DataFrame, Index, Value};
 use thicket_perfsim::Profile;
 use thicket_query::Query;
 
@@ -15,15 +13,18 @@ impl Thicket {
     /// Ingest additional profiles into this thicket in place — the
     /// incremental counterpart of a full [`crate::Loader`] build.
     ///
-    /// The existing performance data is *not* rebuilt from its source
-    /// profiles: it rides into the merge as one pre-typed column batch,
-    /// re-keyed through the graph union, alongside one freshly
-    /// assembled batch per new profile. The result equals rebuilding
-    /// from the full profile set whenever the existing thicket was
-    /// itself built by [`crate::Loader`].
+    /// The existing rows are not rebuilt from their source profiles, nor
+    /// re-keyed: the new call trees are unioned onto this thicket's own
+    /// graph, which keeps every node id, and the new profiles' rows,
+    /// already in `(node, profile)` order, are merged with the existing
+    /// ones. The result equals a [`crate::Loader`] build over the full
+    /// profile set whenever this thicket was itself built (or extended)
+    /// by the loader: the same graph, perf data and metadata.
     ///
-    /// Aggregated statistics are cleared: they described the old
-    /// ensemble.
+    /// Fail-fast: a duplicate profile id (within the batch or against
+    /// the thicket) or a panicking profile is an error, and an error
+    /// leaves the thicket untouched. Aggregated statistics are cleared:
+    /// they described the old ensemble.
     pub fn extend(
         &mut self,
         profiles: &[Profile],
@@ -44,106 +45,9 @@ impl Thicket {
         profile_ids: &[Value],
         threads: usize,
     ) -> Result<(), ThicketError> {
-        if profiles.len() != profile_ids.len() {
-            return Err(ThicketError::Invalid(format!(
-                "{} profiles but {} profile ids",
-                profiles.len(),
-                profile_ids.len()
-            )));
-        }
-        if profiles.is_empty() {
-            return Ok(());
-        }
-        {
-            let existing: HashSet<Value> = self.profiles().into_iter().collect();
-            let mut seen = HashSet::new();
-            for id in profile_ids {
-                if existing.contains(id) || !seen.insert(id) {
-                    return Err(ThicketError::Invalid(format!("duplicate profile id {id}")));
-                }
-            }
-        }
-
-        // Union the existing unified graph with the new call trees. The
-        // existing graph goes first, so `mappings[0]` re-keys the rows
-        // already in the thicket.
-        let mut graphs: Vec<&thicket_graph::Graph> = Vec::with_capacity(profiles.len() + 1);
-        graphs.push(&self.graph);
-        graphs.extend(profiles.iter().map(|p| p.graph()));
-        let union = thicket_graph::GraphUnion::build(&graphs);
-
-        // Existing perf rows as one pre-typed fragment batch.
-        let self_mapping = &union.mappings[0];
-        let keys: Vec<Key> = self
-            .perf_data
-            .index()
-            .keys()
-            .iter()
-            .map(|key| {
-                let old = self.node_of_value(&key[0]).ok_or_else(|| {
-                    ThicketError::Invalid("perf row references unknown node".into())
-                })?;
-                Ok(vec![
-                    Value::Int(self_mapping[&old].index() as i64),
-                    key[1].clone(),
-                ])
-            })
-            .collect::<Result<_, ThicketError>>()?;
-        // One typed batch per new profile, assembled on the workers,
-        // and the new metadata rows — everything fallible that doesn't
-        // need to consume the existing frames happens first, so an
-        // error here leaves the thicket untouched.
-        let new_frags = profile_fragments(profiles, &union.mappings[1..], profile_ids, threads)?;
-        let mut mb = FrameBuilder::new([PROFILE_LEVEL]);
-        for (profile, pid) in profiles.iter().zip(profile_ids.iter()) {
-            mb.push_row(
-                vec![pid.clone()],
-                profile
-                    .metadata_iter()
-                    .map(|(k, v)| (ColKey::new(k), v.clone())),
-            )?;
-        }
-        let meta_keys: Vec<Key> = self
-            .metadata
-            .index()
-            .keys()
-            .iter()
-            .map(|key| vec![key[0].clone()])
-            .collect();
-
-        // Existing perf rows as one pre-typed fragment batch. The
-        // columns are *moved* in ([`ColumnFragments::absorb`]), not
-        // cloned: a streaming load extends once per chunk, and cloning
-        // the whole accumulated table each time would turn a linear
-        // ingest quadratic.
-        let mut frags = Vec::with_capacity(profiles.len() + 1);
-        let mut base = ColumnFragments::with_keys([NODE_LEVEL, PROFILE_LEVEL], keys)?;
-        let old_perf = std::mem::replace(
-            &mut self.perf_data,
-            DataFrame::new(Index::empty([NODE_LEVEL, PROFILE_LEVEL])),
-        );
-        base.absorb(old_perf)?;
-        frags.push(base);
-        frags.extend(new_frags);
-        let perf_data =
-            crate::order::sort_frame_by_index_threads(&merge_fragments(&frags)?, threads);
-
-        // Metadata: existing rows as a fragment (moved the same way),
-        // new rows per profile.
-        let mut meta_base = ColumnFragments::with_keys([PROFILE_LEVEL], meta_keys)?;
-        let old_meta = std::mem::replace(
-            &mut self.metadata,
-            DataFrame::new(Index::empty([PROFILE_LEVEL])),
-        );
-        meta_base.absorb(old_meta)?;
-        let metadata = merge_fragments(&[meta_base, mb.finish_fragments()])?;
-
-        self.graph = union.graph;
-        self.perf_data = perf_data;
-        self.metadata = metadata;
-        self.statsframe = DataFrame::new(Index::empty([NODE_LEVEL]));
-        Ok(())
+        crate::engine::extend(self, profiles, profile_ids, threads)
     }
+
     /// Remove call-graph nodes that carry no performance data (e.g.
     /// structural interior nodes another profile contributed), rebuilding
     /// ancestry through nearest kept ancestors — Hatchet's `squash`.
@@ -390,6 +294,75 @@ mod tests {
         eight.extend_threads(&profiles[2..], &ids[2..], 8).unwrap();
         assert_eq!(one.perf_data(), eight.perf_data());
         assert_eq!(one.metadata(), eight.metadata());
+    }
+
+    /// A = main→a; B = main→b, main→a→c, whose arena order (main, b, a,
+    /// c) is not its pre-order; a third profile shaped like A. Every node
+    /// is measured.
+    fn two_shapes_then_a() -> Vec<Profile> {
+        let shape_a = || {
+            let mut g = Graph::new();
+            let main = g.add_root(Frame::named("main"));
+            g.add_child(main, Frame::named("a"));
+            g
+        };
+        let mut b = Graph::new();
+        let main = b.add_root(Frame::named("main"));
+        b.add_child(main, Frame::named("b"));
+        let a = b.add_child(main, Frame::named("a"));
+        b.add_child(a, Frame::named("c"));
+        [shape_a(), b, shape_a()]
+            .into_iter()
+            .enumerate()
+            .map(|(run, g)| {
+                let nodes: Vec<_> = g.ids().collect();
+                let mut p = Profile::new(g);
+                p.set_metadata("run", run as i64);
+                for id in nodes {
+                    p.set_metric(id, "time", (10 * run + id.index()) as f64);
+                }
+                p
+            })
+            .collect()
+    }
+
+    fn node_names(tk: &Thicket) -> Vec<&str> {
+        tk.graph()
+            .ids()
+            .map(|id| tk.graph().node(id).name())
+            .collect()
+    }
+
+    #[test]
+    fn extend_keeps_existing_node_ids() {
+        let profiles = two_shapes_then_a();
+        let whole = build(&profiles);
+        assert_eq!(node_names(&whole), ["main", "a", "b", "c"]);
+        let mut grown = build(&profiles[..2]);
+        let id = Value::Int(profiles[2].profile_hash());
+        grown.extend(&profiles[2..], &[id]).unwrap();
+        assert_eq!(node_names(&grown), node_names(&whole));
+        assert_eq!(grown.perf_data(), whole.perf_data());
+        assert_eq!(grown.metadata(), whole.metadata());
+    }
+
+    #[test]
+    fn chunked_store_load_matches_whole_load() {
+        use crate::{LoadSource, StoreSource};
+        use thicket_perfsim::{ScratchDir, Store, Strictness};
+
+        let profiles = two_shapes_then_a();
+        let dir = ScratchDir::new("extend-chunks");
+        Store::save(&dir, &profiles).unwrap();
+        let whole = Thicket::loader(LoadSource::store(&dir)).load().unwrap().0;
+        let src = StoreSource::open(&dir, true, None, Strictness::FailFast)
+            .unwrap()
+            .chunk_size(2);
+        let chunked = Thicket::loader(LoadSource::custom(src)).load().unwrap().0;
+        assert_eq!(node_names(&whole), ["main", "a", "b", "c"]);
+        assert_eq!(node_names(&chunked), node_names(&whole));
+        assert_eq!(chunked.perf_data(), whole.perf_data());
+        assert_eq!(chunked.metadata(), whole.metadata());
     }
 
     #[test]

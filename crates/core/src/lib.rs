@@ -35,6 +35,7 @@
 
 mod compose;
 mod display;
+mod engine;
 mod extend;
 mod loader;
 mod model_glue;

@@ -301,9 +301,13 @@ impl<'a> Loader<'a> {
     ///
     /// Chunked sources (traces, [`StoreSource::chunk_size`], custom
     /// sources) compose incrementally: the first chunk builds the
-    /// thicket, each later chunk is absorbed via `Thicket::extend` —
-    /// bit-identical to a whole-input build, but never holding more
-    /// than one chunk of source profiles.
+    /// thicket and each later chunk extends it ([`Thicket::extend`],
+    /// fail-fast), never holding more than one chunk of source
+    /// profiles. `extend` unions a chunk's call trees onto the
+    /// thicket's graph without renumbering it, so when every profile
+    /// is healthy the result is the thicket one build over all the
+    /// source's profiles makes: the same graph, perf data and metadata,
+    /// whatever the chunk size.
     pub fn load(self) -> Result<(Thicket, IngestReport), ThicketError> {
         let Loader {
             source,
@@ -671,28 +675,12 @@ fn compose(
     strictness: Strictness,
     read: Option<IngestReport>,
 ) -> Result<(Thicket, IngestReport), ThicketError> {
-    let build = match strictness {
-        Strictness::FailFast => {
-            let tk = Thicket::build_indexed_threads(profiles, ids, threads)?;
-            (
-                tk,
-                IngestReport {
-                    attempted: profiles.len(),
-                    loaded: profiles.len(),
-                    diagnostics: Vec::new(),
-                    pushdown: None,
-                },
-            )
-        }
-        Strictness::Lenient { .. } => {
-            Thicket::build_indexed_lenient_threads(profiles, ids, threads)?
-        }
-    };
+    let (tk, built) = crate::engine::compose(profiles, ids, threads, strictness)?;
     match read {
-        None => Ok(build),
+        None => Ok((tk, built)),
         Some(mut report) => {
-            report.absorb(build.1);
-            Ok((build.0, report))
+            report.absorb(built);
+            Ok((tk, report))
         }
     }
 }

@@ -65,7 +65,7 @@ pub fn concat_thickets_rows_threads(
                         ThicketError::Invalid("perf row references unknown node".into())
                     })?;
                     Ok(vec![
-                        Value::Int(mapping[&old].index() as i64),
+                        Value::Int(mapping[old.index()].index() as i64),
                         key[1].clone(),
                     ])
                 })

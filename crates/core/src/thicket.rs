@@ -3,12 +3,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use thicket_dataframe::{
-    merge_fragments, ColKey, Column, ColumnFragments, DataFrame, DfError, FrameBuilder, Index,
-    Value,
-};
-use thicket_graph::{Graph, GraphUnion, NodeId};
-use thicket_perfsim::{IngestReport, Profile};
+use thicket_dataframe::{ColKey, DataFrame, DfError, Index, Value};
+use thicket_graph::{Graph, NodeId};
 
 /// Name of the call-tree-node index level.
 pub(crate) const NODE_LEVEL: &str = "node";
@@ -86,223 +82,6 @@ pub struct Thicket {
 }
 
 impl Thicket {
-    /// Strict build engine behind [`crate::Loader`]: compose `profiles`
-    /// under caller-chosen index values on `threads` workers, failing
-    /// on the first unhealthy input. Bit-identical for any
-    /// `threads ≥ 1`.
-    pub(crate) fn build_indexed_threads(
-        profiles: &[Profile],
-        profile_ids: &[Value],
-        threads: usize,
-    ) -> Result<Thicket, ThicketError> {
-        if profiles.is_empty() {
-            return Err(ThicketError::Invalid(
-                "cannot build a thicket from zero profiles".into(),
-            ));
-        }
-        if profiles.len() != profile_ids.len() {
-            return Err(ThicketError::Invalid(format!(
-                "{} profiles but {} profile ids",
-                profiles.len(),
-                profile_ids.len()
-            )));
-        }
-        {
-            let mut seen = std::collections::HashSet::new();
-            for id in profile_ids {
-                if !seen.insert(id) {
-                    return Err(ThicketError::Invalid(format!(
-                        "duplicate profile id {id}"
-                    )));
-                }
-            }
-        }
-
-        // Unify the call trees (the paper's call-tree matching).
-        let graphs: Vec<&Graph> = profiles.iter().map(|p| p.graph()).collect();
-        let union = GraphUnion::build(&graphs);
-
-        // Performance data: one row per (unified node, profile) that the
-        // profile actually measured. Distinct source nodes can merge into
-        // one unified node (duplicate sibling frames, as a call-tree
-        // profiler would have merged); their metrics are summed.
-        //
-        // Each worker assembles a typed per-profile column batch
-        // ([`ColumnFragments`]): index keys plus one `f64` fragment per
-        // metric it saw. The serial tail is then a single schema-union
-        // pass and per-column `Vec` concatenation (`merge_fragments`)
-        // instead of re-hashing every cell through a row builder — and
-        // stays bit-identical to the serial build for any `threads ≥ 1`.
-        let frags = profile_fragments(profiles, &union.mappings, profile_ids, threads)?;
-        let perf_data =
-            crate::order::sort_frame_by_index_threads(&merge_fragments(&frags)?, threads);
-
-        // Metadata: one row per profile.
-        let mut mb = FrameBuilder::new([PROFILE_LEVEL]);
-        for (profile, pid) in profiles.iter().zip(profile_ids.iter()) {
-            mb.push_row(
-                vec![pid.clone()],
-                profile
-                    .metadata_iter()
-                    .map(|(k, v)| (ColKey::new(k), v.clone())),
-            )?;
-        }
-        let metadata = mb.finish()?;
-
-        Ok(Thicket {
-            graph: union.graph,
-            perf_data,
-            metadata,
-            statsframe: DataFrame::new(Index::empty([NODE_LEVEL])),
-        })
-    }
-
-    /// Lenient build engine behind [`crate::Loader`]: unhealthy
-    /// profiles (duplicate ids, non-finite metrics, panicking assembly
-    /// workers) are dropped with typed diagnostics instead of failing
-    /// the build; errs only when no profile survives.
-    ///
-    /// Pre-validation runs serially in input order; row assembly fans
-    /// out with per-profile panic capture. A panicking profile is
-    /// dropped with a [`thicket_perfsim::DiagKind::WorkerPanic`]
-    /// diagnostic and the build retries on the surviving subset, so a
-    /// deterministic panic converges and the report is identical for
-    /// any `threads ≥ 1`.
-    pub(crate) fn build_indexed_lenient_threads(
-        profiles: &[Profile],
-        profile_ids: &[Value],
-        threads: usize,
-    ) -> Result<(Thicket, IngestReport), ThicketError> {
-        use thicket_perfsim::{DiagKind, Diagnostic, JobFailure};
-
-        if profiles.is_empty() {
-            return Err(ThicketError::Invalid(
-                "cannot build a thicket from zero profiles".into(),
-            ));
-        }
-        if profiles.len() != profile_ids.len() {
-            return Err(ThicketError::Invalid(format!(
-                "{} profiles but {} profile ids",
-                profiles.len(),
-                profile_ids.len()
-            )));
-        }
-
-        // Serial pre-validation, in input order.
-        let mut diagnostics: Vec<(usize, Diagnostic)> = Vec::new();
-        let mut healthy: Vec<usize> = Vec::new();
-        let mut seen: HashMap<&Value, usize> = HashMap::new();
-        for (i, id) in profile_ids.iter().enumerate() {
-            if let Some(&first) = seen.get(id) {
-                diagnostics.push((
-                    i,
-                    Diagnostic {
-                        source: format!("profile {id}"),
-                        kind: DiagKind::DuplicateProfile {
-                            first: format!("profile {}", profile_ids[first]),
-                        },
-                    },
-                ));
-                continue;
-            }
-            if let Some((node, metric)) = first_non_finite(&profiles[i]) {
-                diagnostics.push((
-                    i,
-                    Diagnostic {
-                        source: format!("profile {id}"),
-                        kind: DiagKind::NonFiniteMetric { node, metric },
-                    },
-                ));
-                continue;
-            }
-            seen.insert(id, i);
-            healthy.push(i);
-        }
-
-        // Panic-isolated assembly. Any failure drops that profile and
-        // retries on the survivors (the graph union must be rebuilt
-        // without the dropped profile's call tree).
-        loop {
-            if healthy.is_empty() {
-                let report: Vec<String> = diagnostics
-                    .iter()
-                    .map(|(_, d)| d.to_string())
-                    .collect();
-                return Err(ThicketError::Invalid(format!(
-                    "every profile was dropped: {}",
-                    report.join("; ")
-                )));
-            }
-            let graphs: Vec<&Graph> = healthy.iter().map(|&i| profiles[i].graph()).collect();
-            let union = GraphUnion::build(&graphs);
-            let items: Vec<(usize, &HashMap<NodeId, NodeId>)> = healthy
-                .iter()
-                .copied()
-                .zip(union.mappings.iter())
-                .collect();
-            let results = thicket_perfsim::parallel_map_catch(&items, threads, |(i, mapping)| {
-                assemble_fragment(&profiles[*i], mapping, &profile_ids[*i])
-            });
-
-            let mut frags: Vec<ColumnFragments> = Vec::with_capacity(items.len());
-            let mut kept: Vec<usize> = Vec::with_capacity(items.len());
-            for ((i, _), r) in items.iter().zip(results) {
-                let kind = match r {
-                    Ok(frag) => {
-                        frags.push(frag);
-                        kept.push(*i);
-                        continue;
-                    }
-                    Err(JobFailure::Error(df)) => {
-                        DiagKind::Schema(format!("row assembly failed: {df}"))
-                    }
-                    Err(JobFailure::Panic(m)) => DiagKind::WorkerPanic(m),
-                };
-                diagnostics.push((
-                    *i,
-                    Diagnostic {
-                        source: format!("profile {}", profile_ids[*i]),
-                        kind,
-                    },
-                ));
-            }
-            if kept.len() < healthy.len() {
-                healthy = kept;
-                continue;
-            }
-
-            let perf_data =
-                crate::order::sort_frame_by_index_threads(&merge_fragments(&frags)?, threads);
-            let mut mb = FrameBuilder::new([PROFILE_LEVEL]);
-            for &i in &healthy {
-                mb.push_row(
-                    vec![profile_ids[i].clone()],
-                    profiles[i]
-                        .metadata_iter()
-                        .map(|(k, v)| (ColKey::new(k), v.clone())),
-                )?;
-            }
-            let metadata = mb.finish()?;
-
-            diagnostics.sort_by_key(|(i, _)| *i);
-            let report = IngestReport {
-                attempted: profiles.len(),
-                loaded: healthy.len(),
-                diagnostics: diagnostics.into_iter().map(|(_, d)| d).collect(),
-                pushdown: None,
-            };
-            return Ok((
-                Thicket {
-                    graph: union.graph,
-                    perf_data,
-                    metadata,
-                    statsframe: DataFrame::new(Index::empty([NODE_LEVEL])),
-                },
-                report,
-            ));
-        }
-    }
-
     /// Assemble a thicket from raw components (used by composition and
     /// the EDA operations; validates index level names).
     pub fn from_components(
@@ -539,127 +318,6 @@ pub(crate) fn input_failure(
     }
 }
 
-/// First NaN/infinite metric value in `p`, as `(node index, metric
-/// name)` — pre-order node scan, alphabetical within a node.
-fn first_non_finite(p: &Profile) -> Option<(usize, String)> {
-    p.graph().ids().find_map(|id| {
-        p.node_metrics(id)
-            .iter()
-            .find(|(_, v)| !v.is_finite())
-            .map(|(k, _)| (id.index(), k.to_string()))
-    })
-}
-
-/// Assemble one profile's typed [`ColumnFragments`] batch: index keys
-/// `(unified node, profile id)` in node order, plus one `f64` column
-/// fragment per metric the profile measured (duplicate source nodes
-/// merging into one unified node have their metrics summed).
-fn assemble_fragment(
-    profile: &Profile,
-    mapping: &HashMap<NodeId, NodeId>,
-    pid: &Value,
-) -> Result<ColumnFragments, DfError> {
-    // One row's merged metric view. The overwhelmingly common case — a
-    // source node that maps alone onto its unified node — borrows the
-    // profile's own metric map; only genuinely merged duplicates pay for
-    // an owned sum map.
-    enum Metrics<'a> {
-        Borrowed(&'a std::collections::BTreeMap<std::sync::Arc<str>, f64>),
-        Owned(std::collections::BTreeMap<std::sync::Arc<str>, f64>),
-    }
-    impl Metrics<'_> {
-        fn map(&self) -> &std::collections::BTreeMap<std::sync::Arc<str>, f64> {
-            match self {
-                Metrics::Borrowed(m) => m,
-                Metrics::Owned(m) => m,
-            }
-        }
-    }
-
-    // Measured source nodes keyed by their unified node id, in
-    // unified-node order (stable sort keeps duplicate groups in
-    // source order, so their sums are deterministic).
-    let mut pairs: Vec<(i64, NodeId)> = profile
-        .graph()
-        .ids()
-        .filter(|id| !profile.node_metrics(*id).is_empty())
-        .map(|old| (mapping[&old].index() as i64, old))
-        .collect();
-    pairs.sort_by_key(|&(new, _)| new);
-
-    let mut rows: Vec<(i64, Metrics<'_>)> = Vec::with_capacity(pairs.len());
-    let mut i = 0;
-    while i < pairs.len() {
-        let (node, first) = pairs[i];
-        let mut j = i + 1;
-        while j < pairs.len() && pairs[j].0 == node {
-            j += 1;
-        }
-        if j == i + 1 {
-            rows.push((node, Metrics::Borrowed(profile.node_metrics(first))));
-        } else {
-            let mut sum = profile.node_metrics(first).clone();
-            for &(_, old) in &pairs[i + 1..j] {
-                for (k, v) in profile.node_metrics(old) {
-                    *sum.entry(k.clone()).or_insert(0.0) += v;
-                }
-            }
-            rows.push((node, Metrics::Owned(sum)));
-        }
-        i = j;
-    }
-
-    let mut frag = ColumnFragments::new([NODE_LEVEL, PROFILE_LEVEL]);
-    let mut names: Vec<&str> = Vec::new();
-    let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    for (node, metrics) in &rows {
-        frag.push_key(vec![Value::Int(*node), pid.clone()])?;
-        for k in metrics.map().keys() {
-            if seen.insert(k.as_ref()) {
-                names.push(k.as_ref());
-            }
-        }
-    }
-    for name in names {
-        let vals: Vec<Option<f64>> = rows
-            .iter()
-            .map(|(_, m)| m.map().get(name).copied())
-            .collect();
-        frag.push_column(ColKey::new(name), Column::from_opt_f64(&vals))?;
-    }
-    Ok(frag)
-}
-
-/// Assemble one [`ColumnFragments`] batch per profile on `threads`
-/// workers, failing fast: the first failing profile (lowest input index,
-/// deterministic for any thread count) aborts the build with an error
-/// naming its profile id, and a panicking worker is captured as
-/// [`ThicketError::Worker`] instead of unwinding through the API. Batch
-/// order follows `profiles`, so downstream merges are deterministic.
-pub(crate) fn profile_fragments(
-    profiles: &[Profile],
-    mappings: &[HashMap<NodeId, NodeId>],
-    profile_ids: &[Value],
-    threads: usize,
-) -> Result<Vec<ColumnFragments>, ThicketError> {
-    let items: Vec<(&Profile, &HashMap<NodeId, NodeId>, &Value)> = profiles
-        .iter()
-        .zip(mappings.iter())
-        .zip(profile_ids.iter())
-        .map(|((p, m), id)| (p, m, id))
-        .collect();
-    thicket_perfsim::try_parallel_map(&items, threads, |(profile, mapping, pid)| {
-        assemble_fragment(profile, mapping, pid)
-    })
-    .map_err(|e| match e.failure {
-        thicket_perfsim::JobFailure::Error(df) => ThicketError::Df(df),
-        thicket_perfsim::JobFailure::Panic(message) => ThicketError::Worker {
-            source: format!("profile {}", profile_ids[e.index]),
-            message,
-        },
-    })
-}
-
 impl fmt::Display for Thicket {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -677,7 +335,7 @@ impl fmt::Display for Thicket {
 mod tests {
     use super::*;
     use thicket_graph::Frame;
-    use thicket_perfsim::Strictness;
+    use thicket_perfsim::{IngestReport, Profile, Strictness};
 
     /// Loader-builder spellings of the historical constructors, so the
     /// tests read as tersely as the old API.

@@ -1,0 +1,379 @@
+//! The composition oracle: every path that builds a thicket from the
+//! same profiles must build the thicket a reference composer kept here
+//! builds, cell for cell, for any worker count.
+//!
+//! The reference is deliberately naive: [`GraphUnion::build_naive`] for
+//! the graph, one [`FrameBuilder`] row per measured `(node, profile)`
+//! pair (duplicate sibling frames summed in source order), then a
+//! stable [`DataFrame::sort_by_index`]; metadata is one `FrameBuilder`
+//! row per profile.
+
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use proptest::prelude::*;
+use thicket_core::{LoadSource, PredExpr, StoreSource, Strictness, Thicket};
+use thicket_dataframe::{ColKey, DataFrame, FrameBuilder, Value};
+use thicket_graph::{Frame, Graph, GraphUnion};
+use thicket_perfsim::{DiagKind, Profile, ScratchDir, Store};
+
+/// SplitMix64: a seeded stream for the structured ensembles below.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn chance(&mut self, one_in: usize) -> bool {
+        self.below(one_in) == 0
+    }
+}
+
+/// A random call forest of up to 12 nodes. Names come from a small
+/// alphabet, so sibling frames repeat (and merge in the union); some
+/// frames carry a `type`, which keeps them apart from the bare name.
+///
+/// A few nodes gain an extra (DAG) parent. The extra parent comes after
+/// the first parent in the arena (so a store round trip keeps the parent
+/// order) and after the node in pre-order (so the walk meets the first
+/// parent first), and is not a descendant. Such a node is named after its
+/// first parent's call path of whole frames (names alone would let two
+/// paths that differ only in a `type` collide), the shape on which the
+/// hash-indexed union and the naive one agree.
+fn forest(mix: &mut Mix) -> Graph {
+    let n = 1 + mix.below(12);
+    let parent: Vec<Option<usize>> = (0..n)
+        .map(|i| (i > 0 && !mix.chance(6)).then(|| mix.below(i.max(1))))
+        .collect();
+    let mut frames: Vec<Frame> = (0..n)
+        .map(|_| {
+            let name = format!("f{}", mix.below(4));
+            if mix.chance(5) {
+                Frame::with_type(name, "loop")
+            } else {
+                Frame::named(name)
+            }
+        })
+        .collect();
+
+    let mut pos = vec![0usize; n];
+    let mut stack: Vec<usize> = (0..n).rev().filter(|&i| parent[i].is_none()).collect();
+    let mut next = 0;
+    while let Some(i) = stack.pop() {
+        pos[i] = next;
+        next += 1;
+        stack.extend((0..n).rev().filter(|&c| parent[c] == Some(i)));
+    }
+    let ancestors = |mut i: usize| {
+        let mut out = Vec::new();
+        while let Some(p) = parent[i] {
+            out.push(p);
+            i = p;
+        }
+        out
+    };
+    let mut extra: Vec<(usize, usize)> = Vec::new();
+    for _ in 0..mix.below(3) {
+        let (c, p) = (mix.below(n), mix.below(n));
+        let Some(fp) = parent[c] else { continue };
+        if p > fp && pos[p] > pos[c] && !ancestors(p).contains(&c) && !extra.contains(&(p, c)) {
+            extra.push((p, c));
+        }
+    }
+    extra.sort_unstable();
+    for &(_, c) in &extra {
+        let path: Vec<String> = ancestors(c)
+            .iter()
+            .rev()
+            .map(|&a| frames[a].to_string())
+            .collect();
+        frames[c] = Frame::named(format!("dag@{}", path.join("/")));
+    }
+
+    let mut g = Graph::new();
+    let mut ids = Vec::with_capacity(n);
+    for (i, frame) in frames.into_iter().enumerate() {
+        ids.push(match parent[i] {
+            None => g.add_root(frame),
+            Some(p) => g.add_child(ids[p], frame),
+        });
+    }
+    for (p, c) in extra {
+        g.add_edge(ids[p], ids[c]);
+    }
+    g
+}
+
+/// One profile over `graph`: some nodes unmeasured, the rest measuring a
+/// random subset of three metrics. Metadata always holds a unique `run`
+/// (so profile hashes differ) and a varying set of other keys, in a
+/// varying order, covering every value kind; `x` is an Int in some
+/// profiles and a Float in others.
+fn profile(mix: &mut Mix, graph: Graph, run: i64) -> Profile {
+    let ids: Vec<_> = graph.ids().collect();
+    let mut p = Profile::new(graph);
+    for id in ids {
+        if mix.chance(4) {
+            continue;
+        }
+        for m in ["m0", "m1", "m2"] {
+            if !mix.chance(3) {
+                let v = match mix.below(8) {
+                    0 => -0.0,
+                    1 => mix.below(100) as f64,
+                    _ => (mix.next() % 1_000_000) as f64 / 997.0 - 300.0,
+                };
+                p.set_metric(id, m, v);
+            }
+        }
+    }
+    let mut meta: Vec<(&str, Value)> = vec![("run", Value::Int(run))];
+    if !mix.chance(3) {
+        let x = if mix.chance(2) {
+            Value::Int(mix.below(50) as i64)
+        } else {
+            Value::Float(mix.below(50) as f64 / 4.0)
+        };
+        meta.push(("x", x));
+    }
+    if !mix.chance(3) {
+        meta.push((
+            "cluster",
+            Value::from(["quartz", "lassen", "ruby"][mix.below(3)]),
+        ));
+    }
+    if mix.chance(2) {
+        meta.push(("debug", Value::Bool(mix.chance(2))));
+    }
+    if mix.chance(3) {
+        meta.push(("note", Value::Null));
+    }
+    for _ in 0..meta.len() {
+        let (a, b) = (mix.below(meta.len()), mix.below(meta.len()));
+        meta.swap(a, b);
+    }
+    for (k, v) in meta {
+        p.set_metadata(k, v);
+    }
+    p
+}
+
+/// An ensemble of 1..9 profiles over a few call-tree shapes: most
+/// profiles repeat an earlier shape, the rest bring a new one.
+fn ensemble(seed: u64) -> Vec<Profile> {
+    let mut mix = Mix(seed);
+    let mut shapes: Vec<Graph> = Vec::new();
+    (0..1 + mix.below(9))
+        .map(|run| {
+            if shapes.is_empty() || mix.chance(3) {
+                shapes.push(forest(&mut mix));
+            }
+            let g = shapes[mix.below(shapes.len())].clone();
+            profile(&mut mix, g, run as i64)
+        })
+        .collect()
+}
+
+/// The reference composer.
+fn reference(profiles: &[Profile], ids: &[Value]) -> (Graph, DataFrame, DataFrame) {
+    let graphs: Vec<&Graph> = profiles.iter().map(Profile::graph).collect();
+    let union = GraphUnion::build_naive(&graphs);
+    let mut perf = FrameBuilder::new(["node", "profile"]);
+    for ((p, id), map) in profiles.iter().zip(ids).zip(&union.mappings) {
+        let mut rows: BTreeMap<usize, BTreeMap<Arc<str>, f64>> = BTreeMap::new();
+        for old in p.graph().ids() {
+            let metrics = p.node_metrics(old);
+            if metrics.is_empty() {
+                continue;
+            }
+            match rows.entry(map[old.index()].index()) {
+                Entry::Vacant(e) => {
+                    e.insert(metrics.clone());
+                }
+                Entry::Occupied(mut e) => {
+                    for (k, v) in metrics {
+                        *e.get_mut().entry(k.clone()).or_insert(0.0) += v;
+                    }
+                }
+            }
+        }
+        for (node, metrics) in rows {
+            let cells = metrics
+                .iter()
+                .map(|(k, v)| (ColKey::new(k.as_ref()), Value::Float(*v)));
+            perf.push_row(vec![Value::Int(node as i64), id.clone()], cells)
+                .unwrap();
+        }
+    }
+    let mut meta = FrameBuilder::new(["profile"]);
+    for (p, id) in profiles.iter().zip(ids) {
+        let cells = p.metadata_iter().map(|(k, v)| (ColKey::new(k), v.clone()));
+        meta.push_row(vec![id.clone()], cells).unwrap();
+    }
+    (
+        union.graph,
+        perf.finish().unwrap().sort_by_index(),
+        meta.finish().unwrap(),
+    )
+}
+
+fn pick<T: Clone>(xs: &[T], at: &[usize]) -> Vec<T> {
+    at.iter().map(|&i| xs[i].clone()).collect()
+}
+
+fn hash_ids(profiles: &[Profile]) -> Vec<Value> {
+    profiles
+        .iter()
+        .map(|p| Value::Int(p.profile_hash()))
+        .collect()
+}
+
+fn same_graph(a: &Graph, b: &Graph) -> bool {
+    a.len() == b.len()
+        && a.roots() == b.roots()
+        && a.ids().all(|id| {
+            let (x, y) = (a.node(id), b.node(id));
+            x.frame() == y.frame() && x.parents() == y.parents() && x.children() == y.children()
+        })
+}
+
+/// Frames equal cell for cell, with the same columns masked.
+fn same_frame(got: &DataFrame, want: &DataFrame) -> bool {
+    got == want
+        && got
+            .columns()
+            .zip(want.columns())
+            .all(|((_, a), (_, b))| a.as_f64_slice().is_some() == b.as_f64_slice().is_some())
+}
+
+fn assert_matches(tk: &Thicket, want: &(Graph, DataFrame, DataFrame), path: &str) {
+    assert!(same_graph(tk.graph(), &want.0), "{path}: graph differs");
+    assert!(
+        same_frame(tk.perf_data(), &want.1),
+        "{path}: perf data differs"
+    );
+    assert!(
+        same_frame(tk.metadata(), &want.2),
+        "{path}: metadata differs"
+    );
+    assert!(tk.statsframe().is_empty(), "{path}: stale statsframe");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Slice, owned, store (every selection, pin and chunking) and
+    /// `extend` at a random split all build the reference thicket, at
+    /// 1, 2 and 8 workers.
+    #[test]
+    fn every_path_builds_the_reference_thicket(seed in any::<u64>()) {
+        let profiles = ensemble(seed);
+        let n = profiles.len();
+        let ids = hash_ids(&profiles);
+        let whole = reference(&profiles, &ids);
+        let dir = ScratchDir::new("compose-oracle");
+        Store::save(&dir, &profiles).unwrap();
+        let mut mix = Mix(seed ^ 0x5eed);
+        let picked: Vec<usize> = (0..n).filter(|_| mix.chance(2)).collect();
+        let sparse = pick(&profiles, &picked);
+        let split = 1 + mix.below(n);
+
+        for threads in [1usize, 2, 8] {
+            let at = |path: &str| format!("{path} (seed {seed}, {threads} threads)");
+            let (tk, report) = Thicket::loader(&profiles).threads(threads).load().unwrap();
+            assert_matches(&tk, &whole, &at("slice"));
+            prop_assert!(report.is_clean());
+            let (tk, _) = Thicket::loader(profiles.clone()).threads(threads).load().unwrap();
+            assert_matches(&tk, &whole, &at("owned"));
+
+            for pinned in [true, false] {
+                let store = || Thicket::loader(LoadSource::store(&dir)).pinned(pinned).threads(threads);
+                let (tk, _) = store().load().unwrap();
+                assert_matches(&tk, &whole, &at(&format!("store, pinned {pinned}")));
+                if !sparse.is_empty() {
+                    let runs: Vec<Value> = picked.iter().map(|&i| Value::Int(i as i64)).collect();
+                    let (tk, report) = store().filter(PredExpr::is_in("run", runs)).load().unwrap();
+                    prop_assert_eq!(report.loaded, sparse.len());
+                    assert_matches(&tk, &reference(&sparse, &hash_ids(&sparse)), &at(&format!("sparse store, pinned {pinned}")));
+                }
+                for chunk in 1..=n {
+                    let src = StoreSource::open(&dir, pinned, Some(threads), Strictness::FailFast)
+                        .unwrap()
+                        .chunk_size(chunk);
+                    let (tk, _) = Thicket::loader(LoadSource::custom(src)).threads(threads).load().unwrap();
+                    assert_matches(&tk, &whole, &at(&format!("store in chunks of {chunk}, pinned {pinned}")));
+                }
+            }
+
+            let mut grown = Thicket::loader(&profiles[..split]).threads(threads).load().unwrap().0;
+            grown.extend_threads(&profiles[split..], &ids[split..], threads).unwrap();
+            assert_matches(&grown, &whole, &at(&format!("extend after {split}")));
+        }
+    }
+
+    /// A lenient build with injected duplicate ids and NaN metrics
+    /// equals the strict build over the healthy profiles, with one
+    /// diagnostic per bad profile, in input order.
+    #[test]
+    fn lenient_equals_strict_over_the_healthy_subset(seed in any::<u64>()) {
+        let mut profiles = ensemble(seed);
+        let mut ids: Vec<Value> = (0..profiles.len() as i64).map(|i| Value::Int(100 - i)).collect();
+        let mut mix = Mix(!seed);
+        let mut bad: Vec<(usize, &str)> = Vec::new();
+        for i in 0..profiles.len() {
+            if mix.chance(4) {
+                let root = profiles[i].graph().roots()[0];
+                profiles[i].set_metric(root, "m1", f64::NAN);
+                bad.push((i, "non-finite"));
+            } else if i > 0 && mix.chance(4) {
+                let healthy_before: Vec<usize> = (0..i).filter(|j| !bad.iter().any(|(b, _)| b == j)).collect();
+                if let Some(&j) = healthy_before.get(mix.below(healthy_before.len().max(1))) {
+                    ids[i] = ids[j].clone();
+                    bad.push((i, "duplicate"));
+                }
+            }
+        }
+        let healthy: Vec<usize> = (0..profiles.len()).filter(|i| !bad.iter().any(|(b, _)| b == i)).collect();
+        prop_assume!(!healthy.is_empty());
+        let (healthy_profiles, healthy_ids) = (pick(&profiles, &healthy), pick(&ids, &healthy));
+        let want = reference(&healthy_profiles, &healthy_ids);
+
+        for threads in [1usize, 2, 8] {
+            let (tk, report) = Thicket::loader(&profiles)
+                .profile_ids(&ids)
+                .strictness(Strictness::lenient())
+                .threads(threads)
+                .load()
+                .unwrap();
+            assert_matches(&tk, &want, &format!("lenient (seed {seed}, {threads} threads)"));
+            let strict = Thicket::loader(&healthy_profiles)
+                .profile_ids(&healthy_ids)
+                .threads(threads)
+                .load()
+                .unwrap()
+                .0;
+            assert_matches(&strict, &want, &format!("strict subset (seed {seed}, {threads} threads)"));
+            prop_assert_eq!(report.attempted, profiles.len());
+            prop_assert_eq!(report.loaded, healthy.len());
+            prop_assert_eq!(report.diagnostics.len(), bad.len());
+            for (d, (i, what)) in report.diagnostics.iter().zip(&bad) {
+                prop_assert_eq!(&d.source, &format!("profile {}", ids[*i]));
+                let kind_ok = match *what {
+                    "duplicate" => matches!(d.kind, DiagKind::DuplicateProfile { .. }),
+                    _ => matches!(d.kind, DiagKind::NonFiniteMetric { .. }),
+                };
+                prop_assert!(kind_ok, "diagnostic {:?} for profile {}", d.kind, i);
+            }
+        }
+    }
+}

@@ -104,18 +104,19 @@ impl Column {
         }
     }
 
-    /// Build a float column from optional values (`None` = null) without
-    /// per-cell [`Value`] boxing — the fast path for assembling metric
-    /// column fragments during ingest.
-    pub fn from_opt_f64(values: &[Option<f64>]) -> Self {
-        let data: Vec<f64> = values.iter().map(|v| v.unwrap_or(f64::NAN)).collect();
-        let valid: Option<Vec<bool>> = if values.iter().any(|v| v.is_none()) {
-            Some(values.iter().map(|v| v.is_some()).collect())
-        } else {
-            None
-        };
+    /// Build a float column from values and a validity mask (`valid[i]`
+    /// false = null; the value there is ignored) without per-cell
+    /// [`Value`] boxing — the fast path for writing metric columns during
+    /// ingest. The mask is dropped when every cell is valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two lengths differ.
+    pub fn from_f64_masked(values: Vec<f64>, valid: Vec<bool>) -> Self {
+        assert_eq!(values.len(), valid.len(), "one validity flag per value");
+        let valid = valid.contains(&false).then_some(valid);
         Column {
-            data: ColumnData::Float(data),
+            data: ColumnData::Float(values),
             valid,
         }
     }
@@ -723,11 +724,11 @@ mod tests {
     }
 
     #[test]
-    fn from_opt_f64_matches_builder() {
-        let dense = Column::from_opt_f64(&[Some(1.0), Some(2.0)]);
+    fn from_f64_masked_matches_builder() {
+        let dense = Column::from_f64_masked(vec![1.0, 2.0], vec![true, true]);
         assert_eq!(dense, Column::from_f64(vec![1.0, 2.0]));
         assert_eq!(dense.as_f64_slice(), Some(&[1.0, 2.0][..]));
-        let gappy = Column::from_opt_f64(&[Some(1.0), None, Some(3.0)]);
+        let gappy = Column::from_f64_masked(vec![1.0, 0.0, 3.0], vec![true, false, true]);
         assert_eq!(
             gappy,
             Column::from_values(vec![Value::Float(1.0), Value::Null, Value::Float(3.0)])

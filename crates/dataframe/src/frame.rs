@@ -188,12 +188,6 @@ impl DataFrame {
         self.cols.iter().map(|(k, c)| (k, c))
     }
 
-    /// Decompose the frame into its index and owned columns (insertion
-    /// order) — the zero-copy feed for [`ColumnFragments::absorb`].
-    pub fn into_parts(self) -> (Index, Vec<(ColKey, Column)>) {
-        (self.index, self.cols)
-    }
-
     /// A read-only view of one row.
     pub fn row(&self, row: usize) -> RowRef<'_> {
         RowRef { df: self, row }
@@ -367,6 +361,55 @@ impl DataFrame {
             df.insert(key.clone(), col)?;
         }
         Ok(df)
+    }
+
+    /// Stack `other`'s rows under this frame's, as [`merge_fragments`]
+    /// would over the two: columns in first-seen order (this frame's,
+    /// then `other`'s new ones), nulls where a side lacks a column,
+    /// dtypes promoted cell-wise.
+    pub fn append_rows(&self, other: &DataFrame) -> Result<DataFrame> {
+        if other.index.names() != self.index.names() {
+            return Err(DfError::IndexMismatch(format!(
+                "level names {:?} vs {:?}",
+                other.index.names(),
+                self.index.names()
+            )));
+        }
+        let mut keys = Vec::with_capacity(self.len() + other.len());
+        keys.extend_from_slice(self.index.keys());
+        keys.extend_from_slice(other.index.keys());
+        let mut df = DataFrame::new(Index::new(self.index.names().to_vec(), keys)?);
+        let fresh = other.cols.iter().filter(|(k, _)| !self.has_column(k));
+        for (key, _) in self.cols.iter().chain(fresh) {
+            let parts = [self, other].map(|f| match f.lookup.get(key) {
+                Some(&i) => ConcatPart::Col(&f.cols[i].1),
+                None => ConcatPart::Nulls(f.len()),
+            });
+            df.insert(key.clone(), concat_promoted(&parts)?)?;
+        }
+        Ok(df)
+    }
+
+    /// `self.append_rows(other)?.sort_by_index()`, computed as one linear
+    /// merge when both frames are already ordered by index (ties keep
+    /// this frame's rows first, as the stable sort does).
+    pub fn merge_sorted(&self, other: &DataFrame) -> Result<DataFrame> {
+        let (a, b) = (sorted_view(self), sorted_view(other));
+        let (ka, kb) = (a.index.keys(), b.index.keys());
+        let mut order = Vec::with_capacity(ka.len() + kb.len());
+        let (mut i, mut j) = (0, 0);
+        while i < ka.len() && j < kb.len() {
+            if kb[j] < ka[i] {
+                order.push(ka.len() + j);
+                j += 1;
+            } else {
+                order.push(i);
+                i += 1;
+            }
+        }
+        order.extend(i..ka.len());
+        order.extend(ka.len() + j..ka.len() + kb.len());
+        Ok(a.append_rows(&b)?.take(&order))
     }
 
     /// Collect one column per key-group of the index: for each distinct
@@ -598,22 +641,6 @@ impl ColumnFragments {
         Ok(())
     }
 
-    /// Move a frame's columns into this batch **without cloning the
-    /// cell data** — the chunked-extend reuse path: an existing table
-    /// rides into a [`merge_fragments`] merge as one pre-typed batch.
-    /// The frame's own index is discarded (the batch already carries
-    /// its index fragment, typically a re-keyed copy); its row count
-    /// must match the keys pushed so far. Equivalent to
-    /// [`ColumnFragments::push_column`] over cloned columns, minus the
-    /// copies.
-    pub fn absorb(&mut self, frame: DataFrame) -> Result<()> {
-        let (_, cols) = frame.into_parts();
-        for (key, col) in cols {
-            self.push_column(key, col)?;
-        }
-        Ok(())
-    }
-
     /// Number of rows in this fragment batch.
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -676,20 +703,34 @@ pub fn merge_fragments(frags: &[ColumnFragments]) -> Result<DataFrame> {
                 None => ConcatPart::Nulls(f.keys.len()),
             })
             .collect();
-        // Cell-level dtype resolution: all-null fragments are neutral,
-        // mirroring how a row builder only sees their cells as nulls.
-        let mut target = DType::Null;
-        for p in &parts {
-            if let ConcatPart::Col(c) = p {
-                let eff = c.effective_dtype();
-                target = target
-                    .promote(eff)
-                    .ok_or_else(|| DfError::type_error(target, eff))?;
-            }
-        }
-        df.insert(key, Column::concat_parts(target, &parts))?;
+        df.insert(key, concat_promoted(&parts)?)?;
     }
     Ok(df)
+}
+
+/// `frame` itself when its rows are ordered by index, else a sorted copy.
+fn sorted_view(frame: &DataFrame) -> std::borrow::Cow<'_, DataFrame> {
+    if frame.index.is_sorted() {
+        std::borrow::Cow::Borrowed(frame)
+    } else {
+        std::borrow::Cow::Owned(frame.sort_by_index())
+    }
+}
+
+/// Concatenate column parts under their common cell-level dtype:
+/// all-null parts are neutral, mirroring how a row builder only sees
+/// their cells as nulls.
+fn concat_promoted(parts: &[ConcatPart<'_>]) -> Result<Column> {
+    let mut target = DType::Null;
+    for p in parts {
+        if let ConcatPart::Col(c) = p {
+            let eff = c.effective_dtype();
+            target = target
+                .promote(eff)
+                .ok_or_else(|| DfError::type_error(target, eff))?;
+        }
+    }
+    Ok(Column::concat_parts(target, parts))
 }
 
 #[cfg(test)]
@@ -709,38 +750,6 @@ mod tests {
         df.insert("variant", Column::from_strs(["seq", "omp", "seq", "omp"]))
             .unwrap();
         df
-    }
-
-    #[test]
-    fn absorb_matches_cloned_push_column() {
-        let df = sample();
-        // Reference: clone every column into the batch.
-        let mut cloned = ColumnFragments::with_keys(
-            ["node", "profile"],
-            df.index().keys().to_vec(),
-        )
-        .unwrap();
-        for (k, c) in df.columns() {
-            cloned.push_column(k.clone(), c.clone()).unwrap();
-        }
-        // Reuse path: move the columns in.
-        let mut moved = ColumnFragments::with_keys(
-            ["node", "profile"],
-            df.index().keys().to_vec(),
-        )
-        .unwrap();
-        moved.absorb(sample()).unwrap();
-        let a = merge_fragments(&[cloned]).unwrap();
-        let b = merge_fragments(&[moved]).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(b, sample());
-
-        // Row-count mismatch is refused.
-        let mut short = ColumnFragments::new(["node", "profile"]);
-        assert!(matches!(
-            short.absorb(sample()),
-            Err(DfError::LengthMismatch { .. })
-        ));
     }
 
     #[test]
@@ -1010,6 +1019,41 @@ mod tests {
             merge_fragments(&[f1, f2]),
             Err(DfError::TypeError { .. })
         ));
+    }
+
+    #[test]
+    fn append_rows_matches_merge_fragments() {
+        let frags = sample_fragments();
+        let merged = merge_fragments(&frags).unwrap();
+        let a = merge_fragments(&frags[..1]).unwrap();
+        let b = merge_fragments(&frags[1..]).unwrap();
+        assert_eq!(a.append_rows(&b).unwrap(), merged);
+        let other_levels = DataFrame::new(Index::empty(["x"]));
+        assert!(a.append_rows(&other_levels).is_err());
+    }
+
+    #[test]
+    fn merge_sorted_matches_append_then_sort() {
+        let a = DataFrame::from_columns(
+            Index::pairs(("node", "profile"), vec![(0i64, 1i64), (2, 1), (2, 5)]),
+            [(ColKey::new("x"), Column::from_i64(vec![1, 2, 3]))],
+        )
+        .unwrap();
+        let b = DataFrame::from_columns(
+            Index::pairs(("node", "profile"), vec![(2i64, 1i64), (1, 9), (3, 0)]),
+            [
+                (ColKey::new("y"), Column::from_strs(["p", "q", "r"])),
+                (ColKey::new("x"), Column::from_f64(vec![0.5, 1.5, 2.5])),
+            ],
+        )
+        .unwrap();
+        // `b` is not ordered and ties `a` on (2, 1): `a`'s row goes first.
+        let want = a.append_rows(&b).unwrap().sort_by_index();
+        let got = a.merge_sorted(&b).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(got.column_keys(), vec![ColKey::new("x"), ColKey::new("y")]);
+        assert_eq!(got.column(&ColKey::new("x")).unwrap().get(2), Value::Float(2.0));
+        assert_eq!(got.column(&ColKey::new("x")).unwrap().get(3), Value::Float(0.5));
     }
 
     #[test]

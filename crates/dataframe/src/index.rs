@@ -269,6 +269,11 @@ impl Index {
         self.cache().duplicate.is_none()
     }
 
+    /// `true` if the keys are in ascending order (ties allowed).
+    pub(crate) fn is_sorted(&self) -> bool {
+        self.keys.windows(2).all(|w| w[0] <= w[1])
+    }
+
     /// Row positions sorted by key (stable; ties keep original order).
     pub fn argsort(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.len()).collect();

@@ -24,8 +24,8 @@ impl GraphDiff {
     /// Diff `left` against `right` by structural union.
     pub fn compute(left: &Graph, right: &Graph) -> GraphDiff {
         let u = GraphUnion::build(&[left, right]);
-        let l: HashSet<NodeId> = u.mappings[0].values().copied().collect();
-        let r: HashSet<NodeId> = u.mappings[1].values().copied().collect();
+        let l: HashSet<NodeId> = u.mappings[0].iter().copied().collect();
+        let r: HashSet<NodeId> = u.mappings[1].iter().copied().collect();
         let mut common: Vec<NodeId> = l.intersection(&r).copied().collect();
         let mut only_left: Vec<NodeId> = l.difference(&r).copied().collect();
         let mut only_right: Vec<NodeId> = r.difference(&l).copied().collect();

@@ -7,86 +7,112 @@
 //! the union walks both graphs top-down, pairing children by frame.
 //!
 //! [`GraphUnion::build`] produces the unified graph plus, for every input
-//! graph, a mapping from its node ids to unified ids; the thicket
+//! graph, a dense mapping from its node ids to unified ids; the thicket
 //! constructor uses those mappings to re-key every profile's metric rows.
+//!
+//! Ensembles repeat call-tree shapes: every run of one code variant has
+//! the same tree. An input whose arena equals an earlier input's (the
+//! same frames, parents, children and roots) maps exactly as that input
+//! did and adds nothing to the union, so the walk runs once per distinct
+//! shape and later copies reuse its mapping. A structural fingerprint
+//! buckets the shapes, so an ensemble whose shapes are all distinct pays
+//! one extra hash pass per input, not a scan over earlier shapes.
 
 use crate::frame::Frame;
 use crate::graph::{Graph, NodeId};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 
 /// Result of unioning a sequence of graphs.
 #[derive(Debug, Clone)]
 pub struct GraphUnion {
     /// The unified graph (superset of every input's structure).
     pub graph: Graph,
-    /// `mappings[i][old_id] = unified_id` for input graph `i`.
-    pub mappings: Vec<HashMap<NodeId, NodeId>>,
+    /// `mappings[i][old.index()]` is the unified id of input graph `i`'s
+    /// node `old`.
+    pub mappings: Vec<Vec<NodeId>>,
 }
 
+/// Placeholder for a source node the pre-order walk has not reached yet.
+const UNMAPPED: NodeId = NodeId(u32::MAX);
+
 impl GraphUnion {
-    /// Union all `graphs` (hash-indexed child matching).
+    /// Union all `graphs` (hash-indexed child matching, one walk per
+    /// distinct shape).
     pub fn build(graphs: &[&Graph]) -> GraphUnion {
-        Self::build_impl(graphs, true)
+        Self::build_onto(Graph::new(), graphs)
     }
 
-    /// Reference implementation using a linear sibling scan instead of a
-    /// hash index. Same result, asymptotically slower for wide sibling
-    /// sets; kept for the `ablate_union` benchmark and as an oracle in
-    /// property tests.
-    pub fn build_naive(graphs: &[&Graph]) -> GraphUnion {
-        Self::build_impl(graphs, false)
-    }
-
-    fn build_impl(graphs: &[&Graph], indexed: bool) -> GraphUnion {
-        let mut out = Graph::new();
-        let mut mappings = Vec::with_capacity(graphs.len());
-        // Index: (unified parent or None-for-root, frame) -> unified node.
-        let mut index: HashMap<(Option<NodeId>, Frame), NodeId> = HashMap::new();
-        for g in graphs {
-            let mut map: HashMap<NodeId, NodeId> = HashMap::new();
-            // Pre-order guarantees parents map before children.
-            for id in g.preorder() {
-                let frame = g.node(id).frame().clone();
-                let parent_new = g
-                    .node(id)
-                    .parents()
-                    .first()
-                    .map(|p| *map.get(p).expect("parent mapped before child"));
-                let existing = if indexed {
-                    index.get(&(parent_new, frame.clone())).copied()
-                } else {
-                    match parent_new {
-                        Some(p) => out.child_with_frame(p, &frame),
-                        None => out.root_with_frame(&frame),
-                    }
-                };
-                let new_id = match existing {
-                    Some(n) => n,
-                    None => {
-                        let n = match parent_new {
-                            Some(p) => out.add_child(p, frame.clone()),
-                            None => out.add_root(frame.clone()),
-                        };
-                        if indexed {
-                            index.insert((parent_new, frame), n);
+    /// Union `graphs` into `seed`. Every node of `seed` keeps its id, and
+    /// nodes the inputs add are appended after them, so rows keyed by
+    /// `seed`'s ids stay valid in the result. Unioning a union's own
+    /// graph into itself maps every node onto itself.
+    pub fn build_onto(seed: Graph, graphs: &[&Graph]) -> GraphUnion {
+        let mut walker = Walker::new(seed);
+        let mut shapes: HashMap<u64, Vec<usize>> = HashMap::new();
+        // The last few shapes matched, most recent first: ensembles run in
+        // batches of one variant, so the next input usually repeats one of
+        // them, and comparing first skips hashing its frames.
+        let mut recent: Vec<usize> = Vec::with_capacity(RECENT + 1);
+        let mut mappings: Vec<Vec<NodeId>> = Vec::with_capacity(graphs.len());
+        for (i, g) in graphs.iter().enumerate() {
+            // The first input of `g`'s shape: `i` itself when it is new.
+            let shape = match recent.iter().position(|&j| same_arena(graphs[j], g)) {
+                Some(pos) => recent.remove(pos),
+                None => {
+                    let hashes: Vec<u64> = g
+                        .ids()
+                        .map(|id| walker.keys.hash_one(g.node(id).frame()))
+                        .collect();
+                    let bucket = shapes
+                        .entry(fingerprint(&walker.keys, g, &hashes))
+                        .or_default();
+                    match bucket.iter().find(|&&j| same_arena(graphs[j], g)) {
+                        Some(&j) => j,
+                        None => {
+                            bucket.push(i);
+                            mappings.push(walker.walk(g, &hashes));
+                            i
                         }
-                        n
-                    }
-                };
-                map.insert(id, new_id);
-            }
-            // Extra parents (DAG input) become extra edges. Deferred to a
-            // second pass: pre-order only guarantees the *first*-parent
-            // chain is mapped before a node, not every parent.
-            for id in g.preorder() {
-                let new_id = map[&id];
-                for p_old in g.node(id).parents().iter().skip(1) {
-                    let p_new = map[p_old];
-                    if p_new != new_id {
-                        out.add_edge(p_new, new_id);
                     }
                 }
+            };
+            if shape != i {
+                mappings.push(mappings[shape].clone());
             }
+            recent.insert(0, shape);
+            recent.truncate(RECENT);
+        }
+        GraphUnion {
+            graph: walker.out,
+            mappings,
+        }
+    }
+
+    /// Reference implementation: a linear sibling scan instead of a hash
+    /// index, and one walk per input. Same result, asymptotically slower
+    /// for wide sibling sets; kept for the `ablate_union` benchmark and
+    /// as an oracle in property tests.
+    pub fn build_naive(graphs: &[&Graph]) -> GraphUnion {
+        let mut out = Graph::new();
+        let mut mappings = Vec::with_capacity(graphs.len());
+        for g in graphs {
+            let mut map = vec![UNMAPPED; g.len()];
+            let order = walk_order(g);
+            for &id in &order {
+                let frame = g.node(id).frame();
+                let parent = first_parent(g, &map, id);
+                let existing = match parent {
+                    Some(p) => out.child_with_frame(p, frame),
+                    None => out.root_with_frame(frame),
+                };
+                map[id.index()] = existing.unwrap_or_else(|| match parent {
+                    Some(p) => out.add_child(p, frame.clone()),
+                    None => out.add_root(frame.clone()),
+                });
+            }
+            add_extra_edges(&mut out, g, &order, &map);
             mappings.push(map);
         }
         GraphUnion {
@@ -100,7 +126,7 @@ impl GraphUnion {
     pub fn intersection(&self) -> Vec<NodeId> {
         let mut counts: HashMap<NodeId, usize> = HashMap::new();
         for map in &self.mappings {
-            let mut uniq: Vec<NodeId> = map.values().copied().collect();
+            let mut uniq: Vec<NodeId> = map.clone();
             uniq.sort_unstable();
             uniq.dedup();
             for id in uniq {
@@ -116,6 +142,155 @@ impl GraphUnion {
         out.sort_unstable();
         out
     }
+}
+
+/// The indexed union state: the unified graph plus an index from
+/// (unified parent, frame hash) to the first node created under that
+/// key. The index holds hashes, not frames, so a lookup clones nothing.
+/// Frames come from profile files, so the hashes are keyed: crafted
+/// frames cannot be made to collide on purpose.
+struct Walker {
+    out: Graph,
+    index: HashMap<(u32, u64), NodeId>,
+    keys: RandomState,
+}
+
+/// Index key of a root (no unified parent).
+const ROOT: u32 = u32::MAX;
+
+/// How many recently matched shapes an input is compared with before
+/// its frames are hashed.
+const RECENT: usize = 2;
+
+impl Walker {
+    fn new(seed: Graph) -> Walker {
+        let keys = RandomState::new();
+        let mut index = HashMap::with_capacity(seed.len());
+        for id in seed.ids() {
+            let node = seed.node(id);
+            let parent = node.parents().first().map_or(ROOT, |p| p.0);
+            index
+                .entry((parent, keys.hash_one(node.frame())))
+                .or_insert(id);
+        }
+        Walker {
+            out: seed,
+            index,
+            keys,
+        }
+    }
+
+    /// Map `g` into the union. `hashes[i]` is the frame hash of `g`'s
+    /// node `i`.
+    fn walk(&mut self, g: &Graph, hashes: &[u64]) -> Vec<NodeId> {
+        let mut map = vec![UNMAPPED; g.len()];
+        let order = walk_order(g);
+        for &id in &order {
+            let parent = first_parent(g, &map, id);
+            map[id.index()] = self.find_or_add(parent, g.node(id).frame(), hashes[id.index()]);
+        }
+        add_extra_edges(&mut self.out, g, &order, &map);
+        map
+    }
+
+    fn find_or_add(&mut self, parent: Option<NodeId>, frame: &Frame, hash: u64) -> NodeId {
+        let key = (parent.map_or(ROOT, |p| p.0), hash);
+        if let Some(&n) = self.index.get(&key) {
+            if self.out.node(n).frame() == frame {
+                return n;
+            }
+            // Two sibling frames share a hash: only a scan of the
+            // parent's own children tells them apart.
+            if let Some(n) = self.first_child(parent, frame) {
+                return n;
+            }
+        }
+        let n = match parent {
+            Some(p) => self.out.add_child(p, frame.clone()),
+            None => self.out.add_root(frame.clone()),
+        };
+        self.index.entry(key).or_insert(n);
+        n
+    }
+
+    /// First node whose first parent is `parent` and whose frame is
+    /// `frame`, in creation order.
+    fn first_child(&self, parent: Option<NodeId>, frame: &Frame) -> Option<NodeId> {
+        let candidates = match parent {
+            Some(p) => self.out.node(p).children(),
+            None => self.out.roots(),
+        };
+        candidates.iter().copied().find(|&c| {
+            let node = self.out.node(c);
+            node.parents().first().copied() == parent && node.frame() == frame
+        })
+    }
+}
+
+/// The order a union visits `g`'s nodes in: [`Graph::preorder`], except
+/// that a node first reached through an extra (DAG) parent waits until
+/// its first parent has been visited, so first parents always map before
+/// their children. On a tree, and on any DAG whose pre-order already
+/// meets first parents first, this is exactly the pre-order.
+fn walk_order(g: &Graph) -> Vec<NodeId> {
+    let mut out = Vec::with_capacity(g.len());
+    let mut seen = vec![false; g.len()];
+    let mut stack: Vec<NodeId> = g.roots().iter().rev().copied().collect();
+    while let Some(id) = stack.pop() {
+        let node = g.node(id);
+        if seen[id.index()] || node.parents().first().is_some_and(|p| !seen[p.index()]) {
+            continue;
+        }
+        seen[id.index()] = true;
+        out.push(id);
+        stack.extend(node.children().iter().rev().filter(|c| !seen[c.index()]));
+    }
+    out
+}
+
+/// The unified id of `id`'s first parent, if it has one.
+fn first_parent(g: &Graph, map: &[NodeId], id: NodeId) -> Option<NodeId> {
+    g.node(id).parents().first().map(|p| map[p.index()])
+}
+
+/// Extra parents (DAG input) become extra edges. Deferred to a second
+/// pass: pre-order only guarantees the *first*-parent chain is mapped
+/// before a node, not every parent.
+fn add_extra_edges(out: &mut Graph, g: &Graph, order: &[NodeId], map: &[NodeId]) {
+    for &id in order {
+        let new_id = map[id.index()];
+        for p_old in g.node(id).parents().iter().skip(1) {
+            let p_new = map[p_old.index()];
+            if p_new != new_id {
+                out.add_edge(p_new, new_id);
+            }
+        }
+    }
+}
+
+/// `true` when `a` and `b` are the same arena: equal roots, and node for
+/// node equal frames, parents and children.
+fn same_arena(a: &Graph, b: &Graph) -> bool {
+    a.len() == b.len()
+        && a.roots() == b.roots()
+        && a.ids().all(|id| {
+            let (x, y) = (a.node(id), b.node(id));
+            x.parents() == y.parents() && x.children() == y.children() && x.frame() == y.frame()
+        })
+}
+
+/// Hash of an arena's structure and frames: equal for graphs that
+/// [`same_arena`] accepts.
+fn fingerprint(keys: &RandomState, g: &Graph, frame_hashes: &[u64]) -> u64 {
+    let mut h = keys.build_hasher();
+    g.roots().hash(&mut h);
+    for (id, fh) in g.ids().zip(frame_hashes) {
+        let node = g.node(id);
+        h.write_u64(*fh);
+        node.parents().hash(&mut h);
+        node.children().hash(&mut h);
+    }
+    h.finish()
 }
 
 #[cfg(test)]
@@ -169,7 +344,7 @@ mod tests {
         let u = GraphUnion::build(&[&a, &b]);
         for (g, map) in [(&a, &u.mappings[0]), (&b, &u.mappings[1])] {
             for id in g.preorder() {
-                let new = map[&id];
+                let new = map[id.index()];
                 assert_eq!(g.node(id).frame(), u.graph.node(new).frame());
             }
         }
@@ -212,7 +387,7 @@ mod tests {
         a.add_edge(b_, shared);
         let u = GraphUnion::build(&[&a]);
         assert_eq!(u.graph.len(), 4);
-        let new_shared = u.mappings[0][&shared];
+        let new_shared = u.mappings[0][shared.index()];
         assert_eq!(u.graph.node(new_shared).parents().len(), 2);
     }
 
@@ -234,5 +409,49 @@ mod tests {
         let u = GraphUnion::build(&[&a, &b]);
         assert_eq!(u.graph.roots().len(), 2);
         assert!(u.intersection().is_empty());
+    }
+
+    #[test]
+    fn repeated_shape_reuses_the_first_mapping() {
+        let a = chain(&["MAIN", "FOO", "BAZ"]);
+        let mut b = Graph::new();
+        let m = b.add_root(Frame::named("MAIN"));
+        b.add_child(m, Frame::named("BAZ"));
+        b.add_child(m, Frame::named("FOO"));
+        let u = GraphUnion::build(&[&a, &b, &a.clone(), &b.clone()]);
+        assert_eq!(u.mappings[2], u.mappings[0]);
+        assert_eq!(u.mappings[3], u.mappings[1]);
+        let naive = GraphUnion::build_naive(&[&a, &b, &a, &b]);
+        assert_eq!(u.mappings, naive.mappings);
+        assert_eq!(u.graph.len(), naive.graph.len());
+    }
+
+    #[test]
+    fn same_structure_other_frames_is_not_reused() {
+        let a = chain(&["MAIN", "FOO"]);
+        let b = chain(&["MAIN", "BAR"]);
+        let u = GraphUnion::build(&[&a, &b]);
+        assert_eq!(u.graph.len(), 3);
+        assert_ne!(u.mappings[0][1], u.mappings[1][1]);
+    }
+
+    #[test]
+    fn seeded_union_keeps_seed_ids() {
+        // Seed whose arena order is not its pre-order: MAIN, FOO, BAR,
+        // then BAZ under FOO.
+        let mut seed = Graph::new();
+        let m = seed.add_root(Frame::named("MAIN"));
+        let f = seed.add_child(m, Frame::named("FOO"));
+        seed.add_child(m, Frame::named("BAR"));
+        seed.add_child(f, Frame::named("BAZ"));
+        let extra = chain(&["MAIN", "FOO", "QUX"]);
+        let u = GraphUnion::build_onto(seed.clone(), &[&seed, &extra]);
+        assert_eq!(u.mappings[0], seed.ids().collect::<Vec<_>>());
+        assert_eq!(u.graph.len(), 5);
+        for id in seed.ids() {
+            assert_eq!(u.graph.node(id).frame(), seed.node(id).frame());
+        }
+        assert_eq!(u.graph.node(u.mappings[1][2]).name(), "QUX");
+        assert_eq!(u.mappings[1][2].index(), 4);
     }
 }

@@ -93,7 +93,7 @@ proptest! {
         let u = GraphUnion::build(&[&a, &b]);
         for (g, map) in [(&a, &u.mappings[0]), (&b, &u.mappings[1])] {
             for id in g.preorder() {
-                let new = map[&id];
+                let new = map[id.index()];
                 let old_path: Vec<&str> =
                     g.path_to(id).into_iter().map(|n| g.node(n).name()).collect();
                 let new_path: Vec<&str> =
@@ -119,5 +119,154 @@ proptest! {
         let keep: std::collections::HashSet<_> = g.preorder().into_iter().collect();
         let (sub, _) = g.induced_subgraph(&keep);
         prop_assert_eq!(path_signature(&sub), path_signature(&g));
+    }
+}
+
+/// SplitMix64: a seeded stream for the structured inputs below, which
+/// proptest's combinators would express only awkwardly.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// A random forest of up to 24 nodes. Node `i` hangs under an earlier
+/// node (or, one time in eight, starts a new root); names come from a
+/// four-letter alphabet, so siblings repeat frames and inputs overlap.
+///
+/// With `dag`, a few nodes gain an extra parent that comes later in
+/// pre-order and is not their descendant. Such a node is named after its
+/// first parent's call path: `build` matches children by first parent
+/// only, while `build_naive` also finds children reached through an extra
+/// edge, and the two agree exactly when no extra-edge child can meet a
+/// first-parent child of the same frame.
+fn forest(mix: &mut Mix, dag: bool) -> Graph {
+    let n = 1 + mix.below(24);
+    let mut parent: Vec<Option<usize>> = vec![None];
+    for i in 1..n {
+        parent.push((mix.below(8) != 0).then(|| mix.below(i)));
+    }
+    let mut names: Vec<String> = (0..n).map(|_| format!("f{}", mix.below(4))).collect();
+
+    // Tree pre-order position of every node (children in index order).
+    let mut pos = vec![0usize; n];
+    let mut stack: Vec<usize> = (0..n).rev().filter(|&i| parent[i].is_none()).collect();
+    let mut next = 0;
+    while let Some(i) = stack.pop() {
+        pos[i] = next;
+        next += 1;
+        stack.extend((0..n).rev().filter(|&c| parent[c] == Some(i)));
+    }
+    let ancestors = |mut i: usize| {
+        let mut out = Vec::new();
+        while let Some(p) = parent[i] {
+            out.push(p);
+            i = p;
+        }
+        out
+    };
+
+    let mut extra: Vec<(usize, usize)> = Vec::new();
+    if dag {
+        for _ in 0..mix.below(4) {
+            let c = mix.below(n);
+            let p = mix.below(n);
+            let Some(fp) = parent[c] else { continue };
+            if p > fp && pos[p] > pos[c] && !ancestors(p).contains(&c) && !extra.contains(&(p, c)) {
+                extra.push((p, c));
+            }
+        }
+        extra.sort_unstable();
+        for &(_, c) in &extra {
+            let fp_path: Vec<String> = ancestors(c)
+                .iter()
+                .rev()
+                .map(|&a| names[a].clone())
+                .collect();
+            names[c] = format!("dag@{}", fp_path.join("/"));
+        }
+    }
+
+    let mut g = Graph::new();
+    let mut ids = Vec::with_capacity(n);
+    for i in 0..n {
+        let frame = Frame::named(&names[i]);
+        ids.push(match parent[i] {
+            None => g.add_root(frame),
+            Some(p) => g.add_child(ids[p], frame),
+        });
+    }
+    for (p, c) in extra {
+        g.add_edge(ids[p], ids[c]);
+    }
+    g
+}
+
+/// An ensemble of 1..16 inputs drawn from a few shapes: most inputs
+/// repeat an earlier shape (as a fresh copy), the rest are new.
+fn ensemble(seed: u64, dag: bool) -> Vec<Graph> {
+    let mut mix = Mix(seed);
+    let mut shapes: Vec<Graph> = Vec::new();
+    let mut out = Vec::new();
+    for _ in 0..1 + mix.below(16) {
+        if shapes.is_empty() || mix.below(3) == 0 {
+            shapes.push(forest(&mut mix, dag));
+            out.push(shapes.last().unwrap().clone());
+        } else {
+            out.push(shapes[mix.below(shapes.len())].clone());
+        }
+    }
+    out
+}
+
+/// Arena equality: roots, then node for node frames, parents, children.
+fn same_graph(a: &Graph, b: &Graph) -> bool {
+    a.len() == b.len()
+        && a.roots() == b.roots()
+        && a.ids().all(|id| {
+            let (x, y) = (a.node(id), b.node(id));
+            x.frame() == y.frame() && x.parents() == y.parents() && x.children() == y.children()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Shape reuse and the hash index give the naive walk's graph and
+    /// mappings, on forests with repeated shapes, sibling frames that
+    /// merge, and DAG edges.
+    #[test]
+    fn union_reuse_matches_naive(seed in any::<u64>(), dag in any::<bool>()) {
+        let inputs = ensemble(seed, dag);
+        let refs: Vec<&Graph> = inputs.iter().collect();
+        let fast = GraphUnion::build(&refs);
+        let slow = GraphUnion::build_naive(&refs);
+        prop_assert!(same_graph(&fast.graph, &slow.graph), "graphs differ for seed {}", seed);
+        prop_assert_eq!(&fast.mappings, &slow.mappings, "mappings differ for seed {}", seed);
+    }
+
+    /// A union seeded with a union's graph maps that graph onto itself,
+    /// and unioning the same inputs onto it changes nothing.
+    #[test]
+    fn seeded_union_is_stable(seed in any::<u64>(), dag in any::<bool>()) {
+        let inputs = ensemble(seed, dag);
+        let refs: Vec<&Graph> = inputs.iter().collect();
+        let u = GraphUnion::build(&refs);
+        let onto_self = GraphUnion::build_onto(u.graph.clone(), &[&u.graph]);
+        prop_assert_eq!(&onto_self.mappings[0], &u.graph.ids().collect::<Vec<_>>());
+        prop_assert!(same_graph(&onto_self.graph, &u.graph));
+        let again = GraphUnion::build_onto(u.graph.clone(), &refs);
+        prop_assert!(same_graph(&again.graph, &u.graph));
+        prop_assert_eq!(&again.mappings, &u.mappings);
     }
 }

@@ -680,4 +680,22 @@ mod tests {
         }
         assert_eq!(fixed.as_deref(), Some("time (exc)"));
     }
+
+    #[test]
+    fn repeated_metadata_key_rejected() {
+        // Two keys of equal length, then the second renamed in the name
+        // table: the record now repeats `cluster`.
+        let mut p = sample();
+        p.set_metadata("clustex", "ruby");
+        let mut bytes = encode_profile(&p);
+        let at = bytes
+            .windows(7)
+            .position(|w| w == b"clustex")
+            .expect("name in the table");
+        bytes[at..at + 7].copy_from_slice(b"cluster");
+        match decode_profile(&bytes) {
+            Err(ProfileError::Malformed(m)) => assert!(m.contains("\"cluster\""), "{m}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
 }

@@ -380,15 +380,25 @@ pub(crate) struct Shell {
 }
 
 /// Determine which nodes are roots vs children, validate forest shape
-/// (root/child exclusivity, reachability, topological parent order),
-/// and rebuild through Graph's constructor API in an order that
-/// preserves indices (parents must precede children). Child and root
-/// indices must already be `< shells.len()`.
+/// (root/child exclusivity, reachability, topological parent order) and
+/// metadata (each key once: a profile's metadata is a map, and a
+/// repeated key would give the ensemble's metadata table two cells for
+/// one profile), and rebuild through Graph's constructor API in an order
+/// that preserves indices (parents must precede children). Child and
+/// root indices must already be `< shells.len()`.
 pub(crate) fn assemble_profile(
     mut shells: Vec<Shell>,
     root_idxs: &[usize],
     metadata: Vec<(String, Value)>,
 ) -> Result<Profile, ProfileError> {
+    let mut keys: Vec<&str> = metadata.iter().map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    if let Some(pair) = keys.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(ProfileError::Malformed(format!(
+            "metadata key {:?} appears more than once",
+            pair[0]
+        )));
+    }
     let n = shells.len();
     let mut first_parent: Vec<Option<usize>> = vec![None; n];
     let mut extra_edges: Vec<(usize, usize)> = Vec::new();
@@ -618,6 +628,19 @@ mod tests {
                 "roots": [0]}"#,
         ] {
             assert!(Profile::parse(bad).is_err(), "should fail: {bad}");
+        }
+    }
+
+    #[test]
+    fn repeated_metadata_key_rejected() {
+        let text = sample().to_string_pretty().replacen(
+            "\"metadata\":{",
+            "\"metadata\":{\"problem size\":7,",
+            1,
+        );
+        match Profile::parse(&text) {
+            Err(ProfileError::Malformed(m)) => assert!(m.contains("\"problem size\""), "{m}"),
+            other => panic!("expected Malformed, got {other:?}"),
         }
     }
 

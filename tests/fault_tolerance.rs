@@ -118,3 +118,44 @@ fn duplicate_diagnostic_points_at_first_occurrence() {
         other => panic!("expected duplicate diagnostic, got {other:?}"),
     }
 }
+
+/// A profile file whose metadata repeats a key is malformed: a lenient
+/// ensemble load drops it with a diagnostic and composes the rest; a
+/// strict load fails with a typed error naming the key.
+#[test]
+fn repeated_metadata_key_drops_one_profile() {
+    let dir = campaign_dir(3);
+    let mut cfg = CpuRunConfig::quartz_default();
+    cfg.seed = 99;
+    let text = simulate_cpu_run(&cfg).to_string_pretty().replacen(
+        "\"metadata\":{",
+        "\"metadata\":{\"user\":\"x\",",
+        1,
+    );
+    let victim = dir.as_ref().join("repeated-key.json");
+    std::fs::write(&victim, text).unwrap();
+
+    let (tk, report) = Thicket::loader(LoadSource::ensemble(&dir))
+        .strictness(Strictness::lenient())
+        .load()
+        .unwrap();
+    assert_eq!(tk.profiles().len(), 3);
+    assert_eq!(report.dropped(), 1);
+    assert_eq!(report.diagnostics[0].source, victim.display().to_string());
+    assert!(
+        matches!(report.diagnostics[0].kind, DiagKind::Schema(_)),
+        "{:?}",
+        report.diagnostics[0].kind
+    );
+
+    let err = Thicket::loader(LoadSource::ensemble(&dir))
+        .load()
+        .unwrap_err();
+    match &err {
+        thicket::core::ThicketError::Profile(e) => assert!(
+            matches!(e.root_cause(), thicket_perfsim::ProfileError::Malformed(m) if m.contains("\"user\"")),
+            "{err}"
+        ),
+        other => panic!("expected a typed profile error, got {other}"),
+    }
+}

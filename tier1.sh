@@ -19,6 +19,10 @@ cargo test -q --release --test store_recovery crash_point
 # check, and the kill-9 subprocess recovery test — timing-sensitive
 # paths that only mean something on optimized builds.
 cargo test -q --release -p thicket-perfsim --test concurrency
+# Composition oracle under --release: every load path (slice, owned,
+# store dense/sparse/pinned/chunked, extend) against the reference
+# composer, at 1, 2 and 8 workers, on optimized builds too.
+cargo test -q --release -p thicket-core --test compose_oracle
 # W4 smoke under --release: the predicate workload end-to-end (row-walk
 # vs vectorized vs planner pushdown) on a small 60-profile store — this
 # exercises select_expr, load_matching, and the residual path on
