@@ -159,9 +159,8 @@ pub(crate) fn extend(
     let perf_data = tk
         .perf_data
         .merge_sorted(&scatter(&rows, &new_ids, union.graph.len())?)?;
-    let metadata = tk
-        .metadata
-        .append_rows(&metadata_frame(profiles.iter().zip(ids))?)?;
+    let metadata =
+        DataFrame::concat_rows(&[&tk.metadata, &metadata_frame(profiles.iter().zip(ids))?])?;
 
     tk.graph = union.graph;
     tk.perf_data = perf_data;

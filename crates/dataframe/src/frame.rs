@@ -333,66 +333,44 @@ impl DataFrame {
         Ok(df)
     }
 
-    /// Vertically concatenate frames sharing identical level names and
-    /// column keys (columns are matched by key; dtypes promote).
+    /// Stack the frames' rows in order. The frames must share their index
+    /// level names. Columns are unioned in first-seen order, a frame that
+    /// lacks a column contributes nulls, and dtypes promote over the cells
+    /// (all-null runs are neutral), as [`merge_fragments`] does.
     pub fn concat_rows(frames: &[&DataFrame]) -> Result<DataFrame> {
         let first = frames.first().ok_or(DfError::Empty("concat_rows"))?;
-        let names = first.index.names().to_vec();
-        let keys = first.column_keys();
-        let mut index = Index::empty(names.clone());
+        let names = first.index.names();
+        let mut keys = Vec::with_capacity(frames.iter().map(|f| f.len()).sum());
+        let mut seen: std::collections::HashSet<&ColKey> = std::collections::HashSet::new();
+        let mut order: Vec<&ColKey> = Vec::new();
         for f in frames {
-            if f.index.names() != names.as_slice() {
+            if f.index.names() != names {
                 return Err(DfError::IndexMismatch(format!(
                     "level names {:?} vs {:?}",
                     f.index.names(),
                     names
                 )));
             }
-            for k in f.index.keys() {
-                index.push(k.clone())?;
-            }
+            keys.extend_from_slice(f.index.keys());
+            order.extend(f.cols.iter().map(|(k, _)| k).filter(|k| seen.insert(k)));
         }
-        let mut df = DataFrame::new(index);
-        for key in &keys {
-            let mut col = first.column(key)?.clone();
-            for f in &frames[1..] {
-                col.append(f.column(key)?)?;
-            }
-            df.insert(key.clone(), col)?;
-        }
-        Ok(df)
-    }
-
-    /// Stack `other`'s rows under this frame's, as [`merge_fragments`]
-    /// would over the two: columns in first-seen order (this frame's,
-    /// then `other`'s new ones), nulls where a side lacks a column,
-    /// dtypes promoted cell-wise.
-    pub fn append_rows(&self, other: &DataFrame) -> Result<DataFrame> {
-        if other.index.names() != self.index.names() {
-            return Err(DfError::IndexMismatch(format!(
-                "level names {:?} vs {:?}",
-                other.index.names(),
-                self.index.names()
-            )));
-        }
-        let mut keys = Vec::with_capacity(self.len() + other.len());
-        keys.extend_from_slice(self.index.keys());
-        keys.extend_from_slice(other.index.keys());
-        let mut df = DataFrame::new(Index::new(self.index.names().to_vec(), keys)?);
-        let fresh = other.cols.iter().filter(|(k, _)| !self.has_column(k));
-        for (key, _) in self.cols.iter().chain(fresh) {
-            let parts = [self, other].map(|f| match f.lookup.get(key) {
-                Some(&i) => ConcatPart::Col(&f.cols[i].1),
-                None => ConcatPart::Nulls(f.len()),
-            });
+        let mut df = DataFrame::new(Index::new(names.to_vec(), keys)?);
+        for key in order {
+            let parts: Vec<ConcatPart<'_>> = frames
+                .iter()
+                .map(|f| match f.lookup.get(key) {
+                    Some(&i) => ConcatPart::Col(&f.cols[i].1),
+                    None => ConcatPart::Nulls(f.len()),
+                })
+                .collect();
             df.insert(key.clone(), concat_promoted(&parts)?)?;
         }
         Ok(df)
     }
 
-    /// `self.append_rows(other)?.sort_by_index()`, computed as one linear
-    /// merge when both frames are already ordered by index (ties keep
-    /// this frame's rows first, as the stable sort does).
+    /// `DataFrame::concat_rows(&[self, other])?.sort_by_index()`, computed
+    /// as one linear merge when both frames are already ordered by index
+    /// (ties keep this frame's rows first, as the stable sort does).
     pub fn merge_sorted(&self, other: &DataFrame) -> Result<DataFrame> {
         let (a, b) = (sorted_view(self), sorted_view(other));
         let (ka, kb) = (a.index.keys(), b.index.keys());
@@ -409,7 +387,7 @@ impl DataFrame {
         }
         order.extend(i..ka.len());
         order.extend(ka.len() + j..ka.len() + kb.len());
-        Ok(a.append_rows(&b)?.take(&order))
+        Ok(DataFrame::concat_rows(&[&a, &b])?.take(&order))
     }
 
     /// Collect one column per key-group of the index: for each distinct
@@ -1022,18 +1000,18 @@ mod tests {
     }
 
     #[test]
-    fn append_rows_matches_merge_fragments() {
+    fn concat_rows_matches_merge_fragments() {
         let frags = sample_fragments();
         let merged = merge_fragments(&frags).unwrap();
         let a = merge_fragments(&frags[..1]).unwrap();
         let b = merge_fragments(&frags[1..]).unwrap();
-        assert_eq!(a.append_rows(&b).unwrap(), merged);
+        assert_eq!(DataFrame::concat_rows(&[&a, &b]).unwrap(), merged);
         let other_levels = DataFrame::new(Index::empty(["x"]));
-        assert!(a.append_rows(&other_levels).is_err());
+        assert!(DataFrame::concat_rows(&[&a, &other_levels]).is_err());
     }
 
     #[test]
-    fn merge_sorted_matches_append_then_sort() {
+    fn merge_sorted_matches_concat_then_sort() {
         let a = DataFrame::from_columns(
             Index::pairs(("node", "profile"), vec![(0i64, 1i64), (2, 1), (2, 5)]),
             [(ColKey::new("x"), Column::from_i64(vec![1, 2, 3]))],
@@ -1048,7 +1026,7 @@ mod tests {
         )
         .unwrap();
         // `b` is not ordered and ties `a` on (2, 1): `a`'s row goes first.
-        let want = a.append_rows(&b).unwrap().sort_by_index();
+        let want = DataFrame::concat_rows(&[&a, &b]).unwrap().sort_by_index();
         let got = a.merge_sorted(&b).unwrap();
         assert_eq!(got, want);
         assert_eq!(got.column_keys(), vec![ColKey::new("x"), ColKey::new("y")]);

@@ -11,18 +11,20 @@
 //! constructor uses those mappings to re-key every profile's metric rows.
 //!
 //! Ensembles repeat call-tree shapes: every run of one code variant has
-//! the same tree. An input whose arena equals an earlier input's (the
-//! same frames, parents, children and roots) maps exactly as that input
-//! did and adds nothing to the union, so the walk runs once per distinct
-//! shape and later copies reuse its mapping. A structural fingerprint
-//! buckets the shapes, so an ensemble whose shapes are all distinct pays
-//! one extra hash pass per input, not a scan over earlier shapes.
+//! the same tree. An input whose arena equals a recently matched input's
+//! (the same frames, parents, children and roots) maps exactly as that
+//! input did and adds nothing to the union, so it reuses that mapping
+//! instead of being walked. Any other input is walked; a walk maps a
+//! repeated shape exactly as a reuse would, so a miss costs time, never
+//! a different result. The comparison stops at the first difference, so
+//! an ensemble whose shapes are all distinct pays at most two partial
+//! comparisons per input on top of the walks.
 
 use crate::frame::Frame;
 use crate::graph::{Graph, NodeId};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::BuildHasher;
 
 /// Result of unioning a sequence of graphs.
 #[derive(Debug, Clone)]
@@ -38,8 +40,9 @@ pub struct GraphUnion {
 const UNMAPPED: NodeId = NodeId(u32::MAX);
 
 impl GraphUnion {
-    /// Union all `graphs` (hash-indexed child matching, one walk per
-    /// distinct shape).
+    /// Union all `graphs` (hash-indexed child matching; an input that
+    /// repeats one of the last two shapes matched reuses its mapping
+    /// instead of being walked).
     pub fn build(graphs: &[&Graph]) -> GraphUnion {
         Self::build_onto(Graph::new(), graphs)
     }
@@ -50,39 +53,23 @@ impl GraphUnion {
     /// graph into itself maps every node onto itself.
     pub fn build_onto(seed: Graph, graphs: &[&Graph]) -> GraphUnion {
         let mut walker = Walker::new(seed);
-        let mut shapes: HashMap<u64, Vec<usize>> = HashMap::new();
-        // The last few shapes matched, most recent first: ensembles run in
-        // batches of one variant, so the next input usually repeats one of
-        // them, and comparing first skips hashing its frames.
+        // Inputs of the last few shapes matched, most recent first.
         let mut recent: Vec<usize> = Vec::with_capacity(RECENT + 1);
         let mut mappings: Vec<Vec<NodeId>> = Vec::with_capacity(graphs.len());
         for (i, g) in graphs.iter().enumerate() {
-            // The first input of `g`'s shape: `i` itself when it is new.
-            let shape = match recent.iter().position(|&j| same_arena(graphs[j], g)) {
-                Some(pos) => recent.remove(pos),
+            let map = match recent.iter().position(|&j| same_arena(graphs[j], g)) {
+                Some(pos) => {
+                    let j = recent.remove(pos);
+                    recent.insert(0, j);
+                    mappings[j].clone()
+                }
                 None => {
-                    let hashes: Vec<u64> = g
-                        .ids()
-                        .map(|id| walker.keys.hash_one(g.node(id).frame()))
-                        .collect();
-                    let bucket = shapes
-                        .entry(fingerprint(&walker.keys, g, &hashes))
-                        .or_default();
-                    match bucket.iter().find(|&&j| same_arena(graphs[j], g)) {
-                        Some(&j) => j,
-                        None => {
-                            bucket.push(i);
-                            mappings.push(walker.walk(g, &hashes));
-                            i
-                        }
-                    }
+                    recent.insert(0, i);
+                    walker.walk(g)
                 }
             };
-            if shape != i {
-                mappings.push(mappings[shape].clone());
-            }
-            recent.insert(0, shape);
             recent.truncate(RECENT);
+            mappings.push(map);
         }
         GraphUnion {
             graph: walker.out,
@@ -158,8 +145,10 @@ struct Walker {
 /// Index key of a root (no unified parent).
 const ROOT: u32 = u32::MAX;
 
-/// How many recently matched shapes an input is compared with before
-/// its frames are hashed.
+/// How many recently matched shapes an input is compared with before it
+/// is walked. Each compose in the repo benchmark (`examples/benchmark`)
+/// meets at most two shapes, one call tree per code variant, so two
+/// cover every input there after the first of each shape.
 const RECENT: usize = 2;
 
 impl Walker {
@@ -180,21 +169,20 @@ impl Walker {
         }
     }
 
-    /// Map `g` into the union. `hashes[i]` is the frame hash of `g`'s
-    /// node `i`.
-    fn walk(&mut self, g: &Graph, hashes: &[u64]) -> Vec<NodeId> {
+    /// Map `g` into the union.
+    fn walk(&mut self, g: &Graph) -> Vec<NodeId> {
         let mut map = vec![UNMAPPED; g.len()];
         let order = walk_order(g);
         for &id in &order {
             let parent = first_parent(g, &map, id);
-            map[id.index()] = self.find_or_add(parent, g.node(id).frame(), hashes[id.index()]);
+            map[id.index()] = self.find_or_add(parent, g.node(id).frame());
         }
         add_extra_edges(&mut self.out, g, &order, &map);
         map
     }
 
-    fn find_or_add(&mut self, parent: Option<NodeId>, frame: &Frame, hash: u64) -> NodeId {
-        let key = (parent.map_or(ROOT, |p| p.0), hash);
+    fn find_or_add(&mut self, parent: Option<NodeId>, frame: &Frame) -> NodeId {
+        let key = (parent.map_or(ROOT, |p| p.0), self.keys.hash_one(frame));
         if let Some(&n) = self.index.get(&key) {
             if self.out.node(n).frame() == frame {
                 return n;
@@ -277,20 +265,6 @@ fn same_arena(a: &Graph, b: &Graph) -> bool {
             let (x, y) = (a.node(id), b.node(id));
             x.parents() == y.parents() && x.children() == y.children() && x.frame() == y.frame()
         })
-}
-
-/// Hash of an arena's structure and frames: equal for graphs that
-/// [`same_arena`] accepts.
-fn fingerprint(keys: &RandomState, g: &Graph, frame_hashes: &[u64]) -> u64 {
-    let mut h = keys.build_hasher();
-    g.roots().hash(&mut h);
-    for (id, fh) in g.ids().zip(frame_hashes) {
-        let node = g.node(id);
-        h.write_u64(*fh);
-        node.parents().hash(&mut h);
-        node.children().hash(&mut h);
-    }
-    h.finish()
 }
 
 #[cfg(test)]
@@ -418,10 +392,15 @@ mod tests {
         let m = b.add_root(Frame::named("MAIN"));
         b.add_child(m, Frame::named("BAZ"));
         b.add_child(m, Frame::named("FOO"));
-        let u = GraphUnion::build(&[&a, &b, &a.clone(), &b.clone()]);
+        let c = chain(&["MAIN", "QUX"]);
+        // The last `a` comes after two other shapes: it is walked, not
+        // reused, and maps the same.
+        let inputs = [&a, &b, &a.clone(), &b.clone(), &c, &b, &a];
+        let u = GraphUnion::build(&inputs);
         assert_eq!(u.mappings[2], u.mappings[0]);
         assert_eq!(u.mappings[3], u.mappings[1]);
-        let naive = GraphUnion::build_naive(&[&a, &b, &a, &b]);
+        assert_eq!(u.mappings[6], u.mappings[0]);
+        let naive = GraphUnion::build_naive(&inputs);
         assert_eq!(u.mappings, naive.mappings);
         assert_eq!(u.graph.len(), naive.graph.len());
     }
