@@ -136,14 +136,7 @@ pub fn figure13_profiles() -> Vec<Profile> {
 
 /// A small Quartz ensemble: `runs` repetitions at one configuration.
 pub fn quartz_runs(runs: u64, problem_size: u64) -> Vec<Profile> {
-    quartz_runs_seeded(runs, problem_size, 0)
-}
-
-/// [`quartz_runs`] starting at an arbitrary base seed, so a second
-/// batch is disjoint from the first (append benchmarks need profiles
-/// the store does not already hold).
-pub fn quartz_runs_seeded(runs: u64, problem_size: u64, base_seed: u64) -> Vec<Profile> {
-    (base_seed..base_seed + runs)
+    (0..runs)
         .map(|seed| {
             let mut cfg = CpuRunConfig::quartz_default();
             cfg.problem_size = problem_size;

@@ -91,23 +91,11 @@ impl Thicket {
 /// `(node, profile)` pairs present in **all** inputs (inner join — the
 /// paper's intersection semantics).
 ///
-/// Per-input frame preparation fans out over worker threads; see
-/// [`concat_thickets_threads`] for an explicit count.
+/// Each input's re-keyed, column-grouped perf frame is built on its own
+/// worker; the frames then meet in one k-way inner join.
 pub fn concat_thickets(
     inputs: &[(&str, &Thicket)],
     match_on: NodeMatch,
-) -> Result<Thicket, ThicketError> {
-    concat_thickets_threads(inputs, match_on, thicket_perfsim::default_threads(inputs.len()))
-}
-
-/// [`concat_thickets`] with an explicit worker count. Each input's
-/// re-keyed, column-grouped perf frame is built on its own worker; the
-/// frames then meet in one k-way inner join, so the result is identical
-/// for any `threads ≥ 1`.
-pub fn concat_thickets_threads(
-    inputs: &[(&str, &Thicket)],
-    match_on: NodeMatch,
-    threads: usize,
 ) -> Result<Thicket, ThicketError> {
     if inputs.is_empty() {
         return Err(ThicketError::Invalid("concat_thickets of nothing".into()));
@@ -125,6 +113,7 @@ pub fn concat_thickets_threads(
 
     // Build each input's perf frame (re-keyed node level + grouped
     // columns) on the workers, in input order.
+    let threads = thicket_perfsim::default_threads(inputs.len());
     let (perf_frames, result_graph) = match match_on {
         NodeMatch::Path => {
             let graphs: Vec<&thicket_graph::Graph> =
@@ -189,7 +178,7 @@ pub fn concat_thickets_threads(
     // graph for display but note lookups go through names.
     Thicket::from_components(
         result_graph,
-        crate::order::sort_frame_by_index_threads(&perf_data, threads),
+        perf_data.sort_by_index(),
         metadata,
         DataFrame::new(Index::empty([NODE_LEVEL])),
     )
@@ -311,17 +300,6 @@ mod tests {
             "error should name the orphaned profile: {err}"
         );
         assert!(err.to_string().contains("no metadata row"), "{err}");
-    }
-
-    #[test]
-    fn threads_variant_matches_default() {
-        let a = cpu_thicket();
-        let b = gpu_thicket();
-        let inputs = [("CPU", &a), ("GPU", &b)];
-        let one = concat_thickets_threads(&inputs, NodeMatch::Name, 1).unwrap();
-        let many = concat_thickets_threads(&inputs, NodeMatch::Name, 8).unwrap();
-        assert_eq!(one.perf_data(), many.perf_data());
-        assert_eq!(one.metadata(), many.metadata());
     }
 
     #[test]

@@ -40,7 +40,6 @@ mod extend;
 mod loader;
 mod model_glue;
 mod ops;
-mod order;
 mod pivot;
 mod rowconcat;
 mod source;
@@ -58,8 +57,8 @@ pub use trace_agg::TraceAggregator;
 pub use thicket_perfsim::{FilterPlan, IngestReport, Strictness};
 pub use thicket_dataframe::{Bitmap, PredExpr, PredOp, StrMatch};
 
-pub use compose::{concat_thickets, concat_thickets_threads, NodeMatch};
-pub use rowconcat::{concat_thickets_rows, concat_thickets_rows_threads};
+pub use compose::{concat_thickets, NodeMatch};
+pub use rowconcat::concat_thickets_rows;
 pub use model_glue::{model_metric, NodeModel};
 pub use stats::StatSpec;
 pub use thicket::{Thicket, ThicketError};

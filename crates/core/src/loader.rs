@@ -450,38 +450,21 @@ fn load_streaming(
     strictness: Strictness,
     filter: Option<PredExpr>,
 ) -> Result<(Thicket, IngestReport), ThicketError> {
-    let mut plan: Option<FilterPlan> = None;
-    let mut residual: Vec<PredExpr> = Vec::new();
-    let mut chunk_pred: Option<PredExpr> = None;
-    let mut unplanned: Option<PredExpr> = None;
-
-    if let Some(expr) = filter {
-        match src.meta_keys() {
-            Some(keys) => {
-                let (pushed, res, p) = plan_conjuncts(&expr, &keys);
-                plan = Some(p);
-                residual = res;
-                if !src.push_filter(&pushed) {
-                    chunk_pred = Some(pushed);
-                }
-            }
-            // The source cannot enumerate its keys up front: buffer
-            // every chunk, then plan against the materialized profiles.
-            None => unplanned = Some(expr),
+    let (plan, residual, chunk_pred) = match filter {
+        None => (None, Vec::new(), None),
+        Some(expr) => {
+            let (pushed, residual, plan) = plan_conjuncts(&expr, &src.meta_keys());
+            let chunk_pred = (!src.push_filter(&pushed)).then_some(pushed);
+            (Some(plan), residual, chunk_pred)
         }
-    }
+    };
 
     let mut tk: Option<Thicket> = None;
     let mut attempted = 0usize;
     let mut loaded = 0usize;
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut buffered: Vec<Profile> = Vec::new();
 
     while let Some(mut chunk) = src.next_chunk()? {
-        if unplanned.is_some() {
-            buffered.append(&mut chunk);
-            continue;
-        }
         if let Some(pred) = &chunk_pred {
             chunk.retain(|p| expr_matches_profile(pred, p));
         }
@@ -507,21 +490,6 @@ fn load_streaming(
                 loaded += chunk.len();
             }
         }
-    }
-
-    if let Some(expr) = unplanned {
-        let keys = profile_meta_keys(buffered.iter());
-        let (pushed, res, p) = plan_conjuncts(&expr, &keys);
-        plan = Some(p);
-        residual = res;
-        buffered.retain(|prof| expr_matches_profile(&pushed, prof));
-        let ids = hash_ids(&buffered);
-        let threads_n = threads.unwrap_or_else(|| default_threads(buffered.len()));
-        let (built, r) = compose(&buffered, &ids, threads_n, strictness, None)?;
-        attempted += r.attempted;
-        loaded += r.loaded;
-        diagnostics.extend(r.diagnostics);
-        tk = Some(built);
     }
 
     let read = src.take_report();

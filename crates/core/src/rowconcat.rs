@@ -5,7 +5,7 @@
 
 use crate::thicket::{input_failure, Thicket, ThicketError, NODE_LEVEL, PROFILE_LEVEL};
 use std::collections::HashSet;
-use thicket_dataframe::{merge_fragments, ColumnFragments, DataFrame, Index, Key, Value};
+use thicket_dataframe::{DataFrame, Index, Key, Value};
 use thicket_graph::GraphUnion;
 
 /// Pool the profiles of several thickets into one thicket: call graphs
@@ -13,20 +13,10 @@ use thicket_graph::GraphUnion;
 /// node ids, and metadata rows concatenated (missing columns null-fill).
 /// Profile ids must be globally unique across inputs.
 ///
-/// Per-input row batches are extracted on worker threads; see
-/// [`concat_thickets_rows_threads`] for an explicit count.
+/// Each input's perf frame is re-keyed on its own worker; the frames
+/// then stack in input order with [`DataFrame::concat_rows`] and are
+/// ordered by `(node, profile)`, the way [`Thicket::extend`] merges.
 pub fn concat_thickets_rows(inputs: &[&Thicket]) -> Result<Thicket, ThicketError> {
-    concat_thickets_rows_threads(inputs, thicket_perfsim::default_threads(inputs.len()))
-}
-
-/// [`concat_thickets_rows`] with an explicit worker count. Each input's
-/// re-keyed row batch is built on its own worker; batches merge into the
-/// frame serially in input order, so the result is identical for any
-/// `threads ≥ 1`.
-pub fn concat_thickets_rows_threads(
-    inputs: &[&Thicket],
-    threads: usize,
-) -> Result<Thicket, ThicketError> {
     if inputs.is_empty() {
         return Err(ThicketError::Invalid("concat_thickets_rows of nothing".into()));
     }
@@ -47,13 +37,12 @@ pub fn concat_thickets_rows_threads(
     let union = GraphUnion::build(&graphs);
 
     // Perf rows: each worker re-keys its input's node level through the
-    // graph mapping and emits a typed column batch — the index fragment
-    // plus the input's columns, cloned whole (inputs are already
-    // columnar, so no per-cell boxing). `merge_fragments` then
-    // null-fills metric columns an input lacks in one schema-union
-    // pass, keeping row order independent of the thread count.
+    // graph mapping and keeps the input's columns whole (inputs are
+    // already columnar, so no per-cell boxing). `concat_rows` then
+    // null-fills metric columns an input lacks.
     let items: Vec<_> = inputs.iter().zip(union.mappings.iter()).collect();
-    let frags: Vec<ColumnFragments> =
+    let threads = thicket_perfsim::default_threads(inputs.len());
+    let frames: Vec<DataFrame> =
         thicket_perfsim::try_parallel_map(&items, threads, |(tk, mapping)| {
             let keys: Vec<Key> = tk
                 .perf_data()
@@ -70,33 +59,17 @@ pub fn concat_thickets_rows_threads(
                     ])
                 })
                 .collect::<Result<_, ThicketError>>()?;
-            let mut frag = ColumnFragments::with_keys([NODE_LEVEL, PROFILE_LEVEL], keys)?;
-            for (k, c) in tk.perf_data().columns() {
-                frag.push_column(k.clone(), c.clone())?;
-            }
-            Ok(frag)
+            let index = Index::new([NODE_LEVEL, PROFILE_LEVEL], keys)?;
+            let columns = tk.perf_data().columns().map(|(k, c)| (k.clone(), c.clone()));
+            Ok(DataFrame::from_columns(index, columns)?)
         })
         .map_err(|e| input_failure(e, "input thicket"))?;
-    let perf_data =
-        crate::order::sort_frame_by_index_threads(&merge_fragments(&frags)?, threads);
+    let frames: Vec<&DataFrame> = frames.iter().collect();
+    let perf_data = DataFrame::concat_rows(&frames)?.sort_by_index();
 
-    // Metadata rows concatenate the same way; columns union, null fill.
-    let mut meta_frags: Vec<ColumnFragments> = Vec::with_capacity(inputs.len());
-    for tk in inputs {
-        let keys: Vec<Key> = tk
-            .metadata()
-            .index()
-            .keys()
-            .iter()
-            .map(|key| vec![key[0].clone()])
-            .collect();
-        let mut frag = ColumnFragments::with_keys([PROFILE_LEVEL], keys)?;
-        for (k, c) in tk.metadata().columns() {
-            frag.push_column(k.clone(), c.clone())?;
-        }
-        meta_frags.push(frag);
-    }
-    let metadata = merge_fragments(&meta_frags)?;
+    // Metadata rows stack the same way; columns union, null fill.
+    let metas: Vec<&DataFrame> = inputs.iter().map(|tk| tk.metadata()).collect();
+    let metadata = DataFrame::concat_rows(&metas)?;
 
     Thicket::from_components(
         union.graph,

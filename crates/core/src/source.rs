@@ -56,11 +56,9 @@ pub trait ProfileSource {
     fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError>;
 
     /// The metadata fields this source can answer predicates about,
-    /// for planner pushdown. `None` means unknown — the loader then
-    /// buffers every chunk and plans against the materialized profiles.
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        None
-    }
+    /// for planner pushdown. Conjuncts over any other field stay above
+    /// the read and run against the composed thicket.
+    fn meta_keys(&mut self) -> BTreeSet<String>;
 
     /// Offer the pushable predicate part to the source. Return `true`
     /// to claim it (subsequent chunks must already satisfy it); return
@@ -108,8 +106,8 @@ impl ProfileSource for SliceSource<'_> {
         Ok(Some(self.profiles.to_vec()))
     }
 
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        Some(profile_meta_keys(self.profiles.iter()))
+    fn meta_keys(&mut self) -> BTreeSet<String> {
+        profile_meta_keys(self.profiles.iter())
     }
 }
 
@@ -139,8 +137,8 @@ impl ProfileSource for OwnedSource {
         Ok(Some(std::mem::take(&mut self.profiles)))
     }
 
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        Some(profile_meta_keys(self.profiles.iter()))
+    fn meta_keys(&mut self) -> BTreeSet<String> {
+        profile_meta_keys(self.profiles.iter())
     }
 }
 
@@ -189,11 +187,13 @@ impl ProfileSource for EnsembleSource {
         Ok(Some(profiles))
     }
 
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        self.ensure_loaded().ok()?;
-        Some(profile_meta_keys(
-            self.loaded.as_ref().expect("just loaded").0.iter(),
-        ))
+    /// Empty when the directory does not read; `next_chunk` then
+    /// returns the error.
+    fn meta_keys(&mut self) -> BTreeSet<String> {
+        match self.ensure_loaded() {
+            Ok(()) => profile_meta_keys(self.loaded.as_ref().expect("just loaded").0.iter()),
+            Err(_) => BTreeSet::new(),
+        }
     }
 
     fn take_report(&mut self) -> IngestReport {
@@ -311,46 +311,45 @@ impl ProfileSource for StoreSource {
     fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
         self.ensure_selected()?;
         let selected = self.selected.as_ref().expect("just selected");
-        if self.pos >= selected.len() {
-            return Ok(None);
-        }
-        let end = match self.chunk_size {
-            Some(n) => (self.pos + n).min(selected.len()),
-            None => selected.len(),
-        };
-        let batch = &selected[self.pos..end];
-        let threads = self
-            .threads
-            .unwrap_or_else(|| default_threads(self.hold.reader().manifest().profiles.len()));
-        let (profiles, read) = self.hold.reader().load_indices(batch, threads)?;
-        self.pos = end;
-        if matches!(self.strictness, Strictness::FailFast) && !read.is_clean() {
-            return Err(ThicketError::Invalid(format!(
-                "store load failed under fail-fast strictness ({})",
-                read.summary()
-            )));
-        }
-        self.report.attempted += read.attempted;
-        self.report.loaded += read.loaded;
-        self.report.diagnostics.extend(read.diagnostics);
-        if let Strictness::Lenient { max_errors } = self.strictness {
-            if self.report.diagnostics.len() > max_errors {
+        // A batch whose every profile was dropped leniently yields
+        // nothing: read on rather than return an empty chunk.
+        while self.pos < selected.len() {
+            let end = match self.chunk_size {
+                Some(n) => (self.pos + n).min(selected.len()),
+                None => selected.len(),
+            };
+            let batch = &selected[self.pos..end];
+            let threads = self
+                .threads
+                .unwrap_or_else(|| default_threads(self.hold.reader().manifest().profiles.len()));
+            let (profiles, read) = self.hold.reader().load_indices(batch, threads)?;
+            self.pos = end;
+            if matches!(self.strictness, Strictness::FailFast) && !read.is_clean() {
                 return Err(ThicketError::Invalid(format!(
-                    "store load exceeded the lenient error budget of {max_errors} ({})",
-                    self.report.summary()
+                    "store load failed under fail-fast strictness ({})",
+                    read.summary()
                 )));
             }
+            self.report.attempted += read.attempted;
+            self.report.loaded += read.loaded;
+            self.report.diagnostics.extend(read.diagnostics);
+            if let Strictness::Lenient { max_errors } = self.strictness {
+                if self.report.diagnostics.len() > max_errors {
+                    return Err(ThicketError::Invalid(format!(
+                        "store load exceeded the lenient error budget of {max_errors} ({})",
+                        self.report.summary()
+                    )));
+                }
+            }
+            if !profiles.is_empty() {
+                return Ok(Some(profiles));
+            }
         }
-        if profiles.is_empty() {
-            // Every profile in this batch was dropped leniently; recurse
-            // into the next batch rather than returning an empty chunk.
-            return self.next_chunk();
-        }
-        Ok(Some(profiles))
+        Ok(None)
     }
 
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        Some(self.hold.reader().meta_keys())
+    fn meta_keys(&mut self) -> BTreeSet<String> {
+        self.hold.reader().meta_keys()
     }
 
     fn push_filter(&mut self, expr: &PredExpr) -> bool {
@@ -497,8 +496,8 @@ impl<R: BufRead> ProfileSource for TraceSource<R> {
         }
     }
 
-    fn meta_keys(&mut self) -> Option<BTreeSet<String>> {
-        Some(self.meta_keys.clone())
+    fn meta_keys(&mut self) -> BTreeSet<String> {
+        self.meta_keys.clone()
     }
 
     fn take_report(&mut self) -> IngestReport {
@@ -550,4 +549,48 @@ pub(crate) fn profile_meta_keys<'p>(
     profiles
         .flat_map(|p| p.metadata_iter().map(|(k, _)| k.to_string()))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{LoadSource, Thicket};
+    use thicket_graph::{Frame, Graph};
+    use thicket_perfsim::ScratchDir;
+
+    /// A lenient chunked load reads past every batch whose records were
+    /// all dropped, however many there are, and ends in the typed
+    /// zero-profile error.
+    #[test]
+    fn lenient_chunked_load_skips_thousands_of_unreadable_batches() {
+        const N: usize = 3_000;
+        let profiles: Vec<Profile> = (0..N)
+            .map(|run| {
+                let mut graph = Graph::new();
+                let root = graph.add_root(Frame::named("main"));
+                let mut p = Profile::new(graph);
+                p.set_metric(root, "time", 1.0);
+                p.set_metadata("run", run as i64);
+                p
+            })
+            .collect();
+        let dir = ScratchDir::new("source-unreadable");
+        Store::save(&dir, &profiles).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "tks") {
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&path)
+                    .and_then(|f| f.set_len(8))
+                    .unwrap();
+            }
+        }
+
+        let src = StoreSource::open(&dir, false, Some(1), Strictness::lenient())
+            .unwrap()
+            .chunk_size(1);
+        let err = Thicket::loader(LoadSource::custom(src)).load().unwrap_err();
+        assert!(err.to_string().contains("zero profiles"), "{err}");
+    }
 }

@@ -46,16 +46,13 @@ impl Mix {
 /// A few nodes gain an extra (DAG) parent. The extra parent comes after
 /// the first parent in the arena (so a store round trip keeps the parent
 /// order) and after the node in pre-order (so the walk meets the first
-/// parent first), and is not a descendant. Such a node is named after its
-/// first parent's call path of whole frames (names alone would let two
-/// paths that differ only in a `type` collide), the shape on which the
-/// hash-indexed union and the naive one agree.
+/// parent first), and is not a descendant.
 fn forest(mix: &mut Mix) -> Graph {
     let n = 1 + mix.below(12);
     let parent: Vec<Option<usize>> = (0..n)
         .map(|i| (i > 0 && !mix.chance(6)).then(|| mix.below(i.max(1))))
         .collect();
-    let mut frames: Vec<Frame> = (0..n)
+    let frames: Vec<Frame> = (0..n)
         .map(|_| {
             let name = format!("f{}", mix.below(4));
             if mix.chance(5) {
@@ -91,14 +88,6 @@ fn forest(mix: &mut Mix) -> Graph {
         }
     }
     extra.sort_unstable();
-    for &(_, c) in &extra {
-        let path: Vec<String> = ancestors(c)
-            .iter()
-            .rev()
-            .map(|&a| frames[a].to_string())
-            .collect();
-        frames[c] = Frame::named(format!("dag@{}", path.join("/")));
-    }
 
     let mut g = Graph::new();
     let mut ids = Vec::with_capacity(n);

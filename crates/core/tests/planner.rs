@@ -163,3 +163,54 @@ fn owned_source_matches_borrowed_source() {
     let (tk, _) = Thicket::loader(via_from).load().unwrap();
     assert_eq!(tk.profiles().len(), 6);
 }
+
+/// The predicate engine on a store and on a composed perf frame: the
+/// columnar manifest selection counts what a walk over the entries
+/// counts, the pushed read takes fewer shard bytes than a full one, and
+/// a closure row walk, the row-wise evaluator and the vectorized one
+/// select the same perf rows.
+#[test]
+fn selection_paths_agree_on_a_store_and_a_composed_frame() {
+    let profiles = sample_profiles();
+    let dir = temp_store(&profiles);
+
+    let seed_lt = PredExpr::lt("seed", 2i64);
+    let reader = Store::open(&dir).unwrap();
+    let walked = reader
+        .entries()
+        .iter()
+        .filter(|e| seed_lt.eval_lookup(&mut |k| e.meta(k).cloned()))
+        .count();
+    assert_eq!(walked, 2);
+    assert_eq!(reader.select_expr(&seed_lt).unwrap().len(), walked);
+
+    // Shard bytes only: the manifest was counted once, at open.
+    let opened = reader.bytes_read();
+    let (subset, report) = reader.load_matching(&seed_lt).unwrap();
+    assert!(report.is_clean());
+    assert_eq!(subset.len(), 2);
+    let pushed = reader.bytes_read() - opened;
+    reader.load_all().unwrap();
+    let full = reader.bytes_read() - opened - pushed;
+    assert!(
+        pushed < full,
+        "pushed read {pushed} shard bytes, full read {full}"
+    );
+
+    let (tk, _) = Thicket::loader(LoadSource::store(&dir)).load().unwrap();
+    let perf = tk.perf_data();
+    let mut times = perf
+        .column(&ColKey::new("time (exc)"))
+        .unwrap()
+        .numeric_values();
+    times.sort_by(f64::total_cmp);
+    let threshold = times[times.len() / 2];
+    let expr = PredExpr::gt("time (exc)", threshold);
+    let walked = (0..perf.len())
+        .filter(|&i| perf.row(i).f64("time (exc)").is_some_and(|v| v > threshold))
+        .count();
+    assert!(walked > 0 && walked < perf.len());
+    let src = perf.bind_source(&expr);
+    assert_eq!(expr.eval_rowwise(&src).count_ones(), walked);
+    assert_eq!(expr.eval(&src).count_ones(), walked);
+}

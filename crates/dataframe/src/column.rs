@@ -323,33 +323,9 @@ impl Column {
         }
     }
 
-    /// Append the cells of `other`, promoting dtypes when needed.
-    ///
-    /// Runs as a typed `Vec` concatenation (`Int` casts to `Float` when
-    /// promoting) rather than re-boxing every cell through [`Value`];
-    /// the result is cell-for-cell identical to the old builder path.
-    pub fn append(&mut self, other: &Column) -> Result<()> {
-        let combined = self
-            .dtype()
-            .promote(other.dtype())
-            .ok_or_else(|| DfError::type_error(self.dtype(), other.dtype()))?;
-        // Cell-level dtype: all-null sides are neutral, so e.g. a masked-out
-        // Float column + an Int column concatenates to Int (what a builder
-        // over the cells would infer), not the column-level Float.
-        let target = match self
-            .effective_dtype()
-            .promote(other.effective_dtype())
-        {
-            Some(DType::Null) | None => combined,
-            Some(t) => t,
-        };
-        *self = Column::concat_parts(target, &[ConcatPart::Col(self), ConcatPart::Col(other)]);
-        Ok(())
-    }
-
     /// Concatenate `parts` into one column of dtype `target` in a single
-    /// allocation per buffer — the merge kernel behind
-    /// [`crate::merge_fragments`] and [`Column::append`].
+    /// allocation per buffer — the kernel behind
+    /// [`crate::DataFrame::concat_rows`].
     ///
     /// Every `Col` part must either be all-null (any storage dtype; it
     /// contributes a null run) or have a dtype that promotes into
@@ -473,7 +449,7 @@ impl Column {
 }
 
 /// One input to [`Column::concat_parts`]: either a borrowed source column
-/// or a run of nulls (a fragment that never saw the column).
+/// or a run of nulls (a frame that lacks the column).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ConcatPart<'a> {
     /// A source column, appended cell-for-cell.
@@ -697,23 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn append_promotes() {
-        let mut a = Column::from_i64(vec![1, 2]);
-        let b = Column::from_f64(vec![0.5]);
-        a.append(&b).unwrap();
-        assert_eq!(a.dtype(), DType::Float);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.get(2), Value::Float(0.5));
-    }
-
-    #[test]
-    fn append_incompatible_fails() {
-        let mut a = Column::from_i64(vec![1]);
-        let b = Column::from_strs(["x"]);
-        assert!(a.append(&b).is_err());
-    }
-
-    #[test]
     fn cast_float() {
         let c = Column::from_i64(vec![1, 2]).cast_float().unwrap();
         assert_eq!(c.dtype(), DType::Float);
@@ -753,39 +712,6 @@ mod tests {
         n.push_nulls(3);
         assert_eq!(n.len(), 4);
         assert_eq!(n.dtype(), DType::Null);
-    }
-
-    #[test]
-    fn append_uses_cell_level_dtype_like_builder() {
-        // A fully masked Float column is dtype-neutral cell-wise: the old
-        // builder path inferred Int here, and the typed path must agree.
-        let mut masked_float = Column::from_f64(vec![7.0]).take_opt(&[None]);
-        assert_eq!(masked_float.dtype(), DType::Float);
-        masked_float.append(&Column::from_i64(vec![5])).unwrap();
-        assert_eq!(masked_float.dtype(), DType::Int);
-        assert!(masked_float.is_null_at(0));
-        assert_eq!(masked_float.get(1), Value::Int(5));
-        // Both sides all-null: dtype falls back to the column-level promote.
-        let mut a = Column::from_i64(vec![1]).take_opt(&[None]);
-        a.append(&Column::from_f64(vec![1.0]).take_opt(&[None])).unwrap();
-        assert_eq!(a.dtype(), DType::Float);
-        assert_eq!(a.count_valid(), 0);
-    }
-
-    #[test]
-    fn append_preserves_masks_and_values() {
-        let mut a = Column::from_values(vec![Value::Int(1), Value::Null]).unwrap();
-        let b = Column::from_values(vec![Value::Null, Value::Int(4)]).unwrap();
-        a.append(&b).unwrap();
-        assert_eq!(a.len(), 4);
-        assert_eq!(
-            a.iter().collect::<Vec<_>>(),
-            vec![Value::Int(1), Value::Null, Value::Null, Value::Int(4)]
-        );
-        // Dense + dense stays mask-free.
-        let mut d = Column::from_strs(["x"]);
-        d.append(&Column::from_strs(["y"])).unwrap();
-        assert_eq!(d.count_valid(), 2);
     }
 
     #[test]

@@ -336,7 +336,9 @@ impl DataFrame {
     /// Stack the frames' rows in order. The frames must share their index
     /// level names. Columns are unioned in first-seen order, a frame that
     /// lacks a column contributes nulls, and dtypes promote over the cells
-    /// (all-null runs are neutral), as [`merge_fragments`] does.
+    /// (all-null runs are neutral), so the result equals one
+    /// [`FrameBuilder`] fed every frame's rows in order. Each column is
+    /// one typed concatenation: no cell is boxed or re-hashed.
     pub fn concat_rows(frames: &[&DataFrame]) -> Result<DataFrame> {
         let first = frames.first().ok_or(DfError::Empty("concat_rows"))?;
         let names = first.index.names();
@@ -511,179 +513,6 @@ impl FrameBuilder {
         }
         Ok(df)
     }
-
-    /// Materialize a [`ColumnFragments`] batch instead of a frame — the
-    /// worker-side half of the columnar ingest merge.
-    pub fn finish_fragments(self) -> ColumnFragments {
-        let mut cols = HashMap::with_capacity(self.builders.len());
-        let mut builders = self.builders;
-        for ck in &self.col_order {
-            let b = builders.remove(ck).expect("builder exists");
-            cols.insert(ck.clone(), b.finish());
-        }
-        ColumnFragments {
-            names: self.names,
-            keys: self.keys,
-            order: self.col_order,
-            cols,
-        }
-    }
-}
-
-/// One worker's typed output batch during a columnar ingest merge: an
-/// index fragment (row keys) plus per-column typed fragments. Workers
-/// build these independently; [`merge_fragments`] concatenates them
-/// per column behind a single schema-union pass — no per-cell re-hashing
-/// through a row builder.
-#[derive(Debug, Clone)]
-pub struct ColumnFragments {
-    names: Vec<String>,
-    keys: Vec<Key>,
-    order: Vec<ColKey>,
-    cols: HashMap<ColKey, Column>,
-}
-
-impl ColumnFragments {
-    /// New empty fragment batch over the given index level names.
-    pub fn new(level_names: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        ColumnFragments {
-            names: level_names.into_iter().map(Into::into).collect(),
-            keys: Vec::new(),
-            order: Vec::new(),
-            cols: HashMap::new(),
-        }
-    }
-
-    /// Fragment batch with its index fragment fixed up front (the shape
-    /// row-concat workers produce: re-keyed index + whole typed columns).
-    pub fn with_keys(
-        level_names: impl IntoIterator<Item = impl Into<String>>,
-        keys: Vec<Key>,
-    ) -> Result<Self> {
-        let mut f = ColumnFragments::new(level_names);
-        for (i, k) in keys.iter().enumerate() {
-            if k.len() != f.names.len() {
-                return Err(DfError::IndexMismatch(format!(
-                    "key {i} has {} values but the index has {} levels",
-                    k.len(),
-                    f.names.len()
-                )));
-            }
-        }
-        f.keys = keys;
-        Ok(f)
-    }
-
-    /// Build a fragment batch from row-oriented cells, with the same
-    /// column-creation order and null backfill as [`FrameBuilder`] — the
-    /// bridge for callers whose natural unit is still a row.
-    pub fn from_rows(
-        level_names: impl IntoIterator<Item = impl Into<String>>,
-        rows: impl IntoIterator<Item = (Key, Vec<(ColKey, Value)>)>,
-    ) -> Result<Self> {
-        let mut fb = FrameBuilder::new(level_names);
-        for (key, cells) in rows {
-            fb.push_row(key, cells)?;
-        }
-        Ok(fb.finish_fragments())
-    }
-
-    /// Append one index key.
-    pub fn push_key(&mut self, key: Key) -> Result<()> {
-        if key.len() != self.names.len() {
-            return Err(DfError::IndexMismatch(format!(
-                "key has {} values but the index has {} levels",
-                key.len(),
-                self.names.len()
-            )));
-        }
-        self.keys.push(key);
-        Ok(())
-    }
-
-    /// Append one whole column fragment; its length must match the index
-    /// fragment pushed so far.
-    pub fn push_column(&mut self, key: impl Into<ColKey>, col: Column) -> Result<()> {
-        let key = key.into();
-        if self.cols.contains_key(&key) {
-            return Err(DfError::DuplicateColumn(key));
-        }
-        if col.len() != self.keys.len() {
-            return Err(DfError::LengthMismatch {
-                expected: self.keys.len(),
-                actual: col.len(),
-            });
-        }
-        self.order.push(key.clone());
-        self.cols.insert(key, col);
-        Ok(())
-    }
-
-    /// Number of rows in this fragment batch.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// `true` if the fragment batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Column keys in creation order.
-    pub fn column_keys(&self) -> &[ColKey] {
-        &self.order
-    }
-}
-
-/// Merge worker fragment batches into one frame: one schema-union pass
-/// over the column keys (first-seen order across batches, matching what
-/// a serial [`FrameBuilder`] over the same rows would produce), then a
-/// typed per-column `Vec` concatenation with null runs for batches that
-/// never saw a column. Output is byte-identical to pushing every row
-/// through one `FrameBuilder` in batch order.
-pub fn merge_fragments(frags: &[ColumnFragments]) -> Result<DataFrame> {
-    let first = frags.first().ok_or(DfError::Empty("merge_fragments"))?;
-    for f in &frags[1..] {
-        if f.names != first.names {
-            return Err(DfError::IndexMismatch(format!(
-                "level names {:?} vs {:?}",
-                f.names, first.names
-            )));
-        }
-    }
-
-    let total: usize = frags.iter().map(|f| f.keys.len()).sum();
-    let mut keys: Vec<Key> = Vec::with_capacity(total);
-    for f in frags {
-        keys.extend(f.keys.iter().cloned());
-    }
-    let index = Index::new(first.names.clone(), keys)?;
-
-    // Schema union: first-seen column order across batches.
-    let mut order: Vec<ColKey> = Vec::new();
-    {
-        let mut seen: std::collections::HashSet<&ColKey> = std::collections::HashSet::new();
-        for f in frags {
-            for k in &f.order {
-                if seen.insert(k) {
-                    order.push(k.clone());
-                }
-            }
-        }
-    }
-
-    let mut df = DataFrame::new(index);
-    for key in order {
-        let parts: Vec<ConcatPart<'_>> = frags
-            .iter()
-            .map(|f| match f.cols.get(&key) {
-                Some(c) => ConcatPart::Col(c),
-                None => ConcatPart::Nulls(f.keys.len()),
-            })
-            .collect();
-        df.insert(key, concat_promoted(&parts)?)?;
-    }
-    Ok(df)
 }
 
 /// `frame` itself when its rows are ordered by index, else a sorted copy.
@@ -905,50 +734,39 @@ mod tests {
         assert!(cl.column_named("extra").is_ok());
     }
 
-    /// Rows from `sample()` split into two worker-style fragment batches.
-    fn sample_fragments() -> Vec<ColumnFragments> {
-        let rows = |range: std::ops::Range<usize>| {
-            let src = sample();
-            range
-                .map(|i| {
-                    let key = src.index().key(i).clone();
-                    let cells = src
-                        .column_keys()
-                        .into_iter()
-                        .map(|k| {
-                            let v = src.column(&k).unwrap().get(i);
-                            (k, v)
-                        })
-                        .collect();
-                    (key, cells)
-                })
-                .collect::<Vec<_>>()
-        };
-        vec![
-            ColumnFragments::from_rows(["node", "profile"], rows(0..2)).unwrap(),
-            ColumnFragments::from_rows(["node", "profile"], rows(2..4)).unwrap(),
-        ]
+    /// `sample()`'s rows `range`, fed through a [`FrameBuilder`].
+    fn sample_rows(range: std::ops::Range<usize>) -> DataFrame {
+        let src = sample();
+        let mut fb = FrameBuilder::new(["node", "profile"]);
+        for i in range {
+            let cells = src.columns().map(|(k, c)| (k.clone(), c.get(i)));
+            fb.push_row(src.index().key(i).clone(), cells).unwrap();
+        }
+        fb.finish().unwrap()
     }
 
     #[test]
-    fn merge_fragments_matches_frame_builder() {
-        let merged = merge_fragments(&sample_fragments()).unwrap();
-        assert_eq!(merged, sample());
+    fn concat_rows_matches_frame_builder() {
+        let (a, b) = (sample_rows(0..2), sample_rows(2..4));
+        assert_eq!(DataFrame::concat_rows(&[&a, &b]).unwrap(), sample());
     }
 
     #[test]
-    fn merge_fragments_schema_union_backfills_nulls() {
-        // Fragment 1 only ever saw column `a`; fragment 2 only `b`. The
-        // union must null-fill each side, in first-seen column order.
-        let mut f1 = ColumnFragments::new(["profile"]);
-        f1.push_key(vec![Value::Int(1)]).unwrap();
-        f1.push_key(vec![Value::Int(2)]).unwrap();
-        f1.push_column("a", Column::from_i64(vec![10, 20])).unwrap();
-        let mut f2 = ColumnFragments::new(["profile"]);
-        f2.push_key(vec![Value::Int(3)]).unwrap();
-        f2.push_column("b", Column::from_strs(["x"])).unwrap();
+    fn concat_rows_schema_union_backfills_nulls() {
+        // Frame 1 only has column `a`; frame 2 only `b`. The union must
+        // null-fill each side, in first-seen column order.
+        let f1 = DataFrame::from_columns(
+            Index::single("profile", vec![1i64, 2]),
+            [(ColKey::new("a"), Column::from_i64(vec![10, 20]))],
+        )
+        .unwrap();
+        let f2 = DataFrame::from_columns(
+            Index::single("profile", vec![3i64]),
+            [(ColKey::new("b"), Column::from_strs(["x"]))],
+        )
+        .unwrap();
 
-        let merged = merge_fragments(&[f1, f2]).unwrap();
+        let stacked = DataFrame::concat_rows(&[&f1, &f2]).unwrap();
 
         let mut fb = FrameBuilder::new(["profile"]);
         fb.push_row(vec![Value::Int(1)], vec![(ColKey::new("a"), Value::Int(10))])
@@ -962,52 +780,72 @@ mod tests {
         .unwrap();
         let serial = fb.finish().unwrap();
 
-        assert_eq!(merged, serial);
-        assert_eq!(merged.column_keys(), serial.column_keys());
+        assert_eq!(stacked, serial);
+        assert_eq!(stacked.column_keys(), serial.column_keys());
         assert_eq!(
-            merged.column(&ColKey::new("a")).unwrap().dtype(),
+            stacked.column(&ColKey::new("a")).unwrap().dtype(),
             DType::Int
         );
-        assert!(merged.column(&ColKey::new("b")).unwrap().is_null_at(0));
+        assert!(stacked.column(&ColKey::new("b")).unwrap().is_null_at(0));
+    }
+
+    /// One-column frame `m` over index level `i`, starting at key `at`.
+    fn one_column(at: i64, col: Column) -> DataFrame {
+        let keys = (at..at + col.len() as i64).collect::<Vec<_>>();
+        DataFrame::from_columns(Index::single("i", keys), [(ColKey::new("m"), col)]).unwrap()
     }
 
     #[test]
-    fn merge_fragments_promotes_int_to_float() {
-        let mut f1 = ColumnFragments::new(["i"]);
-        f1.push_key(vec![Value::Int(0)]).unwrap();
-        f1.push_column("m", Column::from_i64(vec![3])).unwrap();
-        let mut f2 = ColumnFragments::new(["i"]);
-        f2.push_key(vec![Value::Int(1)]).unwrap();
-        f2.push_column("m", Column::from_f64(vec![0.5])).unwrap();
-        let merged = merge_fragments(&[f1, f2]).unwrap();
-        let m = merged.column(&ColKey::new("m")).unwrap();
+    fn concat_rows_promotes_int_to_float() {
+        let a = one_column(0, Column::from_i64(vec![3]));
+        let b = one_column(1, Column::from_f64(vec![0.5]));
+        let stacked = DataFrame::concat_rows(&[&a, &b]).unwrap();
+        let m = stacked.column(&ColKey::new("m")).unwrap();
         assert_eq!(m.dtype(), DType::Float);
         assert_eq!(m.numeric_values(), vec![3.0, 0.5]);
     }
 
     #[test]
-    fn merge_fragments_rejects_incompatible_dtypes() {
-        let mut f1 = ColumnFragments::new(["i"]);
-        f1.push_key(vec![Value::Int(0)]).unwrap();
-        f1.push_column("m", Column::from_i64(vec![3])).unwrap();
-        let mut f2 = ColumnFragments::new(["i"]);
-        f2.push_key(vec![Value::Int(1)]).unwrap();
-        f2.push_column("m", Column::from_strs(["oops"])).unwrap();
+    fn concat_rows_uses_cell_level_dtype() {
+        // A fully masked Float column is dtype-neutral cell-wise: a
+        // builder over the cells infers Int here, and so does the stack.
+        let masked = one_column(0, Column::from_f64(vec![7.0]).take_opt(&[None]));
+        let m = masked.column(&ColKey::new("m")).unwrap();
+        assert_eq!(m.dtype(), DType::Float);
+        let ints = one_column(1, Column::from_i64(vec![5]));
+        let stacked = DataFrame::concat_rows(&[&masked, &ints]).unwrap();
+        let m = stacked.column(&ColKey::new("m")).unwrap();
+        assert_eq!(m.dtype(), DType::Int);
+        assert!(m.is_null_at(0));
+        assert_eq!(m.get(1), Value::Int(5));
+        // Both sides all-null: no cell names a dtype, as in the builder.
+        let other = one_column(1, Column::from_i64(vec![1]).take_opt(&[None]));
+        let stacked = DataFrame::concat_rows(&[&masked, &other]).unwrap();
+        let mut fb = FrameBuilder::new(["i"]);
+        for i in 0..2 {
+            fb.push_row(vec![Value::Int(i)], vec![(ColKey::new("m"), Value::Null)])
+                .unwrap();
+        }
+        assert_eq!(stacked, fb.finish().unwrap());
+        assert_eq!(stacked.column(&ColKey::new("m")).unwrap().count_valid(), 0);
+    }
+
+    #[test]
+    fn concat_rows_rejects_incompatible_dtypes() {
+        let a = one_column(0, Column::from_i64(vec![3]));
+        let b = one_column(1, Column::from_strs(["oops"]));
         assert!(matches!(
-            merge_fragments(&[f1, f2]),
+            DataFrame::concat_rows(&[&a, &b]),
             Err(DfError::TypeError { .. })
         ));
     }
 
     #[test]
-    fn concat_rows_matches_merge_fragments() {
-        let frags = sample_fragments();
-        let merged = merge_fragments(&frags).unwrap();
-        let a = merge_fragments(&frags[..1]).unwrap();
-        let b = merge_fragments(&frags[1..]).unwrap();
-        assert_eq!(DataFrame::concat_rows(&[&a, &b]).unwrap(), merged);
-        let other_levels = DataFrame::new(Index::empty(["x"]));
-        assert!(DataFrame::concat_rows(&[&a, &other_levels]).is_err());
+    fn concat_rows_rejects_empty_input() {
+        assert!(matches!(
+            DataFrame::concat_rows(&[]),
+            Err(DfError::Empty(_))
+        ));
     }
 
     #[test]
@@ -1032,30 +870,5 @@ mod tests {
         assert_eq!(got.column_keys(), vec![ColKey::new("x"), ColKey::new("y")]);
         assert_eq!(got.column(&ColKey::new("x")).unwrap().get(2), Value::Float(2.0));
         assert_eq!(got.column(&ColKey::new("x")).unwrap().get(3), Value::Float(0.5));
-    }
-
-    #[test]
-    fn merge_fragments_validates_inputs() {
-        assert!(matches!(merge_fragments(&[]), Err(DfError::Empty(_))));
-        let f1 = ColumnFragments::new(["a"]);
-        let f2 = ColumnFragments::new(["b"]);
-        assert!(matches!(
-            merge_fragments(&[f1, f2]),
-            Err(DfError::IndexMismatch(_))
-        ));
-        // push_column length must match the index fragment.
-        let mut f = ColumnFragments::new(["i"]);
-        f.push_key(vec![Value::Int(0)]).unwrap();
-        assert!(matches!(
-            f.push_column("m", Column::from_i64(vec![1, 2])),
-            Err(DfError::LengthMismatch { .. })
-        ));
-        f.push_column("m", Column::from_i64(vec![1])).unwrap();
-        assert!(matches!(
-            f.push_column("m", Column::from_i64(vec![2])),
-            Err(DfError::DuplicateColumn(_))
-        ));
-        // with_keys validates key arity.
-        assert!(ColumnFragments::with_keys(["i"], vec![vec![Value::Int(0), Value::Int(1)]]).is_err());
     }
 }

@@ -281,46 +281,6 @@ impl Index {
         order
     }
 
-    /// Stable argsort of the contiguous row range `lo..hi` (returned
-    /// positions are absolute). One chunk of a chunked parallel argsort:
-    /// sort disjoint ranges concurrently, then stitch the runs back
-    /// together with [`Index::merge_argsort_runs`].
-    pub fn argsort_range(&self, lo: usize, hi: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (lo..hi.min(self.len())).collect();
-        order.sort_by(|&a, &b| self.keys[a].cmp(&self.keys[b]));
-        order
-    }
-
-    /// Serial stable merge of per-chunk argsort runs into one full
-    /// ordering. Runs must come from [`Index::argsort_range`] over
-    /// consecutive, disjoint ranges, in range order: ties then resolve to
-    /// the earliest run — i.e. the smallest original position — which
-    /// makes the result bit-identical to [`Index::argsort`] for any
-    /// chunking.
-    pub fn merge_argsort_runs(&self, runs: &[Vec<usize>]) -> Vec<usize> {
-        let total: usize = runs.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
-        let mut heads = vec![0usize; runs.len()];
-        for _ in 0..total {
-            let mut best: Option<(usize, usize)> = None; // (run, position)
-            for (r, run) in runs.iter().enumerate() {
-                let Some(&pos) = run.get(heads[r]) else {
-                    continue;
-                };
-                // Strict `<` keeps ties on the earliest (lowest) run.
-                match best {
-                    Some((_, bp)) if self.keys[pos] < self.keys[bp] => best = Some((r, pos)),
-                    None => best = Some((r, pos)),
-                    _ => {}
-                }
-            }
-            let (r, pos) = best.expect("total counted non-empty runs");
-            out.push(pos);
-            heads[r] += 1;
-        }
-        out
-    }
-
     /// Render one key for display (multi-level keys comma-joined).
     pub fn format_key(&self, i: usize) -> String {
         let parts: Vec<String> = self.keys[i]
@@ -480,25 +440,6 @@ mod tests {
         assert_eq!(view.get(&vec![Value::Int(1), Value::Int(200)]), Some(1));
         assert!(view.contains(&vec![Value::Int(2), Value::Int(200)]));
         assert!(!view.contains(&vec![Value::Int(3), Value::Int(100)]));
-    }
-
-    #[test]
-    fn chunked_argsort_matches_full_sort() {
-        // Duplicated keys exercise the stability of the run merge.
-        let vals = vec![3i64, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5];
-        let i = Index::single("k", vals);
-        let full = i.argsort();
-        for chunk in [1usize, 2, 3, 4, 11, 20] {
-            let runs: Vec<Vec<usize>> = (0..i.len())
-                .step_by(chunk)
-                .map(|lo| i.argsort_range(lo, lo + chunk))
-                .collect();
-            assert_eq!(i.merge_argsort_runs(&runs), full, "chunk={chunk}");
-        }
-        // Degenerate inputs.
-        let empty = Index::empty(["k"]);
-        assert!(empty.merge_argsort_runs(&[]).is_empty());
-        assert!(empty.argsort_range(0, 5).is_empty());
     }
 
     #[test]

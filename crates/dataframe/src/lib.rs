@@ -56,7 +56,7 @@ pub use column::{Column, ColumnBuilder, ColumnData};
 pub use csv::from_csv;
 pub use display::{render, to_csv};
 pub use error::{DfError, Result};
-pub use frame::{merge_fragments, ColumnFragments, DataFrame, FrameBuilder, RowRef};
+pub use frame::{DataFrame, FrameBuilder, RowRef};
 pub use groupby::GroupBy;
 pub use index::{Index, Key, UniquePositions};
 pub use intern::{intern, Interner};

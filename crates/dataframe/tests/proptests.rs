@@ -2,9 +2,8 @@
 
 use proptest::prelude::*;
 use thicket_dataframe::{
-    join, join_many, join_many_pairwise, merge_fragments, AggFn, BoundSource, ColKey, Column,
-    ColumnFragments, DataFrame, FrameBuilder, GroupBy, Index, JoinHow, PredExpr, PredOp, StrMatch,
-    Value,
+    join, join_many, join_many_pairwise, AggFn, BoundSource, ColKey, Column, DataFrame,
+    FrameBuilder, GroupBy, Index, JoinHow, PredExpr, PredOp, StrMatch, Value,
 };
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -179,12 +178,12 @@ proptest! {
         }
     }
 
-    /// The column-chunked merge is byte-identical to a serial
-    /// [`FrameBuilder`] over the same rows for any chunking — the worker
-    /// batch boundaries must be invisible in the result (dtype
-    /// promotion, null backfill, and column order included).
+    /// Stacking per-chunk frames with `concat_rows` is byte-identical to
+    /// one [`FrameBuilder`] over all the rows for any chunking: chunk
+    /// boundaries must be invisible in the result (dtype promotion, null
+    /// backfill, and column order included).
     #[test]
-    fn fragments_merge_matches_frame_builder(
+    fn concat_rows_matches_frame_builder(
         rows in proptest::collection::vec(
             (
                 0i64..1000,
@@ -211,19 +210,20 @@ proptest! {
         }
         let serial = fb.finish().unwrap();
 
-        let frags: Vec<ColumnFragments> = rows
+        let frames: Vec<DataFrame> = rows
             .chunks(chunk)
             .map(|ch| {
-                ColumnFragments::from_rows(
-                    ["k"],
-                    ch.iter().map(|r| (vec![Value::Int(r.0)], cells(r))),
-                )
-                .unwrap()
+                let mut fb = FrameBuilder::new(["k"]);
+                for r in ch {
+                    fb.push_row(vec![Value::Int(r.0)], cells(r)).unwrap();
+                }
+                fb.finish().unwrap()
             })
             .collect();
-        let merged = merge_fragments(&frags).unwrap();
-        prop_assert_eq!(&merged, &serial);
-        prop_assert_eq!(merged.column_keys(), serial.column_keys());
+        let refs: Vec<&DataFrame> = frames.iter().collect();
+        let stacked = DataFrame::concat_rows(&refs).unwrap();
+        prop_assert_eq!(&stacked, &serial);
+        prop_assert_eq!(stacked.column_keys(), serial.column_keys());
     }
 
     /// Interned column keys are fully interchangeable with keys built

@@ -80,7 +80,9 @@ impl GraphUnion {
     /// Reference implementation: a linear sibling scan instead of a hash
     /// index, and one walk per input. Same result, asymptotically slower
     /// for wide sibling sets; kept for the `ablate_union` benchmark and
-    /// as an oracle in property tests.
+    /// as an oracle in property tests. Like [`GraphUnion::build`], it
+    /// matches a node among its parent's first-parent children only: a
+    /// child attached by an extra (DAG) edge has another call path.
     pub fn build_naive(graphs: &[&Graph]) -> GraphUnion {
         let mut out = Graph::new();
         let mut mappings = Vec::with_capacity(graphs.len());
@@ -90,10 +92,7 @@ impl GraphUnion {
             for &id in &order {
                 let frame = g.node(id).frame();
                 let parent = first_parent(g, &map, id);
-                let existing = match parent {
-                    Some(p) => out.child_with_frame(p, frame),
-                    None => out.root_with_frame(frame),
-                };
+                let existing = first_child(&out, parent, frame);
                 map[id.index()] = existing.unwrap_or_else(|| match parent {
                     Some(p) => out.add_child(p, frame.clone()),
                     None => out.add_root(frame.clone()),
@@ -189,7 +188,7 @@ impl Walker {
             }
             // Two sibling frames share a hash: only a scan of the
             // parent's own children tells them apart.
-            if let Some(n) = self.first_child(parent, frame) {
+            if let Some(n) = first_child(&self.out, parent, frame) {
                 return n;
             }
         }
@@ -200,19 +199,19 @@ impl Walker {
         self.index.entry(key).or_insert(n);
         n
     }
+}
 
-    /// First node whose first parent is `parent` and whose frame is
-    /// `frame`, in creation order.
-    fn first_child(&self, parent: Option<NodeId>, frame: &Frame) -> Option<NodeId> {
-        let candidates = match parent {
-            Some(p) => self.out.node(p).children(),
-            None => self.out.roots(),
-        };
-        candidates.iter().copied().find(|&c| {
-            let node = self.out.node(c);
-            node.parents().first().copied() == parent && node.frame() == frame
-        })
-    }
+/// First node of `g` whose first parent is `parent` and whose frame is
+/// `frame`, in creation order.
+fn first_child(g: &Graph, parent: Option<NodeId>, frame: &Frame) -> Option<NodeId> {
+    let candidates = match parent {
+        Some(p) => g.node(p).children(),
+        None => g.roots(),
+    };
+    candidates.iter().copied().find(|&c| {
+        let node = g.node(c);
+        node.parents().first().copied() == parent && node.frame() == frame
+    })
 }
 
 /// The order a union visits `g`'s nodes in: [`Graph::preorder`], except
@@ -363,6 +362,33 @@ mod tests {
         assert_eq!(u.graph.len(), 4);
         let new_shared = u.mappings[0][shared.index()];
         assert_eq!(u.graph.node(new_shared).parents().len(), 2);
+    }
+
+    #[test]
+    fn naive_ignores_children_reached_through_extra_edges() {
+        // A: MAIN→Y→S and MAIN→X, plus an extra edge X→S. B: MAIN→X→S.
+        // A's S keeps the path MAIN/Y/S, so B's S is a new node under X.
+        let mut a = Graph::new();
+        let m = a.add_root(Frame::named("MAIN"));
+        let y = a.add_child(m, Frame::named("Y"));
+        let s = a.add_child(y, Frame::named("S"));
+        let x = a.add_child(m, Frame::named("X"));
+        a.add_edge(x, s);
+        let b = chain(&["MAIN", "X", "S"]);
+        let fast = GraphUnion::build(&[&a, &b]);
+        let slow = GraphUnion::build_naive(&[&a, &b]);
+        assert_eq!(fast.mappings, slow.mappings);
+        for u in [&fast, &slow] {
+            assert_eq!(u.graph.len(), 5);
+            let b_s = u.mappings[1][2];
+            let path: Vec<&str> = u
+                .graph
+                .path_to(b_s)
+                .iter()
+                .map(|&n| u.graph.node(n).name())
+                .collect();
+            assert_eq!(path, ["MAIN", "X", "S"]);
+        }
     }
 
     #[test]

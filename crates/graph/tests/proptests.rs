@@ -1,7 +1,7 @@
 //! Property-based tests for graph construction and union.
 
 use proptest::prelude::*;
-use thicket_graph::{Frame, Graph, GraphUnion};
+use thicket_graph::{Frame, Graph, GraphUnion, NodeId};
 
 /// Build a random tree from a parent-pointer vector: node i's parent is
 /// `parents[i] % i` (node 0 is the root). Names are drawn from a small
@@ -27,6 +27,46 @@ fn tree_strategy() -> impl Strategy<Value = Graph> {
         proptest::collection::vec(any::<u8>(), 1..8),
     )
         .prop_map(|(parents, names)| tree_from(&parents, &names))
+}
+
+/// A random tree over a three-name alphabet (so two inputs share long
+/// call paths) plus up to four extra (DAG) edges. An extra parent is any
+/// node that does not descend from its child, so the graph stays
+/// acyclic; the child keeps its random name, so a child reached through
+/// an extra edge can meet a first-parent child of the same frame in a
+/// union.
+fn dag_strategy() -> impl Strategy<Value = Graph> {
+    (
+        proptest::collection::vec(any::<usize>(), 1..30),
+        proptest::collection::vec(0u8..3, 1..8),
+        proptest::collection::vec((any::<usize>(), any::<usize>()), 0..5),
+    )
+        .prop_map(|(parents, names, edges)| {
+            let mut g = tree_from(&parents, &names);
+            let ids: Vec<NodeId> = g.ids().collect();
+            for (p, c) in edges {
+                let (p, c) = (ids[p % ids.len()], ids[c % ids.len()]);
+                if !reaches(&g, c, p) {
+                    g.add_edge(p, c);
+                }
+            }
+            g
+        })
+}
+
+/// `true` when `to` is `from` or one of its descendants.
+fn reaches(g: &Graph, from: NodeId, to: NodeId) -> bool {
+    let mut stack = vec![from];
+    let mut seen = vec![false; g.len()];
+    while let Some(id) = stack.pop() {
+        if id == to {
+            return true;
+        }
+        if !std::mem::replace(&mut seen[id.index()], true) {
+            stack.extend(g.node(id).children());
+        }
+    }
+    false
 }
 
 /// Canonical multiset of (path-of-names) for structural comparison.
@@ -77,19 +117,20 @@ proptest! {
         prop_assert_eq!(path_signature(&ab.graph), path_signature(&ba.graph));
     }
 
-    /// The indexed matcher agrees with the naive reference implementation.
+    /// The indexed matcher agrees with the naive reference implementation,
+    /// graph and mappings, on trees and DAGs.
     #[test]
-    fn union_indexed_matches_naive(a in tree_strategy(), b in tree_strategy()) {
+    fn union_indexed_matches_naive(a in dag_strategy(), b in dag_strategy()) {
         let fast = GraphUnion::build(&[&a, &b]);
         let slow = GraphUnion::build_naive(&[&a, &b]);
-        prop_assert_eq!(path_signature(&fast.graph), path_signature(&slow.graph));
-        prop_assert_eq!(fast.intersection().len(), slow.intersection().len());
+        prop_assert!(same_graph(&fast.graph, &slow.graph));
+        prop_assert_eq!(&fast.mappings, &slow.mappings);
     }
 
     /// Every input node maps to a unified node with the same frame and the
-    /// same root-to-node name path.
+    /// same root-to-node name path (via first parents), on trees and DAGs.
     #[test]
-    fn union_preserves_paths(a in tree_strategy(), b in tree_strategy()) {
+    fn union_preserves_paths(a in dag_strategy(), b in dag_strategy()) {
         let u = GraphUnion::build(&[&a, &b]);
         for (g, map) in [(&a, &u.mappings[0]), (&b, &u.mappings[1])] {
             for id in g.preorder() {
@@ -145,18 +186,14 @@ impl Mix {
 /// four-letter alphabet, so siblings repeat frames and inputs overlap.
 ///
 /// With `dag`, a few nodes gain an extra parent that comes later in
-/// pre-order and is not their descendant. Such a node is named after its
-/// first parent's call path: `build` matches children by first parent
-/// only, while `build_naive` also finds children reached through an extra
-/// edge, and the two agree exactly when no extra-edge child can meet a
-/// first-parent child of the same frame.
+/// pre-order and is not their descendant.
 fn forest(mix: &mut Mix, dag: bool) -> Graph {
     let n = 1 + mix.below(24);
     let mut parent: Vec<Option<usize>> = vec![None];
     for i in 1..n {
         parent.push((mix.below(8) != 0).then(|| mix.below(i)));
     }
-    let mut names: Vec<String> = (0..n).map(|_| format!("f{}", mix.below(4))).collect();
+    let names: Vec<String> = (0..n).map(|_| format!("f{}", mix.below(4))).collect();
 
     // Tree pre-order position of every node (children in index order).
     let mut pos = vec![0usize; n];
@@ -187,14 +224,6 @@ fn forest(mix: &mut Mix, dag: bool) -> Graph {
             }
         }
         extra.sort_unstable();
-        for &(_, c) in &extra {
-            let fp_path: Vec<String> = ancestors(c)
-                .iter()
-                .rev()
-                .map(|&a| names[a].clone())
-                .collect();
-            names[c] = format!("dag@{}", fp_path.join("/"));
-        }
     }
 
     let mut g = Graph::new();

@@ -23,16 +23,18 @@ cargo test -q --release -p thicket-perfsim --test concurrency
 # store dense/sparse/pinned/chunked, extend) against the reference
 # composer, at 1, 2 and 8 workers, on optimized builds too.
 cargo test -q --release -p thicket-core --test compose_oracle
-# W4 smoke under --release: the predicate workload end-to-end (row-walk
-# vs vectorized vs planner pushdown) on a small 60-profile store — this
-# exercises select_expr, load_matching, and the residual path on
-# optimized builds, not the recorded PERF.md numbers.
-cargo run -q -p thicket-bench --release --example payload_bench -- 60 w4
-# W7 bounded-memory smoke under --release: stream a trace ≥4× the RSS
-# budget through the LoadSource::trace pipeline in a fresh child process
-# and fail if its VmHWM reaches the budget — the O(depth × ranks)
-# memory claim is enforced, not just documented.
-cargo run -q -p thicket-bench --release --example trace_bench -- smoke
+# Planner and predicate engine under --release: metadata conjuncts
+# pushed below a store read (select_expr, load_indices), the residual
+# exists-row pass, the row walk / row-wise / vectorized evaluators on a
+# composed perf frame, and the pushed load's byte count, on optimized
+# builds.
+cargo test -q --release -p thicket-core --test planner
+# Bounded-memory trace ingest under --release: stream a trace at least
+# 4x a 24 MiB RSS budget through the LoadSource::trace pipeline in a
+# fresh child process and fail if its VmHWM reaches the budget, so the
+# O(depth x ranks) memory claim is enforced, not just documented. The
+# test is ignored in debug runs.
+cargo test -q --release -p thicket-core --test trace_memory -- --include-ignored
 # Service layer: the wire chaos schedule (torn frames, oversized
 # lengths, slow-loris, connection kills, one kill-9 of the daemon) under
 # --release — recovery timing only means something on optimized builds.
