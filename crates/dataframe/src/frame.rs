@@ -734,11 +734,11 @@ mod tests {
         assert!(cl.column_named("extra").is_ok());
     }
 
-    /// `sample()`'s rows `range`, fed through a [`FrameBuilder`].
-    fn sample_rows(range: std::ops::Range<usize>) -> DataFrame {
+    /// `sample()`'s rows `rows`, fed through a [`FrameBuilder`].
+    fn sample_rows(rows: impl IntoIterator<Item = usize>) -> DataFrame {
         let src = sample();
         let mut fb = FrameBuilder::new(["node", "profile"]);
-        for i in range {
+        for i in rows {
             let cells = src.columns().map(|(k, c)| (k.clone(), c.get(i)));
             fb.push_row(src.index().key(i).clone(), cells).unwrap();
         }
@@ -749,6 +749,18 @@ mod tests {
     fn concat_rows_matches_frame_builder() {
         let (a, b) = (sample_rows(0..2), sample_rows(2..4));
         assert_eq!(DataFrame::concat_rows(&[&a, &b]).unwrap(), sample());
+    }
+
+    #[test]
+    fn concat_rows_then_sort_matches_frame_builder() {
+        // Pooling along the profile axis: each piece holds one profile's
+        // rows, so the stack interleaves only after sorting by index.
+        let (p10, p20) = (sample_rows([0, 2]), sample_rows([1, 3]));
+        let stacked = DataFrame::concat_rows(&[&p20, &p10]).unwrap();
+        assert_eq!(stacked.len(), 4);
+        assert_eq!(stacked.sort_by_index(), sample());
+        let other_levels = DataFrame::new(Index::empty(["x"]));
+        assert!(DataFrame::concat_rows(&[&p10, &other_levels]).is_err());
     }
 
     #[test]
