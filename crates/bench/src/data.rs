@@ -1,6 +1,6 @@
-//! Workload generators shared by the figure regenerators and the
-//! criterion benchmarks: the exact ensembles the paper's evaluation
-//! collected (Figure 13 and Figure 16 configuration tables).
+//! Workload generators for the figure regenerators: the exact ensembles
+//! the paper's evaluation collected (Figure 13 and Figure 16
+//! configuration tables).
 
 use thicket_core::Thicket;
 use thicket_dataframe::Value;

@@ -1,10 +1,9 @@
 //! # thicket-bench
 //!
-//! The reproduction's benchmark harness: workload generators matching the
-//! paper's experiment configurations ([`data`]), one regenerator per
-//! table/figure of the evaluation ([`figures`]), and criterion benchmarks
-//! (under `benches/`) timing the core operations and the design-choice
-//! ablations DESIGN.md calls out.
+//! The reproduction's figure harness: workload generators matching the
+//! paper's experiment configurations ([`data`]) and one regenerator per
+//! table/figure of the evaluation ([`figures`]). Timings come from the
+//! repo benchmark (`examples/benchmark/`).
 //!
 //! Regenerate everything with:
 //!

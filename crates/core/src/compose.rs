@@ -42,41 +42,17 @@ impl Thicket {
         }
         // A perf row whose profile id has no metadata row cannot be
         // re-keyed; silently mapping it to null would corrupt the index.
-        let remap = |old: &Value| -> Result<Value, ThicketError> {
-            map.get(old).cloned().ok_or_else(|| {
-                ThicketError::Invalid(format!(
+        let remap = |old: &Value| -> Result<Option<Value>, ThicketError> {
+            match map.get(old) {
+                Some(new) => Ok(Some(new.clone())),
+                None => Err(ThicketError::Invalid(format!(
                     "perf data references profile {old} which has no metadata row; \
                      cannot reindex by {column}"
-                ))
-            })
+                ))),
+            }
         };
-
-        let perf_keys: Vec<Vec<Value>> = self
-            .perf_data
-            .index()
-            .keys()
-            .iter()
-            .map(|k| Ok(vec![k[0].clone(), remap(&k[1])?]))
-            .collect::<Result<_, ThicketError>>()?;
-        let perf_index = Index::new([NODE_LEVEL, PROFILE_LEVEL], perf_keys)?;
-        let mut perf_data = DataFrame::new(perf_index);
-        for (k, c) in self.perf_data.columns() {
-            perf_data.insert(k.clone(), c.clone())?;
-        }
-
-        let meta_keys: Vec<Vec<Value>> = self
-            .metadata
-            .index()
-            .keys()
-            .iter()
-            .map(|k| Ok(vec![remap(&k[0])?]))
-            .collect::<Result<_, ThicketError>>()?;
-        let meta_index = Index::new([PROFILE_LEVEL], meta_keys)?;
-        let mut metadata = DataFrame::new(meta_index);
-        for (k, c) in self.metadata.columns() {
-            metadata.insert(k.clone(), c.clone())?;
-        }
-
+        let perf_data = self.perf_data.map_level(PROFILE_LEVEL, remap)?;
+        let metadata = self.metadata.map_level(PROFILE_LEVEL, remap)?;
         Thicket::from_components(
             self.graph.clone(),
             perf_data.sort_by_index(),
@@ -122,41 +98,23 @@ pub fn concat_thickets(
             let items: Vec<_> = inputs.iter().zip(union.mappings.iter()).collect();
             let frames =
                 thicket_perfsim::try_parallel_map(&items, threads, |((label, tk), mapping)| {
-                    let keys: Vec<Vec<Value>> = tk
-                        .perf_data
-                        .index()
-                        .keys()
-                        .iter()
-                        .map(|k| {
-                            let old = tk.node_of_value(&k[0]).ok_or(())?;
-                            let new = mapping[old.index()];
-                            Ok(vec![Value::Int(new.index() as i64), k[1].clone()])
-                        })
-                        .collect::<Result<_, ()>>()
-                        .map_err(|_| {
-                            ThicketError::Invalid("perf row references unknown node".into())
-                        })?;
-                    rekey(&tk.perf_data, keys, label)
+                    let frame = tk.perf_rekeyed(|old| Some(mapping[old.index()]))?;
+                    Ok::<_, ThicketError>(frame.with_column_group(label))
                 })
                 .map_err(|e| input_failure(e, "input thicket"))?;
             (frames, union.graph)
         }
         NodeMatch::Name => {
             let frames = thicket_perfsim::try_parallel_map(inputs, threads, |(label, tk)| {
-                let keys: Vec<Vec<Value>> = tk
-                    .perf_data
-                    .index()
-                    .keys()
-                    .iter()
-                    .map(|k| vec![Value::from(tk.node_name(&k[0]).as_str()), k[1].clone()])
-                    .collect();
-                let frame = rekey(&tk.perf_data, keys, label)?;
+                let frame = tk.perf_data.map_level(NODE_LEVEL, |v| {
+                    Ok::<_, ThicketError>(Some(Value::from(tk.node_name(v).as_str())))
+                })?;
                 if !frame.index().is_unique() {
                     return Err(ThicketError::Invalid(format!(
                         "node names are not unique in input {label:?}; use NodeMatch::Path"
                     )));
                 }
-                Ok(frame)
+                Ok(frame.with_column_group(label))
             })
             .map_err(|e| input_failure(e, "input thicket"))?;
             (frames, inputs[0].1.graph().clone())
@@ -182,19 +140,6 @@ pub fn concat_thickets(
         metadata,
         DataFrame::new(Index::empty([NODE_LEVEL])),
     )
-}
-
-fn rekey(
-    frame: &DataFrame,
-    keys: Vec<Vec<Value>>,
-    group: &str,
-) -> Result<DataFrame, ThicketError> {
-    let index = Index::new([NODE_LEVEL, PROFILE_LEVEL], keys)?;
-    let mut out = DataFrame::new(index);
-    for (k, c) in frame.columns() {
-        out.insert(k.under(group), c.clone())?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! The compose engine: the one path from in-memory profiles to a
 //! thicket's frames, behind every [`crate::Loader`] build and every
-//! [`Thicket::extend`].
+//! [`Thicket::extend`] (which composes its batch here, then pools it
+//! onto the thicket with [`crate::concat_thickets_rows`]).
 //!
 //! 1. **Union.** [`GraphUnion`] unifies the call trees, walking each
 //!    distinct tree shape once.
@@ -23,7 +24,7 @@
 //! assembly, a panicking profile fails a strict build, while lenient
 //! drops it and retries on the survivors.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
 
 use thicket_dataframe::{ColKey, Column, ColumnBuilder, DataFrame, Index, Key, Value};
@@ -45,9 +46,7 @@ pub(crate) fn compose(
     strictness: Strictness,
 ) -> Result<(Thicket, IngestReport), ThicketError> {
     if profiles.is_empty() {
-        return Err(ThicketError::Invalid(
-            "cannot build a thicket from zero profiles".into(),
-        ));
+        return Err(no_profiles());
     }
     check_arity(profiles, ids)?;
     let lenient = matches!(strictness, Strictness::Lenient { .. });
@@ -112,61 +111,9 @@ pub(crate) fn compose(
     }
 }
 
-/// Grow `tk` by `profiles` in place, fail-fast. The union is seeded with
-/// `tk`'s own graph, so existing rows keep their node ids; the new rows
-/// come from the engine already sorted and are merged with the existing
-/// ones. An error leaves `tk` untouched.
-pub(crate) fn extend(
-    tk: &mut Thicket,
-    profiles: &[Profile],
-    ids: &[Value],
-    threads: usize,
-) -> Result<(), ThicketError> {
-    check_arity(profiles, ids)?;
-    if profiles.is_empty() {
-        return Ok(());
-    }
-    {
-        let existing: HashSet<Value> = tk.profiles().into_iter().collect();
-        let mut seen = HashSet::new();
-        for id in ids {
-            if existing.contains(id) || !seen.insert(id) {
-                return Err(ThicketError::Invalid(format!("duplicate profile id {id}")));
-            }
-        }
-    }
-    let nodes = tk.graph.len() as i64;
-    let known = |k: &Key| matches!(k[0], Value::Int(n) if (0..nodes).contains(&n));
-    if !tk.perf_data.index().keys().iter().all(known) {
-        return Err(ThicketError::Invalid(
-            "perf row references unknown node".into(),
-        ));
-    }
-
-    let graphs: Vec<_> = profiles.iter().map(Profile::graph).collect();
-    let union = GraphUnion::build_onto(tk.graph.clone(), &graphs);
-    let inputs: Vec<(&Profile, &[NodeId])> = profiles
-        .iter()
-        .zip(&union.mappings)
-        .map(|(p, m)| (p, m.as_slice()))
-        .collect();
-    let rows = assemble(&inputs, threads)
-        .into_iter()
-        .zip(ids)
-        .map(|(r, id)| r.map_err(|message| worker_failure(id, message)))
-        .collect::<Result<Vec<_>, _>>()?;
-    let new_ids: Vec<&Value> = ids.iter().collect();
-    let perf_data = tk
-        .perf_data
-        .merge_sorted(&scatter(&rows, &new_ids, union.graph.len())?)?;
-    let metadata =
-        DataFrame::concat_rows(&[&tk.metadata, &metadata_frame(profiles.iter().zip(ids))?])?;
-
-    tk.graph = union.graph;
-    tk.perf_data = perf_data;
-    tk.metadata = metadata;
-    tk.statsframe = DataFrame::new(Index::empty([NODE_LEVEL]));
-    Ok(())
+/// The error every build from zero profiles fails with.
+pub(crate) fn no_profiles() -> ThicketError {
+    ThicketError::Invalid("cannot build a thicket from zero profiles".into())
 }
 
 fn check_arity(profiles: &[Profile], ids: &[Value]) -> Result<(), ThicketError> {

@@ -3,23 +3,22 @@
 //! (Hatchet's `squash`), node intersection across profiles,
 //! string-dialect querying, and CSV export.
 
-use crate::thicket::{Thicket, ThicketError, NODE_LEVEL, PROFILE_LEVEL};
+use crate::thicket::{Thicket, ThicketError, NODE_LEVEL};
 use std::collections::{HashMap, HashSet};
 use thicket_dataframe::{to_csv, ColKey, DataFrame, Index, Value};
-use thicket_perfsim::Profile;
+use thicket_perfsim::{Profile, Strictness};
 use thicket_query::Query;
 
 impl Thicket {
     /// Ingest additional profiles into this thicket in place — the
     /// incremental counterpart of a full [`crate::Loader`] build.
     ///
-    /// The existing rows are not rebuilt from their source profiles, nor
-    /// re-keyed: the new call trees are unioned onto this thicket's own
-    /// graph, which keeps every node id, and the new profiles' rows,
-    /// already in `(node, profile)` order, are merged with the existing
-    /// ones. The result equals a [`crate::Loader`] build over the full
-    /// profile set whenever this thicket was itself built (or extended)
-    /// by the loader: the same graph, perf data and metadata.
+    /// The batch is composed on its own, then pooled onto this thicket
+    /// with [`crate::concat_thickets_rows`]: the existing rows are not
+    /// rebuilt from their source profiles, nor re-keyed, and every node
+    /// keeps its id. The result equals a [`crate::Loader`] build over
+    /// the full profile set whenever this thicket was itself built (or
+    /// extended) by the loader: the same graph, perf data and metadata.
     ///
     /// Fail-fast: a duplicate profile id (within the batch or against
     /// the thicket) or a panicking profile is an error, and an error
@@ -45,7 +44,13 @@ impl Thicket {
         profile_ids: &[Value],
         threads: usize,
     ) -> Result<(), ThicketError> {
-        crate::engine::extend(self, profiles, profile_ids, threads)
+        if profiles.is_empty() && profile_ids.is_empty() {
+            return Ok(());
+        }
+        let (batch, _) =
+            crate::engine::compose(profiles, profile_ids, threads, Strictness::FailFast)?;
+        *self = crate::concat_thickets_rows(&[self, &batch])?;
+        Ok(())
     }
 
     /// Remove call-graph nodes that carry no performance data (e.g.
@@ -60,23 +65,9 @@ impl Thicket {
             .filter_map(|k| self.node_of_value(&k[0]))
             .collect();
         let (subgraph, mapping) = self.graph.induced_subgraph(&measured);
-
-        let keys: Vec<Vec<Value>> = self
-            .perf_data
-            .index()
-            .keys()
-            .iter()
-            .map(|k| {
-                let old = self.node_of_value(&k[0]).expect("measured node");
-                let new = mapping[&old];
-                vec![Value::Int(new.index() as i64), k[1].clone()]
-            })
-            .collect();
-        let index = Index::new([NODE_LEVEL, PROFILE_LEVEL], keys).expect("same arity");
-        let mut perf_data = DataFrame::new(index);
-        for (k, c) in self.perf_data.columns() {
-            perf_data.insert(k.clone(), c.clone()).expect("unique keys");
-        }
+        let perf_data = self
+            .perf_rekeyed(|old| mapping.get(&old).copied())
+            .expect("every perf row names a node");
         Thicket::from_components(
             subgraph,
             perf_data.sort_by_index(),
@@ -294,75 +285,6 @@ mod tests {
         eight.extend_threads(&profiles[2..], &ids[2..], 8).unwrap();
         assert_eq!(one.perf_data(), eight.perf_data());
         assert_eq!(one.metadata(), eight.metadata());
-    }
-
-    /// A = main→a; B = main→b, main→a→c, whose arena order (main, b, a,
-    /// c) is not its pre-order; a third profile shaped like A. Every node
-    /// is measured.
-    fn two_shapes_then_a() -> Vec<Profile> {
-        let shape_a = || {
-            let mut g = Graph::new();
-            let main = g.add_root(Frame::named("main"));
-            g.add_child(main, Frame::named("a"));
-            g
-        };
-        let mut b = Graph::new();
-        let main = b.add_root(Frame::named("main"));
-        b.add_child(main, Frame::named("b"));
-        let a = b.add_child(main, Frame::named("a"));
-        b.add_child(a, Frame::named("c"));
-        [shape_a(), b, shape_a()]
-            .into_iter()
-            .enumerate()
-            .map(|(run, g)| {
-                let nodes: Vec<_> = g.ids().collect();
-                let mut p = Profile::new(g);
-                p.set_metadata("run", run as i64);
-                for id in nodes {
-                    p.set_metric(id, "time", (10 * run + id.index()) as f64);
-                }
-                p
-            })
-            .collect()
-    }
-
-    fn node_names(tk: &Thicket) -> Vec<&str> {
-        tk.graph()
-            .ids()
-            .map(|id| tk.graph().node(id).name())
-            .collect()
-    }
-
-    #[test]
-    fn extend_keeps_existing_node_ids() {
-        let profiles = two_shapes_then_a();
-        let whole = build(&profiles);
-        assert_eq!(node_names(&whole), ["main", "a", "b", "c"]);
-        let mut grown = build(&profiles[..2]);
-        let id = Value::Int(profiles[2].profile_hash());
-        grown.extend(&profiles[2..], &[id]).unwrap();
-        assert_eq!(node_names(&grown), node_names(&whole));
-        assert_eq!(grown.perf_data(), whole.perf_data());
-        assert_eq!(grown.metadata(), whole.metadata());
-    }
-
-    #[test]
-    fn chunked_store_load_matches_whole_load() {
-        use crate::{LoadSource, StoreSource};
-        use thicket_perfsim::{ScratchDir, Store, Strictness};
-
-        let profiles = two_shapes_then_a();
-        let dir = ScratchDir::new("extend-chunks");
-        Store::save(&dir, &profiles).unwrap();
-        let whole = Thicket::loader(LoadSource::store(&dir)).load().unwrap().0;
-        let src = StoreSource::open(&dir, true, None, Strictness::FailFast)
-            .unwrap()
-            .chunk_size(2);
-        let chunked = Thicket::loader(LoadSource::custom(src)).load().unwrap().0;
-        assert_eq!(node_names(&whole), ["main", "a", "b", "c"]);
-        assert_eq!(node_names(&chunked), node_names(&whole));
-        assert_eq!(chunked.perf_data(), whole.perf_data());
-        assert_eq!(chunked.metadata(), whole.metadata());
     }
 
     #[test]

@@ -435,7 +435,7 @@ fn load_in_memory(
         None => Cow::Owned(hash_ids(&kept)),
     };
     let threads = threads.unwrap_or_else(|| default_threads(kept.len()));
-    let (tk, report) = compose(&kept, &ids, threads, strictness, None)?;
+    let (tk, report) = crate::engine::compose(&kept, &ids, threads, strictness)?;
     finalize(tk, report, plan, &residual)
 }
 
@@ -475,7 +475,7 @@ fn load_streaming(
         let threads_n = threads.unwrap_or_else(|| default_threads(chunk.len()));
         match &mut tk {
             None => {
-                let (built, r) = compose(&chunk, &ids, threads_n, strictness, None)?;
+                let (built, r) = crate::engine::compose(&chunk, &ids, threads_n, strictness)?;
                 attempted += r.attempted;
                 loaded += r.loaded;
                 diagnostics.extend(r.diagnostics);
@@ -514,12 +514,9 @@ fn load_streaming(
             };
             finalize(tk, report, plan, &residual)
         }
-        // Nothing loaded at all: surface the canonical zero-profile
-        // error (fail-fast and lenient builds both refuse emptiness).
-        None => {
-            compose(&[], &[], 1, strictness, Some(read))?;
-            unreachable!("composing zero profiles always errors")
-        }
+        // Nothing loaded at all: fail-fast and lenient builds both
+        // refuse emptiness.
+        None => Err(crate::engine::no_profiles()),
     }
 }
 
@@ -631,24 +628,4 @@ fn hash_ids(profiles: &[Profile]) -> Vec<Value> {
         .iter()
         .map(|p| Value::Int(p.profile_hash()))
         .collect()
-}
-
-/// Compose loaded profiles under the requested strictness, absorbing
-/// the read-phase report (if any) so `attempted` counts sources and
-/// `loaded` counts survivors of both phases.
-fn compose(
-    profiles: &[Profile],
-    ids: &[Value],
-    threads: usize,
-    strictness: Strictness,
-    read: Option<IngestReport>,
-) -> Result<(Thicket, IngestReport), ThicketError> {
-    let (tk, built) = crate::engine::compose(profiles, ids, threads, strictness)?;
-    match read {
-        None => Ok((tk, built)),
-        Some(mut report) => {
-            report.absorb(built);
-            Ok((tk, report))
-        }
-    }
 }

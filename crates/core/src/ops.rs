@@ -94,24 +94,7 @@ impl Thicket {
         let matched = query.apply(&self.graph);
         let (subgraph, mapping) = self.graph.induced_subgraph(&matched);
 
-        // Re-key perf rows from old node ids to new ones.
-        let mut keys = Vec::new();
-        let mut rows = Vec::new();
-        for (row, key) in self.perf_data.index().keys().iter().enumerate() {
-            let Some(old) = self.node_of_value(&key[0]) else {
-                continue;
-            };
-            if let Some(&new) = mapping.get(&old) {
-                keys.push(vec![Value::Int(new.index() as i64), key[1].clone()]);
-                rows.push(row);
-            }
-        }
-        let taken = self.perf_data.take(&rows);
-        let index = Index::new([NODE_LEVEL, PROFILE_LEVEL], keys)?;
-        let mut perf_data = DataFrame::new(index);
-        for (k, c) in taken.columns() {
-            perf_data.insert(k.clone(), c.clone())?;
-        }
+        let perf_data = self.perf_rekeyed(|old| mapping.get(&old).copied())?;
         Ok(Thicket {
             graph: subgraph,
             perf_data: perf_data.sort_by_index(),

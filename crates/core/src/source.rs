@@ -391,32 +391,6 @@ impl TraceSource<BufReader<File>> {
         let path = path.as_ref();
         let reader = TraceReader::open(path)
             .map_err(|e| ThicketError::Invalid(format!("trace {}: {e}", path.display())))?;
-        Ok(TraceSource::from_reader_labeled(
-            reader,
-            window,
-            strictness,
-            path.display().to_string(),
-        ))
-    }
-}
-
-impl<R: BufRead> TraceSource<R> {
-    /// Wrap an already-open [`TraceReader`] (any `BufRead`, e.g. an
-    /// in-memory cursor in tests).
-    pub fn from_reader(
-        reader: TraceReader<R>,
-        window: Option<Duration>,
-        strictness: Strictness,
-    ) -> Self {
-        TraceSource::from_reader_labeled(reader, window, strictness, "trace".to_string())
-    }
-
-    fn from_reader_labeled(
-        reader: TraceReader<R>,
-        window: Option<Duration>,
-        strictness: Strictness,
-        label: String,
-    ) -> Self {
         let metadata = reader.metadata().to_vec();
         let mut meta_keys: BTreeSet<String> =
             metadata.iter().map(|(k, _)| k.clone()).collect();
@@ -424,16 +398,19 @@ impl<R: BufRead> TraceSource<R> {
         meta_keys.insert("rank".to_string());
         meta_keys.insert("window".to_string());
         meta_keys.insert("window start (ns)".to_string());
-        let agg = TraceAggregator::new(metadata, window, strictness).with_source_label(label);
-        TraceSource {
+        let agg = TraceAggregator::new(metadata, window, strictness)
+            .with_source_label(path.display().to_string());
+        Ok(TraceSource {
             reader: Some(reader),
             agg: Some(agg),
             chunk_events: 4096,
             meta_keys,
             report: None,
-        }
+        })
     }
+}
 
+impl<R: BufRead> TraceSource<R> {
     /// Events read per [`ProfileSource::next_chunk`] call (default
     /// 4096). Smaller chunks lower peak memory; larger amortize parse
     /// overhead.

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use thicket_dataframe::{ColKey, DataFrame, DfError, Index, Value};
+use thicket_dataframe::{ColKey, DataFrame, DfError, Value};
 use thicket_graph::{Graph, NodeId};
 
 /// Name of the call-tree-node index level.
@@ -145,12 +145,10 @@ impl Thicket {
             .collect()
     }
 
-    /// The `NodeId` a perf-data node index value refers to.
+    /// The `NodeId` a perf-data node index value refers to: O(1), `None`
+    /// unless `v` is an `Int` naming a node of the graph.
     pub fn node_of_value(&self, v: &Value) -> Option<NodeId> {
-        let idx = v.as_i64()?;
-        self.graph
-            .ids()
-            .find(|id| id.index() as i64 == idx)
+        self.graph.id_at(usize::try_from(v.as_i64()?).ok()?)
     }
 
     /// The node index value for a `NodeId`.
@@ -214,44 +212,28 @@ impl Thicket {
     /// Copy of the perf-data table with the node level rendered as node
     /// *names* — the human-readable form the paper's tables print.
     pub fn perf_data_named(&self) -> DataFrame {
-        let keys: Vec<Vec<Value>> = self
-            .perf_data
-            .index()
-            .keys()
-            .iter()
-            .map(|k| {
-                let mut nk = k.clone();
-                nk[0] = Value::from(self.node_name(&k[0]).as_str());
-                nk
-            })
-            .collect();
-        let index = Index::new(
-            self.perf_data.index().names().to_vec(),
-            keys,
-        )
-        .expect("same arity");
-        let mut df = DataFrame::new(index);
-        for (k, c) in self.perf_data.columns() {
-            df.insert(k.clone(), c.clone()).expect("unique keys");
-        }
-        df
+        named(&self.perf_data, |v| self.node_name(v))
     }
 
     /// Copy of the statsframe with node names (Figure 9 display form).
     pub fn statsframe_named(&self) -> DataFrame {
-        let keys: Vec<Vec<Value>> = self
-            .statsframe
-            .index()
-            .keys()
-            .iter()
-            .map(|k| vec![Value::from(self.node_name(&k[0]).as_str())])
-            .collect();
-        let index = Index::new(vec![NODE_LEVEL.to_string()], keys).expect("same arity");
-        let mut df = DataFrame::new(index);
-        for (k, c) in self.statsframe.columns() {
-            df.insert(k.clone(), c.clone()).expect("unique keys");
-        }
-        df
+        named(&self.statsframe, |v| self.node_name(v))
+    }
+
+    /// The perf rows re-keyed onto another graph: `map` sends a node of
+    /// this graph to its node there, and a row it sends to `None` is
+    /// dropped. Rows keep their order. Fails on a row that names no node
+    /// of this graph.
+    pub(crate) fn perf_rekeyed(
+        &self,
+        map: impl Fn(NodeId) -> Option<NodeId>,
+    ) -> Result<DataFrame, ThicketError> {
+        self.perf_data.map_level(NODE_LEVEL, |v| {
+            let old = self.node_of_value(v).ok_or_else(|| {
+                ThicketError::Invalid(format!("perf row references unknown node {v}"))
+            })?;
+            Ok(map(old).map(|new| self.value_of_node(new)))
+        })
     }
 
     /// Render the call tree annotated with one metric from one profile
@@ -300,6 +282,15 @@ impl Thicket {
         self.perf_data.insert_values(key, values)?;
         Ok(())
     }
+}
+
+/// `frame` with its node level rendered through `name`.
+fn named(frame: &DataFrame, name: impl Fn(&Value) -> String) -> DataFrame {
+    frame
+        .map_level(NODE_LEVEL, |v| {
+            Ok::<_, DfError>(Some(Value::from(name(v).as_str())))
+        })
+        .expect("the frame has a node level")
 }
 
 /// Collapse a worker failure from a concat/compose fan-out into a

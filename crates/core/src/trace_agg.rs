@@ -317,11 +317,6 @@ impl TraceAggregator {
         self.ready.is_empty()
     }
 
-    /// Diagnostics recorded so far (lenient mode).
-    pub fn diagnostics_len(&self) -> usize {
-        self.diagnostics.len()
-    }
-
     /// Close every rank's final window and return any undrained profiles
     /// plus the ingest report. Ranks with regions still open at end of
     /// trace are unbalanced: fail-fast errors, lenient drops that rank's

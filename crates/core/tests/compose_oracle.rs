@@ -1,6 +1,9 @@
 //! The composition oracle: every path that builds a thicket from the
 //! same profiles must build the thicket a reference composer kept here
-//! builds, cell for cell, for any worker count.
+//! builds, cell for cell, for any worker count. Two algebra laws relate
+//! pooling along the profile axis to loading: pooling the loads of
+//! consecutive groups equals one load, and pooling a thicket's groupby
+//! groups gives the thicket back.
 //!
 //! The reference is deliberately naive: [`GraphUnion::build_naive`] for
 //! the graph, one [`FrameBuilder`] row per measured `(node, profile)`
@@ -13,7 +16,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use thicket_core::{LoadSource, PredExpr, StoreSource, Strictness, Thicket};
+use thicket_core::{concat_thickets_rows, LoadSource, PredExpr, StoreSource, Strictness, Thicket};
 use thicket_dataframe::{ColKey, DataFrame, FrameBuilder, Value};
 use thicket_graph::{Frame, Graph, GraphUnion};
 use thicket_perfsim::{DiagKind, Profile, ScratchDir, Store};
@@ -364,5 +367,57 @@ proptest! {
                 prop_assert!(kind_ok, "diagnostic {:?} for profile {}", d.kind, i);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Pool law: split the ensemble at random into k ≥ 1 contiguous
+    /// groups and load each group; pooling those loads builds the
+    /// reference thicket over every profile.
+    #[test]
+    fn pooling_group_loads_builds_the_reference_thicket(seed in any::<u64>()) {
+        let profiles = ensemble(seed);
+        let whole = reference(&profiles, &hash_ids(&profiles));
+        let mut mix = Mix(seed ^ 0x9001);
+        let mut loads = Vec::new();
+        let mut start = 0;
+        for end in 1..=profiles.len() {
+            if end == profiles.len() || mix.chance(2) {
+                loads.push(Thicket::loader(&profiles[start..end]).load().unwrap().0);
+                start = end;
+            }
+        }
+        let refs: Vec<&Thicket> = loads.iter().collect();
+        let pooled = concat_thickets_rows(&refs).unwrap();
+        assert_matches(&pooled, &whole, &format!("pool of {} loads (seed {seed})", loads.len()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Split law: pooling the groups of `groupby(T, [col])`, in
+    /// first-seen order, gives T's graph and perf data, and T's metadata
+    /// rows in group order.
+    #[test]
+    fn pooling_groupby_groups_gives_the_thicket_back(seed in any::<u64>()) {
+        let tk = Thicket::loader(ensemble(seed)).load().unwrap().0;
+        let columns = tk.metadata().column_keys();
+        let col = columns[Mix(seed ^ 0x5911).below(columns.len())].clone();
+        let groups: Vec<Thicket> = tk.groupby(&[col]).unwrap().into_iter().map(|(_, g)| g).collect();
+        let refs: Vec<&Thicket> = groups.iter().collect();
+        let pooled = concat_thickets_rows(&refs).unwrap();
+
+        let rows: Vec<usize> = groups
+            .iter()
+            .flat_map(|g| g.metadata().index().keys().to_vec())
+            .map(|k| tk.metadata().index().position_of(&k).unwrap())
+            .collect();
+        let at = format!("pool of {} groups (seed {seed})", groups.len());
+        prop_assert!(same_graph(pooled.graph(), tk.graph()), "{}: graph differs", at);
+        prop_assert!(same_frame(pooled.perf_data(), tk.perf_data()), "{}: perf data differs", at);
+        prop_assert!(same_frame(pooled.metadata(), &tk.metadata().take(&rows)), "{}: metadata differs", at);
     }
 }

@@ -1,15 +1,10 @@
 //! Property-based tests for thicket ingest: the parallel assembly path
-//! must be bit-identical to the serial one for any thread count, and
-//! pooling separately loaded groups must build the whole-ensemble
-//! thicket.
+//! must be bit-identical to the serial one for any thread count.
 
 use proptest::prelude::*;
-use thicket_core::{concat_thickets_rows, Thicket};
+use thicket_core::Thicket;
 use thicket_dataframe::Value;
-use thicket_graph::Graph;
-use thicket_perfsim::{
-    simulate_cpu_run, simulate_gpu_run, CpuRunConfig, GpuRunConfig, Profile, Variant,
-};
+use thicket_perfsim::{simulate_cpu_run, CpuRunConfig};
 
 fn profiles_for(seeds: &[u64]) -> Vec<thicket_perfsim::Profile> {
     seeds
@@ -42,75 +37,6 @@ proptest! {
             prop_assert_eq!(serial.graph().len(), par.graph().len());
         }
     }
-
-    /// Pooling an ensemble split into k contiguous groups, each loaded
-    /// on its own, builds the thicket one `Loader` build over every
-    /// profile builds: the same graph, perf data and metadata. Ensembles
-    /// are CPU runs (sequential and OpenMP trees), GPU runs, or the two
-    /// interleaved.
-    #[test]
-    fn pooled_groups_match_one_build(
-        seeds in proptest::collection::hash_set(0u64..64, 1..7),
-        kind in 0usize..3,
-        cuts in proptest::collection::vec(any::<bool>(), 6),
-    ) {
-        let mut seeds: Vec<u64> = seeds.into_iter().collect();
-        seeds.sort_unstable();
-        let profiles = ensemble_of(kind, &seeds);
-        let whole = Thicket::loader(&profiles).load().unwrap().0;
-
-        let mut groups: Vec<&[Profile]> = Vec::new();
-        let mut start = 0;
-        for end in 1..=profiles.len() {
-            if end == profiles.len() || cuts[end - 1] {
-                groups.push(&profiles[start..end]);
-                start = end;
-            }
-        }
-        let parts: Vec<Thicket> = groups
-            .iter()
-            .map(|g| Thicket::loader(*g).load().unwrap().0)
-            .collect();
-        let refs: Vec<&Thicket> = parts.iter().collect();
-        let pooled = concat_thickets_rows(&refs).unwrap();
-
-        prop_assert!(same_graph(pooled.graph(), whole.graph()), "graph differs ({} groups)", groups.len());
-        prop_assert_eq!(pooled.perf_data(), whole.perf_data());
-        prop_assert_eq!(pooled.metadata(), whole.metadata());
-    }
-}
-
-/// One profile per seed: kind 0 is CPU (the variant follows the seed),
-/// 1 is GPU, 2 alternates CPU and GPU.
-fn ensemble_of(kind: usize, seeds: &[u64]) -> Vec<Profile> {
-    seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &seed)| {
-            if kind == 1 || (kind == 2 && i % 2 == 1) {
-                let mut cfg = GpuRunConfig::lassen_default();
-                cfg.seed = seed;
-                simulate_gpu_run(&cfg)
-            } else {
-                let mut cfg = CpuRunConfig::quartz_default();
-                cfg.seed = seed;
-                if seed % 3 == 0 {
-                    cfg.variant = Variant::OpenMp;
-                }
-                simulate_cpu_run(&cfg)
-            }
-        })
-        .collect()
-}
-
-/// Arena equality: roots, then node for node frames, parents, children.
-fn same_graph(a: &Graph, b: &Graph) -> bool {
-    a.len() == b.len()
-        && a.roots() == b.roots()
-        && a.ids().all(|id| {
-            let (x, y) = (a.node(id), b.node(id));
-            x.frame() == y.frame() && x.parents() == y.parents() && x.children() == y.children()
-        })
 }
 
 use thicket_core::PredExpr;

@@ -110,14 +110,6 @@ impl Bitmap {
         out
     }
 
-    /// `self &= other`. Panics on length mismatch.
-    pub fn and_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// `self |= other`. Panics on length mismatch.
     pub fn or_assign(&mut self, other: &Bitmap) {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
@@ -132,14 +124,6 @@ impl Bitmap {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a &= !b;
         }
-    }
-
-    /// Flip every bit (trailing bits stay clear).
-    pub fn not_assign(&mut self) {
-        for w in &mut self.words {
-            *w = !*w;
-        }
-        self.clear_tail();
     }
 
     /// The packed words (LSB-first within each word), for word-at-a-time
@@ -171,10 +155,8 @@ mod tests {
         let o = Bitmap::ones(70);
         assert_eq!(o.count_ones(), 70);
         assert!(o.all());
-        // Trailing bits are clear: NOT of all-ones is empty.
-        let mut n = o.clone();
-        n.not_assign();
-        assert!(!n.any());
+        // Trailing bits are clear.
+        assert_eq!(o.words(), [u64::MAX, (1 << 6) - 1]);
     }
 
     #[test]
@@ -192,9 +174,6 @@ mod tests {
     fn boolean_algebra() {
         let a = Bitmap::from_fn(100, |i| i % 2 == 0);
         let b = Bitmap::from_fn(100, |i| i % 3 == 0);
-        let mut and = a.clone();
-        and.and_assign(&b);
-        assert_eq!(and.positions(), (0..100).filter(|i| i % 6 == 0).collect::<Vec<_>>());
         let mut or = a.clone();
         or.or_assign(&b);
         assert_eq!(
@@ -207,10 +186,6 @@ mod tests {
             diff.count_ones(),
             (0..100).filter(|i| i % 2 == 0 && i % 3 != 0).count()
         );
-        let mut not = a.clone();
-        not.not_assign();
-        assert_eq!(not.count_ones(), 50);
-        assert!(not.get(1) && !not.get(0));
     }
 
     #[test]

@@ -304,25 +304,6 @@ impl Column {
         }
     }
 
-    /// Append `n` nulls, keeping the dtype.
-    pub fn push_nulls(&mut self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        let old_len = self.len();
-        match &mut self.data {
-            ColumnData::Null(k) => *k += n,
-            ColumnData::Bool(v) => v.extend(std::iter::repeat_n(false, n)),
-            ColumnData::Int(v) => v.extend(std::iter::repeat_n(0, n)),
-            ColumnData::Float(v) => v.extend(std::iter::repeat_n(f64::NAN, n)),
-            ColumnData::Str(v) => v.extend(std::iter::repeat_n(Arc::from(""), n)),
-        }
-        if !matches!(self.data, ColumnData::Null(_)) {
-            let valid = self.valid.get_or_insert_with(|| vec![true; old_len]);
-            valid.extend(std::iter::repeat_n(false, n));
-        }
-    }
-
     /// Concatenate `parts` into one column of dtype `target` in a single
     /// allocation per buffer — the kernel behind
     /// [`crate::DataFrame::concat_rows`].
@@ -694,24 +675,6 @@ mod tests {
                 .unwrap()
         );
         assert!(gappy.is_null_at(1));
-    }
-
-    #[test]
-    fn push_nulls_extends_with_mask() {
-        let mut c = Column::from_i64(vec![1, 2]);
-        c.push_nulls(0);
-        assert_eq!(c.count_valid(), 2);
-        c.push_nulls(2);
-        assert_eq!(c.len(), 4);
-        assert_eq!(c.dtype(), DType::Int);
-        assert_eq!(c.count_valid(), 2);
-        assert!(c.is_null_at(2) && c.is_null_at(3));
-        assert_eq!(c.get(1), Value::Int(2));
-        // All-null storage stays dtype-less.
-        let mut n = Column::nulls_of(DType::Null, 1);
-        n.push_nulls(3);
-        assert_eq!(n.len(), 4);
-        assert_eq!(n.dtype(), DType::Null);
     }
 
     #[test]

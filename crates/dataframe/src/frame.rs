@@ -222,6 +222,43 @@ impl DataFrame {
         df
     }
 
+    /// New frame with index level `level` rewritten through `f`: the one
+    /// way rows move onto another graph or another profile index. A row
+    /// `f` maps to `None` is dropped; every other row keeps its place
+    /// and every column. Rows are not re-sorted. Fails with `f`'s first
+    /// error, or when the index has no such level.
+    pub fn map_level<E: From<DfError>>(
+        &self,
+        level: &str,
+        mut f: impl FnMut(&Value) -> std::result::Result<Option<Value>, E>,
+    ) -> std::result::Result<DataFrame, E> {
+        let at = self.index.level_pos(level)?;
+        let mut keys = Vec::with_capacity(self.len());
+        let mut rows = Vec::with_capacity(self.len());
+        for (row, key) in self.index.keys().iter().enumerate() {
+            if let Some(v) = f(&key[at])? {
+                let mut key = key.clone();
+                key[at] = v;
+                keys.push(key);
+                rows.push(row);
+            }
+        }
+        let cols = if rows.len() == self.len() {
+            self.cols.clone()
+        } else {
+            self.cols
+                .iter()
+                .map(|(k, c)| (k.clone(), c.take(&rows)))
+                .collect()
+        };
+        Ok(DataFrame {
+            index: Index::new(self.index.names().to_vec(), keys)?,
+            cols,
+            lookup: self.lookup.clone(),
+            name_cache: OnceLock::new(),
+        })
+    }
+
     /// Keep only rows where `pred` holds.
     pub fn filter<F: FnMut(RowRef<'_>) -> bool>(&self, mut pred: F) -> DataFrame {
         let rows: Vec<usize> = (0..self.len())
@@ -391,13 +428,6 @@ impl DataFrame {
         order.extend(ka.len() + j..ka.len() + kb.len());
         Ok(DataFrame::concat_rows(&[&a, &b])?.take(&order))
     }
-
-    /// Collect one column per key-group of the index: for each distinct
-    /// index key (in first-seen order) return the rows carrying it.
-    pub fn rows_by_index_key(&self) -> (Vec<Key>, Vec<Vec<usize>>) {
-        self.index.group_positions()
-    }
-
 }
 
 /// Read-only view of one dataframe row, used by filter predicates.
@@ -597,6 +627,43 @@ mod tests {
         let f = df.filter(|r| r.level("node") == Value::Int(2));
         assert_eq!(f.len(), 2);
         assert_eq!(f.column(&ColKey::new("time")).unwrap().numeric_values(), vec![3.0, 4.0]);
+    }
+
+    #[test]
+    fn map_level_rewrites_one_level_and_drops_rows() {
+        let df = sample();
+        let named = df
+            .map_level("node", |v| {
+                Ok::<_, DfError>(match v.as_i64() {
+                    Some(1) => Some(Value::from("one")),
+                    _ => None,
+                })
+            })
+            .unwrap();
+        assert_eq!(named.len(), 2);
+        assert_eq!(named.index().names(), df.index().names());
+        assert_eq!(
+            named.index().key(1),
+            &vec![Value::from("one"), Value::Int(20)]
+        );
+        assert_eq!(named.column_keys(), df.column_keys());
+        assert_eq!(
+            named.column(&ColKey::new("time")).unwrap().numeric_values(),
+            vec![1.0, 2.0]
+        );
+        // Nothing dropped: the columns come through whole.
+        let same = df
+            .map_level("profile", |v| Ok::<_, DfError>(Some(v.clone())))
+            .unwrap();
+        assert_eq!(same, df);
+        let err = df.map_level("profile", |_| {
+            Err::<Option<Value>, _>(DfError::Other("no".into()))
+        });
+        assert!(matches!(err, Err(DfError::Other(_))));
+        assert!(matches!(
+            df.map_level("nope", |v| Ok::<_, DfError>(Some(v.clone()))),
+            Err(DfError::MissingLevel(_))
+        ));
     }
 
     #[test]

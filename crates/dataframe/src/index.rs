@@ -214,12 +214,6 @@ impl Index {
         &self.cache().positions
     }
 
-    /// Map from key to all row positions carrying it (owned copy of the
-    /// cached map; prefer [`Index::positions`] to avoid the clone).
-    pub fn positions_by_key(&self) -> HashMap<Key, Vec<usize>> {
-        self.positions().clone()
-    }
-
     /// First row position carrying `key`, if any (O(1) amortized).
     pub fn position_of(&self, key: &Key) -> Option<usize> {
         self.positions().get(key).map(|rows| rows[0])

@@ -37,12 +37,13 @@ impl Node {
         &self.frame
     }
 
-    /// Child node ids in insertion order.
+    /// Child node ids, in arena order.
     pub fn children(&self) -> &[NodeId] {
         &self.children
     }
 
-    /// Parent node ids (empty for roots).
+    /// Parent node ids (empty for roots): the first parent, then any
+    /// extra parents in arena order.
     pub fn parents(&self) -> &[NodeId] {
         &self.parents
     }
@@ -92,6 +93,11 @@ impl Graph {
         (0..self.nodes.len() as u32).map(NodeId)
     }
 
+    /// The id of arena slot `index`, if the graph has that many nodes.
+    pub fn id_at(&self, index: usize) -> Option<NodeId> {
+        (index < self.nodes.len()).then_some(NodeId(index as u32))
+    }
+
     /// Add a root node.
     pub fn add_root(&mut self, frame: Frame) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
@@ -117,12 +123,27 @@ impl Graph {
     }
 
     /// Add an extra edge `parent -> child` (turning the tree into a DAG).
-    /// No-op if the edge already exists; panics on self-edges.
+    /// No-op if the edge already exists; panics on self-edges and on a
+    /// root `child`. A node's first parent is the one it was added under,
+    /// so it always precedes the node in the arena.
+    ///
+    /// Children stay in arena order, and so do the extra parents after
+    /// the first: a graph is fixed by its arena and its set of edges,
+    /// whatever order the edges were added in.
     pub fn add_edge(&mut self, parent: NodeId, child: NodeId) {
         assert_ne!(parent, child, "self-edges are not allowed");
-        if !self.nodes[parent.index()].children.contains(&child) {
-            self.nodes[parent.index()].children.push(child);
-            self.nodes[child.index()].parents.push(parent);
+        assert!(
+            !self.nodes[child.index()].parents.is_empty(),
+            "a root cannot gain a parent"
+        );
+        let children = &mut self.nodes[parent.index()].children;
+        if let Err(at) = children.binary_search(&child) {
+            children.insert(at, child);
+            let parents = &mut self.nodes[child.index()].parents;
+            let at = 1 + parents[1..]
+                .binary_search(&parent)
+                .expect_err("a parent lists its children and a child its parents");
+            parents.insert(at, parent);
         }
     }
 
@@ -227,17 +248,6 @@ impl Graph {
                 let is_root = self.roots.contains(&NodeId(i as u32));
                 (is_root && n.parents.is_empty()) || (!is_root && n.parents.len() == 1)
             })
-    }
-
-    /// Map from frame to all node ids carrying it (frames are unique per
-    /// *sibling set*, not globally — e.g. `MPI_Allreduce` under many
-    /// parents).
-    pub fn nodes_by_frame(&self) -> HashMap<&Frame, Vec<NodeId>> {
-        let mut m: HashMap<&Frame, Vec<NodeId>> = HashMap::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            m.entry(&n.frame).or_default().push(NodeId(i as u32));
-        }
-        m
     }
 
     /// First node (in pre-order) whose name equals `name`.
@@ -347,6 +357,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a root cannot gain a parent")]
+    fn edge_into_a_root_panics() {
+        let (mut g, _main, foo, ..) = sample();
+        let other = g.add_root(Frame::named("OTHER"));
+        g.add_edge(foo, other);
+    }
+
+    #[test]
     fn frame_lookup() {
         let (g, main, foo, ..) = sample();
         assert_eq!(g.child_with_frame(main, &Frame::named("FOO")), Some(foo));
@@ -354,6 +372,8 @@ mod tests {
         assert_eq!(g.root_with_frame(&Frame::named("MAIN")), Some(main));
         assert_eq!(g.find_by_name("BAZ"), Some(NodeId(3)));
         assert_eq!(g.find_by_name("NOPE"), None);
+        assert_eq!(g.id_at(1), Some(foo));
+        assert_eq!(g.id_at(4), None);
     }
 
     #[test]

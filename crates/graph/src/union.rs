@@ -10,6 +10,13 @@
 //! graph, a dense mapping from its node ids to unified ids; the thicket
 //! constructor uses those mappings to re-key every profile's metric rows.
 //!
+//! Every input is visited in arena order ([`Graph::ids`]), which puts
+//! each node after its first parent. The union's own arena is therefore
+//! the order in which it first met each call path, and walking a union
+//! graph replays the walks of the inputs that built it: the union of
+//! `union(A)` and `union(B)` is the union of `A` and `B`, node ids
+//! included. Pooling separately built thickets relies on this.
+//!
 //! Ensembles repeat call-tree shapes: every run of one code variant has
 //! the same tree. An input whose arena equals a recently matched input's
 //! (the same frames, parents, children and roots) maps exactly as that
@@ -36,7 +43,7 @@ pub struct GraphUnion {
     pub mappings: Vec<Vec<NodeId>>,
 }
 
-/// Placeholder for a source node the pre-order walk has not reached yet.
+/// Placeholder for a source node the walk has not reached yet.
 const UNMAPPED: NodeId = NodeId(u32::MAX);
 
 impl GraphUnion {
@@ -79,17 +86,16 @@ impl GraphUnion {
 
     /// Reference implementation: a linear sibling scan instead of a hash
     /// index, and one walk per input. Same result, asymptotically slower
-    /// for wide sibling sets; kept for the `ablate_union` benchmark and
-    /// as an oracle in property tests. Like [`GraphUnion::build`], it
-    /// matches a node among its parent's first-parent children only: a
-    /// child attached by an extra (DAG) edge has another call path.
+    /// for wide sibling sets; kept as an oracle in property tests. Like
+    /// [`GraphUnion::build`], it matches a node among its parent's
+    /// first-parent children only: a child attached by an extra (DAG)
+    /// edge has another call path.
     pub fn build_naive(graphs: &[&Graph]) -> GraphUnion {
         let mut out = Graph::new();
         let mut mappings = Vec::with_capacity(graphs.len());
         for g in graphs {
             let mut map = vec![UNMAPPED; g.len()];
-            let order = walk_order(g);
-            for &id in &order {
+            for id in g.ids() {
                 let frame = g.node(id).frame();
                 let parent = first_parent(g, &map, id);
                 let existing = first_child(&out, parent, frame);
@@ -98,7 +104,7 @@ impl GraphUnion {
                     None => out.add_root(frame.clone()),
                 });
             }
-            add_extra_edges(&mut out, g, &order, &map);
+            add_extra_edges(&mut out, g, &map);
             mappings.push(map);
         }
         GraphUnion {
@@ -168,15 +174,14 @@ impl Walker {
         }
     }
 
-    /// Map `g` into the union.
+    /// Map `g` into the union, visiting its nodes in arena order.
     fn walk(&mut self, g: &Graph) -> Vec<NodeId> {
         let mut map = vec![UNMAPPED; g.len()];
-        let order = walk_order(g);
-        for &id in &order {
+        for id in g.ids() {
             let parent = first_parent(g, &map, id);
             map[id.index()] = self.find_or_add(parent, g.node(id).frame());
         }
-        add_extra_edges(&mut self.out, g, &order, &map);
+        add_extra_edges(&mut self.out, g, &map);
         map
     }
 
@@ -214,37 +219,16 @@ fn first_child(g: &Graph, parent: Option<NodeId>, frame: &Frame) -> Option<NodeI
     })
 }
 
-/// The order a union visits `g`'s nodes in: [`Graph::preorder`], except
-/// that a node first reached through an extra (DAG) parent waits until
-/// its first parent has been visited, so first parents always map before
-/// their children. On a tree, and on any DAG whose pre-order already
-/// meets first parents first, this is exactly the pre-order.
-fn walk_order(g: &Graph) -> Vec<NodeId> {
-    let mut out = Vec::with_capacity(g.len());
-    let mut seen = vec![false; g.len()];
-    let mut stack: Vec<NodeId> = g.roots().iter().rev().copied().collect();
-    while let Some(id) = stack.pop() {
-        let node = g.node(id);
-        if seen[id.index()] || node.parents().first().is_some_and(|p| !seen[p.index()]) {
-            continue;
-        }
-        seen[id.index()] = true;
-        out.push(id);
-        stack.extend(node.children().iter().rev().filter(|c| !seen[c.index()]));
-    }
-    out
-}
-
 /// The unified id of `id`'s first parent, if it has one.
 fn first_parent(g: &Graph, map: &[NodeId], id: NodeId) -> Option<NodeId> {
     g.node(id).parents().first().map(|p| map[p.index()])
 }
 
 /// Extra parents (DAG input) become extra edges. Deferred to a second
-/// pass: pre-order only guarantees the *first*-parent chain is mapped
-/// before a node, not every parent.
-fn add_extra_edges(out: &mut Graph, g: &Graph, order: &[NodeId], map: &[NodeId]) {
-    for &id in order {
+/// pass: arena order only guarantees that a node's *first* parent is
+/// mapped before it, not every parent.
+fn add_extra_edges(out: &mut Graph, g: &Graph, map: &[NodeId]) {
+    for id in g.ids() {
         let new_id = map[id.index()];
         for p_old in g.node(id).parents().iter().skip(1) {
             let p_new = map[p_old.index()];

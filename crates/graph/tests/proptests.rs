@@ -298,4 +298,34 @@ proptest! {
         prop_assert!(same_graph(&again.graph, &u.graph));
         prop_assert_eq!(&again.mappings, &u.mappings);
     }
+
+    /// Union is associative: unioning the unions of consecutive groups
+    /// onto the first group's union gives the union of every input, node
+    /// ids and edge order included, and maps each input where the whole
+    /// union does.
+    #[test]
+    fn union_of_group_unions_is_the_union(seed in any::<u64>(), dag in any::<bool>()) {
+        let inputs = ensemble(seed, dag);
+        let refs: Vec<&Graph> = inputs.iter().collect();
+        let whole = GraphUnion::build(&refs);
+        let mut mix = Mix(!seed);
+        let mut starts = vec![0];
+        starts.extend((1..refs.len()).filter(|_| mix.below(2) == 0));
+        starts.push(refs.len());
+        let groups: Vec<GraphUnion> = starts
+            .windows(2)
+            .map(|w| GraphUnion::build(&refs[w[0]..w[1]]))
+            .collect();
+        let rest: Vec<&Graph> = groups[1..].iter().map(|u| &u.graph).collect();
+        let pooled = GraphUnion::build_onto(groups[0].graph.clone(), &rest);
+        prop_assert!(same_graph(&pooled.graph, &whole.graph), "graphs differ for seed {}", seed);
+        for (g, group) in groups.iter().enumerate() {
+            let onto = (g > 0).then(|| &pooled.mappings[g - 1]);
+            for (k, map) in group.mappings.iter().enumerate() {
+                let composed: Vec<NodeId> =
+                    map.iter().map(|n| onto.map_or(*n, |m| m[n.index()])).collect();
+                prop_assert_eq!(&composed, &whole.mappings[starts[g] + k], "seed {}", seed);
+            }
+        }
+    }
 }

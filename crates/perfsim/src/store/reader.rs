@@ -526,13 +526,6 @@ impl Snapshot {
     pub fn lease_file(&self) -> Option<String> {
         self.lease.as_ref().map(|l| l.file_name().to_string())
     }
-
-    /// Unpin: keep the reader (and its open shard handles — already-
-    /// possible reads stay possible) but drop the lease, letting GC
-    /// collect the generation's directory entries.
-    pub fn into_reader(self) -> StoreReader {
-        self.reader
-    }
 }
 
 impl Deref for Snapshot {

@@ -21,7 +21,9 @@ cargo test -q --release --test store_recovery crash_point
 cargo test -q --release -p thicket-perfsim --test concurrency
 # Composition oracle under --release: every load path (slice, owned,
 # store dense/sparse/pinned/chunked, extend) against the reference
-# composer, at 1, 2 and 8 workers, on optimized builds too.
+# composer, at 1, 2 and 8 workers, on optimized builds too, plus the
+# pool law (pooling the loads of consecutive groups equals one load)
+# and the split law (pooling a thicket's groupby groups gives it back).
 cargo test -q --release -p thicket-core --test compose_oracle
 # Planner and predicate engine under --release: metadata conjuncts
 # pushed below a store read (select_expr, load_indices), the residual
@@ -61,8 +63,6 @@ grep -q 'drained after' "$SMOKE_DIR/serve.log"
 LEFTOVER=$(find "$SMOKE_DIR/store" -name 'pin-*' | wc -l)
 [ "$LEFTOVER" -eq 0 ] || { echo "tier1: thicketd left $LEFTOVER lease files"; exit 1; }
 rm -rf "$SMOKE_DIR"
-# Benches must at least compile (they are not run here: tier-1 stays fast).
-cargo bench -p thicket-bench --no-run
-# All targets: library code AND tests/benches/bins lint-clean.
+# All targets: library code AND tests/examples/bins lint-clean.
 cargo clippy --all-targets -- -D warnings
 echo "tier1: OK"
