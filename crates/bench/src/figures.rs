@@ -7,10 +7,7 @@ use thicket_core::{concat_thickets, model_metric, NodeMatch, Thicket};
 use thicket_dataframe::{render, AggFn, ColKey, Value};
 use thicket_graph::{Frame, Graph};
 use thicket_learn::{kmeans, silhouette_score, KMeansConfig, StandardScaler};
-use thicket_perfsim::marbl::time_per_cycle;
-use thicket_perfsim::{
-    simulate_gpu_run, GpuRunConfig, MarblCluster, MarblConfig, Profile,
-};
+use thicket_perfsim::{simulate_gpu_run, GpuRunConfig, Profile};
 use thicket_query::{pred, Query};
 use thicket_viz::{
     heatmap_chart, histogram_chart, line_chart, parallel_coordinates, scatter_chart,
@@ -923,17 +920,4 @@ pub fn fig18() -> FigureReport {
             ("fig18_pcp.svg".into(), pcp),
         ],
     }
-}
-
-/// The single-node time-per-cycle figures used by EXPERIMENTS.md to
-/// compare clusters at a glance.
-pub fn scaling_summary() -> String {
-    let mut out = String::new();
-    for cluster in [MarblCluster::RzTopaz, MarblCluster::AwsParallelCluster] {
-        for nodes in [1u32, 16] {
-            let t = time_per_cycle(&MarblConfig::triple_point(cluster, nodes, 0));
-            out.push_str(&format!("{cluster:?} @ {nodes} nodes: {t:.3} s/cycle\n"));
-        }
-    }
-    out
 }

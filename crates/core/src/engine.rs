@@ -1,7 +1,7 @@
 //! The compose engine: the one path from in-memory profiles to a
-//! thicket's frames, behind every [`crate::Loader`] build and every
-//! [`Thicket::extend`] (which composes its batch here, then pools it
-//! onto the thicket with [`crate::concat_thickets_rows`]).
+//! thicket's frames, behind every [`crate::Loader`] build. A chunked
+//! load composes each chunk here and pools the chunk thickets with
+//! [`crate::concat_thickets_rows`].
 //!
 //! 1. **Union.** [`GraphUnion`] unifies the call trees, walking each
 //!    distinct tree shape once.
@@ -22,7 +22,9 @@
 //! the first duplicate profile id, while lenient drops duplicate ids and
 //! profiles with non-finite metrics, with a diagnostic each. At row
 //! assembly, a panicking profile fails a strict build, while lenient
-//! drops it and retries on the survivors.
+//! drops it and retries on the survivors. A lenient build that drops
+//! every profile yields no thicket, only its report: whether that fails
+//! the load is the loader's call, once the whole load is in.
 
 use std::collections::{BTreeMap, HashMap};
 use std::convert::Infallible;
@@ -37,28 +39,22 @@ use crate::thicket::{Thicket, ThicketError, NODE_LEVEL, PROFILE_LEVEL};
 
 /// Compose `profiles`, indexed by `ids`, on `threads` workers. Strict
 /// builds report every profile loaded or fail; lenient builds report
-/// what they dropped, in input order, and fail only when nothing is
-/// left. Bit-identical for any `threads ≥ 1`.
+/// what they dropped, in input order. The thicket is `None` when no
+/// profile is left (an empty input, or a lenient build that dropped
+/// every profile). Bit-identical for any `threads ≥ 1`.
 pub(crate) fn compose(
     profiles: &[Profile],
     ids: &[Value],
     threads: usize,
     strictness: Strictness,
-) -> Result<(Thicket, IngestReport), ThicketError> {
-    if profiles.is_empty() {
-        return Err(no_profiles());
-    }
+) -> Result<(Option<Thicket>, IngestReport), ThicketError> {
     check_arity(profiles, ids)?;
     let lenient = matches!(strictness, Strictness::Lenient { .. });
     let mut diagnostics: Vec<(usize, Diagnostic)> = Vec::new();
     let mut healthy = screen(profiles, ids, lenient, &mut diagnostics)?;
     loop {
         if healthy.is_empty() {
-            let report: Vec<String> = diagnostics.iter().map(|(_, d)| d.to_string()).collect();
-            return Err(ThicketError::Invalid(format!(
-                "every profile was dropped: {}",
-                report.join("; ")
-            )));
+            return Ok((None, report(profiles.len(), 0, diagnostics)));
         }
         let graphs: Vec<_> = healthy.iter().map(|&i| profiles[i].graph()).collect();
         let union = GraphUnion::build(&graphs);
@@ -94,26 +90,28 @@ pub(crate) fn compose(
         let kept_ids: Vec<&Value> = healthy.iter().map(|&i| &ids[i]).collect();
         let perf_data = scatter(&rows, &kept_ids, union.graph.len())?;
         let metadata = metadata_frame(healthy.iter().map(|&i| (&profiles[i], &ids[i])))?;
-        diagnostics.sort_by_key(|(i, _)| *i);
-        let report = IngestReport {
-            attempted: profiles.len(),
-            loaded: healthy.len(),
-            diagnostics: diagnostics.into_iter().map(|(_, d)| d).collect(),
-            pushdown: None,
-        };
         let tk = Thicket {
             graph: union.graph,
             perf_data,
             metadata,
             statsframe: DataFrame::new(Index::empty([NODE_LEVEL])),
         };
-        return Ok((tk, report));
+        return Ok((Some(tk), report(profiles.len(), healthy.len(), diagnostics)));
     }
 }
 
-/// The error every build from zero profiles fails with.
-pub(crate) fn no_profiles() -> ThicketError {
-    ThicketError::Invalid("cannot build a thicket from zero profiles".into())
+fn report(
+    attempted: usize,
+    loaded: usize,
+    mut diagnostics: Vec<(usize, Diagnostic)>,
+) -> IngestReport {
+    diagnostics.sort_by_key(|(i, _)| *i);
+    IngestReport {
+        attempted,
+        loaded,
+        diagnostics: diagnostics.into_iter().map(|(_, d)| d).collect(),
+        pushdown: None,
+    }
 }
 
 fn check_arity(profiles: &[Profile], ids: &[Value]) -> Result<(), ThicketError> {

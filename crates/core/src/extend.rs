@@ -1,58 +1,13 @@
-//! Additional thicket operations beyond the paper's §4 core set:
-//! incremental ensemble growth ([`Thicket::extend`]), graph squashing
-//! (Hatchet's `squash`), node intersection across profiles,
+//! Additional thicket operations beyond the paper's §4 core set: graph
+//! squashing (Hatchet's `squash`), node intersection across profiles,
 //! string-dialect querying, and CSV export.
 
 use crate::thicket::{Thicket, ThicketError, NODE_LEVEL};
 use std::collections::{HashMap, HashSet};
 use thicket_dataframe::{to_csv, ColKey, DataFrame, Index, Value};
-use thicket_perfsim::{Profile, Strictness};
 use thicket_query::Query;
 
 impl Thicket {
-    /// Ingest additional profiles into this thicket in place — the
-    /// incremental counterpart of a full [`crate::Loader`] build.
-    ///
-    /// The batch is composed on its own, then pooled onto this thicket
-    /// with [`crate::concat_thickets_rows`]: the existing rows are not
-    /// rebuilt from their source profiles, nor re-keyed, and every node
-    /// keeps its id. The result equals a [`crate::Loader`] build over
-    /// the full profile set whenever this thicket was itself built (or
-    /// extended) by the loader: the same graph, perf data and metadata.
-    ///
-    /// Fail-fast: a duplicate profile id (within the batch or against
-    /// the thicket) or a panicking profile is an error, and an error
-    /// leaves the thicket untouched. Aggregated statistics are cleared:
-    /// they described the old ensemble.
-    pub fn extend(
-        &mut self,
-        profiles: &[Profile],
-        profile_ids: &[Value],
-    ) -> Result<(), ThicketError> {
-        self.extend_threads(
-            profiles,
-            profile_ids,
-            thicket_perfsim::default_threads(profiles.len()),
-        )
-    }
-
-    /// [`Thicket::extend`] with an explicit worker count; bit-identical
-    /// for any `threads ≥ 1`.
-    pub fn extend_threads(
-        &mut self,
-        profiles: &[Profile],
-        profile_ids: &[Value],
-        threads: usize,
-    ) -> Result<(), ThicketError> {
-        if profiles.is_empty() && profile_ids.is_empty() {
-            return Ok(());
-        }
-        let (batch, _) =
-            crate::engine::compose(profiles, profile_ids, threads, Strictness::FailFast)?;
-        *self = crate::concat_thickets_rows(&[self, &batch])?;
-        Ok(())
-    }
-
     /// Remove call-graph nodes that carry no performance data (e.g.
     /// structural interior nodes another profile contributed), rebuilding
     /// ancestry through nearest kept ancestors — Hatchet's `squash`.
@@ -261,82 +216,6 @@ mod tests {
         let d = a.graph_diff(&b);
         assert!(d.is_identical());
         assert_eq!(d.similarity(), 1.0);
-    }
-
-    #[test]
-    fn extend_matches_full_rebuild() {
-        let profiles: Vec<Profile> = (1..=4)
-            .map(|run| profile_with_structure(run, run % 2 == 0))
-            .collect();
-        let ids: Vec<Value> = (0..4i64).map(Value::Int).collect();
-        let full = Thicket::loader(&profiles).profile_ids(&ids).load().unwrap().0;
-
-        let mut grown = Thicket::loader(&profiles[..2]).profile_ids(&ids[..2]).load().unwrap().0;
-        grown.extend(&profiles[2..], &ids[2..]).unwrap();
-        assert_eq!(grown.perf_data(), full.perf_data());
-        assert_eq!(grown.metadata(), full.metadata());
-        assert_eq!(grown.graph().len(), full.graph().len());
-        assert!(grown.statsframe().is_empty());
-
-        // Thread count does not change the result.
-        let mut one = Thicket::loader(&profiles[..2]).profile_ids(&ids[..2]).load().unwrap().0;
-        one.extend_threads(&profiles[2..], &ids[2..], 1).unwrap();
-        let mut eight = Thicket::loader(&profiles[..2]).profile_ids(&ids[..2]).load().unwrap().0;
-        eight.extend_threads(&profiles[2..], &ids[2..], 8).unwrap();
-        assert_eq!(one.perf_data(), eight.perf_data());
-        assert_eq!(one.metadata(), eight.metadata());
-    }
-
-    #[test]
-    fn extend_unions_divergent_trees() {
-        let base = profile_with_structure(1, false);
-        let mut g = Graph::new();
-        let main = g.add_root(Frame::named("main"));
-        let wrapper = g.add_child(main, Frame::named("wrapper"));
-        let kernel = g.add_child(wrapper, Frame::named("kernel"));
-        let extra = g.add_child(wrapper, Frame::named("leaf2"));
-        let mut divergent = Profile::new(g);
-        divergent.set_metadata("run", 2i64);
-        divergent.set_metric(kernel, "time", 2.0);
-        divergent.set_metric(extra, "time", 7.0);
-
-        let mut tk = build_indexed(&[base], &[Value::Int(0)]);
-        assert_eq!(tk.graph().len(), 3);
-        tk.extend(&[divergent], &[Value::Int(1)]).unwrap();
-        assert_eq!(tk.graph().len(), 4);
-        assert_eq!(tk.profiles().len(), 2);
-        let leaf2 = tk.find_node("leaf2").unwrap();
-        assert_eq!(
-            tk.metric_at(leaf2, &Value::Int(1), &ColKey::new("time")),
-            Some(7.0)
-        );
-        // The old profile never measured the new node.
-        assert_eq!(tk.metric_at(leaf2, &Value::Int(0), &ColKey::new("time")), None);
-    }
-
-    #[test]
-    fn extend_validates_ids_and_handles_empty() {
-        let mut tk = build_indexed(&[profile_with_structure(1, false)], &[Value::Int(0)]);
-        // Colliding with an existing profile id.
-        assert!(tk
-            .extend(&[profile_with_structure(2, false)], &[Value::Int(0)])
-            .is_err());
-        // Duplicated within the new batch.
-        assert!(tk
-            .extend(
-                &[profile_with_structure(2, false), profile_with_structure(3, false)],
-                &[Value::Int(1), Value::Int(1)]
-            )
-            .is_err());
-        // Arity mismatch.
-        assert!(tk
-            .extend(&[profile_with_structure(2, false)], &[])
-            .is_err());
-        // Empty extension is a no-op.
-        let before = tk.perf_data().clone();
-        tk.extend(&[], &[]).unwrap();
-        assert_eq!(tk.perf_data(), &before);
-        assert_eq!(tk.profiles().len(), 1);
     }
 
     #[test]

@@ -27,9 +27,10 @@
 //! directories, sharded store directories, raw event traces, or any
 //! custom [`ProfileSource`] ([`LoadSource`]). Internally the loader
 //! consumes every source through the same pull-based chunk protocol
-//! ([`ProfileSource`]): the first chunk composes the thicket, every
-//! later chunk extends it, so a source larger than memory (a trace)
-//! streams through without ever materializing.
+//! ([`ProfileSource`]): each chunk composes on its own, under the
+//! load's strictness, and the chunk thickets pool along the profile
+//! axis ([`crate::concat_thickets_rows`]), so a source larger than
+//! memory (a trace) streams through without ever materializing.
 //!
 //! The same knobs apply to each source: [`Loader::threads`] pins the
 //! worker count (default: auto), [`Loader::strictness`] picks fail-fast
@@ -71,8 +72,9 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use thicket_dataframe::{PredExpr, Value};
-use thicket_perfsim::{default_threads, Diagnostic, FilterPlan, IngestReport, Profile, Strictness};
+use thicket_perfsim::{default_threads, FilterPlan, IngestReport, Profile, Strictness};
 
+use crate::rowconcat::concat_thickets_rows;
 use crate::source::{
     profile_meta_keys, EnsembleSource, ProfileSource, StoreSource, TraceSource,
 };
@@ -180,7 +182,7 @@ impl LoadSource<'_> {
 impl<'a> LoadSource<'a> {
     /// Wrap a custom [`ProfileSource`] implementation (a socket, a
     /// generator, a foreign format…). The loader drives it through the
-    /// same chunked build-then-extend protocol as every built-in
+    /// same chunked compose-then-pool protocol as every built-in
     /// source.
     pub fn custom(src: impl ProfileSource + 'a) -> LoadSource<'a> {
         LoadSource::Custom(Box::new(src))
@@ -219,7 +221,6 @@ pub struct Loader<'a> {
     strictness: Strictness,
     filter: Option<PredExpr>,
     profile_ids: Option<&'a [Value]>,
-    pinned: bool,
 }
 
 impl Thicket {
@@ -236,7 +237,6 @@ impl Thicket {
             strictness: Strictness::FailFast,
             filter: None,
             profile_ids: None,
-            pinned: true,
         }
     }
 }
@@ -283,31 +283,23 @@ impl<'a> Loader<'a> {
         self
     }
 
-    /// Pin store reads (store sources only; default `true`): the load
-    /// opens a generation-pinned snapshot — shard handles held open, a
-    /// GC lease registered — so a concurrent append, compaction, or
-    /// garbage collection can never tear the read. Costs one lease
-    /// file write per load; pass `false` to read unpinned (safe when
-    /// nothing else writes the store).
-    pub fn pinned(mut self, pinned: bool) -> Self {
-        self.pinned = pinned;
-        self
-    }
-
     /// Run the load: read the source, apply the filter, compose the
     /// thicket. Returns the thicket plus an [`IngestReport`] covering
     /// both the read and the composition; the report is clean for
-    /// fail-fast loads that return `Ok`.
+    /// fail-fast loads that return `Ok`. A store load always reads a
+    /// generation-pinned snapshot ([`thicket_perfsim::Store::open_pinned`]),
+    /// so a concurrent append, compaction or garbage collection can
+    /// never tear it.
     ///
     /// Chunked sources (traces, [`StoreSource::chunk_size`], custom
-    /// sources) compose incrementally: the first chunk builds the
-    /// thicket and each later chunk extends it ([`Thicket::extend`],
-    /// fail-fast), never holding more than one chunk of source
-    /// profiles. `extend` unions a chunk's call trees onto the
-    /// thicket's graph without renumbering it, so when every profile
-    /// is healthy the result is the thicket one build over all the
-    /// source's profiles makes: the same graph, perf data and metadata,
-    /// whatever the chunk size.
+    /// sources) compose each chunk on its own, under the load's
+    /// strictness, never holding more than one chunk of source
+    /// profiles, and pool the chunk thickets
+    /// ([`crate::concat_thickets_rows`]). Pooling the loads of
+    /// consecutive groups equals one load, so the result is the thicket
+    /// one build over all the source's profiles makes: the same graph,
+    /// perf data, metadata and report, whatever the chunk size. A load
+    /// fails when no profile survives it.
     pub fn load(self) -> Result<(Thicket, IngestReport), ThicketError> {
         let Loader {
             source,
@@ -315,7 +307,6 @@ impl<'a> Loader<'a> {
             strictness,
             filter,
             profile_ids,
-            pinned,
         } = self;
 
         // An owned source is a borrowed source whose backing storage we
@@ -356,7 +347,7 @@ impl<'a> Loader<'a> {
             ),
 
             LoadSource::Store(dir) => load_streaming(
-                Box::new(StoreSource::open(&dir, pinned, threads, strictness)?),
+                Box::new(StoreSource::open(&dir, threads, strictness)?),
                 threads,
                 strictness,
                 filter,
@@ -436,14 +427,22 @@ fn load_in_memory(
     };
     let threads = threads.unwrap_or_else(|| default_threads(kept.len()));
     let (tk, report) = crate::engine::compose(&kept, &ids, threads, strictness)?;
+    let tk = tk.ok_or_else(|| nothing_survived(&report))?;
     finalize(tk, report, plan, &residual)
 }
 
-/// Drive any [`ProfileSource`] through the chunked build-then-extend
+/// Drive any [`ProfileSource`] through the chunked compose-then-pool
 /// protocol: plan the filter against the source's metadata keys, pull
 /// chunks (applying the pushed predicate per chunk when the source
-/// declined it), compose the first chunk, extend with the rest, then
-/// merge read and composition accounting.
+/// declined it), compose each chunk under the load's strictness, pool
+/// the chunk thickets, then merge read and composition accounting.
+///
+/// The chunk thickets wait on a stack, pooled like a binary counter:
+/// after each push, while the newest part holds at least as many
+/// profiles as the one below it, the two pool into one. At most
+/// log2(k) + 1 of k chunks' parts are alive, each row is copied
+/// O(log k) times, and only consecutive groups ever pool. A one-chunk
+/// load returns its composition as it is.
 fn load_streaming(
     mut src: Box<dyn ProfileSource + '_>,
     threads: Option<usize>,
@@ -459,11 +458,8 @@ fn load_streaming(
         }
     };
 
-    let mut tk: Option<Thicket> = None;
-    let mut attempted = 0usize;
-    let mut loaded = 0usize;
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
-
+    let mut parts: Vec<Thicket> = Vec::new();
+    let mut build_report = IngestReport::default();
     while let Some(mut chunk) = src.next_chunk()? {
         if let Some(pred) = &chunk_pred {
             chunk.retain(|p| expr_matches_profile(pred, p));
@@ -472,52 +468,50 @@ fn load_streaming(
             continue;
         }
         let ids = hash_ids(&chunk);
-        let threads_n = threads.unwrap_or_else(|| default_threads(chunk.len()));
-        match &mut tk {
-            None => {
-                let (built, r) = crate::engine::compose(&chunk, &ids, threads_n, strictness)?;
-                attempted += r.attempted;
-                loaded += r.loaded;
-                diagnostics.extend(r.diagnostics);
-                tk = Some(built);
+        let threads = threads.unwrap_or_else(|| default_threads(chunk.len()));
+        let (tk, r) = crate::engine::compose(&chunk, &ids, threads, strictness)?;
+        build_report.attempted += r.attempted;
+        build_report.loaded += r.loaded;
+        build_report.diagnostics.extend(r.diagnostics);
+        let Some(tk) = tk else { continue };
+        parts.push(tk);
+        while let [.., older, newer] = parts.as_slice() {
+            if newer.metadata().len() < older.metadata().len() {
+                break;
             }
-            Some(t) => {
-                // Extension chunks compose fail-fast: per-profile
-                // lenient isolation lives in the read phase (source
-                // diagnostics) and the first-chunk build.
-                t.extend_threads(&chunk, &ids, threads_n)?;
-                attempted += chunk.len();
-                loaded += chunk.len();
-            }
+            let pooled = concat_thickets_rows(&[older, newer])?;
+            parts.truncate(parts.len() - 2);
+            parts.push(pooled);
         }
     }
-
-    let read = src.take_report();
-    let build_report = IngestReport {
-        attempted,
-        loaded,
-        diagnostics,
-        pushdown: None,
+    let tk = match parts.len() {
+        0 => return Err(nothing_survived(&build_report)),
+        1 => parts.pop().expect("one part"),
+        _ => concat_thickets_rows(&parts.iter().collect::<Vec<_>>())?,
     };
-    match tk {
-        Some(tk) => {
-            // A trivial read report (no read phase of its own) means
-            // composition accounting stands alone — exactly the classic
-            // in-memory semantics. Otherwise chain read → compose the
-            // way the two-phase loads always have.
-            let report = if read.attempted == 0 && read.diagnostics.is_empty() {
-                build_report
-            } else {
-                let mut read = read;
-                read.absorb(build_report);
-                read
-            };
-            finalize(tk, report, plan, &residual)
-        }
-        // Nothing loaded at all: fail-fast and lenient builds both
-        // refuse emptiness.
-        None => Err(crate::engine::no_profiles()),
+
+    // A trivial read report (no read phase of its own) means
+    // composition accounting stands alone — exactly the classic
+    // in-memory semantics. Otherwise chain read → compose the way the
+    // two-phase loads always have.
+    let mut report = src.take_report();
+    if report.attempted == 0 && report.diagnostics.is_empty() {
+        report = build_report;
+    } else {
+        report.absorb(build_report);
     }
+    finalize(tk, report, plan, &residual)
+}
+
+/// The error a load fails with when no thicket survives it, given the
+/// summed report of its compositions: no profile reached composition,
+/// or composition dropped every one.
+fn nothing_survived(report: &IngestReport) -> ThicketError {
+    if report.attempted == 0 {
+        return ThicketError::Invalid("cannot build a thicket from zero profiles".into());
+    }
+    let dropped: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
+    ThicketError::Invalid(format!("every profile was dropped: {}", dropped.join("; ")))
 }
 
 /// Record the pushdown plan and run residual conjuncts (exists-row

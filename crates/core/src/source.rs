@@ -4,17 +4,19 @@
 //! pull model (`next_chunk`) that a source fills from wherever its
 //! profiles live — an in-memory slice, a loose-JSON ensemble directory,
 //! a sharded store, or a raw event trace that never fits in memory. The
-//! legacy `LoadSource` variants are thin adapters over this trait
-//! ([`SliceSource`], [`OwnedSource`], [`EnsembleSource`],
-//! [`StoreSource`]); [`TraceSource`] is the streaming newcomer that
+//! directory and store `LoadSource` variants are thin adapters over
+//! this trait ([`EnsembleSource`], [`StoreSource`]); in-memory profiles
+//! compose directly, and [`SliceSource`] and [`OwnedSource`] wrap them
+//! for generic plumbing. [`TraceSource`] is the streaming newcomer that
 //! motivated the redesign.
 //!
 //! The chunk protocol is what makes bounded-memory ingest possible: the
-//! loader composes the first chunk into a thicket and folds every later
-//! chunk in via [`Thicket::extend_threads`](crate::Thicket), so at no
-//! point do source-side profiles and a fully-materialized input list
-//! coexist. Sources that are cheap to materialize simply yield one
-//! chunk — the trait costs them nothing.
+//! loader composes each chunk into a thicket of its own and pools the
+//! chunk thickets ([`concat_thickets_rows`](crate::concat_thickets_rows)),
+//! so at no point do source-side profiles and a fully-materialized
+//! input list coexist. Sources that are cheap to materialize simply
+//! yield one chunk — the trait costs them nothing, and the loader
+//! returns that chunk's composition without a pool.
 
 use std::collections::BTreeSet;
 use std::fs::File;
@@ -24,8 +26,8 @@ use std::time::Duration;
 
 use thicket_dataframe::PredExpr;
 use thicket_perfsim::{
-    default_threads, load_dir, DiagKind, IngestReport, Profile, Snapshot, Store, StoreError,
-    StoreReader, Strictness, TraceError, TraceReader,
+    default_threads, load_dir, DiagKind, IngestReport, Profile, Snapshot, Store, Strictness,
+    TraceError, TraceReader,
 };
 
 use crate::thicket::ThicketError;
@@ -43,7 +45,8 @@ use crate::trace_agg::TraceAggregator;
 ///    `false` gets the filter applied by the loader on each chunk
 ///    instead.
 /// 2. It pulls [`next_chunk`](ProfileSource::next_chunk) until `None`,
-///    composing the first chunk and extending with the rest.
+///    composing each chunk under the load's strictness and pooling the
+///    chunk thickets.
 /// 3. It collects [`take_report`](ProfileSource::take_report) and merges
 ///    it with the composition accounting.
 ///
@@ -204,23 +207,12 @@ impl ProfileSource for EnsembleSource {
     }
 }
 
-/// How a [`StoreSource`] holds its reader: generation-pinned (lease +
-/// open shard handles) or a plain unpinned open.
-enum ReaderHold {
-    Pinned(Snapshot),
-    Open(StoreReader),
-}
-
-impl ReaderHold {
-    fn reader(&self) -> &StoreReader {
-        match self {
-            ReaderHold::Pinned(snap) => snap,
-            ReaderHold::Open(reader) => reader,
-        }
-    }
-}
-
 /// Adapter: a sharded store directory as a chunked source.
+///
+/// The source reads a generation-pinned [`Snapshot`] (lease
+/// registered, shard handles held), so concurrent appends, compaction
+/// or GC can never tear the read. On read-only media the pin holds its
+/// shard handles only.
 ///
 /// Selection (columnar manifest predicate evaluation) happens up front
 /// and without shard I/O; shard reads then proceed in index chunks. The
@@ -230,7 +222,7 @@ impl ReaderHold {
 /// batches. Strictness is enforced per chunk with the same messages and
 /// budgets as the classic store load path.
 pub struct StoreSource {
-    hold: ReaderHold,
+    snap: Snapshot,
     threads: Option<usize>,
     strictness: Strictness,
     chunk_size: Option<usize>,
@@ -241,30 +233,18 @@ pub struct StoreSource {
 }
 
 impl StoreSource {
-    /// Open a store directory. `pinned` opens a generation-pinned
-    /// snapshot (lease registered, shard handles held) so concurrent
-    /// appends, compaction, or GC can never tear the read.
+    /// Open a store directory at a generation-pinned snapshot
+    /// ([`Store::open_pinned`]).
     pub fn open(
         dir: impl AsRef<Path>,
-        pinned: bool,
         threads: Option<usize>,
         strictness: Strictness,
     ) -> Result<Self, ThicketError> {
-        let hold = if pinned {
-            ReaderHold::Pinned(Store::open_pinned(dir)?)
-        } else {
-            ReaderHold::Open(Store::open(dir)?)
-        };
-        Ok(StoreSource {
-            hold,
+        Ok(StoreSource::from_snapshot(
+            Store::open_pinned(dir)?,
             threads,
             strictness,
-            chunk_size: None,
-            expr: None,
-            selected: None,
-            pos: 0,
-            report: IngestReport::default(),
-        })
+        ))
     }
 
     /// Wrap an already-pinned snapshot — e.g. a server's per-request
@@ -276,7 +256,7 @@ impl StoreSource {
         strictness: Strictness,
     ) -> StoreSource {
         StoreSource {
-            hold: ReaderHold::Pinned(snap),
+            snap,
             threads,
             strictness,
             chunk_size: None,
@@ -297,10 +277,9 @@ impl StoreSource {
         if self.selected.is_some() {
             return Ok(());
         }
-        let reader = self.hold.reader();
         let selected = match &self.expr {
-            Some(expr) => reader.select_expr(expr)?,
-            None => (0..reader.manifest().profiles.len()).collect(),
+            Some(expr) => self.snap.select_expr(expr)?,
+            None => (0..self.snap.manifest().profiles.len()).collect(),
         };
         self.selected = Some(selected);
         Ok(())
@@ -321,8 +300,8 @@ impl ProfileSource for StoreSource {
             let batch = &selected[self.pos..end];
             let threads = self
                 .threads
-                .unwrap_or_else(|| default_threads(self.hold.reader().manifest().profiles.len()));
-            let (profiles, read) = self.hold.reader().load_indices(batch, threads)?;
+                .unwrap_or_else(|| default_threads(self.snap.manifest().profiles.len()));
+            let (profiles, read) = self.snap.load_indices(batch, threads)?;
             self.pos = end;
             if matches!(self.strictness, Strictness::FailFast) && !read.is_clean() {
                 return Err(ThicketError::Invalid(format!(
@@ -349,7 +328,7 @@ impl ProfileSource for StoreSource {
     }
 
     fn meta_keys(&mut self) -> BTreeSet<String> {
-        self.hold.reader().meta_keys()
+        self.snap.meta_keys()
     }
 
     fn push_filter(&mut self, expr: &PredExpr) -> bool {
@@ -484,9 +463,11 @@ impl<R: BufRead> ProfileSource for TraceSource<R> {
 
 /// Stream a trace file straight into a sharded store, one window batch
 /// at a time, with **no intermediate thicket**: each chunk of closed
-/// windows is committed via [`Store::append`] (first batch
-/// [`Store::save`] if the directory is not yet a store) and dropped.
-/// Peak memory is the aggregator state plus one batch of profiles.
+/// windows is committed via [`Store::append`] (which saves the first
+/// batch when the directory holds no generation yet) and dropped. A
+/// store whose every generation fails verification, or an older
+/// build's store, fails typed before anything is written. Peak memory
+/// is the aggregator state plus one batch of profiles.
 ///
 /// Returns the trace's ingest report plus the number of profiles
 /// written.
@@ -498,21 +479,9 @@ pub fn trace_to_store(
 ) -> Result<(IngestReport, usize), ThicketError> {
     let store_dir = store_dir.as_ref();
     let mut src = TraceSource::open(trace, window, strictness)?;
-    let mut have_store = match Store::open(store_dir) {
-        Ok(_) => true,
-        // An older build's store waits for the migrator; a fresh save
-        // over it would drop its profiles from the newest generation.
-        Err(e @ StoreError::NeedsMigration { .. }) => return Err(e.into()),
-        Err(_) => false,
-    };
     let mut written = 0usize;
     while let Some(profiles) = src.next_chunk()? {
-        if have_store {
-            Store::append(store_dir, &profiles)?;
-        } else {
-            Store::save(store_dir, &profiles)?;
-            have_store = true;
-        }
+        Store::append(store_dir, &profiles)?;
         written += profiles.len();
     }
     Ok((src.take_report(), written))
@@ -564,7 +533,7 @@ mod tests {
             }
         }
 
-        let src = StoreSource::open(&dir, false, Some(1), Strictness::lenient())
+        let src = StoreSource::open(&dir, Some(1), Strictness::lenient())
             .unwrap()
             .chunk_size(1);
         let err = Thicket::loader(LoadSource::custom(src)).load().unwrap_err();

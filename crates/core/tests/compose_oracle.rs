@@ -3,7 +3,9 @@
 //! builds, cell for cell, for any worker count. Two algebra laws relate
 //! pooling along the profile axis to loading: pooling the loads of
 //! consecutive groups equals one load, and pooling a thicket's groupby
-//! groups gives the thicket back.
+//! groups gives the thicket back. A third holds the chunked loader to
+//! the first: a lenient load is the same thicket and the same report
+//! whatever chunks its source yields.
 //!
 //! The reference is deliberately naive: [`GraphUnion::build_naive`] for
 //! the graph, one [`FrameBuilder`] row per measured `(node, profile)`
@@ -12,11 +14,14 @@
 //! row per profile.
 
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use thicket_core::{concat_thickets_rows, LoadSource, PredExpr, StoreSource, Strictness, Thicket};
+use thicket_core::{
+    concat_thickets_rows, LoadSource, PredExpr, ProfileSource, StoreSource, Strictness, Thicket,
+    ThicketError,
+};
 use thicket_dataframe::{ColKey, DataFrame, FrameBuilder, Value};
 use thicket_graph::{Frame, Graph, GraphUnion};
 use thicket_perfsim::{DiagKind, Profile, ScratchDir, Store};
@@ -248,6 +253,26 @@ fn same_frame(got: &DataFrame, want: &DataFrame) -> bool {
             .all(|((_, a), (_, b))| a.as_f64_slice().is_some() == b.as_f64_slice().is_some())
 }
 
+/// A source that yields its profiles in chunks of `size`.
+struct Chunks {
+    profiles: Vec<Profile>,
+    size: usize,
+}
+
+impl ProfileSource for Chunks {
+    fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
+        if self.profiles.is_empty() {
+            return Ok(None);
+        }
+        let rest = self.profiles.split_off(self.size.min(self.profiles.len()));
+        Ok(Some(std::mem::replace(&mut self.profiles, rest)))
+    }
+
+    fn meta_keys(&mut self) -> BTreeSet<String> {
+        BTreeSet::new()
+    }
+}
+
 fn assert_matches(tk: &Thicket, want: &(Graph, DataFrame, DataFrame), path: &str) {
     assert!(same_graph(tk.graph(), &want.0), "{path}: graph differs");
     assert!(
@@ -264,9 +289,8 @@ fn assert_matches(tk: &Thicket, want: &(Graph, DataFrame, DataFrame), path: &str
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Slice, owned, store (every selection, pin and chunking) and
-    /// `extend` at a random split all build the reference thicket, at
-    /// 1, 2 and 8 workers.
+    /// Slice, owned and store (every selection and chunking) loads all
+    /// build the reference thicket, at 1, 2 and 8 workers.
     #[test]
     fn every_path_builds_the_reference_thicket(seed in any::<u64>()) {
         let profiles = ensemble(seed);
@@ -278,7 +302,6 @@ proptest! {
         let mut mix = Mix(seed ^ 0x5eed);
         let picked: Vec<usize> = (0..n).filter(|_| mix.chance(2)).collect();
         let sparse = pick(&profiles, &picked);
-        let split = 1 + mix.below(n);
 
         for threads in [1usize, 2, 8] {
             let at = |path: &str| format!("{path} (seed {seed}, {threads} threads)");
@@ -288,28 +311,67 @@ proptest! {
             let (tk, _) = Thicket::loader(profiles.clone()).threads(threads).load().unwrap();
             assert_matches(&tk, &whole, &at("owned"));
 
-            for pinned in [true, false] {
-                let store = || Thicket::loader(LoadSource::store(&dir)).pinned(pinned).threads(threads);
-                let (tk, _) = store().load().unwrap();
-                assert_matches(&tk, &whole, &at(&format!("store, pinned {pinned}")));
-                if !sparse.is_empty() {
-                    let runs: Vec<Value> = picked.iter().map(|&i| Value::Int(i as i64)).collect();
-                    let (tk, report) = store().filter(PredExpr::is_in("run", runs)).load().unwrap();
-                    prop_assert_eq!(report.loaded, sparse.len());
-                    assert_matches(&tk, &reference(&sparse, &hash_ids(&sparse)), &at(&format!("sparse store, pinned {pinned}")));
-                }
-                for chunk in 1..=n {
-                    let src = StoreSource::open(&dir, pinned, Some(threads), Strictness::FailFast)
-                        .unwrap()
-                        .chunk_size(chunk);
-                    let (tk, _) = Thicket::loader(LoadSource::custom(src)).threads(threads).load().unwrap();
-                    assert_matches(&tk, &whole, &at(&format!("store in chunks of {chunk}, pinned {pinned}")));
+            let store = || Thicket::loader(LoadSource::store(&dir)).threads(threads);
+            let (tk, _) = store().load().unwrap();
+            assert_matches(&tk, &whole, &at("store"));
+            if !sparse.is_empty() {
+                let runs: Vec<Value> = picked.iter().map(|&i| Value::Int(i as i64)).collect();
+                let (tk, report) = store().filter(PredExpr::is_in("run", runs)).load().unwrap();
+                prop_assert_eq!(report.loaded, sparse.len());
+                assert_matches(&tk, &reference(&sparse, &hash_ids(&sparse)), &at("sparse store"));
+            }
+            for chunk in 1..=n {
+                let src = StoreSource::open(&dir, Some(threads), Strictness::FailFast)
+                    .unwrap()
+                    .chunk_size(chunk);
+                let (tk, _) = Thicket::loader(LoadSource::custom(src)).threads(threads).load().unwrap();
+                assert_matches(&tk, &whole, &at(&format!("store in chunks of {chunk}")));
+            }
+        }
+    }
+
+    /// Chunking law: a lenient load of an ensemble in which some
+    /// profiles carry NaN metrics (at least one; all of them at times)
+    /// builds, from chunks of any size, the thicket and the report the
+    /// whole in-memory load builds, or fails with its error. Chunks of
+    /// one hold a chunk made only of a bad profile.
+    #[test]
+    fn lenient_loads_are_the_same_in_any_chunks(seed in any::<u64>()) {
+        let mut profiles = ensemble(seed);
+        let n = profiles.len();
+        let mut mix = Mix(seed ^ 0xc4a2);
+        let mut bad: Vec<usize> = (0..n).filter(|_| mix.chance(3)).collect();
+        if bad.is_empty() {
+            bad.push(mix.below(n));
+        }
+        for &i in &bad {
+            let root = profiles[i].graph().roots()[0];
+            profiles[i].set_metric(root, "m1", f64::NAN);
+        }
+
+        for threads in [1usize, 2, 8] {
+            let lenient = |src: LoadSource| {
+                Thicket::loader(src).strictness(Strictness::lenient()).threads(threads).load()
+            };
+            let whole = lenient(LoadSource::from(&profiles));
+            for size in 1..=n {
+                let at = format!("chunks of {size} (seed {seed}, {threads} threads)");
+                let chunked = lenient(LoadSource::custom(Chunks { profiles: profiles.clone(), size }));
+                match (&whole, &chunked) {
+                    (Ok((want, want_report)), Ok((got, report))) => {
+                        prop_assert!(same_graph(got.graph(), want.graph()), "{}: graph differs", at);
+                        prop_assert!(same_frame(got.perf_data(), want.perf_data()), "{}: perf data differs", at);
+                        prop_assert!(same_frame(got.metadata(), want.metadata()), "{}: metadata differs", at);
+                        prop_assert_eq!(report, want_report, "{}: report differs", at);
+                        prop_assert_eq!(report.diagnostics.len(), bad.len());
+                    }
+                    (Err(want), Err(got)) => {
+                        prop_assert_eq!(got.to_string(), want.to_string(), "{}", at);
+                        prop_assert_eq!(bad.len(), n);
+                    }
+                    _ => prop_assert!(false, "{}: whole {:?} but chunked {:?}", at, whole.as_ref().err(), chunked.as_ref().err()),
                 }
             }
-
-            let mut grown = Thicket::loader(&profiles[..split]).threads(threads).load().unwrap().0;
-            grown.extend_threads(&profiles[split..], &ids[split..], threads).unwrap();
-            assert_matches(&grown, &whole, &at(&format!("extend after {split}")));
         }
     }
 

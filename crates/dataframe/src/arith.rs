@@ -100,11 +100,6 @@ impl Column {
     pub fn offset(&self, delta: f64) -> Result<Column> {
         map_with(self, |v| v + delta)
     }
-
-    /// Arbitrary numeric map, element-wise (nulls pass through).
-    pub fn map_f64(&self, f: impl Fn(f64) -> f64) -> Result<Column> {
-        map_with(self, f)
-    }
 }
 
 #[cfg(test)]
@@ -130,10 +125,6 @@ mod tests {
         let a = col(&[1.0, 2.0]);
         assert_eq!(a.scale(3.0).unwrap().numeric_values(), vec![3.0, 6.0]);
         assert_eq!(a.offset(-1.0).unwrap().numeric_values(), vec![0.0, 1.0]);
-        assert_eq!(
-            a.map_f64(|v| v * v).unwrap().numeric_values(),
-            vec![1.0, 4.0]
-        );
     }
 
     #[test]

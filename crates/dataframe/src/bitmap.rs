@@ -54,11 +54,6 @@ impl Bitmap {
         b
     }
 
-    /// Build from a bool slice.
-    pub fn from_bools(bits: &[bool]) -> Bitmap {
-        Bitmap::from_fn(bits.len(), |i| bits[i])
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
@@ -186,16 +181,6 @@ mod tests {
             diff.count_ones(),
             (0..100).filter(|i| i % 2 == 0 && i % 3 != 0).count()
         );
-    }
-
-    #[test]
-    fn from_bools_round_trip() {
-        let bits: Vec<bool> = (0..67).map(|i| i % 5 == 0).collect();
-        let b = Bitmap::from_bools(&bits);
-        assert_eq!(b.len(), 67);
-        for (i, &want) in bits.iter().enumerate() {
-            assert_eq!(b.get(i), want);
-        }
     }
 
     #[test]

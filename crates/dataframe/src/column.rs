@@ -88,14 +88,6 @@ impl Column {
         }
     }
 
-    /// Build a dense boolean column.
-    pub fn from_bool(values: Vec<bool>) -> Self {
-        Column {
-            data: ColumnData::Bool(values),
-            valid: None,
-        }
-    }
-
     /// Build a dense string column.
     pub fn from_strs<S: AsRef<str>>(values: impl IntoIterator<Item = S>) -> Self {
         Column {
@@ -405,28 +397,6 @@ impl Column {
     pub(crate) fn valid_mask(&self) -> Option<&[bool]> {
         self.valid.as_deref()
     }
-
-    /// Cast a numeric column to float (no-op for float columns).
-    pub fn cast_float(&self) -> Result<Column> {
-        match self.dtype() {
-            DType::Float => Ok(self.clone()),
-            DType::Int | DType::Null => {
-                let vals: Vec<Value> = self
-                    .iter()
-                    .map(|v| match v {
-                        Value::Int(i) => Value::Float(i as f64),
-                        other => other,
-                    })
-                    .collect();
-                let mut c = Column::from_values(vals)?;
-                if c.dtype() == DType::Null {
-                    c = Column::nulls_of(DType::Float, self.len());
-                }
-                Ok(c)
-            }
-            other => Err(DfError::type_error(DType::Float, other)),
-        }
-    }
 }
 
 /// One input to [`Column::concat_parts`]: either a borrowed source column
@@ -651,16 +621,6 @@ mod tests {
         let t = c.take(&[0, 0]);
         assert_eq!(t.dtype(), DType::Int);
         assert_eq!(t.count_valid(), 0);
-    }
-
-    #[test]
-    fn cast_float() {
-        let c = Column::from_i64(vec![1, 2]).cast_float().unwrap();
-        assert_eq!(c.dtype(), DType::Float);
-        assert!(Column::from_strs(["a"]).cast_float().is_err());
-        let n = Column::nulls_of(DType::Null, 2).cast_float().unwrap();
-        assert_eq!(n.dtype(), DType::Float);
-        assert_eq!(n.count_valid(), 0);
     }
 
     #[test]

@@ -219,22 +219,6 @@ impl Index {
         self.positions().get(key).map(|rows| rows[0])
     }
 
-    /// First positions of each distinct key, preserving first-seen order,
-    /// plus the rows carrying each key.
-    pub fn group_positions(&self) -> (Vec<Key>, Vec<Vec<usize>>) {
-        let positions = self.positions();
-        let mut order: Vec<Key> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for k in &self.keys {
-            if seen.insert(k) {
-                order.push(k.clone());
-                groups.push(positions[k].clone());
-            }
-        }
-        (order, groups)
-    }
-
     /// A lookup view guaranteed to map each key to a *single* row.
     /// Errors (naming the offending key) when any key occurs more than
     /// once — obtaining the view is the uniqueness proof, so callers
@@ -273,15 +257,6 @@ impl Index {
         let mut order: Vec<usize> = (0..self.len()).collect();
         order.sort_by(|&a, &b| self.keys[a].cmp(&self.keys[b]));
         order
-    }
-
-    /// Render one key for display (multi-level keys comma-joined).
-    pub fn format_key(&self, i: usize) -> String {
-        let parts: Vec<String> = self.keys[i]
-            .iter()
-            .map(|v| v.display_cell().into_owned())
-            .collect();
-        parts.join(", ")
     }
 }
 
@@ -362,17 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn grouping_preserves_first_seen_order() {
-        let i = Index::single("k", vec!["b", "a", "b", "c"]);
-        let (keys, groups) = i.group_positions();
-        assert_eq!(keys, vec![Value::from("b"), Value::from("a"), Value::from("c")]
-            .into_iter()
-            .map(|v| vec![v])
-            .collect::<Vec<_>>());
-        assert_eq!(groups, vec![vec![0, 2], vec![1], vec![3]]);
-    }
-
-    #[test]
     fn uniqueness_and_argsort() {
         let i = idx();
         assert!(i.is_unique());
@@ -390,12 +354,6 @@ mod tests {
         i.push(vec![Value::Int(9), Value::Int(1)]).unwrap();
         assert_eq!(i.len(), 5);
         assert!(i.push(vec![Value::Int(9)]).is_err());
-    }
-
-    #[test]
-    fn format_key_joins_levels() {
-        let i = idx();
-        assert_eq!(i.format_key(0), "1, 100");
     }
 
     #[test]

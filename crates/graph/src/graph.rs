@@ -215,30 +215,6 @@ impl Graph {
         path
     }
 
-    /// Every root-to-leaf path (paths enumerated over child edges; nodes
-    /// with multiple parents appear on multiple paths).
-    pub fn root_to_leaf_paths(&self) -> Vec<Vec<NodeId>> {
-        let mut out = Vec::new();
-        let mut stack: Vec<Vec<NodeId>> = self.roots.iter().map(|&r| vec![r]).collect();
-        while let Some(path) = stack.pop() {
-            let last = *path.last().expect("non-empty path");
-            let children = self.node(last).children();
-            if children.is_empty() {
-                out.push(path);
-            } else {
-                for &c in children.iter().rev() {
-                    if path.contains(&c) {
-                        continue; // defensive: never loop on malformed input
-                    }
-                    let mut next = path.clone();
-                    next.push(c);
-                    stack.push(next);
-                }
-            }
-        }
-        out
-    }
-
     /// `true` if every non-root node has exactly one parent and every node
     /// is reachable from a root.
     pub fn is_tree(&self) -> bool {
@@ -255,14 +231,6 @@ impl Graph {
         self.preorder()
             .into_iter()
             .find(|&id| self.node(id).name() == name)
-    }
-
-    /// All node ids whose name satisfies `pred`, in pre-order.
-    pub fn find_all<F: Fn(&Node) -> bool>(&self, pred: F) -> Vec<NodeId> {
-        self.preorder()
-            .into_iter()
-            .filter(|&id| pred(self.node(id)))
-            .collect()
     }
 
     /// Build the subgraph induced by `keep`, preserving ancestry: a kept
@@ -331,9 +299,6 @@ mod tests {
         assert_eq!(g.depth(main), 0);
         assert_eq!(g.depth(baz), 2);
         assert_eq!(g.path_to(baz), vec![main, foo, baz]);
-        let paths = g.root_to_leaf_paths();
-        assert_eq!(paths.len(), 2);
-        assert!(paths.contains(&vec![main, foo, baz]));
     }
 
     #[test]
@@ -374,13 +339,6 @@ mod tests {
         assert_eq!(g.find_by_name("NOPE"), None);
         assert_eq!(g.id_at(1), Some(foo));
         assert_eq!(g.id_at(4), None);
-    }
-
-    #[test]
-    fn find_all_matches() {
-        let (g, ..) = sample();
-        let hits = g.find_all(|n| n.name().starts_with("B"));
-        assert_eq!(hits.len(), 2);
     }
 
     #[test]

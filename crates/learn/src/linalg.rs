@@ -40,11 +40,6 @@ impl Matrix {
         }
     }
 
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.rows
-    }
-
     /// Number of columns.
     pub fn ncols(&self) -> usize {
         self.cols

@@ -25,7 +25,6 @@
 
 pub mod backoff;
 pub mod binprofile;
-pub mod calitxt;
 pub mod collector;
 pub mod engine;
 pub mod ensemble;
@@ -43,7 +42,6 @@ pub mod topdown;
 pub mod trace;
 
 pub use binprofile::{decode_profile, encode_profile, PROFILE_MAGIC};
-pub use calitxt::{from_cali_text, load_cali_text, save_cali_text, to_cali_text};
 pub use collector::Collector;
 pub use ensemble::{load_dir, save_ensemble};
 pub use faults::{inject, inject_all, ChaosOp, ChaosSchedule, FaultKind, ScratchDir};

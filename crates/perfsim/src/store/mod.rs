@@ -521,7 +521,11 @@ impl Store {
     /// ones) is renamed into place, and only then are out-of-retention
     /// generations GC'd — by reference, so shard files the new manifest
     /// still points at survive their original manifest's collection.
-    /// On an empty directory this is exactly [`Store::save_opts`].
+    /// On a directory that lists no generation this is exactly
+    /// [`Store::save_opts`]. When generations are listed but none
+    /// verifies, it fails with [`StoreError::NoGeneration`] (naming
+    /// [`Store::recover`]) and writes nothing, so what recover can
+    /// salvage stays on disk.
     ///
     /// The manifest work is proportional to the batch, apart from
     /// parsing the base, decoding its columns and writing the result.

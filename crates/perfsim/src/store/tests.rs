@@ -782,6 +782,44 @@ fn empty_store_dir_errors() {
     assert!(Store::recover(&dir).is_err());
 }
 
+/// An append onto a store whose every generation fails verification
+/// fails typed and writes nothing, so `recover` still salvages every
+/// record. A save in its place would let GC delete the shards no
+/// verifying manifest references.
+#[test]
+fn append_onto_unverifiable_generations_writes_nothing() {
+    let dir = ScratchDir::new("store-append-broken");
+    let profiles = runs(12);
+    Store::save(&dir, &profiles[..5]).unwrap();
+    Store::append(&dir, &profiles[5..10]).unwrap();
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    for name in listing().iter().filter(|n| n.starts_with("MANIFEST-")) {
+        let path = dir.join(name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+    let before = listing();
+
+    let err = Store::append(&dir, &profiles[10..]).unwrap_err();
+    assert!(matches!(err, StoreError::NoGeneration(_)), "{err}");
+    assert!(err.to_string().contains("Store::recover"), "{err}");
+    assert_eq!(listing(), before);
+
+    let rec = Store::recover(&dir).unwrap();
+    assert_eq!(rec.salvaged, 10);
+    let (loaded, rep) = Store::open(&dir).unwrap().load_all().unwrap();
+    assert!(rep.is_clean(), "{rep}");
+    assert_eq!(hashes(&loaded), hashes(&profiles[..10]));
+}
+
 #[test]
 fn zero_profile_store_roundtrips() {
     let dir = ScratchDir::new("store-zero");

@@ -382,7 +382,10 @@ pub(crate) fn append_locked(
 ) -> Result<WriteReport, StoreError> {
     let base = match newest_manifest(dir) {
         Ok((m, _)) => Some(m),
-        Err(StoreError::NoGeneration(_)) => None,
+        // Only a directory that lists no generation is empty. Saving
+        // over manifests that fail verification would let GC delete the
+        // shards `Store::recover` can still salvage.
+        Err(StoreError::NoGeneration(_)) if list_generations(dir)?.is_empty() => None,
         Err(e) => return Err(e),
     };
     // Never write a store that mixes encodings: appending onto an older
@@ -397,7 +400,7 @@ pub(crate) fn append_locked(
         }
     }
     let Some(mut base) = base else {
-        // No verifying generation: an append is exactly a save.
+        // No generation at all: an append is exactly a save.
         return save_locked(dir, staged, opts);
     };
     let base_index: HashMap<i64, usize> = base

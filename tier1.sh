@@ -20,10 +20,11 @@ cargo test -q --release --test store_recovery crash_point
 # paths that only mean something on optimized builds.
 cargo test -q --release -p thicket-perfsim --test concurrency
 # Composition oracle under --release: every load path (slice, owned,
-# store dense/sparse/pinned/chunked, extend) against the reference
-# composer, at 1, 2 and 8 workers, on optimized builds too, plus the
-# pool law (pooling the loads of consecutive groups equals one load)
-# and the split law (pooling a thicket's groupby groups gives it back).
+# store dense/sparse/chunked) against the reference composer, at 1, 2
+# and 8 workers, on optimized builds too, plus the pool law (pooling
+# the loads of consecutive groups equals one load), the split law
+# (pooling a thicket's groupby groups gives it back) and the chunking
+# law (a lenient load is the same thicket and report in any chunks).
 cargo test -q --release -p thicket-core --test compose_oracle
 # Planner and predicate engine under --release: metadata conjuncts
 # pushed below a store read (select_expr, load_indices), the residual
