@@ -20,13 +20,15 @@
 //!
 //! Strictness decides at two points only. At screening, strict fails on
 //! the first duplicate profile id, while lenient drops duplicate ids and
-//! profiles with non-finite metrics, with a diagnostic each. At row
+//! profiles with non-finite metrics, with a diagnostic each. Screening
+//! checks ids against those earlier chunks of the same load admitted
+//! too, so a chunked load treats a repeated id as one load does. At row
 //! assembly, a panicking profile fails a strict build, while lenient
 //! drops it and retries on the survivors. A lenient build that drops
 //! every profile yields no thicket, only its report: whether that fails
 //! the load is the loader's call, once the whole load is in.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashSet};
 use std::convert::Infallible;
 
 use thicket_dataframe::{ColKey, Column, ColumnBuilder, DataFrame, Index, Key, Value};
@@ -42,16 +44,21 @@ use crate::thicket::{Thicket, ThicketError, NODE_LEVEL, PROFILE_LEVEL};
 /// what they dropped, in input order. The thicket is `None` when no
 /// profile is left (an empty input, or a lenient build that dropped
 /// every profile). Bit-identical for any `threads ≥ 1`.
+///
+/// `admitted` holds the ids that screening admitted in earlier chunks of
+/// the same load (empty for a one-chunk load); an id found there is a
+/// duplicate, and every id this chunk admits joins it.
 pub(crate) fn compose(
     profiles: &[Profile],
     ids: &[Value],
+    admitted: &mut HashSet<Value>,
     threads: usize,
     strictness: Strictness,
 ) -> Result<(Option<Thicket>, IngestReport), ThicketError> {
     check_arity(profiles, ids)?;
-    let lenient = matches!(strictness, Strictness::Lenient { .. });
+    let lenient = matches!(strictness, Strictness::Lenient);
     let mut diagnostics: Vec<(usize, Diagnostic)> = Vec::new();
-    let mut healthy = screen(profiles, ids, lenient, &mut diagnostics)?;
+    let mut healthy = screen(profiles, ids, admitted, lenient, &mut diagnostics)?;
     loop {
         if healthy.is_empty() {
             return Ok((None, report(profiles.len(), 0, diagnostics)));
@@ -126,31 +133,33 @@ fn check_arity(profiles: &[Profile], ids: &[Value]) -> Result<(), ThicketError> 
 }
 
 /// The first strictness point: which profiles enter the union, in input
-/// order. Strict fails on the first duplicate id and checks nothing
-/// else (in-memory profiles may carry NaN metrics); lenient drops
-/// duplicates and non-finite metrics with one diagnostic each.
+/// order. Strict fails on the first duplicate id (one already in
+/// `admitted`) and checks nothing else (in-memory profiles may carry NaN
+/// metrics); lenient drops duplicates and non-finite metrics with one
+/// diagnostic each. Every id let through joins `admitted`.
 fn screen(
     profiles: &[Profile],
     ids: &[Value],
+    admitted: &mut HashSet<Value>,
     lenient: bool,
     diagnostics: &mut Vec<(usize, Diagnostic)>,
 ) -> Result<Vec<usize>, ThicketError> {
     let mut healthy = Vec::with_capacity(profiles.len());
-    let mut seen: HashMap<&Value, usize> = HashMap::with_capacity(ids.len());
+    admitted.reserve(ids.len());
     for (i, id) in ids.iter().enumerate() {
-        let kind = if let Some(&first) = seen.get(id) {
+        let kind = if admitted.contains(id) {
             if !lenient {
                 return Err(ThicketError::Invalid(format!("duplicate profile id {id}")));
             }
             DiagKind::DuplicateProfile {
-                first: format!("profile {}", ids[first]),
+                first: format!("profile {id}"),
             }
         } else if let Some((node, metric)) =
             lenient.then(|| first_non_finite(&profiles[i])).flatten()
         {
             DiagKind::NonFiniteMetric { node, metric }
         } else {
-            seen.insert(id, i);
+            admitted.insert(id.clone());
             healthy.push(i);
             continue;
         };

@@ -426,7 +426,8 @@ fn load_in_memory(
         None => Cow::Owned(hash_ids(&kept)),
     };
     let threads = threads.unwrap_or_else(|| default_threads(kept.len()));
-    let (tk, report) = crate::engine::compose(&kept, &ids, threads, strictness)?;
+    let (tk, report) =
+        crate::engine::compose(&kept, &ids, &mut HashSet::new(), threads, strictness)?;
     let tk = tk.ok_or_else(|| nothing_survived(&report))?;
     finalize(tk, report, plan, &residual)
 }
@@ -460,6 +461,9 @@ fn load_streaming(
 
     let mut parts: Vec<Thicket> = Vec::new();
     let mut build_report = IngestReport::default();
+    // The ids earlier chunks admitted: a repeat in a later chunk is a
+    // duplicate, as it is within one chunk.
+    let mut admitted: HashSet<Value> = HashSet::new();
     while let Some(mut chunk) = src.next_chunk()? {
         if let Some(pred) = &chunk_pred {
             chunk.retain(|p| expr_matches_profile(pred, p));
@@ -469,7 +473,7 @@ fn load_streaming(
         }
         let ids = hash_ids(&chunk);
         let threads = threads.unwrap_or_else(|| default_threads(chunk.len()));
-        let (tk, r) = crate::engine::compose(&chunk, &ids, threads, strictness)?;
+        let (tk, r) = crate::engine::compose(&chunk, &ids, &mut admitted, threads, strictness)?;
         build_report.attempted += r.attempted;
         build_report.loaded += r.loaded;
         build_report.diagnostics.extend(r.diagnostics);

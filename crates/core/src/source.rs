@@ -219,8 +219,7 @@ impl ProfileSource for EnsembleSource {
 /// default is a **single** chunk — identical I/O and threading to the
 /// pre-streaming loader — because a store load is already one
 /// memory-mapped pass; [`StoreSource::chunk_size`] opts into smaller
-/// batches. Strictness is enforced per chunk with the same messages and
-/// budgets as the classic store load path.
+/// batches. Fail-fast strictness is enforced per chunk.
 pub struct StoreSource {
     snap: Snapshot,
     threads: Option<usize>,
@@ -312,14 +311,6 @@ impl ProfileSource for StoreSource {
             self.report.attempted += read.attempted;
             self.report.loaded += read.loaded;
             self.report.diagnostics.extend(read.diagnostics);
-            if let Strictness::Lenient { max_errors } = self.strictness {
-                if self.report.diagnostics.len() > max_errors {
-                    return Err(ThicketError::Invalid(format!(
-                        "store load exceeded the lenient error budget of {max_errors} ({})",
-                        self.report.summary()
-                    )));
-                }
-            }
             if !profiles.is_empty() {
                 return Ok(Some(profiles));
             }
@@ -533,7 +524,7 @@ mod tests {
             }
         }
 
-        let src = StoreSource::open(&dir, Some(1), Strictness::lenient())
+        let src = StoreSource::open(&dir, Some(1), Strictness::Lenient)
             .unwrap()
             .chunk_size(1);
         let err = Thicket::loader(LoadSource::custom(src)).load().unwrap_err();

@@ -343,7 +343,7 @@ mod tests {
 
     fn build_lenient(profiles: &[Profile]) -> Result<(Thicket, IngestReport), ThicketError> {
         Thicket::loader(profiles)
-            .strictness(Strictness::lenient())
+            .strictness(Strictness::Lenient)
             .load()
     }
 
@@ -354,7 +354,7 @@ mod tests {
     ) -> Result<(Thicket, IngestReport), ThicketError> {
         let mut loader = Thicket::loader(profiles)
             .profile_ids(ids)
-            .strictness(Strictness::lenient());
+            .strictness(Strictness::Lenient);
         if let Some(t) = threads {
             loader = loader.threads(t);
         }

@@ -159,7 +159,7 @@ impl TraceAggregator {
                 "trace ingest failed under fail-fast strictness ({kind} in {})",
                 self.source_label
             ))),
-            Strictness::Lenient { .. } => {
+            Strictness::Lenient => {
                 self.diagnostics.push(Diagnostic {
                     source: self.source_label.clone(),
                     kind,
@@ -172,7 +172,7 @@ impl TraceAggregator {
 
     /// Drop the current (incomplete) window of every rank and ignore any
     /// further events. Used after a stream-level failure.
-    pub fn poison_all(&mut self) {
+    fn poison_all(&mut self) {
         for state in self.ranks.values_mut() {
             if !state.poisoned {
                 if state.dirty {
@@ -290,7 +290,7 @@ impl TraceAggregator {
                 "trace ingest failed under fail-fast strictness ({kind} in {})",
                 self.source_label
             ))),
-            Strictness::Lenient { .. } => {
+            Strictness::Lenient => {
                 self.diagnostics.push(Diagnostic {
                     source: format!("{} (rank {rank})", self.source_label),
                     kind,

@@ -4,8 +4,10 @@
 //! pooling along the profile axis to loading: pooling the loads of
 //! consecutive groups equals one load, and pooling a thicket's groupby
 //! groups gives the thicket back. A third holds the chunked loader to
-//! the first: a lenient load is the same thicket and the same report
-//! whatever chunks its source yields.
+//! the first: a load is the same thicket and the same report whatever
+//! chunks its source yields. A fourth relates filtering to loading:
+//! pushing a metadata filter below the read keeps what filtering the
+//! whole load keeps.
 //!
 //! The reference is deliberately naive: [`GraphUnion::build_naive`] for
 //! the graph, one [`FrameBuilder`] row per measured `(node, profile)`
@@ -14,13 +16,13 @@
 //! row per profile.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use thicket_core::{
-    concat_thickets_rows, LoadSource, PredExpr, ProfileSource, StoreSource, Strictness, Thicket,
-    ThicketError,
+    concat_thickets_rows, LoadSource, PredExpr, PredOp, ProfileSource, StoreSource, Strictness,
+    Thicket, ThicketError,
 };
 use thicket_dataframe::{ColKey, DataFrame, FrameBuilder, Value};
 use thicket_graph::{Frame, Graph, GraphUnion};
@@ -273,6 +275,96 @@ impl ProfileSource for Chunks {
     }
 }
 
+/// Whether `p` carries the NaN the chunking law plants.
+fn has_nan(p: &Profile) -> bool {
+    p.metric(p.graph().roots()[0], "m1")
+        .is_some_and(f64::is_nan)
+}
+
+/// A literal of every kind the oracle's metadata holds, `null` included.
+fn literal(mix: &mut Mix) -> Value {
+    match mix.below(6) {
+        0 => Value::Null,
+        1 => Value::Int(mix.below(50) as i64),
+        2 => Value::Float(mix.below(50) as f64 / 4.0),
+        3 => Value::from(["quartz", "lassen", "ruby"][mix.below(3)]),
+        4 => Value::Bool(mix.chance(2)),
+        _ => Value::Int(mix.below(9) as i64),
+    }
+}
+
+/// A random predicate over `keys`: comparisons, membership and string
+/// matches under `and`, `or` and `not`.
+fn predicate(mix: &mut Mix, keys: &[String], depth: usize) -> PredExpr {
+    if depth > 0 && mix.chance(3) {
+        let mut branches: Vec<PredExpr> = (0..1 + mix.below(3))
+            .map(|_| predicate(mix, keys, depth - 1))
+            .collect();
+        return match mix.below(3) {
+            0 => PredExpr::and(branches),
+            1 => PredExpr::or(branches),
+            _ => PredExpr::not(branches.swap_remove(0)),
+        };
+    }
+    let field = keys[mix.below(keys.len())].clone();
+    match mix.below(5) {
+        0 => PredExpr::is_in(
+            field,
+            (0..mix.below(4)).map(|_| literal(mix)).collect::<Vec<_>>(),
+        ),
+        1 => PredExpr::starts_with(field, ["qu", "l", ""][mix.below(3)]),
+        _ => PredExpr::Cmp {
+            field,
+            op: [
+                PredOp::Eq,
+                PredOp::Ne,
+                PredOp::Lt,
+                PredOp::Le,
+                PredOp::Gt,
+                PredOp::Ge,
+            ][mix.below(6)],
+            value: literal(mix),
+        },
+    }
+}
+
+/// A thicket's non-null perf cells, keyed by (call path, profile,
+/// column), and its non-null metadata cells, keyed by (profile, column):
+/// what a load holds, whatever graph nodes or columns it carries empty.
+type Cells = (
+    BTreeMap<(Vec<Frame>, Value, String), Value>,
+    BTreeMap<(Value, String), Value>,
+);
+
+fn cells(tk: &Thicket) -> Cells {
+    let mut perf = BTreeMap::new();
+    for (row, key) in tk.perf_data().index().keys().iter().enumerate() {
+        let node = tk.node_of_value(&key[0]).unwrap();
+        let path: Vec<Frame> = tk
+            .graph()
+            .path_to(node)
+            .into_iter()
+            .map(|id| tk.graph().node(id).frame().clone())
+            .collect();
+        for (col, values) in tk.perf_data().columns() {
+            let v = values.get(row);
+            if !v.is_null() {
+                perf.insert((path.clone(), key[1].clone(), col.to_string()), v);
+            }
+        }
+    }
+    let mut meta = BTreeMap::new();
+    for (row, key) in tk.metadata().index().keys().iter().enumerate() {
+        for (col, values) in tk.metadata().columns() {
+            let v = values.get(row);
+            if !v.is_null() {
+                meta.insert((key[0].clone(), col.to_string()), v);
+            }
+        }
+    }
+    (perf, meta)
+}
+
 fn assert_matches(tk: &Thicket, want: &(Graph, DataFrame, DataFrame), path: &str) {
     assert!(same_graph(tk.graph(), &want.0), "{path}: graph differs");
     assert!(
@@ -330,46 +422,109 @@ proptest! {
         }
     }
 
-    /// Chunking law: a lenient load of an ensemble in which some
-    /// profiles carry NaN metrics (at least one; all of them at times)
-    /// builds, from chunks of any size, the thicket and the report the
-    /// whole in-memory load builds, or fails with its error. Chunks of
-    /// one hold a chunk made only of a bad profile.
+    /// Chunking law: a load of an ensemble in which some profiles carry
+    /// NaN metrics (at least one; all of them at times) and some repeat
+    /// an earlier profile, healthy or NaN, in the same chunk or a later
+    /// one, builds from chunks of any size the thicket and the report
+    /// the whole in-memory load builds, or fails with its error, lenient
+    /// and strict alike. Chunks of one hold a chunk made only of a bad
+    /// profile.
     #[test]
     fn lenient_loads_are_the_same_in_any_chunks(seed in any::<u64>()) {
         let mut profiles = ensemble(seed);
-        let n = profiles.len();
         let mut mix = Mix(seed ^ 0xc4a2);
-        let mut bad: Vec<usize> = (0..n).filter(|_| mix.chance(3)).collect();
+        let mut bad: Vec<usize> = (0..profiles.len()).filter(|_| mix.chance(3)).collect();
         if bad.is_empty() {
-            bad.push(mix.below(n));
+            bad.push(mix.below(profiles.len()));
         }
         for &i in &bad {
             let root = profiles[i].graph().roots()[0];
             profiles[i].set_metric(root, "m1", f64::NAN);
         }
+        let copies = mix.below(4);
+        for _ in 0..copies {
+            let j = mix.below(profiles.len());
+            let at = j + 1 + mix.below(profiles.len() - j);
+            profiles.insert(at, profiles[j].clone());
+        }
+        let n = profiles.len();
+        // One lenient load drops every NaN profile and every repeat of a
+        // profile it admitted.
+        let mut admitted = HashSet::new();
+        let dropped = profiles
+            .iter()
+            .filter(|p| has_nan(p) || !admitted.insert(p.profile_hash()))
+            .count();
 
         for threads in [1usize, 2, 8] {
-            let lenient = |src: LoadSource| {
-                Thicket::loader(src).strictness(Strictness::lenient()).threads(threads).load()
-            };
-            let whole = lenient(LoadSource::from(&profiles));
-            for size in 1..=n {
-                let at = format!("chunks of {size} (seed {seed}, {threads} threads)");
-                let chunked = lenient(LoadSource::custom(Chunks { profiles: profiles.clone(), size }));
-                match (&whole, &chunked) {
-                    (Ok((want, want_report)), Ok((got, report))) => {
-                        prop_assert!(same_graph(got.graph(), want.graph()), "{}: graph differs", at);
-                        prop_assert!(same_frame(got.perf_data(), want.perf_data()), "{}: perf data differs", at);
-                        prop_assert!(same_frame(got.metadata(), want.metadata()), "{}: metadata differs", at);
-                        prop_assert_eq!(report, want_report, "{}: report differs", at);
-                        prop_assert_eq!(report.diagnostics.len(), bad.len());
+            for strictness in [Strictness::Lenient, Strictness::FailFast] {
+                let load = |src: LoadSource| {
+                    Thicket::loader(src).strictness(strictness).threads(threads).load()
+                };
+                let whole = load(LoadSource::from(&profiles));
+                for size in 1..=n {
+                    let at = format!("{strictness:?} in chunks of {size} (seed {seed}, {threads} threads)");
+                    let chunked = load(LoadSource::custom(Chunks { profiles: profiles.clone(), size }));
+                    match (&whole, &chunked) {
+                        (Ok((want, want_report)), Ok((got, report))) => {
+                            prop_assert!(same_graph(got.graph(), want.graph()), "{}: graph differs", at);
+                            prop_assert!(same_frame(got.perf_data(), want.perf_data()), "{}: perf data differs", at);
+                            prop_assert!(same_frame(got.metadata(), want.metadata()), "{}: metadata differs", at);
+                            prop_assert_eq!(report, want_report, "{}: report differs", at);
+                            let want_dropped = if strictness == Strictness::Lenient { dropped } else { 0 };
+                            prop_assert_eq!(report.dropped(), want_dropped, "{}", at);
+                        }
+                        (Err(want), Err(got)) => {
+                            prop_assert_eq!(got.to_string(), want.to_string(), "{}", at);
+                            if strictness == Strictness::Lenient {
+                                prop_assert_eq!(dropped, n, "{}", at);
+                            } else {
+                                prop_assert!(copies > 0, "{}: {}", at, got);
+                            }
+                        }
+                        _ => prop_assert!(false, "{}: whole {:?} but chunked {:?}", at, whole.as_ref().err(), chunked.as_ref().err()),
                     }
-                    (Err(want), Err(got)) => {
-                        prop_assert_eq!(got.to_string(), want.to_string(), "{}", at);
-                        prop_assert_eq!(bad.len(), n);
+                }
+            }
+        }
+    }
+
+    /// Pushdown law: a store load and an in-memory load with
+    /// `Loader::filter(p)` hold the profiles, and the non-null perf and
+    /// metadata cells, that filtering the whole load with
+    /// `filter_metadata_where(p)` keeps, for random predicates over the
+    /// ensemble's metadata keys (Int and Float `x`, stored-null `note`,
+    /// `null` literals). A load that keeps no profile fails where the
+    /// filter keeps none.
+    #[test]
+    fn pushing_a_filter_below_the_read_equals_filtering_the_load(seed in any::<u64>()) {
+        let profiles = ensemble(seed);
+        let keys: Vec<String> = profiles
+            .iter()
+            .flat_map(|p| p.metadata_iter().map(|(k, _)| k.to_string()))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let dir = ScratchDir::new("compose-oracle-pushdown");
+        Store::save(&dir, &profiles).unwrap();
+        let whole = Thicket::loader(&profiles).load().unwrap().0;
+        let mut mix = Mix(seed ^ 0xf117);
+        for _ in 0..8 {
+            let pred = predicate(&mut mix, &keys, 2);
+            let want = whole.filter_metadata_where(&pred);
+            let loads = [
+                ("in-memory", Thicket::loader(&profiles).filter(pred.clone()).load()),
+                ("store", Thicket::loader(LoadSource::store(&dir)).filter(pred.clone()).load()),
+            ];
+            for (path, got) in loads {
+                let at = format!("{path} load filtered by {pred} (seed {seed})");
+                match got {
+                    Ok((tk, report)) => {
+                        prop_assert!(report.pushdown.as_ref().is_some_and(|p| p.fully_pushed()), "{}", at);
+                        prop_assert_eq!(tk.profiles(), want.profiles(), "{}", at);
+                        prop_assert!(cells(&tk) == cells(&want), "{}: cells differ", at);
                     }
-                    _ => prop_assert!(false, "{}: whole {:?} but chunked {:?}", at, whole.as_ref().err(), chunked.as_ref().err()),
+                    Err(e) => prop_assert!(want.profiles().is_empty(), "{}: {} but the filter keeps {:?}", at, e, want.profiles()),
                 }
             }
         }
@@ -405,7 +560,7 @@ proptest! {
         for threads in [1usize, 2, 8] {
             let (tk, report) = Thicket::loader(&profiles)
                 .profile_ids(&ids)
-                .strictness(Strictness::lenient())
+                .strictness(Strictness::Lenient)
                 .threads(threads)
                 .load()
                 .unwrap();

@@ -150,8 +150,6 @@ fn custom_source_adapters_match_the_fast_path() {
 // lenient strictness and a typed error under fail-fast — never a panic.
 // ---------------------------------------------------------------------
 
-const LENIENT: Strictness = Strictness::Lenient { max_errors: 16 };
-
 #[test]
 fn torn_trace_keeps_closed_windows_and_reports() {
     let cfg = TraceConfig::quartz(2, 3, 5);
@@ -176,7 +174,7 @@ fn torn_trace_keeps_closed_windows_and_reports() {
     let (tk, report) = Thicket::loader(
         LoadSource::trace(&path).windows(Duration::from_nanos(span / 20)),
     )
-    .strictness(LENIENT)
+    .strictness(Strictness::Lenient)
     .load()
     .unwrap();
     assert!(!tk.metadata().is_empty());
@@ -203,7 +201,7 @@ fn shuffled_events_poison_one_rank_and_report() {
     // Lenient: the regressed rank is dropped with a typed diagnostic;
     // the other ranks' profiles survive.
     let (tk, report) = Thicket::loader(LoadSource::trace(&path))
-        .strictness(LENIENT)
+        .strictness(Strictness::Lenient)
         .load()
         .unwrap();
     assert!(tk.metadata().len() < 3, "the corrupted rank must be dropped");
@@ -229,7 +227,7 @@ fn unbalanced_trace_drops_the_open_rank_and_reports() {
     assert!(err.to_string().contains("fail-fast"));
 
     let (tk, report) = Thicket::loader(LoadSource::trace(&path))
-        .strictness(LENIENT)
+        .strictness(Strictness::Lenient)
         .load()
         .unwrap();
     assert!(tk.metadata().len() < 3, "the unbalanced rank must be dropped");
@@ -302,7 +300,7 @@ proptest! {
         );
 
         match Thicket::loader(LoadSource::trace(&path).chunk_events(chunk))
-            .strictness(LENIENT)
+            .strictness(Strictness::Lenient)
             .load()
         {
             Ok((_, report)) => prop_assert!(

@@ -7,9 +7,11 @@
 //! query crate's string dialect and the core `filter_*` ops compile into
 //! it. One AST means one set of semantics:
 //!
-//! * **Missing key is false.** A field the source doesn't provide (or a
-//!   null cell) satisfies no leaf — not even `!=`. `Not` still sees the
-//!   leaf's `false`, so `!(x == 1)` *does* match rows without `x`.
+//! * **Missing key is false.** A field the source doesn't provide, or a
+//!   null cell (a typed column's null or a stored `Value::Null` alike),
+//!   satisfies no leaf — not even `!=`, not even `== null`. `Not` still
+//!   sees the leaf's `false`, so `!(x == 1)` *does* match rows without
+//!   `x`.
 //! * **Equality is [`Value`] equality**: `Int`/`Float` compare numerically,
 //!   `NaN == NaN`, different kinds are simply unequal.
 //! * **Ordering is kind-guarded**: `<`/`<=`/`>`/`>=` only hold between two
@@ -358,11 +360,11 @@ impl PredExpr {
             PredExpr::True => base(mask),
             PredExpr::Cmp { field, op, value } => match src.field(field) {
                 Some(FieldView::Col(col)) => eval_cmp_col(col, *op, value, mask, n),
-                Some(FieldView::Values { values, present }) => {
-                    fill(n, mask, |i| {
-                        present.is_none_or(|p| p[i]) && scalar_cmp(&values[i], *op, value)
-                    })
-                }
+                Some(FieldView::Values { values, present }) => fill(n, mask, |i| {
+                    present.is_none_or(|p| p[i])
+                        && !values[i].is_null()
+                        && scalar_cmp(&values[i], *op, value)
+                }),
                 None => Bitmap::zeros(n),
             },
             PredExpr::Str { field, op, needle } => match src.field(field) {
@@ -430,18 +432,17 @@ impl PredExpr {
     }
 
     /// Scalar evaluation against any `name -> Option<Value>` lookup
-    /// (`None` = field absent; note a *stored* `Value::Null` is a present
-    /// null and only `== null` matches it).
+    /// (`None` = field absent; a `Value::Null` is absent too).
     pub fn eval_lookup(&self, lookup: &mut dyn FnMut(&str) -> Option<Value>) -> bool {
         match self {
             PredExpr::True => true,
             PredExpr::Cmp { field, op, value } => {
-                lookup(field).is_some_and(|v| scalar_cmp(&v, *op, value))
+                lookup(field).is_some_and(|v| !v.is_null() && scalar_cmp(&v, *op, value))
             }
             PredExpr::Str { field, op, needle } => lookup(field)
                 .is_some_and(|v| v.as_str().is_some_and(|s| op.matches(s, needle))),
             PredExpr::In { field, values } => {
-                lookup(field).is_some_and(|v| values.contains(&v))
+                lookup(field).is_some_and(|v| !v.is_null() && values.contains(&v))
             }
             PredExpr::And(bs) => bs.iter().all(|b| b.eval_lookup(lookup)),
             PredExpr::Or(bs) => bs.iter().any(|b| b.eval_lookup(lookup)),
@@ -484,7 +485,7 @@ pub enum FieldView<'a> {
     /// A pre-decoded `Value` slice plus an optional presence mask (the
     /// store's columnar metadata index). `present[i] == false` means the
     /// key is absent for row `i`; a *stored* `Value::Null` has
-    /// `present[i] == true` and matches only a `null` literal.
+    /// `present[i] == true` but matches no leaf, like an absent key.
     Values {
         /// One value per row.
         values: &'a [Value],
@@ -496,7 +497,7 @@ pub enum FieldView<'a> {
 impl FieldView<'_> {
     /// The field's value at `row`: `None` when absent/null (columns can't
     /// distinguish the two; `Values` views can and report stored nulls as
-    /// `Some(Value::Null)`).
+    /// `Some(Value::Null)`, which every evaluator treats as absent).
     pub fn value_at(&self, row: usize) -> Option<Value> {
         match self {
             FieldView::Col(col) => {
@@ -756,7 +757,7 @@ fn eval_in(view: FieldView<'_>, values: &[Value], mask: Option<&Bitmap>, n: usiz
             }
         }
         FieldView::Values { values: vs, present } => fill(n, mask, |i| {
-            present.is_none_or(|p| p[i]) && hit(&vs[i])
+            present.is_none_or(|p| p[i]) && !vs[i].is_null() && hit(&vs[i])
         }),
     }
 }
@@ -897,15 +898,22 @@ mod tests {
         let present = vec![true, true, true, false];
         let mut s = BoundSource::new(4);
         s.bind_masked("cluster", vals, present);
-        // Stored null is present: only `== null` matches it; absent row 3
-        // matches nothing.
+        // A stored null reads as absent, as a typed column's null does:
+        // not even `== null` matches it, and absent row 3 matches nothing.
         let e = PredExpr::eq("cluster", Value::Null);
-        assert_eq!(e.eval(&s).positions(), vec![1]);
-        assert_eq!(e.eval_rowwise(&s).positions(), vec![1]);
+        assert_eq!(e.eval(&s).positions(), Vec::<usize>::new());
+        assert_eq!(e.eval_rowwise(&s).positions(), Vec::<usize>::new());
+        let e = PredExpr::is_in("cluster", [Value::Null, Value::from("lassen")]);
+        assert_eq!(e.eval(&s).positions(), vec![2]);
+        assert_eq!(e.eval_rowwise(&s).positions(), vec![2]);
         let e = PredExpr::eq("cluster", "quartz");
         assert_eq!(e.eval(&s).positions(), vec![0]);
         let e = PredExpr::ne("cluster", "quartz");
-        assert_eq!(e.eval(&s).positions(), vec![1, 2]);
+        assert_eq!(e.eval(&s).positions(), vec![2]);
+        assert_eq!(e.eval_rowwise(&s).positions(), vec![2]);
+        // `Not` sees the leaf's `false`: the null and the absent row match.
+        let e = PredExpr::not(PredExpr::eq("cluster", "quartz"));
+        assert_eq!(e.eval(&s).positions(), vec![1, 2, 3]);
     }
 
     #[test]

@@ -202,17 +202,6 @@ impl DataFrame {
         Ok(df)
     }
 
-    /// New frame without the given columns (missing keys are ignored).
-    pub fn drop_columns(&self, keys: &[ColKey]) -> DataFrame {
-        let mut df = DataFrame::new(self.index.clone());
-        for (k, c) in &self.cols {
-            if !keys.contains(k) {
-                df.insert(k.clone(), c.clone()).expect("unique keys");
-            }
-        }
-        df
-    }
-
     /// New frame containing the given row positions (in order).
     pub fn take(&self, rows: &[usize]) -> DataFrame {
         let mut df = DataFrame::new(self.index.take(rows));
@@ -608,8 +597,6 @@ mod tests {
         let s = df.select(&[ColKey::new("reps")]).unwrap();
         assert_eq!(s.ncols(), 1);
         assert_eq!(s.len(), 4);
-        let d = df.drop_columns(&[ColKey::new("reps")]);
-        assert_eq!(d.ncols(), 2);
         assert!(df.select(&[ColKey::new("nope")]).is_err());
     }
 

@@ -439,8 +439,8 @@ proptest! {
 
     /// Vectorized ≡ row-wise over `Value`-slice views with explicit
     /// presence masks (the store's MetaBlock shape) — a stored `Null`
-    /// that is *present* behaves differently from an absent cell, and
-    /// both evaluators must agree on it.
+    /// that is *present* must read as an absent cell in both
+    /// evaluators.
     #[test]
     fn vectorized_matches_rowwise_on_value_views(
         cells in proptest::collection::vec((pred_value(), any::<bool>()), 0..40),

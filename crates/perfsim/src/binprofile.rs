@@ -36,8 +36,8 @@
 //! Non-finite metric bits are rejected with the same
 //! [`ProfileError::NonFinite`] the JSON decoder raises, and the
 //! assembled forest goes through the exact validation path JSON uses
-//! ([`assemble_profile`]) — a payload that decodes at all decodes to a
-//! bit-identical [`Profile`].
+//! (`profile::assemble_profile`) — a payload that decodes at all decodes
+//! to a bit-identical [`Profile`].
 
 use crate::profile::{assemble_profile, Profile, ProfileError, Shell};
 use crate::store::crc32c;

@@ -83,9 +83,8 @@ pub fn save_ensemble(
 ///
 /// Under [`Strictness::FailFast`] the first unhealthy file in filename
 /// order fails the load with its path (remaining work is cancelled)
-/// and the report is empty-diagnostic. Under `Lenient { max_errors }`
-/// unhealthy files become typed [`Diagnostic`]s (exceeding the budget
-/// aborts with a hard error), and a file whose profile *hash*
+/// and the report is empty-diagnostic. Under `Lenient` unhealthy files
+/// become typed [`Diagnostic`]s, and a file whose profile *hash*
 /// duplicates an earlier file's is dropped with a
 /// [`DiagKind::DuplicateProfile`] diagnostic — what a downstream
 /// thicket build needs (the strict contract keeps duplicates and
@@ -108,7 +107,7 @@ pub fn load_dir(
             };
             Ok((profiles, report))
         }
-        Strictness::Lenient { max_errors } => {
+        Strictness::Lenient => {
             let results = parallel_map_catch(&paths, threads, |p| Profile::load(p));
             let mut profiles = Vec::with_capacity(paths.len());
             let mut diagnostics = Vec::new();
@@ -141,14 +140,6 @@ pub fn load_dir(
                         kind: DiagKind::WorkerPanic(m),
                     }),
                 }
-            }
-            if diagnostics.len() > max_errors {
-                return Err(ProfileError::Malformed(format!(
-                    "lenient load of {} aborted: {} unhealthy files exceed max_errors = {}",
-                    dir.as_ref().display(),
-                    diagnostics.len(),
-                    max_errors
-                )));
             }
             let report = IngestReport {
                 attempted: paths.len(),
@@ -295,7 +286,7 @@ mod tests {
             .collect();
         save_ensemble(&dir, &profiles).unwrap();
         std::fs::write(dir.join("aa-corrupt.json"), "{nope").unwrap();
-        let (loaded, report) = load_dir(&dir, None, Strictness::lenient()).unwrap();
+        let (loaded, report) = load_dir(&dir, None, Strictness::Lenient).unwrap();
         assert_eq!(loaded.len(), 3);
         assert_eq!(report.attempted, 4);
         assert_eq!(report.loaded, 3);
@@ -315,7 +306,7 @@ mod tests {
         let p = simulate_cpu_run(&CpuRunConfig::quartz_default());
         // Two files, identical metadata → identical hash.
         save_ensemble(&dir, &[p.clone(), p]).unwrap();
-        let (loaded, report) = load_dir(&dir, None, Strictness::lenient()).unwrap();
+        let (loaded, report) = load_dir(&dir, None, Strictness::Lenient).unwrap();
         assert_eq!(loaded.len(), 1);
         assert_eq!(report.diagnostics.len(), 1);
         match &report.diagnostics[0].kind {
@@ -330,18 +321,14 @@ mod tests {
     }
 
     #[test]
-    fn max_errors_budget_aborts() {
-        let dir = ScratchDir::new("ensemble-budget");
+    fn lenient_drops_every_bad_file_fail_fast_aborts() {
+        let dir = ScratchDir::new("ensemble-bad-files");
         std::fs::create_dir_all(&dir).unwrap();
         save_ensemble(&dir, &[simulate_cpu_run(&CpuRunConfig::quartz_default())]).unwrap();
         std::fs::write(dir.join("bad1.json"), "{").unwrap();
         std::fs::write(dir.join("bad2.json"), "[").unwrap();
-        // Budget of 2 tolerates both; budget of 1 aborts.
-        let ok = load_dir(&dir, Some(2), Strictness::Lenient { max_errors: 2 });
-        assert_eq!(ok.unwrap().1.dropped(), 2);
-        let err = load_dir(&dir, Some(2), Strictness::Lenient { max_errors: 1 });
-        assert!(err.unwrap_err().to_string().contains("max_errors"));
-        // FailFast through the opts entry point behaves like load_ensemble.
+        let (loaded, report) = load_dir(&dir, Some(2), Strictness::Lenient).unwrap();
+        assert_eq!((loaded.len(), report.dropped()), (1, 2));
         assert!(load_dir(&dir, Some(2), Strictness::FailFast).is_err());
     }
 

@@ -1125,7 +1125,7 @@ mod tests {
         for kind in FaultKind::ENSEMBLE.iter() {
             let dir = fresh_dir(6);
             let path = inject(&dir, *kind, 7).unwrap();
-            let (profiles, report) = load_dir(&dir, None, Strictness::lenient()).unwrap();
+            let (profiles, report) = load_dir(&dir, None, Strictness::Lenient).unwrap();
             assert_eq!(
                 report.diagnostics.len(),
                 1,
@@ -1312,7 +1312,7 @@ mod tests {
         let dir = fresh_dir(6);
         let path = inject(&dir, FaultKind::Truncate, 3).unwrap();
         let cut_len = std::fs::read(&path).unwrap().len();
-        let (_, report) = load_dir(&dir, None, Strictness::lenient()).unwrap();
+        let (_, report) = load_dir(&dir, None, Strictness::Lenient).unwrap();
         match &report.diagnostics[0].kind {
             DiagKind::Parse { offset, .. } => {
                 assert!(*offset <= cut_len, "offset {offset} beyond cut {cut_len}")

@@ -13,8 +13,7 @@
 //! * **lenient** — every source is attempted; the healthy subset is
 //!   returned together with an [`IngestReport`] carrying one typed
 //!   [`Diagnostic`] per dropped source. The report is byte-identical
-//!   across thread counts, and an optional `max_errors` budget upgrades
-//!   a too-broken ensemble back into a hard error.
+//!   across thread counts.
 //!
 //! Every failure path surfaces as a [`DiagKind`]; nothing panics and
 //! nothing is silently dropped.
@@ -28,21 +27,7 @@ pub enum Strictness {
     /// First unhealthy source aborts the load with a typed error.
     FailFast,
     /// Unhealthy sources are dropped and reported.
-    Lenient {
-        /// Maximum number of diagnostics tolerated before the load is
-        /// aborted anyway (an ensemble that is mostly corrupt is more
-        /// likely a caller bug than bit rot). `usize::MAX` ⇒ unlimited.
-        max_errors: usize,
-    },
-}
-
-impl Strictness {
-    /// Lenient with an unlimited error budget.
-    pub fn lenient() -> Strictness {
-        Strictness::Lenient {
-            max_errors: usize::MAX,
-        }
-    }
+    Lenient,
 }
 
 /// What went wrong with one source (a file path or an in-memory
@@ -479,12 +464,6 @@ mod tests {
 
     #[test]
     fn strictness_helpers() {
-        assert_eq!(
-            Strictness::lenient(),
-            Strictness::Lenient {
-                max_errors: usize::MAX
-            }
-        );
-        assert_ne!(Strictness::FailFast, Strictness::lenient());
+        assert_ne!(Strictness::FailFast, Strictness::Lenient);
     }
 }

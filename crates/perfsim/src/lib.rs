@@ -57,7 +57,7 @@ pub use noise::Noise;
 pub use profile::{Profile, ProfileError};
 pub use backoff::Backoff;
 pub use store::{
-    crc32c, AppendMode, CompactReport, FsckReport, Manifest, MetaBlock,
+    crc32c, CompactReport, FsckReport, Manifest, MetaBlock,
     RecoverReport, Snapshot, Store, StoreEntry, StoreError, StoreOptions, StoreReader,
     WriteReport,
 };

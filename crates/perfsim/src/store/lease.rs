@@ -6,7 +6,7 @@
 // whose *name* is the whole protocol: which generation, which process,
 // which pin. The body is never read — arbitrary garbage inside a lease
 // file changes nothing. Liveness is `pid_alive(pid) && mtime age ≤
-// lease_ttl`; long-lived snapshots re-touch the mtime (heartbeat) as
+// LEASE_TTL`; long-lived snapshots re-touch the mtime (heartbeat) as
 // they are used. GC skips every generation with a live lease and reaps
 // stale lease files (dead pid, or heartbeat past the ttl) as it goes.
 //
@@ -24,13 +24,17 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant, SystemTime};
 
+/// Heartbeat window for reader leases: a lease whose mtime is older
+/// than this (or whose owner pid is dead) no longer pins its
+/// generation against GC.
+const LEASE_TTL: Duration = Duration::from_secs(30);
+
 /// One live lease: a pin file on disk plus heartbeat state. Shared
 /// (`Arc`) by every in-process snapshot pinning the same generation.
 pub(crate) struct LeaseCore {
     dir: PathBuf,
     key: (PathBuf, u64),
     file_name: String,
-    ttl: Duration,
     last_touch: Mutex<Instant>,
 }
 
@@ -63,11 +67,7 @@ fn erofs_injected() -> Option<io::Error> {
 /// Acquire (or share) a lease on `gen` in `dir`. `Ok(None)` means the
 /// directory is read-only: no lease can exist, and no GC can run
 /// there either, so handle-only pinning is safe.
-pub(crate) fn acquire(
-    dir: &Path,
-    gen: u64,
-    ttl: Duration,
-) -> Result<Option<Arc<LeaseCore>>, StoreError> {
+pub(crate) fn acquire(dir: &Path, gen: u64) -> Result<Option<Arc<LeaseCore>>, StoreError> {
     let canon = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
     let key = (canon, gen);
     let mut reg = registry().lock();
@@ -89,7 +89,6 @@ pub(crate) fn acquire(
         dir: dir.to_path_buf(),
         key: key.clone(),
         file_name: name,
-        ttl,
         last_touch: Mutex::new(Instant::now()),
     });
     reg.insert(key, Arc::downgrade(&core));
@@ -105,7 +104,7 @@ impl LeaseCore {
     /// the last heartbeat — cheap enough to call on every read.
     pub(crate) fn maybe_heartbeat(&self) {
         let mut last = self.last_touch.lock();
-        if last.elapsed() >= self.ttl / 4 {
+        if last.elapsed() >= LEASE_TTL / 4 {
             *last = Instant::now();
             drop(last);
             self.touch_file();
@@ -155,7 +154,7 @@ pub(crate) struct LeaseScan {
 /// Classify every well-formed `pin-*` name in `names`. Files that
 /// vanish mid-scan are skipped (their owner dropped them — the
 /// happy path).
-pub(crate) fn scan(dir: &Path, names: &[String], lease_ttl: Duration) -> LeaseScan {
+pub(crate) fn scan(dir: &Path, names: &[String]) -> LeaseScan {
     let mut out = LeaseScan {
         pinned: HashSet::new(),
         live: Vec::new(),
@@ -171,7 +170,7 @@ pub(crate) fn scan(dir: &Path, names: &[String], lease_ttl: Duration) -> LeaseSc
         };
         // A future mtime (clock skew) reads as "just touched": err on
         // the side of keeping the lease alive.
-        let fresh = modified.elapsed().map(|age| age <= lease_ttl).unwrap_or(true);
+        let fresh = modified.elapsed().map(|age| age <= LEASE_TTL).unwrap_or(true);
         if pid_alive(pid) && fresh {
             out.pinned.insert(gen);
             out.live.push(name.clone());

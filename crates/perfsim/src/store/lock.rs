@@ -12,7 +12,7 @@
 //   * body unparseable, fresh mtime       → live (a mid-write lock body
 //                                           is indistinguishable from
 //                                           garbage; give it time)
-//   * body unparseable, older than ttl    → stale: take over
+//   * body unparseable, past LOCK_TTL     → stale: take over
 //
 // Takeover renames the stale lock to a dot-temp (one contender wins
 // the rename; the rest see NotFound and re-race the create), deletes
@@ -34,6 +34,10 @@ use crate::backoff::Backoff;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
+
+/// Age past which an *unparseable* lock file counts as abandoned (a
+/// parseable lock with a live owner is never taken over).
+const LOCK_TTL: Duration = Duration::from_secs(10);
 
 /// Exclusive commit right on a store directory; released on drop.
 pub(crate) struct CommitLock {
@@ -72,7 +76,7 @@ pub(crate) enum LockState {
 }
 
 /// Classify the `LOCK` file in `dir` (which may vanish concurrently).
-pub(crate) fn classify_lock(dir: &Path, lock_ttl: Duration) -> LockState {
+pub(crate) fn classify_lock(dir: &Path) -> LockState {
     let path = dir.join(LOCK_NAME);
     let bytes = match std::fs::read(&path) {
         Ok(b) => b,
@@ -92,10 +96,10 @@ pub(crate) fn classify_lock(dir: &Path, lock_ttl: Duration) -> LockState {
                 .ok()
                 .and_then(|t| t.elapsed().ok());
             match age {
-                Some(age) if age > lock_ttl => LockState::Stale(format!(
+                Some(age) if age > LOCK_TTL => LockState::Stale(format!(
                     "unparseable body, {}s past its {}s liveness window",
                     age.as_secs(),
-                    lock_ttl.as_secs()
+                    LOCK_TTL.as_secs()
                 )),
                 // Fresh garbage could be a lock body mid-write.
                 _ => LockState::Live("unparseable but fresh body".to_string()),
@@ -113,14 +117,9 @@ impl CommitLock {
         let token = fresh_token();
         let path = dir.join(LOCK_NAME);
         let start = Instant::now();
-        // Mix our token into the seed so co-seeded contenders still
-        // decorrelate; a caller-fixed seed alone stays reproducible for
-        // a single contender.
-        let mut backoff = Backoff::new(
-            Duration::from_micros(500),
-            Duration::from_millis(50),
-            opts.backoff_seed ^ token,
-        );
+        // Our token seeds the jitter, so contenders decorrelate.
+        let mut backoff =
+            Backoff::new(Duration::from_micros(500), Duration::from_millis(50), token);
         loop {
             match std::fs::OpenOptions::new()
                 .write(true)
@@ -142,7 +141,7 @@ impl CommitLock {
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {}
                 Err(e) => return Err(StoreError::Io(e)),
             }
-            match classify_lock(dir, opts.lock_ttl) {
+            match classify_lock(dir) {
                 LockState::Stale(_) => {
                     // One contender wins the rename and clears the way;
                     // everyone re-races the create immediately.

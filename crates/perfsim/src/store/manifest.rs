@@ -8,7 +8,7 @@ use super::{
 };
 use crate::json::{write_num, write_str, Json, HEX_DIGITS};
 use crate::profile::{json_to_value, value_to_json, Profile};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 use thicket_dataframe::Value;
@@ -45,8 +45,9 @@ pub struct StoreEntry {
     /// Scalar metadata fields, **sorted by key** so lookups are a
     /// binary search instead of a per-call linear scan. Empty in a
     /// manifest's raw entries (the metadata lives in
-    /// [`Manifest::columns`]) — [`StoreReader::entries`] materializes
-    /// it from the columnar index on demand.
+    /// [`Manifest::columns`]) —
+    /// [`StoreReader::entries`](super::StoreReader::entries)
+    /// materializes it from the columnar index on demand.
     pub meta: Vec<(String, Value)>,
 }
 
@@ -194,46 +195,30 @@ pub(crate) fn build_columns<R: AsRef<[(String, Value)]>>(rows: &[R]) -> Vec<Meta
 }
 
 /// The columnar index after an append, from the base's `columns` over
-/// `n_base` profiles: `replaced` rows overwrite base slots (Upsert) and
-/// `tail` rows follow the base. Equal to [`build_columns`] over the
-/// resulting rows, without rebuilding what the batch leaves alone:
+/// `n_base` profiles and the `tail` rows that follow the base. Equal to
+/// [`build_columns`] over the resulting rows, without rebuilding the
+/// base:
 ///
 /// * every base block is decoded once, so a base whose column does not
 ///   decode fails the append;
-/// * a block no replaced row carries, before or after, keeps its mask
-///   and value text verbatim and gains the tail's values at the end;
-/// * a block a replaced row carries is rebuilt from its decoded values;
-/// * a key new in the batch gets an all-absent prefix.
+/// * every base block keeps its mask and value text verbatim and gains
+///   the tail's values at the end;
+/// * a key new in the tail gets an all-absent prefix.
 pub(crate) fn append_columns(
     columns: Vec<MetaBlock>,
     n_base: usize,
-    replaced: &[(usize, &[(String, Value)])],
     tail: &[&[(String, Value)]],
 ) -> Result<Vec<MetaBlock>, String> {
     for b in &columns {
         b.values()?;
     }
-    let replacing: HashMap<usize, &[(String, Value)]> = replaced.iter().copied().collect();
     let mut new_keys: BTreeSet<&str> = BTreeSet::new();
-    for row in replaced.iter().map(|(_, r)| r).chain(tail) {
+    for row in tail {
         new_keys.extend(row.iter().map(|(k, _)| k.as_str()));
     }
     let mut out = Vec::with_capacity(columns.len() + new_keys.len());
     for b in columns {
         new_keys.remove(b.key.as_str());
-        let carried = replaced
-            .iter()
-            .any(|&(i, row)| b.present_at(i) || cell(row, &b.key).is_some());
-        if carried {
-            let vals = b.values()?;
-            let base_cells = (0..n_base).map(|i| match replacing.get(&i) {
-                Some(row) => cell(row, &b.key),
-                None => b.present[i].then(|| &vals[i]),
-            });
-            let tail_cells = tail.iter().map(|row| cell(row, &b.key));
-            out.extend(encode_column(&b.key, base_cells.chain(tail_cells)));
-            continue;
-        }
         let MetaBlock {
             key,
             mut present,
@@ -258,7 +243,7 @@ pub(crate) fn append_columns(
         });
     }
     for key in new_keys {
-        let base_cells = (0..n_base).map(|i| replacing.get(&i).and_then(|row| cell(row, key)));
+        let base_cells = std::iter::repeat_n(None, n_base);
         let tail_cells = tail.iter().map(|row| cell(row, key));
         out.extend(encode_column(key, base_cells.chain(tail_cells)));
     }

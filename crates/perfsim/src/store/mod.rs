@@ -51,23 +51,21 @@
 //!
 //! * **Commit lock.** `save`/`append`/`compact` serialize on an
 //!   advisory `LOCK` file (owner pid + token inside, O_EXCL create).
-//!   Contenders wait with seeded, jittered exponential [`Backoff`](crate::backoff::Backoff) up
+//!   Contenders wait with jittered exponential [`Backoff`](crate::backoff::Backoff) up
 //!   to [`StoreOptions::lock_timeout`], then surface
 //!   [`StoreError::Busy`]. Locks whose owner pid is dead — or whose
-//!   body is garbage and older than [`StoreOptions::lock_ttl`] — are
+//!   body is garbage and older than a 10 s liveness window — are
 //!   taken over; a parseable lock with a live owner never is.
 //! * **Optimistic rebase.** `append` stages (encodes) its batch before
 //!   taking the lock and re-reads the newest manifest after: a
 //!   generation that landed in between simply becomes the new base, so
-//!   a lost update is impossible. Compare-and-swap semantics are
-//!   available via [`StoreOptions::expected_generation`]
-//!   ([`StoreError::Conflict`] when the base moved).
-//! * **Snapshot pinning.** [`StoreReader::pin`] turns a reader into a
+//!   a lost update is impossible.
+//! * **Snapshot pinning.** [`Store::open_pinned`] returns a
 //!   [`Snapshot`] that holds every shard file handle open (an unlinked
 //!   file keeps serving reads) and registers a lease file
 //!   (`pin-<gen>-<pid>-<token>`, heartbeat = mtime). GC skips
 //!   generations with a live lease and reaps leases whose owner died
-//!   or stopped heartbeating.
+//!   or stopped heartbeating for 30 s.
 //! * **Manifest registry.** A process-wide registry (`registry`)
 //!   shares one verified `Arc<Manifest>` per store directory among all
 //!   readers, so an open of an unchanged generation reads a 13-byte
@@ -161,15 +159,6 @@ pub enum StoreError {
         /// How long the writer waited before giving up.
         waited: Duration,
     },
-    /// [`StoreOptions::expected_generation`] compare-and-swap failed:
-    /// another writer committed first. The store is untouched; re-read
-    /// and retry (or drop the expectation to let the append rebase).
-    Conflict {
-        /// The generation the caller expected to commit on top of.
-        expected: u64,
-        /// The newest generation actually present (0 = empty store).
-        found: u64,
-    },
     /// The newest generation is in a format an older build wrote (its
     /// manifest's format tag is `format`). This build neither serves
     /// nor appends to it; run [`Store::compact`] once to migrate it.
@@ -199,10 +188,6 @@ impl fmt::Display for StoreError {
             StoreError::Busy { waited } => {
                 write!(f, "store busy: commit lock held for {waited:?}")
             }
-            StoreError::Conflict { expected, found } => write!(
-                f,
-                "commit conflict: expected generation {expected}, found {found}"
-            ),
             StoreError::NeedsMigration { generation, format } => write!(
                 f,
                 "generation {generation} is in the older format {format}; \
@@ -229,21 +214,6 @@ impl From<ProfileError> for StoreError {
     }
 }
 
-/// How [`Store::append`] treats a profile whose hash the store already
-/// holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AppendMode {
-    /// Skip it: the stored copy wins, [`WriteReport::appended`] does
-    /// not count it. (The historical behavior.)
-    #[default]
-    Skip,
-    /// Replace it: the incoming profile takes over the stored entry's
-    /// slot (replace-by-profile-id); [`WriteReport::replaced`] counts
-    /// these. The superseded record's bytes stay in their shard until
-    /// the next [`Store::compact`].
-    Upsert,
-}
-
 /// Writer knobs.
 #[derive(Debug, Clone)]
 pub struct StoreOptions {
@@ -260,26 +230,9 @@ pub struct StoreOptions {
     /// of points a write passes is reported in
     /// [`WriteReport::crash_points`].
     pub crash_after: Option<usize>,
-    /// Duplicate-hash policy for [`Store::append`].
-    pub append_mode: AppendMode,
-    /// Compare-and-swap: with `Some(g)`, [`Store::append`] commits only
-    /// if the newest generation under the lock is exactly `g` (0 for an
-    /// empty store), surfacing [`StoreError::Conflict`] otherwise.
-    /// `None` (default) lets the append rebase onto whatever is newest.
-    pub expected_generation: Option<u64>,
     /// How long a writer waits for the commit lock before returning
     /// [`StoreError::Busy`].
     pub lock_timeout: Duration,
-    /// Age past which an *unparseable* lock file counts as abandoned
-    /// (a parseable lock with a live owner is never taken over).
-    pub lock_ttl: Duration,
-    /// Heartbeat window for reader leases: a lease whose mtime is older
-    /// than this (or whose owner pid is dead) no longer pins its
-    /// generation against GC.
-    pub lease_ttl: Duration,
-    /// Seed for the contention [`Backoff`](crate::backoff::Backoff) jitter (mixed with a
-    /// per-acquisition token, so a shared seed still decorrelates).
-    pub backoff_seed: u64,
 }
 
 impl Default for StoreOptions {
@@ -288,12 +241,7 @@ impl Default for StoreOptions {
             shard_bytes: 256 * 1024,
             keep_generations: 1,
             crash_after: None,
-            append_mode: AppendMode::Skip,
-            expected_generation: None,
             lock_timeout: Duration::from_secs(30),
-            lock_ttl: Duration::from_secs(10),
-            lease_ttl: Duration::from_secs(30),
-            backoff_seed: 0,
         }
     }
 }
@@ -310,13 +258,9 @@ pub struct WriteReport {
     /// How many distinct profiles this call newly added. Within one
     /// call, the first of the profiles that share a hash wins and the
     /// rest are not counted; for [`Store::save`] that leaves every
-    /// distinct input, while [`Store::append`] also skips or replaces
-    /// profiles whose hash the store already holds.
+    /// distinct input, while [`Store::append`] also skips profiles
+    /// whose hash the store already holds.
     pub appended: usize,
-    /// How many stored profiles this call replaced in place
-    /// ([`AppendMode::Upsert`] only; always 0 under
-    /// [`AppendMode::Skip`]).
-    pub replaced: usize,
     /// Number of enumerated crash points the write passed through (the
     /// valid `crash_after` range for this input is `0..crash_points`).
     pub crash_points: usize,
@@ -504,16 +448,13 @@ impl Store {
     /// Commit `profiles` **on top of** the newest verified generation
     /// as a new generation that reuses the existing shard files —
     /// nothing already stored is rewritten. Of in-batch duplicates the
-    /// first wins. Profiles whose hash the store already holds are
-    /// skipped — or, under [`AppendMode::Upsert`], replace the stored
-    /// copy in place; [`WriteReport::appended`] /
-    /// [`WriteReport::replaced`] count what actually happened.
+    /// first wins, and profiles whose hash the store already holds are
+    /// skipped; [`WriteReport::appended`] counts the rest.
     ///
     /// The batch is staged (encoded) before the commit lock is taken
     /// and the base manifest re-read after — the optimistic rebase: a
     /// generation committed by someone else in between simply becomes
-    /// the new base. Set [`StoreOptions::expected_generation`] for
-    /// compare-and-swap semantics instead.
+    /// the new base.
     ///
     /// The write follows the same stage-then-rename protocol as
     /// [`Store::save`]: new shards land under the new generation's
@@ -531,9 +472,9 @@ impl Store {
     /// parsing the base, decoding its columns and writing the result.
     /// Every base metadata column is decoded once before anything is
     /// written, so a base whose index does not decode fails with
-    /// [`StoreError::Corrupt`] and leaves the directory unchanged. A
-    /// column the batch does not replace keeps its stored text and gains
-    /// the batch's values at its end. GC takes the shards of the base
+    /// [`StoreError::Corrupt`] and leaves the directory unchanged. Every
+    /// column keeps its stored text and gains the batch's values at its
+    /// end. GC takes the shards of the base
     /// and of the new manifest from memory and reads from disk only
     /// other surviving generations (pinned, or kept by
     /// [`StoreOptions::keep_generations`] above 1).
@@ -590,7 +531,7 @@ impl Store {
     /// refused with [`StoreError::NeedsMigration`]: opening never
     /// writes, so it never migrates. The returned reader holds no
     /// handles and no lease: under concurrent GC, prefer
-    /// [`Store::open_pinned`] (or [`StoreReader::pin`]).
+    /// [`Store::open_pinned`].
     ///
     /// Readers in one process share each verified manifest. An open
     /// lists the directory, reads the newest manifest's 13-byte header
@@ -612,12 +553,6 @@ impl Store {
         Ok(StoreReader::new(dir.to_path_buf(), m, manifest_bytes))
     }
 
-    /// Open the newest generation as a pinned [`Snapshot`] with default
-    /// options: see [`Store::open_pinned_opts`].
-    pub fn open_pinned(dir: impl AsRef<Path>) -> Result<Snapshot, StoreError> {
-        Store::open_pinned_opts(dir, &StoreOptions::default())
-    }
-
     /// Open the newest generation as a pinned [`Snapshot`]: shard
     /// handles held open and a GC lease registered, so concurrent
     /// appends, compactions, and GC (this process or another) can never
@@ -629,28 +564,15 @@ impl Store {
     ///
     /// The manifest is shared as [`Store::open`] describes; the lease,
     /// the shard handles and the retry stay per snapshot.
-    pub fn open_pinned_opts(
-        dir: impl AsRef<Path>,
-        opts: &StoreOptions,
-    ) -> Result<Snapshot, StoreError> {
-        reader::open_pinned(dir.as_ref(), opts)
+    pub fn open_pinned(dir: impl AsRef<Path>) -> Result<Snapshot, StoreError> {
+        reader::open_pinned(dir.as_ref())
     }
 
     /// Deep-verify every generation and classify all corruption —
     /// including stale coordination files (orphaned `LOCK` / `pin-*`
-    /// leases) — with default options.
+    /// leases).
     pub fn fsck(dir: impl AsRef<Path>) -> Result<FsckReport, StoreError> {
-        Store::fsck_opts(dir, &StoreOptions::default())
-    }
-
-    /// [`Store::fsck`] with explicit options
-    /// ([`StoreOptions::lock_ttl`] / [`StoreOptions::lease_ttl`] govern
-    /// when coordination files count as stale).
-    pub fn fsck_opts(
-        dir: impl AsRef<Path>,
-        opts: &StoreOptions,
-    ) -> Result<FsckReport, StoreError> {
-        verify::fsck(dir.as_ref(), opts)
+        verify::fsck(dir.as_ref())
     }
 
     /// Repair the directory to a consistent state:
@@ -671,15 +593,6 @@ impl Store {
     /// cleanly and [`Store::open`] serves exactly one complete
     /// generation.
     pub fn recover(dir: impl AsRef<Path>) -> Result<RecoverReport, StoreError> {
-        Store::recover_opts(dir, &StoreOptions::default())
-    }
-
-    /// [`Store::recover`] with explicit options (coordination-file
-    /// ttls, lock acquisition windows for the salvage rewrite).
-    pub fn recover_opts(
-        dir: impl AsRef<Path>,
-        opts: &StoreOptions,
-    ) -> Result<RecoverReport, StoreError> {
-        verify::recover(dir.as_ref(), opts)
+        verify::recover(dir.as_ref())
     }
 }

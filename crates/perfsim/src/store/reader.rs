@@ -6,7 +6,7 @@ use super::crc::crc32c;
 use super::layout::manifest_name;
 use super::lease::{self, LeaseCore};
 use super::manifest::{Manifest, ShardInfo, StoreEntry};
-use super::{Store, StoreError, StoreOptions, RECORD_HEADER_BYTES};
+use super::{Store, StoreError, RECORD_HEADER_BYTES};
 use crate::backoff::Backoff;
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
 use crate::parallel::{parallel_map_catch, JobFailure};
@@ -53,12 +53,6 @@ impl StoreReader {
         }
     }
 
-    /// Pin this reader's generation with default [`StoreOptions`]: see
-    /// [`StoreReader::pin_opts`].
-    pub fn pin(self) -> Result<Snapshot, StoreError> {
-        self.pin_opts(&StoreOptions::default())
-    }
-
     /// Turn this reader into a generation-pinned [`Snapshot`].
     ///
     /// Pinning does two things, in this order:
@@ -73,13 +67,13 @@ impl StoreReader {
     ///
     /// If the generation was collected in the window between
     /// [`Store::open`] and the handle opens, the pin fails with a
-    /// retryable [`StoreError::NoGeneration`] — [`Store::open_pinned`]
-    /// wraps the open-pin-retry loop. On read-only media (where no
-    /// lease file can be written, but no GC can run either) the
-    /// snapshot degrades to handle-only pinning.
-    pub fn pin_opts(mut self, opts: &StoreOptions) -> Result<Snapshot, StoreError> {
+    /// retryable [`StoreError::NoGeneration`] — [`open_pinned`] wraps
+    /// the open-pin-retry loop. On read-only media (where no lease file
+    /// can be written, but no GC can run either) the snapshot degrades
+    /// to handle-only pinning.
+    pub(crate) fn pin(mut self) -> Result<Snapshot, StoreError> {
         let gen = self.manifest.generation;
-        let lease = lease::acquire(&self.dir, gen, opts.lease_ttl)?;
+        let lease = lease::acquire(&self.dir, gen)?;
         let mut handles = Vec::with_capacity(self.manifest.shards.len());
         for info in &self.manifest.shards {
             match File::open(self.dir.join(&info.file)) {
@@ -498,9 +492,9 @@ pub(crate) fn record_index_of(m: &Manifest, i: usize) -> usize {
 
 /// A generation-pinned [`StoreReader`]: shard handles held open (reads
 /// survive unlink) and a GC lease registered (GC skips the generation
-/// while the snapshot lives). Created by [`StoreReader::pin`] /
-/// [`Store::open_pinned`]; derefs to [`StoreReader`], so every load
-/// and select method is available unchanged.
+/// while the snapshot lives). Created by [`Store::open_pinned`]; derefs
+/// to [`StoreReader`], so every load and select method is available
+/// unchanged.
 ///
 /// In-process snapshots of the same (directory, generation) share one
 /// lease file via a refcount; dropping the last snapshot removes it.
@@ -545,18 +539,18 @@ impl Deref for Snapshot {
 /// re-opens whatever generation is newest *now*. An open that finds no
 /// verifiable generation, and every other error, returns at once:
 /// waiting cannot make an empty or broken store pinnable.
-pub(crate) fn open_pinned(dir: &Path, opts: &StoreOptions) -> Result<Snapshot, StoreError> {
+pub(crate) fn open_pinned(dir: &Path) -> Result<Snapshot, StoreError> {
     let mut backoff = Backoff::new(
         std::time::Duration::from_micros(100),
         std::time::Duration::from_millis(20),
-        opts.backoff_seed,
+        0,
     );
     let mut last = None;
     for attempt in 0..32 {
         if attempt > 0 {
             std::thread::sleep(backoff.next_delay());
         }
-        match Store::open(dir)?.pin_opts(opts) {
+        match Store::open(dir)?.pin() {
             Ok(snap) => return Ok(snap),
             Err(e @ StoreError::NoGeneration(_)) => last = Some(e),
             Err(e) => return Err(e),

@@ -831,86 +831,6 @@ fn zero_profile_store_roundtrips() {
 }
 
 #[test]
-fn upsert_replaces_by_profile_id() {
-    let dir = ScratchDir::new("store-upsert");
-    let mut profiles = runs(4);
-    Store::save(&dir, &profiles).unwrap();
-    // Same metadata (same profile hash), different measurements.
-    let node = profiles[1].graph().roots()[0];
-    profiles[1].set_metric(node, "time (exc)", 123_456.0);
-    let updated = profiles[1].clone();
-    // Skip mode ignores the duplicate hash entirely...
-    let rep = Store::append(&dir, std::slice::from_ref(&updated)).unwrap();
-    assert_eq!((rep.appended, rep.replaced), (0, 0));
-    // ...upsert replaces the stored copy in place.
-    let opts = StoreOptions {
-        append_mode: AppendMode::Upsert,
-        ..StoreOptions::default()
-    };
-    let rep = Store::append_opts(&dir, std::slice::from_ref(&updated), &opts).unwrap();
-    assert_eq!((rep.appended, rep.replaced), (0, 1));
-    assert_eq!(rep.profiles, 4);
-    let reader = Store::open(&dir).unwrap();
-    let (loaded, lr) = reader.load_all().unwrap();
-    assert!(lr.is_clean(), "{lr}");
-    assert_eq!(loaded.len(), 4);
-    let got = loaded
-        .iter()
-        .find(|p| p.profile_hash() == updated.profile_hash())
-        .expect("updated profile present");
-    let n = got.graph().roots()[0];
-    assert_eq!(got.metric(n, "time (exc)"), Some(123_456.0));
-    // A mixed batch: one fresh profile, one replacement.
-    let mut batch = runs(6);
-    let fresh = batch.pop().unwrap();
-    let mut repl = profiles[2].clone();
-    let n2 = repl.graph().roots()[0];
-    repl.set_metric(n2, "time (exc)", 9.0);
-    let rep = Store::append_opts(&dir, &[fresh, repl], &opts).unwrap();
-    assert_eq!((rep.appended, rep.replaced), (1, 1));
-    assert_eq!(rep.profiles, 5);
-    // The superseded bytes are reclaimed by compaction, not the append.
-    Store::compact(&dir).unwrap();
-    let (after, _) = Store::open(&dir).unwrap().load_all().unwrap();
-    assert_eq!(after.len(), 5);
-}
-
-#[test]
-fn append_cas_surfaces_conflict() {
-    let dir = ScratchDir::new("store-cas");
-    let profiles = runs(3);
-    Store::save(&dir, &profiles[..2]).unwrap(); // generation 1
-    // CAS against a stale expectation fails typed, touching nothing.
-    let opts = StoreOptions {
-        expected_generation: Some(7),
-        ..StoreOptions::default()
-    };
-    match Store::append_opts(&dir, &profiles[2..], &opts) {
-        Err(StoreError::Conflict { expected: 7, found: 1 }) => {}
-        other => panic!("expected Conflict, got {other:?}"),
-    }
-    assert_eq!(Store::open(&dir).unwrap().generation(), 1);
-    // The right expectation commits.
-    let opts = StoreOptions {
-        expected_generation: Some(1),
-        ..StoreOptions::default()
-    };
-    let rep = Store::append_opts(&dir, &profiles[2..], &opts).unwrap();
-    assert_eq!(rep.generation, 2);
-    assert_eq!(rep.appended, 1);
-    // CAS against an empty store expects generation 0.
-    let empty = ScratchDir::new("store-cas-empty");
-    let opts = StoreOptions {
-        expected_generation: Some(3),
-        ..StoreOptions::default()
-    };
-    match Store::append_opts(&empty, &profiles[..1], &opts) {
-        Err(StoreError::Conflict { expected: 3, found: 0 }) => {}
-        other => panic!("expected Conflict, got {other:?}"),
-    }
-}
-
-#[test]
 fn live_foreign_lock_surfaces_busy() {
     let dir = ScratchDir::new("store-busy");
     let profiles = runs(2);
@@ -1398,15 +1318,10 @@ fn column_and_gc_oracle(seed: u64, keep: usize, pin: bool) {
     let commits = rng.gen_range(2..=6usize);
     for c in 0..commits {
         let ctx = format!("seed {seed} keep {keep} pin {pin} commit {c}");
-        let op = if c == 0 { 0 } else { rng.gen_range(1..4u8) };
+        let op = if c == 0 { 0 } else { rng.gen_range(1..3u8) };
         let opts = StoreOptions {
             keep_generations: keep,
             shard_bytes: rng.gen_range(1..400usize),
-            append_mode: if op == 2 {
-                AppendMode::Upsert
-            } else {
-                AppendMode::Skip
-            },
             ..StoreOptions::default()
         };
         // Keys come and go: a few shared ones and one per commit.
@@ -1442,7 +1357,7 @@ fn column_and_gc_oracle(seed: u64, keep: usize, pin: bool) {
         let profiles: Vec<Profile> = batch.iter().map(|(r, t)| tiny(r, *t)).collect();
         let hash = |(r, t): &(Vec<(String, Value)>, f64)| tiny(r, *t).profile_hash();
         let generation = match op {
-            0..=2 => {
+            0 | 1 => {
                 let report = if op == 0 {
                     Store::save_opts(&dir, &profiles, &opts).unwrap()
                 } else {
@@ -1453,10 +1368,8 @@ fn column_and_gc_oracle(seed: u64, keep: usize, pin: bool) {
                 }
                 let mut seen = std::collections::HashSet::new();
                 for item in batch.iter().filter(|item| seen.insert(hash(item))) {
-                    match model.iter().position(|m| hash(m) == hash(item)) {
-                        Some(i) if op == 2 => model[i] = item.clone(),
-                        Some(_) => {}
-                        None => model.push(item.clone()),
+                    if !model.iter().any(|m| hash(m) == hash(item)) {
+                        model.push(item.clone());
                     }
                 }
                 report.generation

@@ -10,8 +10,7 @@ use super::lock::{classify_lock, LockState};
 use super::manifest::{Manifest, ShardInfo};
 use super::{lease, legacy};
 use super::{
-    FsckReport, GenCheck, RecoverReport, Store, StoreError, StoreOptions, RECORD_HEADER_BYTES,
-    SHARD_MAGIC,
+    FsckReport, GenCheck, RecoverReport, Store, StoreError, RECORD_HEADER_BYTES, SHARD_MAGIC,
 };
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
 use crate::profile::Profile;
@@ -192,7 +191,7 @@ fn check_shard(
 /// `pin-*` reader leases — are classified too: stale ones (dead owner
 /// pid, or heartbeat past its ttl) become typed findings that
 /// [`Store::recover`] reaps, live ones are reported untouched.
-pub(crate) fn fsck(dir: &Path, opts: &StoreOptions) -> Result<FsckReport, StoreError> {
+pub(crate) fn fsck(dir: &Path) -> Result<FsckReport, StoreError> {
     let names = list_dir(dir)?;
     let mut gens: Vec<u64> = names
         .iter()
@@ -272,7 +271,7 @@ pub(crate) fn fsck(dir: &Path, opts: &StoreOptions) -> Result<FsckReport, StoreE
     let mut coordination = Vec::new();
     let mut live_lock = None;
     if names.iter().any(|n| n == LOCK_NAME) {
-        match classify_lock(dir, opts.lock_ttl) {
+        match classify_lock(dir) {
             LockState::Live(owner) => live_lock = Some(owner),
             LockState::Stale(why) => coordination.push(Diagnostic {
                 source: LOCK_NAME.to_string(),
@@ -281,7 +280,7 @@ pub(crate) fn fsck(dir: &Path, opts: &StoreOptions) -> Result<FsckReport, StoreE
             LockState::Gone => {}
         }
     }
-    let leases = lease::scan(dir, &names, opts.lease_ttl);
+    let leases = lease::scan(dir, &names);
     for name in leases.stale {
         coordination.push(Diagnostic {
             source: name.clone(),
@@ -306,8 +305,8 @@ pub(crate) fn fsck(dir: &Path, opts: &StoreOptions) -> Result<FsckReport, StoreE
 }
 
 /// Repair the directory to a consistent state (see [`Store::recover`]).
-pub(crate) fn recover(dir: &Path, opts: &StoreOptions) -> Result<RecoverReport, StoreError> {
-    let fsck = fsck(dir, opts)?;
+pub(crate) fn recover(dir: &Path) -> Result<RecoverReport, StoreError> {
+    let fsck = fsck(dir)?;
     let mut removed = Vec::new();
     let mut diagnostics = Vec::new();
 
@@ -416,23 +415,13 @@ pub(crate) fn recover(dir: &Path, opts: &StoreOptions) -> Result<RecoverReport, 
         )));
     }
 
-    // Rewrite the survivors as a fresh generation (default layout, but
-    // the caller's coordination windows), then drop every older file.
+    // Rewrite the survivors as a fresh generation, then drop every
+    // older file.
     let old_files: Vec<String> = list_dir(dir)?
         .into_iter()
         .filter(|n| parse_shard_name(n).is_some() || parse_manifest_name(n).is_some())
         .collect();
-    let report = Store::save_opts(
-        dir,
-        &salvaged,
-        &StoreOptions {
-            lock_timeout: opts.lock_timeout,
-            lock_ttl: opts.lock_ttl,
-            lease_ttl: opts.lease_ttl,
-            backoff_seed: opts.backoff_seed,
-            ..StoreOptions::default()
-        },
-    )?;
+    let report = Store::save(dir, &salvaged)?;
     // The salvage save may reuse a generation number whose manifest never
     // committed (the crashed writer left only a temp), so its fresh files
     // can collide with `old_files` names. Never delete what we just wrote.

@@ -19,16 +19,15 @@ use super::manifest::{
 };
 use super::reader::{record_index_of, PayloadSlice, StoreReader};
 use super::{
-    lease, legacy, AppendMode, CompactReport, StoreError, StoreOptions, WriteReport,
-    RECORD_HEADER_BYTES, SHARD_MAGIC,
+    lease, legacy, CompactReport, StoreError, StoreOptions, WriteReport, RECORD_HEADER_BYTES,
+    SHARD_MAGIC,
 };
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
 use crate::profile::Profile;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 use thicket_dataframe::Value;
 
 /// Counts the writer's enumerated crash points and aborts at the
@@ -220,17 +219,16 @@ fn remove_quiet(dir: &Path, name: &str) -> Result<(), StoreError> {
 ///
 /// Generations holding a live reader lease are skipped entirely (their
 /// manifest survives, so their shards stay referenced); stale lease
-/// files — dead owner pid or heartbeat past `lease_ttl` — are reaped
-/// along the way.
+/// files — dead owner pid or expired heartbeat — are reaped along the
+/// way.
 fn gc_generations(
     dir: &Path,
     cutoff: u64,
-    lease_ttl: Duration,
     held: &[(u64, &[ShardInfo])],
     clock: &mut CrashClock,
 ) -> Result<(), StoreError> {
     let names = list_dir(dir)?;
-    let leases = lease::scan(dir, &names, lease_ttl);
+    let leases = lease::scan(dir, &names);
     for name in &names {
         if parse_manifest_name(name).is_some_and(|g| g < cutoff && !leases.pinned.contains(&g)) {
             remove_quiet(dir, name)?;
@@ -353,7 +351,6 @@ pub(crate) fn save_locked(
     gc_generations(
         dir,
         gen.saturating_sub(opts.keep_generations as u64),
-        opts.lease_ttl,
         &[(gen, &manifest.shards)],
         &mut clock,
     )?;
@@ -363,7 +360,6 @@ pub(crate) fn save_locked(
         shards: packs.len(),
         profiles: staged.len(),
         appended: staged.len(),
-        replaced: 0,
         crash_points: clock.next,
     })
 }
@@ -372,9 +368,7 @@ pub(crate) fn save_locked(
 /// lock; the base manifest is (re-)read *here*, under the lock — that
 /// re-read is the optimistic rebase: a generation committed after the
 /// caller staged its batch simply becomes the new base, and lost
-/// updates are impossible by construction. With
-/// [`StoreOptions::expected_generation`] set, a moved base is instead
-/// surfaced as [`StoreError::Conflict`].
+/// updates are impossible by construction.
 pub(crate) fn append_locked(
     dir: &Path,
     staged: &[Staged],
@@ -388,49 +382,22 @@ pub(crate) fn append_locked(
         Err(StoreError::NoGeneration(_)) if list_generations(dir)?.is_empty() => None,
         Err(e) => return Err(e),
     };
-    // Never write a store that mixes encodings: appending onto an older
-    // build's generation waits for the migrator.
-    if let Some(m) = &base {
-        m.ensure_current()?;
-    }
-    if let Some(expected) = opts.expected_generation {
-        let found = base.as_ref().map(|m| m.generation).unwrap_or(0);
-        if found != expected {
-            return Err(StoreError::Conflict { expected, found });
-        }
-    }
     let Some(mut base) = base else {
         // No generation at all: an append is exactly a save.
         return save_locked(dir, staged, opts);
     };
-    let base_index: HashMap<i64, usize> = base
-        .profiles
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.hash, i))
-        .collect();
-    // In-batch duplicates: first occurrence wins in both modes. Against
-    // the base, Skip drops known hashes; Upsert rewrites them.
-    let mut batch_seen: HashSet<i64> = HashSet::new();
-    let writing: Vec<&Staged> = staged
-        .iter()
-        .filter(|s| {
-            batch_seen.insert(s.hash)
-                && (opts.append_mode == AppendMode::Upsert || !base_index.contains_key(&s.hash))
-        })
-        .collect();
-    let mut replaced: Vec<(usize, &[(String, Value)])> = Vec::new();
-    let mut tail: Vec<&[(String, Value)]> = Vec::new();
-    for s in &writing {
-        match base_index.get(&s.hash) {
-            Some(&bi) => replaced.push((bi, &s.row)),
-            None => tail.push(&s.row),
-        }
-    }
+    // Never write a store that mixes encodings: appending onto an older
+    // build's generation waits for the migrator.
+    base.ensure_current()?;
+    // Of in-batch duplicates the first wins; hashes the base already
+    // holds are skipped (seeding `seen` with them does both at once).
+    let mut seen: HashSet<i64> = base.profiles.iter().map(|e| e.hash).collect();
+    let writing: Vec<&Staged> = staged.iter().filter(|s| seen.insert(s.hash)).collect();
+    let tail: Vec<&[(String, Value)]> = writing.iter().map(|s| s.row.as_slice()).collect();
     // Decodes every base column before anything is written: a base
     // whose index does not decode fails here, typed, untouched.
     let n_base = base.profiles.len();
-    let columns = append_columns(std::mem::take(&mut base.columns), n_base, &replaced, &tail)
+    let columns = append_columns(std::mem::take(&mut base.columns), n_base, &tail)
         .map_err(StoreError::Corrupt)?;
     let mut clock = CrashClock {
         next: 0,
@@ -452,16 +419,12 @@ pub(crate) fn append_locked(
     let shard_base = shards.len();
     shards.extend(new_infos);
     let mut entries = std::mem::take(&mut base.profiles);
-    for (s, pl) in writing.iter().zip(&placements) {
-        let entry = pl.entry(s.hash, shard_base);
-        match base_index.get(&s.hash) {
-            // Upsert: the entry is replaced in place (storage order
-            // keeps the original slot); the superseded record's bytes
-            // stay in their shard until the next compact.
-            Some(&bi) => entries[bi] = entry,
-            None => entries.push(entry),
-        }
-    }
+    entries.extend(
+        writing
+            .iter()
+            .zip(&placements)
+            .map(|(s, pl)| pl.entry(s.hash, shard_base)),
+    );
     let manifest = Manifest {
         generation: gen,
         shards,
@@ -474,7 +437,6 @@ pub(crate) fn append_locked(
     gc_generations(
         dir,
         gen.saturating_sub(opts.keep_generations as u64),
-        opts.lease_ttl,
         &[
             (gen, &manifest.shards),
             (base.generation, &manifest.shards[..shard_base]),
@@ -486,8 +448,7 @@ pub(crate) fn append_locked(
         generation: gen,
         shards: packs.len(),
         profiles: manifest.profiles.len(),
-        appended: tail.len(),
-        replaced: replaced.len(),
+        appended: writing.len(),
         crash_points: clock.next,
     })
 }
@@ -569,7 +530,6 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
     gc_generations(
         dir,
         gen.saturating_sub(opts.keep_generations as u64),
-        opts.lease_ttl,
         &[(gen, &manifest.shards), (base.generation, &base.shards)],
         &mut clock,
     )?;

@@ -42,7 +42,7 @@ fn mixed_health_dir_loads_healthy_subset_identically_across_threads() {
     let mut reports = Vec::new();
     for threads in [1, 2, 8] {
         let (profiles, report) =
-            load_dir(&dir, Some(threads), Strictness::lenient()).unwrap();
+            load_dir(&dir, Some(threads), Strictness::Lenient).unwrap();
         assert_eq!(profiles.len(), expected_profiles, "threads={threads}");
         assert_eq!(report.dropped(), expected_diags, "threads={threads}");
         assert_eq!(report.loaded, expected_profiles);
@@ -99,26 +99,9 @@ fn fail_fast_strictness_matches_strict_loader() {
 }
 
 #[test]
-fn max_errors_budget_escalates_to_hard_error() {
-    let (dir, faults) = corrupted_dir(7);
-    // Budget below the fault count: hard error.
-    let r = load_dir(&dir, Some(2), Strictness::Lenient { max_errors: 2 });
-    assert!(r.is_err(), "{} faults must blow a budget of 2", faults.len());
-    // Budget at the fault count: fine.
-    let r = load_dir(
-        &dir,
-        Some(2),
-        Strictness::Lenient {
-            max_errors: faults.len(),
-        },
-    );
-    assert!(r.is_ok());
-}
-
-#[test]
 fn diagnostics_are_path_ordered() {
     let (dir, _) = corrupted_dir(13);
-    let (_, report) = load_dir(&dir, Some(8), Strictness::lenient()).unwrap();
+    let (_, report) = load_dir(&dir, Some(8), Strictness::Lenient).unwrap();
     let sources: Vec<&String> = report.diagnostics.iter().map(|d| &d.source).collect();
     let mut sorted = sources.clone();
     sorted.sort();

@@ -5,9 +5,9 @@
 //! ([`ServeError::Overloaded`]), store contention
 //! ([`ServeError::Busy`]), a draining server, or a connection-level
 //! I/O failure (the daemon restarting) — are retried under the
-//! seedable equal-jitter [`Backoff`], bounded by
-//! [`Backoff::with_deadline`] so the *total* sleep across all retries
-//! never exceeds the client's request budget. The server's
+//! equal-jitter [`Backoff`], bounded by [`Backoff::with_deadline`] so
+//! the *total* sleep across all retries never exceeds the client's
+//! 10 s request budget. The server's
 //! `retry_after` hint acts as a floor on each sleep, clamped to the
 //! remaining wall budget so the bound still holds. Non-retryable
 //! failures (bad request, internal error, deadline) surface
@@ -32,36 +32,15 @@ use thicket_perfsim::{Backoff, Json, Profile};
 use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 use crate::proto::{NodeStat, Request, Response, ServeError, StatusInfo};
 
-/// Client configuration.
-#[derive(Debug, Clone)]
-pub struct ClientOptions {
-    /// Cap on a declared response frame length, checked pre-allocation.
-    pub max_frame: usize,
-    /// Total request budget: wall time across every attempt and every
-    /// backoff sleep.
-    pub deadline: Duration,
-    /// First backoff slot.
-    pub backoff_base: Duration,
-    /// Backoff slot cap.
-    pub backoff_cap: Duration,
-    /// Jitter seed — fix it for reproducible retry schedules.
-    pub backoff_seed: u64,
-    /// Socket read timeout while waiting for the response.
-    pub read_timeout: Duration,
-}
-
-impl Default for ClientOptions {
-    fn default() -> Self {
-        ClientOptions {
-            max_frame: DEFAULT_MAX_FRAME,
-            deadline: Duration::from_secs(10),
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(500),
-            backoff_seed: 0,
-            read_timeout: Duration::from_secs(5),
-        }
-    }
-}
+/// Total request budget: wall time across every attempt and every
+/// backoff sleep.
+const DEADLINE: Duration = Duration::from_secs(10);
+/// First backoff slot.
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+/// Backoff slot cap.
+const BACKOFF_CAP: Duration = Duration::from_millis(500);
+/// Socket read (and write) timeout while waiting for the response.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -105,10 +84,11 @@ impl std::error::Error for ClientError {}
 /// connection, established lazily and reused across requests; the
 /// client is `Send`, and a clone starts with its own connection slot
 /// (clones never serialize behind each other's in-flight requests).
+/// Declared response frame lengths are capped at [`DEFAULT_MAX_FRAME`]
+/// before allocation.
 #[derive(Debug)]
 pub struct ThicketClient {
     addr: String,
-    opts: ClientOptions,
     /// The cached connection. `None` until the first request, and
     /// again after any wire-level failure invalidates it.
     conn: Arc<Mutex<Option<TcpStream>>>,
@@ -118,35 +98,28 @@ impl Clone for ThicketClient {
     fn clone(&self) -> ThicketClient {
         ThicketClient {
             addr: self.addr.clone(),
-            opts: self.opts.clone(),
             conn: Arc::new(Mutex::new(None)),
         }
     }
 }
 
 impl ThicketClient {
-    /// A client with default options.
+    /// A client for `addr`; it dials on the first request.
     pub fn new(addr: impl Into<String>) -> ThicketClient {
         ThicketClient {
             addr: addr.into(),
-            opts: ClientOptions::default(),
             conn: Arc::new(Mutex::new(None)),
         }
-    }
-
-    /// A client with explicit options.
-    pub fn with_options(addr: impl Into<String>, opts: ClientOptions) -> ThicketClient {
-        ThicketClient { addr: addr.into(), opts, conn: Arc::new(Mutex::new(None)) }
     }
 
     /// Dial and configure a fresh connection.
     fn connect(&self) -> Result<TcpStream, ClientError> {
         let stream = TcpStream::connect(&self.addr).map_err(ClientError::Io)?;
         stream
-            .set_read_timeout(Some(self.opts.read_timeout))
+            .set_read_timeout(Some(READ_TIMEOUT))
             .map_err(ClientError::Io)?;
         stream
-            .set_write_timeout(Some(self.opts.read_timeout))
+            .set_write_timeout(Some(READ_TIMEOUT))
             .map_err(ClientError::Io)?;
         let _ = stream.set_nodelay(true);
         Ok(stream)
@@ -155,7 +128,7 @@ impl ThicketClient {
     /// One framed request/response exchange on an open connection.
     fn round_trip(&self, stream: &mut TcpStream, payload: &[u8]) -> Result<Response, ClientError> {
         write_frame(stream, payload).map_err(ClientError::Io)?;
-        let frame = read_frame(stream, self.opts.max_frame, self.opts.read_timeout)
+        let frame = read_frame(stream, DEFAULT_MAX_FRAME, READ_TIMEOUT)
             .map_err(ClientError::Frame)?
             .ok_or_else(|| {
                 ClientError::Io(std::io::Error::new(
@@ -206,15 +179,10 @@ impl ThicketClient {
     pub fn request(&self, request: &Request) -> Result<Response, ClientError> {
         let payload = request.to_json().to_string_compact().into_bytes();
         let start = Instant::now();
-        let mut backoff = Backoff::new(
-            self.opts.backoff_base,
-            self.opts.backoff_cap,
-            self.opts.backoff_seed,
-        )
-        .with_deadline(self.opts.deadline);
+        let mut backoff = Backoff::new(BACKOFF_BASE, BACKOFF_CAP, 0).with_deadline(DEADLINE);
         let mut last: Option<String> = None;
         loop {
-            if start.elapsed() >= self.opts.deadline {
+            if start.elapsed() >= DEADLINE {
                 return Err(ClientError::DeadlineExceeded { last });
             }
             let (transient, hint) = match self.attempt(&payload) {
@@ -241,7 +209,7 @@ impl ThicketClient {
             let Some(delay) = backoff.next() else {
                 return Err(ClientError::DeadlineExceeded { last });
             };
-            let wall_left = self.opts.deadline.saturating_sub(start.elapsed());
+            let wall_left = DEADLINE.saturating_sub(start.elapsed());
             let sleep = delay.max(hint.unwrap_or(Duration::ZERO)).min(wall_left);
             if sleep.is_zero() && wall_left.is_zero() {
                 return Err(ClientError::DeadlineExceeded { last });

@@ -8,9 +8,9 @@
 //! The crate is std-only: `std::net::TcpListener`, `std::thread`, and
 //! the workspace's own building blocks — the hardened
 //! [`thicket_perfsim::json`] codec on the wire, MVCC snapshot pinning
-//! ([`thicket_perfsim::Store::open_pinned_opts`]) per request, and the
-//! seedable equal-jitter [`thicket_perfsim::Backoff`] (deadline-bounded
-//! via `with_deadline`) driving client retries.
+//! ([`thicket_perfsim::Store::open_pinned`]) per request, and the
+//! equal-jitter [`thicket_perfsim::Backoff`] (deadline-bounded via
+//! `with_deadline`) driving client retries.
 //!
 //! Layering:
 //!
@@ -36,7 +36,7 @@ pub mod frame;
 pub mod proto;
 pub mod server;
 
-pub use client::{ClientError, ClientOptions, ThicketClient};
+pub use client::{ClientError, ThicketClient};
 pub use frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 pub use proto::{NodeStat, Request, Response, ServeError, StatusInfo};
 pub use server::{ServeOptions, Server};

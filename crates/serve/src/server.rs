@@ -13,7 +13,7 @@
 //!   hint) instead of queueing unboundedly — the client backs off, the
 //!   server never falls behind silently.
 //! * **One pin per request.** Every data-touching request opens a
-//!   generation-pinned snapshot ([`Store::open_pinned_opts`]) *inside*
+//!   generation-pinned snapshot ([`Store::open_pinned`]) *inside*
 //!   the request scope and releases it on every exit path: success,
 //!   typed error, deadline, client disconnect, and worker panic (the
 //!   snapshot lives inside the `catch_unwind` closure, so an unwind
@@ -46,45 +46,41 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use thicket_core::{ProfileSource, StoreSource, Thicket, ThicketError};
-use thicket_perfsim::{
-    default_threads, Json, Profile, Store, StoreError, StoreOptions, Strictness,
-};
+use thicket_perfsim::{default_threads, Json, Profile, Store, StoreError, Strictness};
 use thicket_query::parse_pred;
 
 use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
 use crate::proto::{NodeStat, Request, Response, ServeError, StatusInfo};
 
-/// Server configuration.
+/// Retry hint attached to `Overloaded` responses.
+const RETRY_AFTER: Duration = Duration::from_millis(50);
+
+/// Harvest a connection (close it, freeing its worker) after this much
+/// continuous idleness between requests. With persistent client
+/// connections a worker is held for a connection's lifetime, so without
+/// a harvest `workers` idle clients would starve everyone else; the
+/// client's reconnect-on-stale path makes the close invisible to it.
+const IDLE_HARVEST: Duration = Duration::from_secs(5);
+
+/// Server configuration. Declared frame lengths are capped at
+/// [`DEFAULT_MAX_FRAME`] before allocation.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Worker threads handling connections.
     pub workers: usize,
     /// Depth of the bounded accept→worker queue; a full queue sheds.
     pub queue_depth: usize,
-    /// Cap on a declared frame length (bytes), checked pre-allocation.
-    pub max_frame: usize,
     /// Per-request deadline, measured from the completed request frame.
     pub request_deadline: Duration,
-    /// Retry hint attached to `Overloaded` responses.
-    pub retry_after: Duration,
     /// Socket read timeout: the tick at which idle workers poll the
     /// shutdown flag.
     pub idle_timeout: Duration,
-    /// Harvest a connection (close it, freeing its worker) after this
-    /// much continuous idleness between requests. With persistent
-    /// client connections a worker is held for a connection's
-    /// lifetime, so without a harvest `workers` idle clients would
-    /// starve everyone else; the client's reconnect-on-stale path
-    /// makes the close invisible to it.
-    pub idle_harvest: Duration,
     /// Wall-time budget for one frame, first byte to last (the
     /// slow-loris cut).
     pub frame_deadline: Duration,
     /// Enable `debug_sleep` / `debug_panic` (tests only; off by
     /// default so production servers reject them as bad requests).
     pub enable_debug_ops: bool,
-    /// Store knobs the per-request pins use (lease ttl, lock timeout).
-    pub store: StoreOptions,
 }
 
 impl Default for ServeOptions {
@@ -92,14 +88,10 @@ impl Default for ServeOptions {
         ServeOptions {
             workers: 2,
             queue_depth: 32,
-            max_frame: DEFAULT_MAX_FRAME,
             request_deadline: Duration::from_secs(10),
-            retry_after: Duration::from_millis(50),
             idle_timeout: Duration::from_millis(200),
-            idle_harvest: Duration::from_secs(5),
             frame_deadline: Duration::from_secs(2),
             enable_debug_ops: false,
-            store: StoreOptions::default(),
         }
     }
 }
@@ -163,8 +155,7 @@ impl Server {
         let accept = {
             let shutdown = Arc::clone(&shutdown);
             let stats = Arc::clone(&stats);
-            let retry_after = opts.retry_after;
-            std::thread::spawn(move || accept_loop(listener, tx, shutdown, stats, retry_after))
+            std::thread::spawn(move || accept_loop(listener, tx, shutdown, stats))
         };
 
         let workers = (0..opts.workers.max(1))
@@ -248,7 +239,6 @@ fn accept_loop(
     tx: SyncSender<TcpStream>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<ServerStats>,
-    retry_after: Duration,
 ) {
     loop {
         if shutdown.load(Ordering::SeqCst) {
@@ -269,7 +259,7 @@ fn accept_loop(
                         // Shed: answer with a typed Overloaded frame on
                         // the accept thread (tiny write) and hang up.
                         stats.shed.fetch_add(1, Ordering::Relaxed);
-                        shed_connection(stream, retry_after);
+                        shed_connection(stream);
                     }
                 }
             }
@@ -286,9 +276,9 @@ fn accept_loop(
     // inside and then exit.
 }
 
-fn shed_connection(mut stream: TcpStream, retry_after: Duration) {
+fn shed_connection(mut stream: TcpStream) {
     let resp = Response::Error(ServeError::Overloaded {
-        retry_after_ms: retry_after.as_millis() as u64,
+        retry_after_ms: RETRY_AFTER.as_millis() as u64,
     });
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
     if write_frame(&mut stream, resp.to_json().to_string_compact().as_bytes()).is_err() {
@@ -335,7 +325,7 @@ impl Engine {
         let mut idle = Duration::ZERO;
         loop {
             let payload =
-                match read_frame(&mut stream, self.opts.max_frame, self.opts.frame_deadline) {
+                match read_frame(&mut stream, DEFAULT_MAX_FRAME, self.opts.frame_deadline) {
                     Ok(Some(p)) => {
                         idle = Duration::ZERO;
                         p
@@ -351,7 +341,7 @@ impl Engine {
                             return;
                         }
                         idle += self.opts.idle_timeout;
-                        if idle >= self.opts.idle_harvest {
+                        if idle >= IDLE_HARVEST {
                             return;
                         }
                         continue;
@@ -489,7 +479,7 @@ impl Engine {
     /// Pin a snapshot for the current request, mapping store
     /// contention to the typed `Busy` response.
     fn pin(&self) -> Result<thicket_perfsim::Snapshot, ServeError> {
-        Store::open_pinned_opts(&self.store_dir, &self.opts.store).map_err(store_error)
+        Store::open_pinned(&self.store_dir).map_err(store_error)
     }
 }
 

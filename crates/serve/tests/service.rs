@@ -17,8 +17,7 @@ use std::time::{Duration, Instant};
 
 use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, Json, Profile, ScratchDir, Store};
 use thicket_serve::{
-    read_frame, write_frame, ClientOptions, Request, Response, ServeError, ServeOptions, Server,
-    ThicketClient,
+    read_frame, write_frame, Request, Response, ServeError, ServeOptions, Server, ThicketClient,
 };
 
 fn run(seed: u64) -> Profile {
@@ -143,14 +142,7 @@ fn full_queue_sheds_typed_overloaded_and_client_backs_off_into_success() {
 
     // A polite client retries under its budgeted backoff and lands
     // once the blocker finishes.
-    let client = ThicketClient::with_options(
-        &addr,
-        ClientOptions {
-            deadline: Duration::from_secs(10),
-            backoff_seed: 7,
-            ..ClientOptions::default()
-        },
-    );
+    let client = ThicketClient::new(&addr);
     let status = client.status().unwrap();
     assert_eq!(status.profiles, 2);
 

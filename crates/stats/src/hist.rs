@@ -16,20 +16,6 @@ impl Histogram {
     pub fn total(&self) -> usize {
         self.counts.iter().sum()
     }
-
-    /// The midpoint of bin `i`.
-    pub fn center(&self, i: usize) -> f64 {
-        (self.edges[i] + self.edges[i + 1]) / 2.0
-    }
-
-    /// Index of the fullest bin.
-    pub fn mode_bin(&self) -> Option<usize> {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| **c)
-            .map(|(i, _)| i)
-    }
 }
 
 /// Bin `values` into `bins` equal-width bins over `[min, max]` (numpy
@@ -74,7 +60,6 @@ mod tests {
         assert_eq!(h.counts, vec![1, 1, 1, 2]); // 4.0 joins the last bin
         assert_eq!(h.edges.len(), 5);
         assert_eq!(h.total(), 5);
-        assert_eq!(h.center(0), 0.5);
     }
 
     #[test]
@@ -94,12 +79,5 @@ mod tests {
     fn nan_values_skipped() {
         let h = histogram(&[0.0, f64::NAN, 1.0], 2).unwrap();
         assert_eq!(h.total(), 2);
-    }
-
-    #[test]
-    fn mode_bin() {
-        let v = [0.0, 0.1, 0.2, 0.9];
-        let h = histogram(&v, 2).unwrap();
-        assert_eq!(h.mode_bin(), Some(0));
     }
 }

@@ -18,7 +18,6 @@ struct Section {
 
 #[derive(Debug, Clone)]
 enum Block {
-    Paragraph(String),
     Preformatted(String),
     Svg(String),
 }
@@ -49,13 +48,6 @@ impl HtmlReport {
             });
         }
         self.sections.last_mut().expect("non-empty")
-    }
-
-    /// Add prose to the current section.
-    pub fn paragraph(&mut self, text: impl Into<String>) -> &mut Self {
-        let block = Block::Paragraph(text.into());
-        self.current().blocks.push(block);
-        self
     }
 
     /// Add a preformatted block (tables, trees) to the current section.
@@ -104,7 +96,6 @@ impl HtmlReport {
             }
             for b in &s.blocks {
                 match b {
-                    Block::Paragraph(t) => out.push_str(&format!("<p>{}</p>\n", escape(t))),
                     Block::Preformatted(t) => {
                         out.push_str(&format!("<pre>{}</pre>\n", escape(t)))
                     }
@@ -131,9 +122,7 @@ mod tests {
     #[test]
     fn assembles_sections_in_order() {
         let mut r = HtmlReport::new("Study <1>");
-        r.section("Scaling")
-            .paragraph("both clusters scale")
-            .pre("a  b\n1  2");
+        r.section("Scaling").pre("a  b\n1  2");
         r.section("Models").svg("<svg xmlns=\"x\"></svg>");
         let html = r.render();
         assert!(html.starts_with("<!DOCTYPE html>"));
@@ -149,8 +138,8 @@ mod tests {
     #[test]
     fn blocks_without_section_get_default() {
         let mut r = HtmlReport::new("t");
-        r.paragraph("orphan");
-        assert!(r.render().contains("<p>orphan</p>"));
+        r.pre("orphan");
+        assert!(r.render().contains("<pre>orphan</pre>"));
         assert!(!r.is_empty());
     }
 

@@ -31,7 +31,7 @@ fn corrupt_campaign_still_yields_a_workable_thicket() {
         .filter(|(k, _)| !matches!(k, FaultKind::DuplicateProfile | FaultKind::Unreadable))
         .count();
 
-    let (profiles, report) = load_dir(&dir, None, Strictness::lenient()).unwrap();
+    let (profiles, report) = load_dir(&dir, None, Strictness::Lenient).unwrap();
     assert_eq!(profiles.len(), 10 - corrupted);
     assert_eq!(report.dropped(), faults.len());
     // The report renders a human-readable account.
@@ -39,7 +39,7 @@ fn corrupt_campaign_still_yields_a_workable_thicket() {
     assert!(rendered.contains(&format!("{} dropped", faults.len())), "{rendered}");
 
     // The healthy subset composes and aggregates normally.
-    let (mut tk, build_report) = Thicket::loader(&profiles).strictness(Strictness::lenient()).load().unwrap();
+    let (mut tk, build_report) = Thicket::loader(&profiles).strictness(Strictness::Lenient).load().unwrap();
     assert!(build_report.is_clean());
     assert_eq!(tk.profiles().len(), profiles.len());
     tk.compute_stats(&[(ColKey::new("time (exc)"), vec![AggFn::Mean])])
@@ -53,10 +53,10 @@ fn corrupt_campaign_still_yields_a_workable_thicket() {
 fn lenient_pipeline_is_thread_count_invariant() {
     let dir = campaign_dir(9);
     inject_all(&dir, 2).unwrap();
-    let baseline = load_dir(&dir, Some(1), Strictness::lenient()).unwrap();
+    let baseline = load_dir(&dir, Some(1), Strictness::Lenient).unwrap();
     for threads in [2, 8] {
         let got =
-            load_dir(&dir, Some(threads), Strictness::lenient()).unwrap();
+            load_dir(&dir, Some(threads), Strictness::Lenient).unwrap();
         assert_eq!(baseline.1, got.1, "report differs at threads={threads}");
         assert_eq!(
             baseline.0.len(),
@@ -89,7 +89,7 @@ fn every_fault_kind_maps_to_its_diagnostic() {
     for kind in FaultKind::ENSEMBLE.iter() {
         let dir = campaign_dir(6);
         inject(&dir, *kind, 9).unwrap();
-        let (profiles, report) = load_dir(&dir, None, Strictness::lenient()).unwrap();
+        let (profiles, report) = load_dir(&dir, None, Strictness::Lenient).unwrap();
         assert_eq!(report.dropped(), 1, "{kind:?}");
         assert!(
             kind.matches(&report.diagnostics[0].kind),
@@ -98,7 +98,7 @@ fn every_fault_kind_maps_to_its_diagnostic() {
         );
         assert!(!profiles.is_empty());
         // The lenient thicket build accepts whatever survived.
-        let (tk, r) = Thicket::loader(&profiles).strictness(Strictness::lenient()).load().unwrap();
+        let (tk, r) = Thicket::loader(&profiles).strictness(Strictness::Lenient).load().unwrap();
         assert!(r.is_clean());
         assert_eq!(tk.profiles().len(), profiles.len());
     }
@@ -110,7 +110,7 @@ fn every_fault_kind_maps_to_its_diagnostic() {
 fn duplicate_diagnostic_points_at_first_occurrence() {
     let dir = campaign_dir(6);
     inject(&dir, FaultKind::DuplicateProfile, 0).unwrap();
-    let (_, report) = load_dir(&dir, None, Strictness::lenient()).unwrap();
+    let (_, report) = load_dir(&dir, None, Strictness::Lenient).unwrap();
     match &report.diagnostics[0].kind {
         DiagKind::DuplicateProfile { first } => {
             assert!(first.ends_with(".json"), "first occurrence is a path: {first}")
@@ -136,7 +136,7 @@ fn repeated_metadata_key_drops_one_profile() {
     std::fs::write(&victim, text).unwrap();
 
     let (tk, report) = Thicket::loader(LoadSource::ensemble(&dir))
-        .strictness(Strictness::lenient())
+        .strictness(Strictness::Lenient)
         .load()
         .unwrap();
     assert_eq!(tk.profiles().len(), 3);

@@ -170,7 +170,7 @@ fn pushdown_reads_fewer_bytes_and_matches_filter_after_load() {
     // The pushdown thicket equals the filter-after-full-load thicket.
     let (tk_push, rep_push) = thicket::core::Thicket::loader(LoadSource::store(&dir))
     .filter(PredExpr::lt("seed", 3i64))
-    .strictness(Strictness::lenient())
+    .strictness(Strictness::Lenient)
     .load()
     .unwrap();
     assert!(rep_push.is_clean(), "{rep_push}");
@@ -231,7 +231,7 @@ fn from_store_composes_full_ensemble() {
     let profiles = runs(0..5);
     Store::save_opts(&dir, &profiles, &opts()).unwrap();
     let (tk, report) = thicket::core::Thicket::loader(LoadSource::store(&dir))
-        .strictness(Strictness::lenient())
+        .strictness(Strictness::Lenient)
         .load()
         .unwrap();
     assert!(report.is_clean(), "{report}");
@@ -375,7 +375,7 @@ fn legacy_fixtures_compact_to_the_v3_thicket() {
     let load = |dir: &Path| {
         thicket::core::Thicket::loader(LoadSource::store(dir))
             .filter(PredExpr::lt("seed", 2i64))
-            .strictness(Strictness::lenient())
+            .strictness(Strictness::Lenient)
             .load()
     };
     let oracle = ScratchDir::copy_of("storerec-migrate", &fixtures.join("v3"));

@@ -23,8 +23,10 @@ cargo test -q --release -p thicket-perfsim --test concurrency
 # store dense/sparse/chunked) against the reference composer, at 1, 2
 # and 8 workers, on optimized builds too, plus the pool law (pooling
 # the loads of consecutive groups equals one load), the split law
-# (pooling a thicket's groupby groups gives it back) and the chunking
-# law (a lenient load is the same thicket and report in any chunks).
+# (pooling a thicket's groupby groups gives it back), the chunking law
+# (a load, lenient or strict, repeated profile ids included, is the same
+# thicket and report in any chunks) and the pushdown law (a filter
+# pushed below the read keeps what filtering the whole load keeps).
 cargo test -q --release -p thicket-core --test compose_oracle
 # Planner and predicate engine under --release: metadata conjuncts
 # pushed below a store read (select_expr, load_indices), the residual
@@ -66,4 +68,8 @@ LEFTOVER=$(find "$SMOKE_DIR/store" -name 'pin-*' | wc -l)
 rm -rf "$SMOKE_DIR"
 # All targets: library code AND tests/examples/bins lint-clean.
 cargo clippy --all-targets -- -D warnings
+# Rustdoc over the default members (vendor/ left out): a doc link to an
+# item that no longer exists, or a public doc linking a private item,
+# fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 echo "tier1: OK"
