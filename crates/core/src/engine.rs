@@ -55,7 +55,7 @@ pub(crate) fn compose(
     threads: usize,
     strictness: Strictness,
 ) -> Result<(Option<Thicket>, IngestReport), ThicketError> {
-    check_arity(profiles, ids)?;
+    debug_assert_eq!(profiles.len(), ids.len(), "one id per profile");
     let lenient = matches!(strictness, Strictness::Lenient);
     let mut diagnostics: Vec<(usize, Diagnostic)> = Vec::new();
     let mut healthy = screen(profiles, ids, admitted, lenient, &mut diagnostics)?;
@@ -119,17 +119,6 @@ fn report(
         diagnostics: diagnostics.into_iter().map(|(_, d)| d).collect(),
         pushdown: None,
     }
-}
-
-fn check_arity(profiles: &[Profile], ids: &[Value]) -> Result<(), ThicketError> {
-    if profiles.len() == ids.len() {
-        return Ok(());
-    }
-    Err(ThicketError::Invalid(format!(
-        "{} profiles but {} profile ids",
-        profiles.len(),
-        ids.len()
-    )))
 }
 
 /// The first strictness point: which profiles enter the union, in input

@@ -49,10 +49,7 @@ mod trace_agg;
 mod treetable;
 
 pub use loader::{LoadSource, Loader};
-pub use source::{
-    trace_to_store, EnsembleSource, OwnedSource, ProfileSource, SliceSource, StoreSource,
-    TraceSource,
-};
+pub use source::{trace_to_store, EnsembleSource, ProfileSource, StoreSource, TraceSource};
 pub use trace_agg::TraceAggregator;
 pub use thicket_perfsim::{FilterPlan, IngestReport, Strictness};
 pub use thicket_dataframe::{Bitmap, PredExpr, PredOp, StrMatch};

@@ -23,22 +23,24 @@
 //! assert!(report.is_clean());
 //! ```
 //!
-//! Sources are in-memory profile slices, loose-JSON ensemble
-//! directories, sharded store directories, raw event traces, or any
-//! custom [`ProfileSource`] ([`LoadSource`]). Internally the loader
-//! consumes every source through the same pull-based chunk protocol
-//! ([`ProfileSource`]): each chunk composes on its own, under the
-//! load's strictness, and the chunk thickets pool along the profile
+//! Sources are profiles in memory (borrowed or owned), loose-JSON
+//! ensemble directories, sharded store directories, raw event traces,
+//! or any custom [`ProfileSource`] ([`LoadSource`]). The loader drives
+//! every one of them through the same loop over the pull-based chunk
+//! protocol ([`ProfileSource`]): each chunk composes on its own, under
+//! the load's strictness, and the chunk thickets pool along the profile
 //! axis ([`crate::concat_thickets_rows`]), so a source larger than
 //! memory (a trace) streams through without ever materializing.
+//! In-memory profiles are one chunk that borrows them.
 //!
-//! The same knobs apply to each source: [`Loader::threads`] pins the
-//! worker count (default: auto), [`Loader::strictness`] picks fail-fast
-//! vs lenient ingest, and [`Loader::filter`] takes a [`PredExpr`] —
-//! the one predicate AST every filter surface compiles into. A planner
-//! pushes its metadata conjuncts below the source read (columnar
-//! manifest selection on store sources — non-matching shards are never
-//! opened) and applies the residual after composition:
+//! The load's settings live here and nowhere else: [`Loader::threads`]
+//! pins the worker count (default: auto), [`Loader::strictness`] picks
+//! fail-fast vs lenient ingest, and the loader hands both to every pull.
+//! [`Loader::filter`] takes a [`PredExpr`] — the one predicate AST every
+//! filter surface compiles into. A planner pushes its metadata
+//! conjuncts below the source read (columnar manifest selection on
+//! store sources — non-matching shards are never opened) and applies
+//! the residual after composition:
 //!
 //! ```no_run
 //! use thicket_core::{LoadSource, PredExpr, Thicket};
@@ -54,136 +56,75 @@
 //! # let _ = (tk, report);
 //! ```
 //!
-//! Streaming a trace with time windows:
+//! A source's own shape (a trace's time windows, events per pull, a
+//! store's chunk size) is set on the source, which
+//! [`LoadSource::custom`] hands to the loader:
 //!
 //! ```no_run
 //! use std::time::Duration;
-//! use thicket_core::{LoadSource, Thicket};
+//! use thicket_core::{LoadSource, Thicket, TraceSource};
 //!
-//! let (tk, report) = Thicket::loader(
-//!     LoadSource::trace("run.trace").windows(Duration::from_millis(100)),
-//! )
-//! .load()
-//! .unwrap();
+//! let trace = TraceSource::open("run.trace", Some(Duration::from_millis(100))).unwrap();
+//! let (tk, report) = Thicket::loader(LoadSource::custom(trace)).load().unwrap();
 //! # let _ = (tk, report);
 //! ```
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 use thicket_dataframe::{PredExpr, Value};
 use thicket_perfsim::{default_threads, FilterPlan, IngestReport, Profile, Strictness};
 
 use crate::rowconcat::concat_thickets_rows;
-use crate::source::{
-    profile_meta_keys, EnsembleSource, ProfileSource, StoreSource, TraceSource,
-};
-use crate::thicket::{Thicket, ThicketError, PROFILE_LEVEL};
+use crate::source::{EnsembleSource, InMemorySource, ProfileSource, StoreSource, TraceSource};
+use crate::thicket::{Thicket, ThicketError, NODE_LEVEL, PROFILE_LEVEL};
 
 /// Where a [`Loader`] reads its profiles from.
 ///
-/// Constructed via `From` for in-memory slices (so
-/// `Thicket::loader(&profiles)` just works) or the
-/// [`LoadSource::ensemble`] / [`LoadSource::store`] /
+/// Constructed via `From` for in-memory profiles (so
+/// `Thicket::loader(&profiles)` and `Thicket::loader(profiles)` just
+/// work) or the [`LoadSource::ensemble`] / [`LoadSource::store`] /
 /// [`LoadSource::trace`] / [`LoadSource::custom`] constructors.
 pub enum LoadSource<'a> {
-    /// Profiles already in memory.
-    Profiles(&'a [Profile]),
-    /// Profiles the loader takes ownership of. This is the wire-client
-    /// plumbing: `ThicketClient::load_matching` hands back owned
-    /// profiles with no slice to borrow from, and
-    /// `Thicket::loader(profiles)` must work without the caller keeping
-    /// a binding alive. Semantically identical to
-    /// [`LoadSource::Profiles`].
-    Owned(Vec<Profile>),
-    /// A loose-JSON ensemble directory
-    /// ([`thicket_perfsim::ensemble`]).
-    Ensemble(PathBuf),
+    /// Profiles in memory: borrowed from the caller, or owned by the
+    /// load (a wire client hands back owned profiles with no slice to
+    /// borrow from).
+    Profiles(Cow<'a, [Profile]>),
     /// A sharded, checksummed store directory
-    /// ([`thicket_perfsim::store`]).
+    /// ([`thicket_perfsim::store`]), opened when the load runs.
     Store(PathBuf),
-    /// A raw event trace, streamed through a bounded-memory aggregator
-    /// ([`crate::TraceAggregator`]) into per-rank (and per-window)
-    /// profiles.
-    Trace {
-        /// The trace file path.
-        path: PathBuf,
-        /// Aggregation window; `None` folds the whole trace into one
-        /// profile per rank.
-        window: Option<Duration>,
-        /// Events read per pull (`None`: the [`TraceSource`] default).
-        chunk_events: Option<usize>,
-    },
-    /// Any custom [`ProfileSource`] implementation.
+    /// A raw event trace, opened when the load runs and folded into one
+    /// profile per rank ([`TraceSource`]).
+    Trace(PathBuf),
+    /// Any [`ProfileSource`]: an ensemble directory, a store or trace
+    /// source shaped by its own builder, or a custom implementation.
     Custom(Box<dyn ProfileSource + 'a>),
 }
 
 impl LoadSource<'_> {
-    /// A loose-JSON ensemble directory source.
+    /// A loose-JSON ensemble directory source ([`EnsembleSource`]).
     pub fn ensemble(dir: impl AsRef<Path>) -> LoadSource<'static> {
-        LoadSource::Ensemble(dir.as_ref().to_path_buf())
+        LoadSource::custom(EnsembleSource::new(dir))
     }
 
-    /// A sharded store directory source.
+    /// A sharded store directory source, read in one chunk.
     pub fn store(dir: impl AsRef<Path>) -> LoadSource<'static> {
         LoadSource::Store(dir.as_ref().to_path_buf())
     }
 
     /// A raw event trace source: the trace streams through a
-    /// bounded-memory aggregator into one profile per rank (add
-    /// [`LoadSource::windows`] for one per rank per time window).
+    /// bounded-memory aggregator into one profile per rank. For one per
+    /// rank per time window, or another number of events per pull,
+    /// pass a [`TraceSource`] to [`LoadSource::custom`].
     pub fn trace(path: impl AsRef<Path>) -> LoadSource<'static> {
-        LoadSource::Trace {
-            path: path.as_ref().to_path_buf(),
-            window: None,
-            chunk_events: None,
-        }
-    }
-
-    /// Cut the trace's time axis into windows of `window` length: each
-    /// rank emits one profile per window that saw activity, with
-    /// `window` / `window start (ns)` metadata for filtering.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a non-trace source — windows are a
-    /// property of trace aggregation only.
-    pub fn windows(self, window: Duration) -> Self {
-        match self {
-            LoadSource::Trace {
-                path, chunk_events, ..
-            } => LoadSource::Trace {
-                path,
-                window: Some(window),
-                chunk_events,
-            },
-            _ => panic!("LoadSource::windows applies only to trace sources"),
-        }
-    }
-
-    /// Events read per pull for a trace source (smaller: lower peak
-    /// memory; larger: less parse overhead).
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a non-trace source.
-    pub fn chunk_events(self, n: usize) -> Self {
-        match self {
-            LoadSource::Trace { path, window, .. } => LoadSource::Trace {
-                path,
-                window,
-                chunk_events: Some(n),
-            },
-            _ => panic!("LoadSource::chunk_events applies only to trace sources"),
-        }
+        LoadSource::Trace(path.as_ref().to_path_buf())
     }
 }
 
 impl<'a> LoadSource<'a> {
-    /// Wrap a custom [`ProfileSource`] implementation (a socket, a
-    /// generator, a foreign format…). The loader drives it through the
-    /// same chunked compose-then-pool protocol as every built-in
-    /// source.
+    /// Wrap a [`ProfileSource`] implementation (a socket, a generator, a
+    /// foreign format…). The loader drives it through the same chunked
+    /// compose-then-pool loop as every other source.
     pub fn custom(src: impl ProfileSource + 'a) -> LoadSource<'a> {
         LoadSource::Custom(Box::new(src))
     }
@@ -191,25 +132,25 @@ impl<'a> LoadSource<'a> {
 
 impl<'a> From<&'a [Profile]> for LoadSource<'a> {
     fn from(profiles: &'a [Profile]) -> Self {
-        LoadSource::Profiles(profiles)
+        LoadSource::Profiles(Cow::Borrowed(profiles))
     }
 }
 
 impl<'a> From<&'a Vec<Profile>> for LoadSource<'a> {
     fn from(profiles: &'a Vec<Profile>) -> Self {
-        LoadSource::Profiles(profiles)
+        LoadSource::Profiles(Cow::Borrowed(profiles))
     }
 }
 
 impl<'a, const N: usize> From<&'a [Profile; N]> for LoadSource<'a> {
     fn from(profiles: &'a [Profile; N]) -> Self {
-        LoadSource::Profiles(profiles)
+        LoadSource::Profiles(Cow::Borrowed(profiles))
     }
 }
 
 impl From<Vec<Profile>> for LoadSource<'static> {
     fn from(profiles: Vec<Profile>) -> Self {
-        LoadSource::Owned(profiles)
+        LoadSource::Profiles(Cow::Owned(profiles))
     }
 }
 
@@ -224,8 +165,8 @@ pub struct Loader<'a> {
 }
 
 impl Thicket {
-    /// Start building a thicket from `source` (an in-memory profile
-    /// slice, [`LoadSource::ensemble`], [`LoadSource::store`],
+    /// Start building a thicket from `source` (profiles in memory,
+    /// [`LoadSource::ensemble`], [`LoadSource::store`],
     /// [`LoadSource::trace`], or [`LoadSource::custom`]).
     ///
     /// Defaults: auto worker count, [`Strictness::FailFast`], no
@@ -242,7 +183,7 @@ impl Thicket {
 }
 
 impl<'a> Loader<'a> {
-    /// Pin the worker count for the load and row-assembly fan-outs.
+    /// Pin the worker count for the read and row-assembly fan-outs.
     /// The result is bit-identical for any `threads ≥ 1`; the default
     /// scales with the input size ([`default_threads`]).
     pub fn threads(mut self, threads: usize) -> Self {
@@ -265,18 +206,20 @@ impl<'a> Loader<'a> {
     /// whose fields the source's metadata can answer *below* the read
     /// (columnar manifest selection on store sources — non-matching
     /// shards are never opened), and applies the remainder after
-    /// composition with exists-row semantics over the performance frame
-    /// (a profile survives if at least one of its rows satisfies the
-    /// conjunct; fields resolve to perf columns, then index levels, then
-    /// profile metadata). The split is recorded in
-    /// [`IngestReport::pushdown`].
+    /// composition. A remaining conjunct that names a perf column or
+    /// the `node` level keeps the profiles having at least one perf row
+    /// that satisfies it (fields resolve to perf columns, then index
+    /// levels, then profile metadata); any other is a profile-level
+    /// predicate and filters the metadata frame, as
+    /// [`Thicket::filter_metadata_where`] does. The split is recorded
+    /// in [`IngestReport::pushdown`].
     pub fn filter(mut self, pred: PredExpr) -> Self {
         self.filter = Some(pred);
         self
     }
 
     /// Supply study-relevant profile index values (in-memory profile
-    /// sources only; must be unique and match the slice length). The
+    /// sources only; must be unique and match the profile count). The
     /// default indices are the deterministic metadata hashes.
     pub fn profile_ids(mut self, ids: &'a [Value]) -> Self {
         self.profile_ids = Some(ids);
@@ -291,220 +234,144 @@ impl<'a> Loader<'a> {
     /// so a concurrent append, compaction or garbage collection can
     /// never tear it.
     ///
-    /// Chunked sources (traces, [`StoreSource::chunk_size`], custom
-    /// sources) compose each chunk on its own, under the load's
-    /// strictness, never holding more than one chunk of source
-    /// profiles, and pool the chunk thickets
-    /// ([`crate::concat_thickets_rows`]). Pooling the loads of
-    /// consecutive groups equals one load, so the result is the thicket
-    /// one build over all the source's profiles makes: the same graph,
-    /// perf data, metadata and report, whatever the chunk size. A load
-    /// fails when no profile survives it.
+    /// Every source runs through one loop: plan the filter against the
+    /// source's metadata keys, pull chunks under the load's worker
+    /// count and strictness (applying the pushed predicate per chunk
+    /// when the source declined it), compose each chunk on its own,
+    /// never holding more than one chunk of source profiles, and pool
+    /// the chunk thickets ([`crate::concat_thickets_rows`]). Pooling the
+    /// loads of consecutive groups equals one load, so the result is
+    /// the thicket one build over all the source's profiles makes: the
+    /// same graph, perf data, metadata and report, whatever the chunk
+    /// size. A load fails when no profile survives it.
     pub fn load(self) -> Result<(Thicket, IngestReport), ThicketError> {
         let Loader {
             source,
             threads,
             strictness,
             filter,
-            profile_ids,
+            mut profile_ids,
         } = self;
-
-        // An owned source is a borrowed source whose backing storage we
-        // carry ourselves: normalize it here so the zero-clone in-memory
-        // fast path below serves both shapes.
-        let owned_backing: Vec<Profile>;
-        let source = match source {
-            LoadSource::Owned(profiles) => {
-                owned_backing = profiles;
-                LoadSource::Profiles(&owned_backing)
-            }
-            other => other,
-        };
-
-        if profile_ids.is_some() && !matches!(source, LoadSource::Profiles(_)) {
-            return Err(ThicketError::Invalid(
-                "profile_ids applies only to in-memory profile sources; \
-                 ensemble, store, and trace loads index by profile hash"
-                    .into(),
-            ));
-        }
-
-        match source {
-            // Normalized away above; the compiler cannot see that.
-            LoadSource::Owned(_) => unreachable!("Owned normalized to Profiles"),
-
-            // In-memory fast path: no adapter, no clone for unfiltered
-            // loads — the borrowed slice composes directly.
+        let mut src: Box<dyn ProfileSource + 'a> = match source {
             LoadSource::Profiles(profiles) => {
-                load_in_memory(profiles, profile_ids, threads, strictness, filter)
-            }
-
-            LoadSource::Ensemble(dir) => load_streaming(
-                Box::new(EnsembleSource::new(&dir, threads, strictness)),
-                threads,
-                strictness,
-                filter,
-            ),
-
-            LoadSource::Store(dir) => load_streaming(
-                Box::new(StoreSource::open(&dir, threads, strictness)?),
-                threads,
-                strictness,
-                filter,
-            ),
-
-            LoadSource::Trace {
-                path,
-                window,
-                chunk_events,
-            } => {
-                let mut src = TraceSource::open(&path, window, strictness)?;
-                if let Some(n) = chunk_events {
-                    src = src.chunk_events(n);
-                }
-                load_streaming(Box::new(src), threads, strictness, filter)
-            }
-
-            LoadSource::Custom(src) => load_streaming(src, threads, strictness, filter),
-        }
-    }
-}
-
-/// The in-memory fast path: zero-clone composition of a borrowed slice
-/// when unfiltered, one filtered copy otherwise. Equivalent to driving
-/// a [`crate::SliceSource`] through [`load_streaming`], minus the
-/// defensive clone the trait's owned-chunk protocol requires.
-fn load_in_memory(
-    profiles: &[Profile],
-    profile_ids: Option<&[Value]>,
-    threads: Option<usize>,
-    strictness: Strictness,
-    filter: Option<PredExpr>,
-) -> Result<(Thicket, IngestReport), ThicketError> {
-    use std::borrow::Cow;
-
-    let mut plan: Option<FilterPlan> = None;
-    let mut residual: Vec<PredExpr> = Vec::new();
-    let (kept, kept_ids): (Cow<'_, [Profile]>, Option<Cow<'_, [Value]>>) = match filter {
-        None => (Cow::Borrowed(profiles), profile_ids.map(Cow::Borrowed)),
-        Some(expr) => {
-            let keys = profile_meta_keys(profiles.iter());
-            let (pushed, res, p) = plan_conjuncts(&expr, &keys);
-            plan = Some(p);
-            residual = res;
-            if let Some(ids) = profile_ids {
-                if ids.len() != profiles.len() {
+                if let Some(ids) = profile_ids.filter(|ids| ids.len() != profiles.len()) {
                     return Err(ThicketError::Invalid(format!(
                         "{} profiles but {} profile ids",
                         profiles.len(),
                         ids.len()
                     )));
                 }
-                let (kept, kept_ids): (Vec<_>, Vec<_>) = profiles
+                Box::new(InMemorySource::new(profiles))
+            }
+            _ if profile_ids.is_some() => {
+                return Err(ThicketError::Invalid(
+                    "profile_ids applies only to in-memory profile sources; \
+                     ensemble, store, and trace loads index by profile hash"
+                        .into(),
+                ))
+            }
+            LoadSource::Store(dir) => Box::new(StoreSource::open(&dir)?),
+            LoadSource::Trace(path) => Box::new(TraceSource::open(&path, None)?),
+            LoadSource::Custom(src) => src,
+        };
+
+        let (plan, residual, chunk_pred) = match filter {
+            None => (None, Vec::new(), None),
+            Some(expr) => {
+                let (pushed, residual, plan) = plan_conjuncts(&expr, &src.meta_keys());
+                let chunk_pred = (!src.push_filter(&pushed)).then_some(pushed);
+                (Some(plan), residual, chunk_pred)
+            }
+        };
+
+        // The chunk thickets wait on a stack, pooled like a binary
+        // counter: after each push, while the newest part holds at least
+        // as many profiles as the one below it, the two pool into one.
+        // At most log2(k) + 1 of k chunks' parts are alive, each row is
+        // copied O(log k) times, and only consecutive groups ever pool.
+        // A one-chunk load returns its composition as it is.
+        let mut parts: Vec<Thicket> = Vec::new();
+        let mut build_report = IngestReport::default();
+        // The ids earlier chunks admitted: a repeat in a later chunk is a
+        // duplicate, as it is within one chunk.
+        let mut admitted: HashSet<Value> = HashSet::new();
+        while let Some(mut chunk) = src.next_chunk(threads, strictness)? {
+            // Caller-supplied ids belong to the in-memory source's one chunk.
+            let mut ids = profile_ids.take().map(Cow::Borrowed);
+            if let Some(pred) = &chunk_pred {
+                let keep: Vec<bool> = chunk
                     .iter()
-                    .zip(ids.iter())
-                    .filter(|(p, _)| expr_matches_profile(&pushed, p))
-                    .map(|(p, id)| (p.clone(), id.clone()))
-                    .unzip();
-                (Cow::Owned(kept), Some(Cow::Owned(kept_ids)))
-            } else {
-                (
-                    Cow::Owned(
-                        profiles
-                            .iter()
-                            .filter(|p| expr_matches_profile(&pushed, p))
-                            .cloned()
-                            .collect(),
-                    ),
-                    None,
-                )
+                    .map(|p| expr_matches_profile(pred, p))
+                    .collect();
+                chunk = kept(chunk, &keep);
+                ids = ids.map(|ids| kept(ids, &keep));
+            }
+            if chunk.is_empty() {
+                continue;
+            }
+            let ids = ids.unwrap_or_else(|| Cow::Owned(hash_ids(&chunk)));
+            let threads = threads.unwrap_or_else(|| default_threads(chunk.len()));
+            let (tk, r) = crate::engine::compose(&chunk, &ids, &mut admitted, threads, strictness)?;
+            build_report.attempted += r.attempted;
+            build_report.loaded += r.loaded;
+            build_report.diagnostics.extend(r.diagnostics);
+            let Some(tk) = tk else { continue };
+            parts.push(tk);
+            while let [.., older, newer] = parts.as_slice() {
+                if newer.metadata().len() < older.metadata().len() {
+                    break;
+                }
+                let pooled = concat_thickets_rows(&[older, newer])?;
+                parts.truncate(parts.len() - 2);
+                parts.push(pooled);
             }
         }
-    };
-    let ids = match kept_ids {
-        Some(ids) => ids,
-        None => Cow::Owned(hash_ids(&kept)),
-    };
-    let threads = threads.unwrap_or_else(|| default_threads(kept.len()));
-    let (tk, report) =
-        crate::engine::compose(&kept, &ids, &mut HashSet::new(), threads, strictness)?;
-    let tk = tk.ok_or_else(|| nothing_survived(&report))?;
-    finalize(tk, report, plan, &residual)
+        let mut tk = match parts.len() {
+            0 => return Err(nothing_survived(&build_report)),
+            1 => parts.pop().expect("one part"),
+            _ => concat_thickets_rows(&parts.iter().collect::<Vec<_>>())?,
+        };
+
+        // A trivial read report (no read phase of its own) means
+        // composition accounting stands alone, as for in-memory loads.
+        // Otherwise chain read → compose.
+        let mut report = src.take_report();
+        if report.attempted == 0 && report.diagnostics.is_empty() {
+            report = build_report;
+        } else {
+            report.absorb(build_report);
+        }
+        if plan.is_some() {
+            report.pushdown = plan;
+        }
+        for conjunct in &residual {
+            tk = residual_filter(&tk, conjunct)?;
+        }
+        Ok((tk, report))
+    }
 }
 
-/// Drive any [`ProfileSource`] through the chunked compose-then-pool
-/// protocol: plan the filter against the source's metadata keys, pull
-/// chunks (applying the pushed predicate per chunk when the source
-/// declined it), compose each chunk under the load's strictness, pool
-/// the chunk thickets, then merge read and composition accounting.
-///
-/// The chunk thickets wait on a stack, pooled like a binary counter:
-/// after each push, while the newest part holds at least as many
-/// profiles as the one below it, the two pool into one. At most
-/// log2(k) + 1 of k chunks' parts are alive, each row is copied
-/// O(log k) times, and only consecutive groups ever pool. A one-chunk
-/// load returns its composition as it is.
-fn load_streaming(
-    mut src: Box<dyn ProfileSource + '_>,
-    threads: Option<usize>,
-    strictness: Strictness,
-    filter: Option<PredExpr>,
-) -> Result<(Thicket, IngestReport), ThicketError> {
-    let (plan, residual, chunk_pred) = match filter {
-        None => (None, Vec::new(), None),
-        Some(expr) => {
-            let (pushed, residual, plan) = plan_conjuncts(&expr, &src.meta_keys());
-            let chunk_pred = (!src.push_filter(&pushed)).then_some(pushed);
-            (Some(plan), residual, chunk_pred)
-        }
-    };
-
-    let mut parts: Vec<Thicket> = Vec::new();
-    let mut build_report = IngestReport::default();
-    // The ids earlier chunks admitted: a repeat in a later chunk is a
-    // duplicate, as it is within one chunk.
-    let mut admitted: HashSet<Value> = HashSet::new();
-    while let Some(mut chunk) = src.next_chunk()? {
-        if let Some(pred) = &chunk_pred {
-            chunk.retain(|p| expr_matches_profile(pred, p));
-        }
-        if chunk.is_empty() {
-            continue;
-        }
-        let ids = hash_ids(&chunk);
-        let threads = threads.unwrap_or_else(|| default_threads(chunk.len()));
-        let (tk, r) = crate::engine::compose(&chunk, &ids, &mut admitted, threads, strictness)?;
-        build_report.attempted += r.attempted;
-        build_report.loaded += r.loaded;
-        build_report.diagnostics.extend(r.diagnostics);
-        let Some(tk) = tk else { continue };
-        parts.push(tk);
-        while let [.., older, newer] = parts.as_slice() {
-            if newer.metadata().len() < older.metadata().len() {
-                break;
-            }
-            let pooled = concat_thickets_rows(&[older, newer])?;
-            parts.truncate(parts.len() - 2);
-            parts.push(pooled);
-        }
+/// The items whose `keep` flag is set, in order; no copy when every
+/// flag is set.
+fn kept<'c, T: Clone>(items: Cow<'c, [T]>, keep: &[bool]) -> Cow<'c, [T]> {
+    if keep.iter().all(|&k| k) {
+        return items;
     }
-    let tk = match parts.len() {
-        0 => return Err(nothing_survived(&build_report)),
-        1 => parts.pop().expect("one part"),
-        _ => concat_thickets_rows(&parts.iter().collect::<Vec<_>>())?,
-    };
-
-    // A trivial read report (no read phase of its own) means
-    // composition accounting stands alone — exactly the classic
-    // in-memory semantics. Otherwise chain read → compose the way the
-    // two-phase loads always have.
-    let mut report = src.take_report();
-    if report.attempted == 0 && report.diagnostics.is_empty() {
-        report = build_report;
-    } else {
-        report.absorb(build_report);
+    let mut flags = keep.iter();
+    match items {
+        Cow::Owned(mut items) => {
+            items.retain(|_| *flags.next().expect("one flag per item"));
+            Cow::Owned(items)
+        }
+        Cow::Borrowed(items) => Cow::Owned(
+            items
+                .iter()
+                .zip(flags)
+                .filter(|(_, &k)| k)
+                .map(|(item, _)| item.clone())
+                .collect(),
+        ),
     }
-    finalize(tk, report, plan, &residual)
 }
 
 /// The error a load fails with when no thicket survives it, given the
@@ -516,24 +383,6 @@ fn nothing_survived(report: &IngestReport) -> ThicketError {
     }
     let dropped: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
     ThicketError::Invalid(format!("every profile was dropped: {}", dropped.join("; ")))
-}
-
-/// Record the pushdown plan and run residual conjuncts (exists-row
-/// semantics over the composed frame).
-fn finalize(
-    tk: Thicket,
-    mut report: IngestReport,
-    plan: Option<FilterPlan>,
-    residual: &[PredExpr],
-) -> Result<(Thicket, IngestReport), ThicketError> {
-    if plan.is_some() {
-        report.pushdown = plan;
-    }
-    let mut tk = tk;
-    for conjunct in residual {
-        tk = residual_filter(&tk, conjunct)?;
-    }
-    Ok((tk, report))
 }
 
 /// Scalar engine evaluation of an expression against one profile's
@@ -566,19 +415,26 @@ fn plan_conjuncts(
     (PredExpr::and(pushed), residual, plan)
 }
 
-/// Apply one residual conjunct with exists-row semantics: keep exactly
-/// the profiles having at least one perf-data row that satisfies it.
-/// Fields resolve to perf columns, then index levels, then profile
-/// metadata columns (gathered per row; a null metadata cell is absent).
+/// Apply one residual conjunct. A conjunct that names no perf column
+/// and not the `node` level is a profile-level predicate: it filters the
+/// metadata frame, as [`Thicket::filter_metadata_where`] does, so a
+/// profile that measures nothing survives a predicate that holds for
+/// it. Any other keeps exactly the profiles having at least one perf
+/// row that satisfies it (exists-row semantics). Fields resolve to perf
+/// columns, then index levels, then profile metadata columns (gathered
+/// per row; a null metadata cell is absent).
 fn residual_filter(tk: &Thicket, conjunct: &PredExpr) -> Result<Thicket, ThicketError> {
     let perf = tk.perf_data();
+    let fields = conjunct.fields();
+    if !fields
+        .iter()
+        .any(|f| *f == NODE_LEVEL || perf.column_named(f).is_ok())
+    {
+        return Ok(tk.filter_metadata_where(conjunct));
+    }
     let prof_of_row = perf.index().level_values(PROFILE_LEVEL)?;
     let mut src = perf.bind_source(conjunct);
-    let unbound: Vec<&str> = conjunct
-        .fields()
-        .into_iter()
-        .filter(|f| !src.is_bound(f))
-        .collect();
+    let unbound: Vec<&str> = fields.into_iter().filter(|f| !src.is_bound(f)).collect();
     if !unbound.is_empty() {
         let meta = tk.metadata();
         let meta_row: HashMap<&Value, usize> = meta

@@ -2,13 +2,15 @@
 //!
 //! [`ProfileSource`] is the one interface the loader consumes: a batched
 //! pull model (`next_chunk`) that a source fills from wherever its
-//! profiles live — an in-memory slice, a loose-JSON ensemble directory,
-//! a sharded store, or a raw event trace that never fits in memory. The
-//! directory and store `LoadSource` variants are thin adapters over
-//! this trait ([`EnsembleSource`], [`StoreSource`]); in-memory profiles
-//! compose directly, and [`SliceSource`] and [`OwnedSource`] wrap them
-//! for generic plumbing. [`TraceSource`] is the streaming newcomer that
-//! motivated the redesign.
+//! profiles live: profiles in memory, a loose-JSON ensemble directory
+//! ([`EnsembleSource`]), a sharded store ([`StoreSource`]), or a raw
+//! event trace that never fits in memory ([`TraceSource`]). Every
+//! [`LoadSource`](crate::LoadSource) is one of these, and in-memory
+//! profiles are a one-chunk source whose chunk borrows them.
+//!
+//! A source holds only where its profiles live and how to cut them
+//! into chunks. The load's worker count and strictness are set on the
+//! [`Loader`](crate::Loader) alone, which hands them to every pull.
 //!
 //! The chunk protocol is what makes bounded-memory ingest possible: the
 //! loader composes each chunk into a thicket of its own and pools the
@@ -18,9 +20,10 @@
 //! yield one chunk — the trait costs them nothing, and the loader
 //! returns that chunk's composition without a pool.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -45,8 +48,9 @@ use crate::trace_agg::TraceAggregator;
 ///    `false` gets the filter applied by the loader on each chunk
 ///    instead.
 /// 2. It pulls [`next_chunk`](ProfileSource::next_chunk) until `None`,
-///    composing each chunk under the load's strictness and pooling the
-///    chunk thickets.
+///    handing each pull the load's worker count and strictness,
+///    composing each chunk under that strictness and pooling the chunk
+///    thickets.
 /// 3. It collects [`take_report`](ProfileSource::take_report) and merges
 ///    it with the composition accounting.
 ///
@@ -54,9 +58,16 @@ use crate::trace_agg::TraceAggregator;
 /// generator, a foreign format) via
 /// [`LoadSource::custom`](crate::LoadSource::custom).
 pub trait ProfileSource {
-    /// Pull the next batch of profiles. `Ok(None)` means the source is
-    /// exhausted; an empty `Vec` is never returned in place of `None`.
-    fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError>;
+    /// Pull the next batch of profiles, read on `threads` workers
+    /// (`None`: the source's default) under `strictness`. `Ok(None)`
+    /// means the source is exhausted; an empty chunk is never returned
+    /// in place of `None`. A chunk may borrow profiles the source holds
+    /// or hand over profiles it read.
+    fn next_chunk(
+        &mut self,
+        threads: Option<usize>,
+        strictness: Strictness,
+    ) -> Result<Option<Cow<'_, [Profile]>>, ThicketError>;
 
     /// The metadata fields this source can answer predicates about,
     /// for planner pushdown. Conjuncts over any other field stay above
@@ -74,70 +85,38 @@ pub trait ProfileSource {
     /// diagnostics, gathered across all chunks. Called once, after the
     /// final chunk. The default (an empty report) tells the loader the
     /// source has no read phase of its own — composition accounting
-    /// stands alone, as it always has for in-memory loads.
+    /// stands alone, as it does for in-memory loads.
     fn take_report(&mut self) -> IngestReport {
         IngestReport::default()
     }
 }
 
-/// Adapter: borrowed in-memory profiles as a one-chunk source.
-///
-/// Yields a clone of the slice. The loader's in-memory fast path avoids
-/// this adapter (and the clone) entirely; it exists so borrowed slices
-/// can participate in generic [`ProfileSource`] plumbing and tests.
-pub struct SliceSource<'a> {
-    profiles: &'a [Profile],
-    done: bool,
+/// Profiles in memory as a one-chunk source. The chunk borrows them, so
+/// an unfiltered load copies no profile.
+pub(crate) struct InMemorySource<'a> {
+    profiles: Cow<'a, [Profile]>,
+    pulled: bool,
 }
 
-impl<'a> SliceSource<'a> {
-    /// Wrap a borrowed slice.
-    pub fn new(profiles: &'a [Profile]) -> Self {
-        SliceSource {
+impl<'a> InMemorySource<'a> {
+    pub(crate) fn new(profiles: Cow<'a, [Profile]>) -> Self {
+        InMemorySource {
             profiles,
-            done: false,
+            pulled: false,
         }
     }
 }
 
-impl ProfileSource for SliceSource<'_> {
-    fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
-        if self.done || self.profiles.is_empty() {
+impl ProfileSource for InMemorySource<'_> {
+    fn next_chunk(
+        &mut self,
+        _threads: Option<usize>,
+        _strictness: Strictness,
+    ) -> Result<Option<Cow<'_, [Profile]>>, ThicketError> {
+        if std::mem::replace(&mut self.pulled, true) || self.profiles.is_empty() {
             return Ok(None);
         }
-        self.done = true;
-        Ok(Some(self.profiles.to_vec()))
-    }
-
-    fn meta_keys(&mut self) -> BTreeSet<String> {
-        profile_meta_keys(self.profiles.iter())
-    }
-}
-
-/// Adapter: owned in-memory profiles as a one-chunk source (no copy —
-/// the vector moves out on the first [`ProfileSource::next_chunk`]).
-pub struct OwnedSource {
-    profiles: Vec<Profile>,
-    done: bool,
-}
-
-impl OwnedSource {
-    /// Wrap an owned vector.
-    pub fn new(profiles: Vec<Profile>) -> Self {
-        OwnedSource {
-            profiles,
-            done: false,
-        }
-    }
-}
-
-impl ProfileSource for OwnedSource {
-    fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
-        if self.done || self.profiles.is_empty() {
-            return Ok(None);
-        }
-        self.done = true;
-        Ok(Some(std::mem::take(&mut self.profiles)))
+        Ok(Some(Cow::Borrowed(&self.profiles)))
     }
 
     fn meta_keys(&mut self) -> BTreeSet<String> {
@@ -149,61 +128,59 @@ impl ProfileSource for OwnedSource {
 /// ([`thicket_perfsim::ensemble`]) as a one-chunk source.
 pub struct EnsembleSource {
     dir: PathBuf,
-    threads: Option<usize>,
-    strictness: Strictness,
-    loaded: Option<(Vec<Profile>, IngestReport)>,
-    done: bool,
+    /// The lenient read that planning made before the first pull.
+    planned: Option<(Vec<Profile>, IngestReport)>,
+    report: IngestReport,
+    pulled: bool,
 }
 
 impl EnsembleSource {
-    /// Read the directory under the given worker count and strictness.
-    pub fn new(dir: impl AsRef<Path>, threads: Option<usize>, strictness: Strictness) -> Self {
+    /// A source over the directory; nothing is read before the loader
+    /// asks.
+    pub fn new(dir: impl AsRef<Path>) -> Self {
         EnsembleSource {
             dir: dir.as_ref().to_path_buf(),
-            threads,
-            strictness,
-            loaded: None,
-            done: false,
+            planned: None,
+            report: IngestReport::default(),
+            pulled: false,
         }
-    }
-
-    fn ensure_loaded(&mut self) -> Result<(), ThicketError> {
-        if self.loaded.is_none() {
-            let (profiles, report) = load_dir(&self.dir, self.threads, self.strictness)?;
-            self.loaded = Some((profiles, report));
-        }
-        Ok(())
     }
 }
 
 impl ProfileSource for EnsembleSource {
-    fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
-        if self.done {
+    fn next_chunk(
+        &mut self,
+        threads: Option<usize>,
+        strictness: Strictness,
+    ) -> Result<Option<Cow<'_, [Profile]>>, ThicketError> {
+        if std::mem::replace(&mut self.pulled, true) {
             return Ok(None);
         }
-        self.ensure_loaded()?;
-        self.done = true;
-        let profiles = std::mem::take(&mut self.loaded.as_mut().expect("just loaded").0);
-        if profiles.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(profiles))
+        // A clean lenient read holds what a fail-fast read holds, so the
+        // planning read serves every lenient load and every clean one.
+        let (profiles, report) = match self.planned.take() {
+            Some(read) if strictness == Strictness::Lenient || read.1.is_clean() => read,
+            _ => load_dir(&self.dir, threads, strictness)?,
+        };
+        self.report = report;
+        Ok((!profiles.is_empty()).then_some(Cow::Owned(profiles)))
     }
 
-    /// Empty when the directory does not read; `next_chunk` then
-    /// returns the error.
+    /// The profiles' keys. Planning comes before the first pull, so it
+    /// reads the directory leniently, at the default worker count; empty
+    /// when the directory does not read, and the pull then fails.
     fn meta_keys(&mut self) -> BTreeSet<String> {
-        match self.ensure_loaded() {
-            Ok(()) => profile_meta_keys(self.loaded.as_ref().expect("just loaded").0.iter()),
-            Err(_) => BTreeSet::new(),
+        if self.planned.is_none() {
+            self.planned = load_dir(&self.dir, None, Strictness::Lenient).ok();
         }
+        self.planned
+            .as_ref()
+            .map(|(profiles, _)| profile_meta_keys(profiles.iter()))
+            .unwrap_or_default()
     }
 
     fn take_report(&mut self) -> IngestReport {
-        self.loaded
-            .take()
-            .map(|(_, report)| report)
-            .unwrap_or_default()
+        std::mem::take(&mut self.report)
     }
 }
 
@@ -216,14 +193,11 @@ impl ProfileSource for EnsembleSource {
 ///
 /// Selection (columnar manifest predicate evaluation) happens up front
 /// and without shard I/O; shard reads then proceed in index chunks. The
-/// default is a **single** chunk — identical I/O and threading to the
-/// pre-streaming loader — because a store load is already one
+/// default is a **single** chunk, because a store load is already one
 /// memory-mapped pass; [`StoreSource::chunk_size`] opts into smaller
 /// batches. Fail-fast strictness is enforced per chunk.
 pub struct StoreSource {
     snap: Snapshot,
-    threads: Option<usize>,
-    strictness: Strictness,
     chunk_size: Option<usize>,
     expr: Option<PredExpr>,
     selected: Option<Vec<usize>>,
@@ -234,30 +208,16 @@ pub struct StoreSource {
 impl StoreSource {
     /// Open a store directory at a generation-pinned snapshot
     /// ([`Store::open_pinned`]).
-    pub fn open(
-        dir: impl AsRef<Path>,
-        threads: Option<usize>,
-        strictness: Strictness,
-    ) -> Result<Self, ThicketError> {
-        Ok(StoreSource::from_snapshot(
-            Store::open_pinned(dir)?,
-            threads,
-            strictness,
-        ))
+    pub fn open(dir: impl AsRef<Path>) -> Result<Self, ThicketError> {
+        Ok(StoreSource::from_snapshot(Store::open_pinned(dir)?))
     }
 
     /// Wrap an already-pinned snapshot — e.g. a server's per-request
     /// pin — so the read goes through the same selection, chunking, and
     /// strictness machinery as every other store load.
-    pub fn from_snapshot(
-        snap: Snapshot,
-        threads: Option<usize>,
-        strictness: Strictness,
-    ) -> StoreSource {
+    pub fn from_snapshot(snap: Snapshot) -> StoreSource {
         StoreSource {
             snap,
-            threads,
-            strictness,
             chunk_size: None,
             expr: None,
             selected: None,
@@ -286,9 +246,16 @@ impl StoreSource {
 }
 
 impl ProfileSource for StoreSource {
-    fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
+    /// `threads: None` reads on a worker count fitted to the catalog.
+    fn next_chunk(
+        &mut self,
+        threads: Option<usize>,
+        strictness: Strictness,
+    ) -> Result<Option<Cow<'_, [Profile]>>, ThicketError> {
         self.ensure_selected()?;
         let selected = self.selected.as_ref().expect("just selected");
+        let threads =
+            threads.unwrap_or_else(|| default_threads(self.snap.manifest().profiles.len()));
         // A batch whose every profile was dropped leniently yields
         // nothing: read on rather than return an empty chunk.
         while self.pos < selected.len() {
@@ -297,22 +264,20 @@ impl ProfileSource for StoreSource {
                 None => selected.len(),
             };
             let batch = &selected[self.pos..end];
-            let threads = self
-                .threads
-                .unwrap_or_else(|| default_threads(self.snap.manifest().profiles.len()));
             let (profiles, read) = self.snap.load_indices(batch, threads)?;
             self.pos = end;
-            if matches!(self.strictness, Strictness::FailFast) && !read.is_clean() {
+            // The first bad record names the failure, so the error is
+            // the same in any chunks.
+            if let (Strictness::FailFast, Some(first)) = (strictness, read.diagnostics.first()) {
                 return Err(ThicketError::Invalid(format!(
-                    "store load failed under fail-fast strictness ({})",
-                    read.summary()
+                    "store load failed under fail-fast strictness ({first})"
                 )));
             }
             self.report.attempted += read.attempted;
             self.report.loaded += read.loaded;
             self.report.diagnostics.extend(read.diagnostics);
             if !profiles.is_empty() {
-                return Ok(Some(profiles));
+                return Ok(Some(Cow::Owned(profiles)));
             }
         }
         Ok(None)
@@ -336,51 +301,41 @@ impl ProfileSource for StoreSource {
 /// Streaming source: a raw event trace folded into per-rank (and, with
 /// a window length, per-window) call-tree profiles in bounded memory.
 ///
-/// Each [`ProfileSource::next_chunk`] reads at most
+/// The first pull builds a [`TraceAggregator`] under the load's
+/// strictness. Each [`ProfileSource::next_chunk`] reads at most
 /// [`chunk_events`](TraceSource::chunk_events) events, pushes them into
-/// a [`TraceAggregator`], and returns any windows that closed. The full
-/// trace is never materialized: resident state is the per-rank graphs,
+/// the aggregator, and returns any windows that closed. The full trace
+/// is never materialized: resident state is the per-rank graphs,
 /// open-frame stacks, and accumulator rows — O(tree depth × ranks), not
 /// O(events).
-pub struct TraceSource<R: BufRead> {
-    reader: Option<TraceReader<R>>,
+pub struct TraceSource {
+    reader: Option<TraceReader<BufReader<File>>>,
+    label: String,
+    window: Option<Duration>,
     agg: Option<TraceAggregator>,
     chunk_events: usize,
-    meta_keys: BTreeSet<String>,
     report: Option<IngestReport>,
 }
 
-impl TraceSource<BufReader<File>> {
+impl TraceSource {
     /// Open a trace file. Window `None` aggregates the whole trace into
-    /// one profile per rank.
-    pub fn open(
-        path: impl AsRef<Path>,
-        window: Option<Duration>,
-        strictness: Strictness,
-    ) -> Result<Self, ThicketError> {
+    /// one profile per rank; a window length cuts each rank's time axis
+    /// into windows, one profile per window that saw activity, with
+    /// `window` / `window start (ns)` metadata.
+    pub fn open(path: impl AsRef<Path>, window: Option<Duration>) -> Result<Self, ThicketError> {
         let path = path.as_ref();
         let reader = TraceReader::open(path)
             .map_err(|e| ThicketError::Invalid(format!("trace {}: {e}", path.display())))?;
-        let metadata = reader.metadata().to_vec();
-        let mut meta_keys: BTreeSet<String> =
-            metadata.iter().map(|(k, _)| k.clone()).collect();
-        // The aggregator stamps these onto every emitted profile.
-        meta_keys.insert("rank".to_string());
-        meta_keys.insert("window".to_string());
-        meta_keys.insert("window start (ns)".to_string());
-        let agg = TraceAggregator::new(metadata, window, strictness)
-            .with_source_label(path.display().to_string());
         Ok(TraceSource {
             reader: Some(reader),
-            agg: Some(agg),
+            label: path.display().to_string(),
+            window,
+            agg: None,
             chunk_events: 4096,
-            meta_keys,
             report: None,
         })
     }
-}
 
-impl<R: BufRead> TraceSource<R> {
     /// Events read per [`ProfileSource::next_chunk`] call (default
     /// 4096). Smaller chunks lower peak memory; larger amortize parse
     /// overhead.
@@ -391,32 +346,37 @@ impl<R: BufRead> TraceSource<R> {
 
     /// Stop reading and close out the aggregator, stashing the final
     /// profiles (returned) and the ingest report.
-    fn finish(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
+    fn finish(&mut self) -> Result<Option<Cow<'_, [Profile]>>, ThicketError> {
         self.reader = None;
-        let agg = self.agg.take().expect("aggregator finished twice");
+        let agg = self.agg.take().expect("aggregator built on the first pull");
         let (profiles, report) = agg.finish()?;
         self.report = Some(report);
-        if profiles.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(profiles))
-        }
+        Ok((!profiles.is_empty()).then_some(Cow::Owned(profiles)))
     }
 }
 
-impl<R: BufRead> ProfileSource for TraceSource<R> {
-    fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
+impl ProfileSource for TraceSource {
+    fn next_chunk(
+        &mut self,
+        _threads: Option<usize>,
+        strictness: Strictness,
+    ) -> Result<Option<Cow<'_, [Profile]>>, ThicketError> {
+        let Some(reader) = self.reader.as_mut() else {
+            return Ok(None);
+        };
+        let agg = self.agg.get_or_insert_with(|| {
+            TraceAggregator::new(reader.metadata().to_vec(), self.window, strictness)
+                .with_source_label(self.label.clone())
+        });
         loop {
-            if self.reader.is_none() {
-                return Ok(None);
-            }
-            let events = match self
-                .reader
-                .as_mut()
-                .expect("checked above")
-                .next_events(self.chunk_events)
-            {
-                Ok(events) => events,
+            match reader.next_events(self.chunk_events) {
+                Ok(events) if events.is_empty() => return self.finish(),
+                Ok(events) => {
+                    agg.push_events(&events)?;
+                    if !agg.ready_is_empty() {
+                        return Ok(Some(Cow::Owned(agg.drain_ready())));
+                    }
+                }
                 Err(TraceError::Io(e)) => {
                     return Err(ThicketError::Invalid(format!("trace read failed: {e}")));
                 }
@@ -425,26 +385,23 @@ impl<R: BufRead> ProfileSource for TraceSource<R> {
                     // diagnostic is kept, every rank's current window is
                     // dropped, and whatever closed before the tear
                     // survives.
-                    self.agg
-                        .as_mut()
-                        .expect("aggregator alive while reader is")
-                        .record_failure(DiagKind::TornTrace { line, message })?;
+                    agg.record_failure(DiagKind::TornTrace { line, message })?;
                     return self.finish();
                 }
-            };
-            let agg = self.agg.as_mut().expect("aggregator alive while reader is");
-            if events.is_empty() {
-                return self.finish();
-            }
-            agg.push_events(&events)?;
-            if !agg.ready_is_empty() {
-                return Ok(Some(agg.drain_ready()));
             }
         }
     }
 
+    /// The header's metadata keys plus the ones the aggregator stamps
+    /// onto every profile it emits.
     fn meta_keys(&mut self) -> BTreeSet<String> {
-        self.meta_keys.clone()
+        let header = self
+            .reader
+            .iter()
+            .flat_map(|r| r.metadata().iter().map(|(k, _)| k.clone()));
+        header
+            .chain(["rank", "window", "window start (ns)"].map(String::from))
+            .collect()
     }
 
     fn take_report(&mut self) -> IngestReport {
@@ -469,9 +426,9 @@ pub fn trace_to_store(
     strictness: Strictness,
 ) -> Result<(IngestReport, usize), ThicketError> {
     let store_dir = store_dir.as_ref();
-    let mut src = TraceSource::open(trace, window, strictness)?;
+    let mut src = TraceSource::open(trace, window)?;
     let mut written = 0usize;
-    while let Some(profiles) = src.next_chunk()? {
+    while let Some(profiles) = src.next_chunk(None, strictness)? {
         Store::append(store_dir, &profiles)?;
         written += profiles.len();
     }
@@ -480,9 +437,7 @@ pub fn trace_to_store(
 
 /// Union of metadata keys across profiles: what an in-memory or
 /// ensemble source can answer before composition.
-pub(crate) fn profile_meta_keys<'p>(
-    profiles: impl Iterator<Item = &'p Profile>,
-) -> BTreeSet<String> {
+fn profile_meta_keys<'p>(profiles: impl Iterator<Item = &'p Profile>) -> BTreeSet<String> {
     profiles
         .flat_map(|p| p.metadata_iter().map(|(k, _)| k.to_string()))
         .collect()
@@ -494,6 +449,26 @@ mod tests {
     use crate::{LoadSource, Thicket};
     use thicket_graph::{Frame, Graph};
     use thicket_perfsim::ScratchDir;
+
+    /// An in-memory source's one chunk borrows the profiles it holds,
+    /// borrowed or owned: no profile is copied.
+    #[test]
+    fn in_memory_chunk_borrows_its_profiles() {
+        let mut graph = Graph::new();
+        let root = graph.add_root(Frame::named("main"));
+        let mut p = Profile::new(graph);
+        p.set_metric(root, "time", 1.0);
+        let profiles = vec![p.clone(), p];
+        for held in [Cow::Borrowed(profiles.as_slice()), Cow::Owned(profiles.clone())] {
+            let at = held.as_ptr();
+            let mut src = InMemorySource::new(held);
+            match src.next_chunk(None, Strictness::FailFast).unwrap() {
+                Some(Cow::Borrowed(chunk)) => assert_eq!(chunk.as_ptr(), at),
+                other => panic!("expected a borrowed chunk, got {other:?}"),
+            }
+            assert!(src.next_chunk(None, Strictness::FailFast).unwrap().is_none());
+        }
+    }
 
     /// A lenient chunked load reads past every batch whose records were
     /// all dropped, however many there are, and ends in the typed
@@ -524,10 +499,12 @@ mod tests {
             }
         }
 
-        let src = StoreSource::open(&dir, Some(1), Strictness::Lenient)
-            .unwrap()
-            .chunk_size(1);
-        let err = Thicket::loader(LoadSource::custom(src)).load().unwrap_err();
+        let src = StoreSource::open(&dir).unwrap().chunk_size(1);
+        let err = Thicket::loader(LoadSource::custom(src))
+            .threads(1)
+            .strictness(Strictness::Lenient)
+            .load()
+            .unwrap_err();
         assert!(err.to_string().contains("zero profiles"), "{err}");
     }
 }

@@ -7,7 +7,8 @@
 //! the first: a load is the same thicket and the same report whatever
 //! chunks its source yields. A fourth relates filtering to loading:
 //! pushing a metadata filter below the read keeps what filtering the
-//! whole load keeps.
+//! whole load keeps. A store source and the store path read under the
+//! same loader settings load the same thicket.
 //!
 //! The reference is deliberately naive: [`GraphUnion::build_naive`] for
 //! the graph, one [`FrameBuilder`] row per measured `(node, profile)`
@@ -15,18 +16,22 @@
 //! stable [`DataFrame::sort_by_index`]; metadata is one `FrameBuilder`
 //! row per profile.
 
+use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use thicket_core::{
-    concat_thickets_rows, LoadSource, PredExpr, PredOp, ProfileSource, StoreSource, Strictness,
-    Thicket, ThicketError,
+    concat_thickets_rows, FilterPlan, LoadSource, PredExpr, PredOp, ProfileSource, StoreSource,
+    Strictness, Thicket, ThicketError,
 };
 use thicket_dataframe::{ColKey, DataFrame, FrameBuilder, Value};
 use thicket_graph::{Frame, Graph, GraphUnion};
-use thicket_perfsim::{DiagKind, Profile, ScratchDir, Store};
+use thicket_perfsim::{
+    inject, save_ensemble, simulate_cpu_run, CpuRunConfig, DiagKind, FaultKind, Profile,
+    ScratchDir, Store,
+};
 
 /// SplitMix64: a seeded stream for the structured ensembles below.
 struct Mix(u64);
@@ -262,12 +267,19 @@ struct Chunks {
 }
 
 impl ProfileSource for Chunks {
-    fn next_chunk(&mut self) -> Result<Option<Vec<Profile>>, ThicketError> {
+    fn next_chunk(
+        &mut self,
+        _threads: Option<usize>,
+        _strictness: Strictness,
+    ) -> Result<Option<Cow<'_, [Profile]>>, ThicketError> {
         if self.profiles.is_empty() {
             return Ok(None);
         }
         let rest = self.profiles.split_off(self.size.min(self.profiles.len()));
-        Ok(Some(std::mem::replace(&mut self.profiles, rest)))
+        Ok(Some(Cow::Owned(std::mem::replace(
+            &mut self.profiles,
+            rest,
+        ))))
     }
 
     fn meta_keys(&mut self) -> BTreeSet<String> {
@@ -294,11 +306,12 @@ fn literal(mix: &mut Mix) -> Value {
 }
 
 /// A random predicate over `keys`: comparisons, membership and string
-/// matches under `and`, `or` and `not`.
-fn predicate(mix: &mut Mix, keys: &[String], depth: usize) -> PredExpr {
+/// matches under `and`, `or` and `not`. The `profile` key draws
+/// membership in all of `ids` or a random subset.
+fn predicate(mix: &mut Mix, keys: &[String], ids: &[Value], depth: usize) -> PredExpr {
     if depth > 0 && mix.chance(3) {
         let mut branches: Vec<PredExpr> = (0..1 + mix.below(3))
-            .map(|_| predicate(mix, keys, depth - 1))
+            .map(|_| predicate(mix, keys, ids, depth - 1))
             .collect();
         return match mix.below(3) {
             0 => PredExpr::and(branches),
@@ -307,6 +320,15 @@ fn predicate(mix: &mut Mix, keys: &[String], depth: usize) -> PredExpr {
         };
     }
     let field = keys[mix.below(keys.len())].clone();
+    if field == "profile" {
+        let all = mix.chance(2);
+        let some: Vec<Value> = ids
+            .iter()
+            .filter(|_| all || mix.chance(2))
+            .cloned()
+            .collect();
+        return PredExpr::is_in(field, some);
+    }
     match mix.below(5) {
         0 => PredExpr::is_in(
             field,
@@ -381,8 +403,9 @@ fn assert_matches(tk: &Thicket, want: &(Graph, DataFrame, DataFrame), path: &str
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Slice, owned and store (every selection and chunking) loads all
-    /// build the reference thicket, at 1, 2 and 8 workers.
+    /// Slice, owned, ensemble directory and store (every selection and
+    /// chunking) loads all build the reference thicket, at 1, 2 and 8
+    /// workers. An ensemble directory loads its files in name order.
     #[test]
     fn every_path_builds_the_reference_thicket(seed in any::<u64>()) {
         let profiles = ensemble(seed);
@@ -391,6 +414,12 @@ proptest! {
         let whole = reference(&profiles, &ids);
         let dir = ScratchDir::new("compose-oracle");
         Store::save(&dir, &profiles).unwrap();
+        let json_dir = ScratchDir::new("compose-oracle-ensemble");
+        let files = save_ensemble(&json_dir, &profiles).unwrap();
+        let mut by_name: Vec<usize> = (0..n).collect();
+        by_name.sort_by(|&a, &b| files[a].cmp(&files[b]));
+        let by_name = pick(&profiles, &by_name);
+        let in_name_order = reference(&by_name, &hash_ids(&by_name));
         let mut mix = Mix(seed ^ 0x5eed);
         let picked: Vec<usize> = (0..n).filter(|_| mix.chance(2)).collect();
         let sparse = pick(&profiles, &picked);
@@ -402,6 +431,9 @@ proptest! {
             prop_assert!(report.is_clean());
             let (tk, _) = Thicket::loader(profiles.clone()).threads(threads).load().unwrap();
             assert_matches(&tk, &whole, &at("owned"));
+            let (tk, report) = Thicket::loader(LoadSource::ensemble(&json_dir)).threads(threads).load().unwrap();
+            assert_matches(&tk, &in_name_order, &at("ensemble directory"));
+            prop_assert!(report.is_clean());
 
             let store = || Thicket::loader(LoadSource::store(&dir)).threads(threads);
             let (tk, _) = store().load().unwrap();
@@ -413,9 +445,7 @@ proptest! {
                 assert_matches(&tk, &reference(&sparse, &hash_ids(&sparse)), &at("sparse store"));
             }
             for chunk in 1..=n {
-                let src = StoreSource::open(&dir, Some(threads), Strictness::FailFast)
-                    .unwrap()
-                    .chunk_size(chunk);
+                let src = StoreSource::open(&dir).unwrap().chunk_size(chunk);
                 let (tk, _) = Thicket::loader(LoadSource::custom(src)).threads(threads).load().unwrap();
                 assert_matches(&tk, &whole, &at(&format!("store in chunks of {chunk}")));
             }
@@ -494,23 +524,28 @@ proptest! {
     /// metadata cells, that filtering the whole load with
     /// `filter_metadata_where(p)` keeps, for random predicates over the
     /// ensemble's metadata keys (Int and Float `x`, stored-null `note`,
-    /// `null` literals). A load that keeps no profile fails where the
-    /// filter keeps none.
+    /// `null` literals), a key no profile carries, and `profile in` the
+    /// whole load's ids. The filter is fully pushed exactly when every
+    /// field is a carried key; the rest runs above the read, where it
+    /// must keep a profile that measures nothing as the metadata filter
+    /// does. A load that keeps no profile fails where the filter keeps
+    /// none.
     #[test]
     fn pushing_a_filter_below_the_read_equals_filtering_the_load(seed in any::<u64>()) {
         let profiles = ensemble(seed);
-        let keys: Vec<String> = profiles
+        let carried: BTreeSet<String> = profiles
             .iter()
             .flat_map(|p| p.metadata_iter().map(|(k, _)| k.to_string()))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
             .collect();
+        let keys: Vec<String> = carried.iter().cloned().chain(["nope", "profile"].map(String::from)).collect();
         let dir = ScratchDir::new("compose-oracle-pushdown");
         Store::save(&dir, &profiles).unwrap();
         let whole = Thicket::loader(&profiles).load().unwrap().0;
+        let ids = whole.profiles();
         let mut mix = Mix(seed ^ 0xf117);
         for _ in 0..8 {
-            let pred = predicate(&mut mix, &keys, 2);
+            let pred = predicate(&mut mix, &keys, &ids, 2);
+            let pushable = pred.fields().iter().all(|f| carried.contains(*f));
             let want = whole.filter_metadata_where(&pred);
             let loads = [
                 ("in-memory", Thicket::loader(&profiles).filter(pred.clone()).load()),
@@ -520,7 +555,7 @@ proptest! {
                 let at = format!("{path} load filtered by {pred} (seed {seed})");
                 match got {
                     Ok((tk, report)) => {
-                        prop_assert!(report.pushdown.as_ref().is_some_and(|p| p.fully_pushed()), "{}", at);
+                        prop_assert_eq!(report.pushdown.as_ref().map(FilterPlan::fully_pushed), Some(pushable), "{}", at);
                         prop_assert_eq!(tk.profiles(), want.profiles(), "{}", at);
                         prop_assert!(cells(&tk) == cells(&want), "{}: cells differ", at);
                     }
@@ -582,6 +617,67 @@ proptest! {
                     _ => matches!(d.kind, DiagKind::NonFiniteMetric { .. }),
                 };
                 prop_assert!(kind_ok, "diagnostic {:?} for profile {}", d.kind, i);
+            }
+        }
+    }
+}
+
+/// The load's settings live on the loader alone: over a store with one
+/// rotted record, the store path and a store source, whole and in chunks
+/// of 1 and 2, load the same thicket and report under `Lenient` and
+/// fail with the same error under `FailFast`.
+#[test]
+fn a_store_source_loads_what_the_store_path_loads() {
+    let profiles: Vec<Profile> = (0..6)
+        .map(|seed| {
+            let mut cfg = CpuRunConfig::quartz_default();
+            cfg.seed = seed;
+            simulate_cpu_run(&cfg)
+        })
+        .collect();
+    let dir = ScratchDir::new("compose-oracle-rot");
+    Store::save(&dir, &profiles).unwrap();
+    inject(&dir, FaultKind::ColumnCrcRot, 3).unwrap();
+
+    for strictness in [Strictness::Lenient, Strictness::FailFast] {
+        let load = |src: LoadSource| Thicket::loader(src).strictness(strictness).load();
+        let want = load(LoadSource::store(&dir));
+        let sources = [
+            ("whole", StoreSource::open(&dir).unwrap()),
+            (
+                "chunks of 1",
+                StoreSource::open(&dir).unwrap().chunk_size(1),
+            ),
+            (
+                "chunks of 2",
+                StoreSource::open(&dir).unwrap().chunk_size(2),
+            ),
+        ];
+        for (shape, src) in sources {
+            let at = format!("{strictness:?} store source, {shape}");
+            match (&want, load(LoadSource::custom(src))) {
+                (Ok((want, want_report)), Ok((got, report))) => {
+                    assert!(same_graph(got.graph(), want.graph()), "{at}: graph differs");
+                    assert!(
+                        same_frame(got.perf_data(), want.perf_data()),
+                        "{at}: perf data differs"
+                    );
+                    assert!(
+                        same_frame(got.metadata(), want.metadata()),
+                        "{at}: metadata differs"
+                    );
+                    assert_eq!(&report, want_report, "{at}: report differs");
+                    assert_eq!((report.loaded, report.dropped()), (5, 1), "{at}");
+                }
+                (Err(want), Err(got)) => {
+                    assert_eq!(strictness, Strictness::FailFast, "{at}: {got}");
+                    assert_eq!(got.to_string(), want.to_string(), "{at}");
+                }
+                (want, got) => panic!(
+                    "{at}: store path {:?} but store source {:?}",
+                    want.as_ref().err(),
+                    got.err()
+                ),
             }
         }
     }

@@ -158,7 +158,7 @@ fn owned_source_matches_borrowed_source() {
     assert_eq!(owned.perf_data().to_string(), borrowed.perf_data().to_string());
     assert_eq!(owned.metadata().to_string(), borrowed.metadata().to_string());
     assert_eq!(format!("{:?}", ro.pushdown), format!("{:?}", rb.pushdown));
-    // LoadSource::Owned is also constructible via plain From.
+    // Owned profiles also convert through plain `From`.
     let via_from: LoadSource<'static> = profiles.into();
     let (tk, _) = Thicket::loader(via_from).load().unwrap();
     assert_eq!(tk.profiles().len(), 6);

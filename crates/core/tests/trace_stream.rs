@@ -5,14 +5,16 @@
 //! trace → store path must round-trip to the same thicket as a direct
 //! trace load.
 
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use thicket_core::{trace_to_store, LoadSource, OwnedSource, SliceSource, Thicket};
+use thicket_core::{trace_to_store, LoadSource, ProfileSource, Thicket, ThicketError, TraceSource};
 use thicket_perfsim::{
-    emit_trace_to_path, inject, simulate_cpu_run, FaultKind, ScratchDir, Strictness, TraceConfig,
-    TraceReader,
+    emit_trace_to_path, inject, simulate_cpu_run, FaultKind, Profile, ScratchDir, Strictness,
+    TraceConfig, TraceReader,
 };
 
 /// Emit `cfg` as `run.trace` into a fresh scratch directory; returns
@@ -63,9 +65,8 @@ fn windowed_ingest_conserves_inclusive_time() {
     let window = Duration::from_nanos(span / 5);
 
     let (whole, _) = Thicket::loader(LoadSource::trace(&path)).load().unwrap();
-    let (windowed, report) = Thicket::loader(LoadSource::trace(&path).windows(window))
-        .load()
-        .unwrap();
+    let windows = TraceSource::open(&path, Some(window)).unwrap();
+    let (windowed, report) = Thicket::loader(LoadSource::custom(windows)).load().unwrap();
     assert!(report.is_clean());
     assert!(
         windowed.metadata().len() > whole.metadata().len(),
@@ -110,12 +111,28 @@ fn trace_to_store_roundtrips_to_the_same_thicket() {
     assert!(written > 2, "windowing must produce several profiles");
     assert_eq!(report.loaded, written);
 
-    let (direct, _) = Thicket::loader(LoadSource::trace(&path).windows(window))
-        .load()
-        .unwrap();
+    let windows = TraceSource::open(&path, Some(window)).unwrap();
+    let (direct, _) = Thicket::loader(LoadSource::custom(windows)).load().unwrap();
     let (via_store, _) = Thicket::loader(LoadSource::store(&store_dir)).load().unwrap();
     assert_eq!(direct.perf_data(), via_store.perf_data());
     assert_eq!(direct.metadata(), via_store.metadata());
+}
+
+/// A custom source that yields borrowed profiles in one chunk.
+struct Borrowed<'a>(Option<&'a [Profile]>);
+
+impl ProfileSource for Borrowed<'_> {
+    fn next_chunk(
+        &mut self,
+        _threads: Option<usize>,
+        _strictness: Strictness,
+    ) -> Result<Option<Cow<'_, [Profile]>>, ThicketError> {
+        Ok(self.0.take().map(Cow::Borrowed))
+    }
+
+    fn meta_keys(&mut self) -> BTreeSet<String> {
+        BTreeSet::new()
+    }
 }
 
 #[test]
@@ -129,18 +146,14 @@ fn custom_source_adapters_match_the_fast_path() {
         .collect();
     let (fast, _) = Thicket::loader(&profiles).load().unwrap();
 
-    let (via_slice, slice_report) =
-        Thicket::loader(LoadSource::custom(SliceSource::new(&profiles)))
-            .load()
-            .unwrap();
+    let (via_slice, slice_report) = Thicket::loader(LoadSource::custom(Borrowed(Some(&profiles))))
+        .load()
+        .unwrap();
     assert_eq!(fast.perf_data(), via_slice.perf_data());
     assert_eq!(fast.metadata(), via_slice.metadata());
     assert!(slice_report.is_clean());
 
-    let (via_owned, _) =
-        Thicket::loader(LoadSource::custom(OwnedSource::new(profiles.clone())))
-            .load()
-            .unwrap();
+    let (via_owned, _) = Thicket::loader(profiles.clone()).load().unwrap();
     assert_eq!(fast.perf_data(), via_owned.perf_data());
     assert_eq!(fast.metadata(), via_owned.metadata());
 }
@@ -171,12 +184,11 @@ fn torn_trace_keeps_closed_windows_and_reports() {
 
     // Lenient with windows: everything that closed before the tear
     // survives, and the tear itself is a typed torn-trace diagnostic.
-    let (tk, report) = Thicket::loader(
-        LoadSource::trace(&path).windows(Duration::from_nanos(span / 20)),
-    )
-    .strictness(Strictness::Lenient)
-    .load()
-    .unwrap();
+    let windows = TraceSource::open(&path, Some(Duration::from_nanos(span / 20))).unwrap();
+    let (tk, report) = Thicket::loader(LoadSource::custom(windows))
+        .strictness(Strictness::Lenient)
+        .load()
+        .unwrap();
     assert!(!tk.metadata().is_empty());
     assert!(!report.is_clean());
     assert!(
@@ -258,9 +270,9 @@ proptest! {
         let (whole, whole_report) =
             Thicket::loader(LoadSource::trace(&path)).load().unwrap();
         for threads in [1usize, 2, 8] {
-            let (chunked, report) = Thicket::loader(
-                LoadSource::trace(&path).chunk_events(chunk),
-            )
+            let (chunked, report) = Thicket::loader(LoadSource::custom(
+                TraceSource::open(&path, None).unwrap().chunk_events(chunk),
+            ))
             .threads(threads)
             .load()
             .unwrap();
@@ -292,14 +304,14 @@ proptest! {
         inject(&dir, kind, seed).unwrap();
 
         prop_assert!(
-            Thicket::loader(LoadSource::trace(&path).chunk_events(chunk))
+            Thicket::loader(LoadSource::custom(TraceSource::open(&path, None).unwrap().chunk_events(chunk)))
                 .strictness(Strictness::FailFast)
                 .load()
                 .is_err(),
             "fail-fast load of a corrupted trace must error"
         );
 
-        match Thicket::loader(LoadSource::trace(&path).chunk_events(chunk))
+        match Thicket::loader(LoadSource::custom(TraceSource::open(&path, None).unwrap().chunk_events(chunk)))
             .strictness(Strictness::Lenient)
             .load()
         {

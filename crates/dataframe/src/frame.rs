@@ -126,24 +126,6 @@ impl DataFrame {
         self.insert(key, Column::from_values(values)?)
     }
 
-    /// Replace an existing column (or insert if missing).
-    pub fn upsert(&mut self, key: impl Into<ColKey>, col: Column) -> Result<()> {
-        let key = key.into();
-        if col.len() != self.len() {
-            return Err(DfError::LengthMismatch {
-                expected: self.len(),
-                actual: col.len(),
-            });
-        }
-        match self.lookup.get(&key) {
-            Some(&i) => {
-                self.cols[i].1 = col;
-                Ok(())
-            }
-            None => self.insert(key, col),
-        }
-    }
-
     /// Borrow a column.
     pub fn column(&self, key: &ColKey) -> Result<&Column> {
         self.lookup

@@ -46,7 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use thicket_core::{ProfileSource, StoreSource, Thicket, ThicketError};
-use thicket_perfsim::{default_threads, Json, Profile, Store, StoreError, Strictness};
+use thicket_perfsim::{Json, Profile, Store, StoreError, Strictness};
 use thicket_query::parse_pred;
 
 use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_FRAME};
@@ -526,16 +526,15 @@ fn load_matching(
     };
     check_deadline(deadline)?;
     let generation = snap.generation();
-    let threads = default_threads(snap.manifest().profiles.len());
-    let mut src = StoreSource::from_snapshot(snap, Some(threads), Strictness::FailFast);
+    let mut src = StoreSource::from_snapshot(snap);
     if let Some(expr) = &expr {
         // A snapshot-backed source always claims the pushdown (no
         // entry filter is set), so chunks arrive pre-selected.
         let _ = src.push_filter(expr);
     }
     let mut profiles = Vec::new();
-    while let Some(chunk) = src.next_chunk().map_err(load_error)? {
-        profiles.extend(chunk);
+    while let Some(chunk) = src.next_chunk(None, Strictness::FailFast).map_err(load_error)? {
+        profiles.extend(chunk.into_owned());
         check_deadline(deadline)?;
     }
     Ok((generation, profiles))

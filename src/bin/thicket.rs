@@ -16,7 +16,6 @@
 use std::process::ExitCode;
 use thicket::prelude::*;
 use thicket_dataframe::AggFn;
-use thicket_perfsim::{load_dir, Strictness};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,13 +33,9 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<(), String> {
     let dir = args.first().ok_or("missing profile directory")?;
-    let (profiles, _) = load_dir(dir, None, Strictness::FailFast).map_err(|e| format!("loading {dir}: {e}"))?;
-    if profiles.is_empty() {
-        return Err(format!("no profiles found in {dir}"));
-    }
-    let mut tk = Thicket::loader(&profiles)
+    let mut tk = Thicket::loader(LoadSource::ensemble(dir))
         .load()
-        .map_err(|e| e.to_string())?
+        .map_err(|e| format!("loading {dir}: {e}"))?
         .0;
 
     let command = args.get(1).map(String::as_str).unwrap_or("summary");

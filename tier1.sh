@@ -20,13 +20,16 @@ cargo test -q --release --test store_recovery crash_point
 # paths that only mean something on optimized builds.
 cargo test -q --release -p thicket-perfsim --test concurrency
 # Composition oracle under --release: every load path (slice, owned,
-# store dense/sparse/chunked) against the reference composer, at 1, 2
-# and 8 workers, on optimized builds too, plus the pool law (pooling
-# the loads of consecutive groups equals one load), the split law
-# (pooling a thicket's groupby groups gives it back), the chunking law
-# (a load, lenient or strict, repeated profile ids included, is the same
-# thicket and report in any chunks) and the pushdown law (a filter
-# pushed below the read keeps what filtering the whole load keeps).
+# ensemble directory, store dense/sparse/chunked) against the reference
+# composer, at 1, 2 and 8 workers, on optimized builds too, plus the
+# pool law (pooling the loads of consecutive groups equals one load),
+# the split law (pooling a thicket's groupby groups gives it back), the
+# chunking law (a load, lenient or strict, repeated profile ids
+# included, is the same thicket and report in any chunks), the pushdown
+# law (a filter, pushed below the read or run above it over keys no
+# profile carries and profile ids, keeps what filtering the whole load
+# keeps) and the one-home check (a store source and the store path,
+# under the loader's strictness alone, agree over a rotted record).
 cargo test -q --release -p thicket-core --test compose_oracle
 # Planner and predicate engine under --release: metadata conjuncts
 # pushed below a store read (select_expr, load_indices), the residual
