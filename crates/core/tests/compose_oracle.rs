@@ -405,7 +405,11 @@ proptest! {
 
     /// Slice, owned, ensemble directory and store (every selection and
     /// chunking) loads all build the reference thicket, at 1, 2 and 8
-    /// workers. An ensemble directory loads its files in name order.
+    /// workers. An ensemble directory loads its files in name order. So
+    /// does a store written by a save of a random first batch and
+    /// appends of a random contiguous split of the rest (each append's
+    /// base the manifest the commit before it registered), read in
+    /// place and from a copy under a new path (a registry miss).
     #[test]
     fn every_path_builds_the_reference_thicket(seed in any::<u64>()) {
         let profiles = ensemble(seed);
@@ -423,6 +427,17 @@ proptest! {
         let mut mix = Mix(seed ^ 0x5eed);
         let picked: Vec<usize> = (0..n).filter(|_| mix.chance(2)).collect();
         let sparse = pick(&profiles, &picked);
+        let grown = ScratchDir::new("compose-oracle-grown");
+        let first = 1 + mix.below(n);
+        Store::save(&grown, &profiles[..first]).unwrap();
+        let mut start = first;
+        for end in first + 1..=n {
+            if end == n || mix.chance(2) {
+                Store::append(&grown, &profiles[start..end]).unwrap();
+                start = end;
+            }
+        }
+        let copied = ScratchDir::copy_of("compose-oracle-grown-copy", &grown);
 
         for threads in [1usize, 2, 8] {
             let at = |path: &str| format!("{path} (seed {seed}, {threads} threads)");
@@ -448,6 +463,11 @@ proptest! {
                 let src = StoreSource::open(&dir).unwrap().chunk_size(chunk);
                 let (tk, _) = Thicket::loader(LoadSource::custom(src)).threads(threads).load().unwrap();
                 assert_matches(&tk, &whole, &at(&format!("store in chunks of {chunk}")));
+            }
+            for (path, grown) in [("appended store", &grown), ("appended store, copied", &copied)] {
+                let (tk, report) = Thicket::loader(LoadSource::store(grown)).threads(threads).load().unwrap();
+                assert_matches(&tk, &whole, &at(path));
+                prop_assert!(report.is_clean());
             }
         }
     }

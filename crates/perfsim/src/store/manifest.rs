@@ -113,33 +113,76 @@ impl MetaBlock {
     /// `Value::Null` fills absent slots.
     pub fn values(&self) -> Result<&[Value], String> {
         self.decoded
-            .get_or_init(|| {
-                let doc = Json::parse(&self.raw)
-                    .map_err(|e| format!("meta column {}: {e}", self.key))?;
-                let arr = doc
-                    .as_arr()
-                    .ok_or_else(|| format!("meta column {}: not an array", self.key))?;
-                let n_present = self.present.iter().filter(|&&p| p).count();
-                if arr.len() != n_present {
-                    return Err(format!(
-                        "meta column {}: {} values for {} present rows",
-                        self.key,
-                        arr.len(),
-                        n_present
-                    ));
-                }
-                let mut full = vec![Value::Null; self.present.len()];
-                let mut vals = arr.iter();
-                for (slot, &p) in full.iter_mut().zip(&self.present) {
-                    if p {
-                        *slot = json_to_value(vals.next().expect("counted above"));
-                    }
-                }
-                Ok(full)
-            })
+            .get_or_init(|| decode_column(&self.key, &self.raw, &self.present))
             .as_deref()
             .map_err(|e| e.clone())
     }
+
+    /// This block with `cells` appended: the mask and the value text
+    /// gain the cells at their end. The result comes decoded, with this
+    /// block's values plus a decode of the text the cells add, so its
+    /// values are what a cold decode of its whole text gives. Fails when
+    /// this block does not decode.
+    fn appended(&self, cells: &[Option<&Value>]) -> Result<MetaBlock, String> {
+        let base = self.values()?;
+        let present: Vec<bool> = self
+            .present
+            .iter()
+            .copied()
+            .chain(cells.iter().map(Option::is_some))
+            .collect();
+        // The cells' values as an array of their own: the text this
+        // commit adds, checked by decoding it.
+        let mut added = String::from("[");
+        for v in cells.iter().flatten() {
+            push_value(&mut added, v);
+        }
+        added.push(']');
+        let tail = decode_column(&self.key, &added, &present[base.len()..])?;
+        let values: Vec<Value> = base.iter().cloned().chain(tail).collect();
+        // `values` parsed the text as one array: past its last value
+        // come JSON whitespace, `]` and JSON whitespace.
+        let head = self.raw.trim_end();
+        let head = head[..head.len() - 1].trim_end();
+        let added = &added[1..added.len() - 1];
+        let mut raw = String::with_capacity(head.len() + 1 + added.len() + 1);
+        raw.push_str(head);
+        if !added.is_empty() && !head.ends_with('[') {
+            raw.push(',');
+        }
+        raw.push_str(added);
+        raw.push(']');
+        Ok(MetaBlock {
+            key: self.key.clone(),
+            present,
+            raw,
+            decoded: OnceLock::from(Ok(values)),
+        })
+    }
+}
+
+/// One column's values from its value text and presence mask: one
+/// array value per present slot, `Value::Null` in the absent ones.
+fn decode_column(key: &str, raw: &str, present: &[bool]) -> Result<Vec<Value>, String> {
+    let doc = Json::parse(raw).map_err(|e| format!("meta column {key}: {e}"))?;
+    let arr = doc
+        .as_arr()
+        .ok_or_else(|| format!("meta column {key}: not an array"))?;
+    let n_present = present.iter().filter(|&&p| p).count();
+    if arr.len() != n_present {
+        return Err(format!(
+            "meta column {key}: {} values for {n_present} present rows",
+            arr.len()
+        ));
+    }
+    let mut full = vec![Value::Null; present.len()];
+    let mut vals = arr.iter();
+    for (slot, &p) in full.iter_mut().zip(present) {
+        if p {
+            *slot = json_to_value(vals.next().expect("counted above"));
+        }
+    }
+    Ok(full)
 }
 
 /// `key`'s value in a key-sorted metadata row.
@@ -199,17 +242,20 @@ pub(crate) fn build_columns<R: AsRef<[(String, Value)]>>(rows: &[R]) -> Vec<Meta
 /// [`build_columns`] over the resulting rows, without rebuilding the
 /// base:
 ///
-/// * every base block is decoded once, so a base whose column does not
-///   decode fails the append;
+/// * every base block is decoded first (at most once: a block keeps its
+///   decode), so a base whose column does not decode fails the append
+///   before anything is built;
 /// * every base block keeps its mask and value text verbatim and gains
 ///   the tail's values at the end;
-/// * a key new in the tail gets an all-absent prefix.
+/// * a key new in the tail gets an all-absent prefix;
+/// * every block comes decoded, at the cost of decoding the tail's text
+///   ([`MetaBlock::appended`]).
 pub(crate) fn append_columns(
-    columns: Vec<MetaBlock>,
+    columns: &[MetaBlock],
     n_base: usize,
     tail: &[&[(String, Value)]],
 ) -> Result<Vec<MetaBlock>, String> {
-    for b in &columns {
+    for b in columns {
         b.values()?;
     }
     let mut new_keys: BTreeSet<&str> = BTreeSet::new();
@@ -217,37 +263,39 @@ pub(crate) fn append_columns(
         new_keys.extend(row.iter().map(|(k, _)| k.as_str()));
     }
     let mut out = Vec::with_capacity(columns.len() + new_keys.len());
+    let cells =
+        |key: &str| -> Vec<Option<&Value>> { tail.iter().map(|row| cell(row, key)).collect() };
     for b in columns {
         new_keys.remove(b.key.as_str());
-        let MetaBlock {
-            key,
-            mut present,
-            mut raw,
-            ..
-        } = b;
-        // `values` parsed the text as an array: it ends in `]`.
-        raw.truncate(raw.trim_end().len() - 1);
-        for row in tail {
-            let c = cell(row, &key);
-            present.push(c.is_some());
-            if let Some(v) = c {
-                push_value(&mut raw, v);
-            }
-        }
-        raw.push(']');
-        out.push(MetaBlock {
-            key,
-            present,
-            raw,
-            decoded: OnceLock::new(),
-        });
+        out.push(b.appended(&cells(&b.key))?);
     }
     for key in new_keys {
-        let base_cells = std::iter::repeat_n(None, n_base);
-        let tail_cells = tail.iter().map(|row| cell(row, key));
-        out.extend(encode_column(key, base_cells.chain(tail_cells)));
+        let absent = MetaBlock {
+            key: key.to_string(),
+            present: vec![false; n_base],
+            raw: "[]".to_string(),
+            decoded: OnceLock::from(Ok(vec![Value::Null; n_base])),
+        };
+        out.push(absent.appended(&cells(key))?);
     }
     out.sort_by(|a, b| a.key.cmp(&b.key));
+    Ok(out)
+}
+
+/// The columnar index of the profiles at `rows`, in that order, of a
+/// manifest whose index is `columns`: equal to [`build_columns`] over
+/// those profiles' metadata rows, encoded block by block from the
+/// decoded values. Fails when a column does not decode.
+pub(crate) fn select_columns(
+    columns: &[MetaBlock],
+    rows: &[usize],
+) -> Result<Vec<MetaBlock>, String> {
+    let mut out = Vec::with_capacity(columns.len());
+    for b in columns {
+        let values = b.values()?;
+        let cells = rows.iter().map(|&i| b.present[i].then(|| &values[i]));
+        out.extend(encode_column(&b.key, cells));
+    }
     Ok(out)
 }
 
@@ -355,6 +403,7 @@ impl Manifest {
     /// Every profile's key-sorted metadata row, decoded out of every
     /// column. Strict — a column that fails to decode fails the whole
     /// call.
+    #[cfg(test)]
     pub(crate) fn meta_rows(&self) -> Result<Vec<Vec<(String, Value)>>, String> {
         let mut rows = vec![Vec::new(); self.profiles.len()];
         for b in &self.columns {
@@ -369,9 +418,9 @@ impl Manifest {
         Ok(rows)
     }
 
-    /// [`Manifest::meta_rows`], but undecodable columns are skipped
-    /// instead of failing (for best-effort entry materialization; fsck
-    /// reports the damage).
+    /// Every profile's key-sorted metadata row, decoded out of every
+    /// column; undecodable columns are skipped instead of failing (for
+    /// best-effort entry materialization; fsck reports the damage).
     pub(crate) fn meta_rows_lossy(&self) -> Vec<Vec<(String, Value)>> {
         let mut rows = vec![Vec::new(); self.profiles.len()];
         for b in &self.columns {

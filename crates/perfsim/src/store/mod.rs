@@ -57,9 +57,9 @@
 //!   body is garbage and older than a 10 s liveness window — are
 //!   taken over; a parseable lock with a live owner never is.
 //! * **Optimistic rebase.** `append` stages (encodes) its batch before
-//!   taking the lock and re-reads the newest manifest after: a
-//!   generation that landed in between simply becomes the new base, so
-//!   a lost update is impossible.
+//!   taking the lock and takes the newest manifest as its base after,
+//!   through the manifest registry: a generation that landed in between
+//!   simply becomes the new base, so a lost update is impossible.
 //! * **Snapshot pinning.** [`Store::open_pinned`] returns a
 //!   [`Snapshot`] that holds every shard file handle open (an unlinked
 //!   file keeps serving reads) and registers a lease file
@@ -68,16 +68,19 @@
 //!   or stopped heartbeating for 30 s.
 //! * **Manifest registry.** A process-wide registry (`registry`)
 //!   shares one verified `Arc<Manifest>` per store directory among all
-//!   readers, so an open of an unchanged generation reads a 13-byte
-//!   header and takes one `fstat` instead of parsing the manifest. The
-//!   key is (canonical directory, generation, header CRC, file length,
-//!   inode, mtime); a file modified less than a second before its last
-//!   verification has its body CRC re-checked on every hit, so an
-//!   in-place rewrite is never served. Only the immutable manifest is
-//!   shared: leases, shard handles and `bytes_read` stay per snapshot,
-//!   and query results are never cached. Writers, fsck, recover and GC
-//!   read manifests from disk, and an older build's generation is
-//!   never registered. The registry holds a fixed handful of
+//!   readers and writers, so an open of an unchanged generation reads a
+//!   13-byte header and takes one `fstat` instead of parsing the
+//!   manifest. The key is (canonical directory, generation, header CRC,
+//!   file length, inode, mtime); a file modified less than a second
+//!   before its last verification has its body CRC re-checked on every
+//!   hit, so an in-place rewrite is never served. Every commit
+//!   registers the manifest it wrote, young, and `append` and `compact`
+//!   take their base through the registry: a process that committed a
+//!   generation grows it without parsing it again. Only the immutable
+//!   manifest is shared: leases, shard handles and `bytes_read` stay
+//!   per snapshot, and query results are never cached. fsck, recover
+//!   and GC read manifests from disk, and an older build's generation
+//!   is never registered. The registry holds a fixed handful of
 //!   directories, drops entries whose manifest file is gone, and never
 //!   holds its lock across I/O or a parse.
 //!
@@ -452,9 +455,12 @@ impl Store {
     /// skipped; [`WriteReport::appended`] counts the rest.
     ///
     /// The batch is staged (encoded) before the commit lock is taken
-    /// and the base manifest re-read after — the optimistic rebase: a
+    /// and the base manifest taken after — the optimistic rebase: a
     /// generation committed by someone else in between simply becomes
-    /// the new base.
+    /// the new base. The base comes through the manifest registry (see
+    /// [`Store::open`]): a generation this process committed or
+    /// verified is shared, not parsed again, and the manifest this
+    /// commit writes is registered for the next one.
     ///
     /// The write follows the same stage-then-rename protocol as
     /// [`Store::save`]: new shards land under the new generation's
@@ -469,12 +475,15 @@ impl Store {
     /// salvage stays on disk.
     ///
     /// The manifest work is proportional to the batch, apart from
-    /// parsing the base, decoding its columns and writing the result.
-    /// Every base metadata column is decoded once before anything is
-    /// written, so a base whose index does not decode fails with
-    /// [`StoreError::Corrupt`] and leaves the directory unchanged. Every
-    /// column keeps its stored text and gains the batch's values at its
-    /// end. GC takes the shards of the base
+    /// copying the base's index, serialising the result and writing it;
+    /// a base this process did not commit or verify is also parsed, and
+    /// its columns decoded. Every base metadata column not yet decoded
+    /// is decoded before anything is written, so a base whose index
+    /// does not decode fails with [`StoreError::Corrupt`] and leaves the
+    /// directory unchanged. Every column keeps its stored text and gains
+    /// the batch's values at its end; the new manifest's columns come
+    /// decoded, by a decode of the batch's text alone. GC takes the
+    /// shards of the base
     /// and of the new manifest from memory and reads from disk only
     /// other surviving generations (pinned, or kept by
     /// [`StoreOptions::keep_generations`] above 1).
@@ -541,8 +550,12 @@ impl Store {
     /// columns included, instead of reading and parsing the body.
     /// Timestamps tick coarsely, so a file modified less than a second
     /// before its last verification has its body CRC re-checked before
-    /// it is shared. Writers, fsck, recover and GC always read manifests
-    /// from disk, and an older build's generation is never shared.
+    /// it is shared. Writers share the registry too: every commit
+    /// registers the manifest it wrote, and [`Store::append`] and
+    /// [`Store::compact`] take their base through it, so an open after a
+    /// commit in this process shares the committed manifest. fsck,
+    /// recover and GC always read manifests from disk, and an older
+    /// build's generation is never shared.
     pub fn open(dir: impl AsRef<Path>) -> Result<StoreReader, StoreError> {
         let dir = dir.as_ref();
         // bytes_read starts at the manifest bytes consumed while

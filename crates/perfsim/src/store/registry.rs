@@ -1,36 +1,43 @@
 // ---------------------------------------------------------------------
-// Process-wide registry of verified manifests, shared by every reader.
+// Process-wide registry of verified manifests, shared by readers and
+// writers.
 // ---------------------------------------------------------------------
 //
 // A committed generation never changes, so one verified parse of its
-// manifest can serve every reader in the process. `Store::open` (and so
-// `open_pinned`) still lists the directory. For each generation, newest
-// first, it opens the manifest, takes one `fstat` and reads the 13-byte
-// header. When the file's identity — canonical directory, generation,
-// header CRC, length, inode, mtime — matches the directory's entry, the
-// reader shares that entry's `Arc<Manifest>`, lazily decoded metadata
-// columns included, instead of reading, CRC-checking and parsing the
-// body.
+// manifest can serve every reader and writer in the process.
+// `Store::open` (and so `open_pinned`) still lists the directory, and so
+// do `append` and `compact`, which take their base here. For each
+// generation, newest first, the probe opens the manifest, takes one
+// `fstat` and reads the 13-byte header. When the file's identity —
+// canonical directory, generation, header CRC, length, inode, mtime —
+// matches the directory's entry, the caller shares that entry's
+// `Arc<Manifest>`, lazily decoded metadata columns included, instead of
+// reading, CRC-checking and parsing the body. A miss parses the file
+// and registers it.
+//
+// Every commit registers the manifest it just wrote, right after the
+// rename, under an `fstat` of the committed file. The writer never read
+// those bytes back, so the entry counts as verified when the write
+// began: it starts young.
 //
 // File timestamps tick coarsely, so an in-place rewrite can leave the
 // mtime as it was. A hit on a file modified less than `SETTLE` before its
 // last verification therefore re-reads the body and re-checks its CRC
 // (no parse) before it is served. Once that gap reaches `SETTLE`, any
-// later write moves the mtime, and the next open misses.
+// later write moves the mtime, and the next probe misses.
 //
-// Only readers use the registry. `append`, `compact`, fsck, recover and
-// GC read manifests from disk, and a generation an older build wrote
-// (`NeedsMigration`) is never registered. Leases and shard handles stay
-// per snapshot: only the immutable manifest is shared, never a result.
+// fsck, recover and GC read manifests from disk, and a generation an
+// older build wrote (`NeedsMigration`) is never registered. Leases and
+// shard handles stay per snapshot: only the immutable manifest is
+// shared, never a result.
 //
 // The lock is never held across I/O, a parse or a manifest's drop:
 // lookups clone an `Arc`, and inserts stat the other entries' manifests
 // before taking it and free what they evict after releasing it.
 
 use super::crc::crc32c;
-use super::layout::manifest_name;
+use super::layout::{list_generations, manifest_name};
 use super::manifest::{header_crc, Manifest, MANIFEST_HEADER_BYTES};
-use super::writer::newest_by;
 use super::StoreError;
 use parking_lot::Mutex;
 use std::fs::{File, Metadata};
@@ -84,12 +91,86 @@ fn entries() -> &'static Mutex<Vec<Entry>> {
     ENTRIES.get_or_init(Default::default)
 }
 
+/// The canonical form of a store directory: the registry's key.
+fn canonical(dir: &Path) -> PathBuf {
+    dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf())
+}
+
 /// The newest generation in `dir` whose manifest verifies, shared with
-/// every other reader of it in this process, plus the manifest bytes
-/// read to find it.
+/// every other reader and writer of it in this process, plus the
+/// manifest bytes read to find it.
 pub(crate) fn newest(dir: &Path) -> Result<(Arc<Manifest>, u64), StoreError> {
-    let dir = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
+    let dir = canonical(dir);
     newest_by(&dir, |gen, read| probe(&dir, gen, read))
+}
+
+/// The newest generation `probe` accepts, plus every manifest byte the
+/// probes read along the way (for [`super::StoreReader::bytes_read`]
+/// accounting). `probe(gen, read)` returns `Ok(None)` for a manifest
+/// that does not verify; [`StoreError::NoGeneration`] when none does.
+///
+/// A manifest listed a moment ago can be GC'd before the probe reads it
+/// (`NotFound`) — that is only legal when a newer generation just
+/// committed, so on a vanished read the listing is retried at once
+/// (bounded; each retry means another writer made progress, and the
+/// newest manifest is never deleted), never answered with an older
+/// generation a pin still keeps.
+pub(super) fn newest_by<M>(
+    dir: &Path,
+    mut probe: impl FnMut(u64, &mut u64) -> io::Result<Option<M>>,
+) -> Result<(M, u64), StoreError> {
+    let mut bytes_total = 0u64;
+    let mut gens = Vec::new();
+    for _pass in 0..16 {
+        gens = list_generations(dir)?;
+        gens.reverse();
+        let mut vanished = false;
+        for &gen in &gens {
+            match probe(gen, &mut bytes_total) {
+                Ok(Some(m)) => return Ok((m, bytes_total)),
+                Ok(None) => {}
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                    vanished = true;
+                    break;
+                }
+                Err(e) => return Err(StoreError::Io(e)),
+            }
+        }
+        if !vanished {
+            break;
+        }
+    }
+    Err(StoreError::NoGeneration(if gens.is_empty() {
+        format!("no manifest in {}", dir.display())
+    } else {
+        format!(
+            "no manifest in {} verifies (run Store::recover)",
+            dir.display()
+        )
+    }))
+}
+
+/// Register the manifest a writer just committed to `dir` from `bytes`:
+/// `meta` is an `fstat` of the committed file, and `written_at` was taken
+/// before its bytes were written. The entry starts young.
+pub(crate) fn register(
+    dir: &Path,
+    manifest: &Arc<Manifest>,
+    bytes: &[u8],
+    meta: &Metadata,
+    written_at: SystemTime,
+) {
+    let (Some(header_crc), Ok(mtime)) = (header_crc(bytes), meta.modified()) else {
+        return;
+    };
+    let id = Identity {
+        generation: manifest.generation,
+        header_crc,
+        len: meta.len(),
+        inode: inode(meta),
+        mtime,
+    };
+    insert(&canonical(dir), id, Arc::clone(manifest), written_at);
 }
 
 /// Generation `gen`'s manifest in `dir`, through the registry. `Ok(None)`
@@ -200,10 +281,11 @@ fn insert(dir: &Path, id: Identity, manifest: Arc<Manifest>, verified_at: System
 }
 
 /// Under the lock: drop the `gone` entries and put `new` in its
-/// directory's slot, unless a newer generation another reader
+/// directory's slot, unless a newer generation another caller
 /// registered meanwhile holds it. Past [`MAX_DIRS`], the least recently
-/// used directory no reader holds leaves (evicting a manifest a reader
-/// still holds would free nothing), else the least recently used.
+/// used directory no caller holds leaves (evicting a manifest a reader
+/// or writer still holds would free nothing), else the least recently
+/// used.
 /// Returns what left.
 fn admit(entries: &mut Vec<Entry>, new: Entry, gone: &[(PathBuf, Identity)]) -> Vec<Entry> {
     let (mut evicted, kept): (Vec<Entry>, Vec<Entry>) = std::mem::take(entries)
@@ -232,7 +314,7 @@ fn admit(entries: &mut Vec<Entry>, new: Entry, gone: &[(PathBuf, Identity)]) -> 
 /// The manifest registered for `dir`, if any.
 #[cfg(test)]
 pub(crate) fn registered(dir: &Path) -> Option<Arc<Manifest>> {
-    let dir = dir.canonicalize().unwrap_or_else(|_| dir.to_path_buf());
+    let dir = canonical(dir);
     entries()
         .lock()
         .iter()

@@ -590,6 +590,86 @@ fn append_onto_an_undecodable_column_is_corrupt_and_writes_nothing() {
     assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
     assert_eq!(layout::list_dir(&dir).unwrap(), before);
     assert_eq!(std::fs::read(&path).unwrap(), damaged);
+    // That append registered the damaged base, and the failed decode
+    // stays with it. An append that shares it fails the same way.
+    let held = registry::registered(&dir).expect("the append registered its base");
+    assert_eq!(held.generation, 1);
+    assert!(held.columns.iter().any(|b| b.values().is_err()));
+    let err = Store::append(&dir, &runs(4)[2..]).unwrap_err();
+    assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+    let shared = registry::registered(&dir).expect("the base stays registered");
+    assert!(
+        std::ptr::eq(&*shared, &*held),
+        "the second append parsed its base again"
+    );
+    assert_eq!(layout::list_dir(&dir).unwrap(), before);
+    assert_eq!(std::fs::read(&path).unwrap(), damaged);
+}
+
+/// Save; append a key new to the store; append duplicates plus new
+/// profiles; compact; append. Run once in one directory, where every
+/// base is the manifest the previous commit registered, and once with
+/// every commit on a fresh copy of the previous state, where every base
+/// is parsed from disk: every committed manifest is byte-identical, and
+/// each registered one equals a cold parse of its file, decoded values
+/// included.
+#[test]
+fn warm_and_cold_commits_write_the_same_bytes() {
+    let p = |id: i64| {
+        let row = [
+            ("id".to_string(), Value::Int(id)),
+            (
+                "s".to_string(),
+                Value::from(format!("q\"{id}\\\u{1}é").as_str()),
+            ),
+            ("x".to_string(), Value::Float(id as f64 + 0.25)),
+        ];
+        tiny(&row, id as f64)
+    };
+    let novel = tiny(
+        &[
+            ("id".to_string(), Value::Int(100)),
+            ("nan".to_string(), Value::Float(f64::NAN)),
+            ("note".to_string(), Value::Null),
+            ("x".to_string(), Value::Float(2.0)),
+        ],
+        0.5,
+    );
+    let dups_and_new = [p(0), p(1), p(3), p(4), p(3)];
+    let steps: [&dyn Fn(&std::path::Path) -> u64; 5] = [
+        &|d| Store::save(d, &[p(0), p(1), p(2)]).unwrap().generation,
+        &|d| {
+            Store::append(d, std::slice::from_ref(&novel))
+                .unwrap()
+                .generation
+        },
+        &|d| Store::append(d, &dups_and_new).unwrap().generation,
+        &|d| Store::compact(d).unwrap().generation,
+        &|d| Store::append(d, &[p(5), p(6)]).unwrap().generation,
+    ];
+    let warm = ScratchDir::new("commits-warm");
+    let mut cold = ScratchDir::new("commits-cold");
+    for (i, step) in steps.iter().enumerate() {
+        let gen = step(&warm);
+        let next = ScratchDir::copy_of("commits-cold", &cold);
+        assert_eq!(step(&next), gen, "step {i}");
+        cold = next;
+        let bytes = std::fs::read(warm.join(manifest_name(gen))).unwrap();
+        assert!(
+            bytes == std::fs::read(cold.join(manifest_name(gen))).unwrap(),
+            "step {i}: warm and cold manifests differ"
+        );
+        let held = registry::registered(&warm).expect("the commit registered its manifest");
+        assert_eq!(held.generation, gen, "step {i}");
+        let parsed = Manifest::from_file_bytes(&bytes).unwrap();
+        assert_eq!(*held, parsed, "step {i}");
+        for (h, c) in held.columns.iter().zip(&parsed.columns) {
+            assert_eq!(h.values(), c.values(), "step {i}: column {}", h.key());
+        }
+    }
+    let (loaded, report) = Store::open(&warm).unwrap().load_all().unwrap();
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(loaded.len(), 8);
 }
 
 #[test]
@@ -1170,6 +1250,98 @@ fn registry_in_place_rewrite_behaves_as_a_cold_open() {
     assert_eq!(hashes(&got_profiles), hashes(&expect_profiles));
     let pinned = Store::open_pinned(&dir).unwrap();
     assert_eq!(pinned.generation(), 1);
+}
+
+#[test]
+fn registry_holds_every_commit() {
+    let dir = ScratchDir::new("registry-commits");
+    let ps = runs(6);
+    let holds = |gen: u64| {
+        let held = registry::registered(&dir).expect("the commit registered its manifest");
+        assert_eq!(held.generation, gen);
+        let reader = Store::open(&dir).unwrap();
+        assert!(
+            std::ptr::eq(reader.manifest(), &*held),
+            "generation {gen}: the open parsed its own copy"
+        );
+    };
+    holds(Store::save(&dir, &ps[..2]).unwrap().generation);
+    holds(Store::append(&dir, &ps[2..4]).unwrap().generation);
+    holds(Store::compact(&dir).unwrap().generation);
+    holds(Store::append(&dir, &ps[4..]).unwrap().generation);
+}
+
+#[test]
+fn registry_in_place_rewrite_behaves_as_a_cold_append() {
+    let dir = ScratchDir::new("registry-rewrite-append");
+    Store::save(&dir, &runs(3)).unwrap();
+    // A warm append: its base is the save's registration, and it
+    // registers generation 2.
+    Store::append(&dir, &runs(4)[3..]).unwrap();
+    assert_eq!(registry::registered(&dir).map(|m| m.generation), Some(2));
+
+    // Same length, header untouched, one body byte changed, same inode
+    // and mtime: only the body CRC tells.
+    let path = dir.join(manifest_name(2));
+    let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = bytes.len() - 2;
+    bytes[at] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+    set_manifest_mtime(&dir, 2, mtime);
+
+    let reference = ScratchDir::copy_of("registry-rewrite-append-cold", &dir);
+    let batch = &runs(6)[4..];
+    let expect = Store::append(&reference, batch);
+    let got = Store::append(&dir, batch);
+    match (&got, &expect) {
+        (Ok(g), Ok(e)) => assert_eq!(g, e),
+        (Err(g), Err(e)) => assert_eq!(
+            std::mem::discriminant(g),
+            std::mem::discriminant(e),
+            "{g} against {e}"
+        ),
+        _ => panic!("warm {got:?} against cold {expect:?}"),
+    }
+    let report = expect.unwrap();
+    assert_eq!(
+        (report.generation, report.profiles),
+        (3, 5),
+        "a cold append grows generation 1"
+    );
+    let files = |d: &std::path::Path| -> Vec<(String, Vec<u8>)> {
+        layout::list_dir(d)
+            .unwrap()
+            .into_iter()
+            .map(|n| {
+                let bytes = std::fs::read(d.join(&n)).unwrap();
+                (n, bytes)
+            })
+            .collect()
+    };
+    assert!(files(&dir) == files(&reference), "the directories differ");
+}
+
+/// A newest generation collected between the listing and its probe
+/// means a newer one committed: the probe lists again and finds it,
+/// instead of answering with an older generation a pin still keeps.
+#[test]
+fn registry_newest_lists_again_past_a_collected_generation() {
+    let dir = ScratchDir::new("registry-vanished");
+    Store::save(&dir, &runs(2)).unwrap();
+    Store::append(&dir, &runs(3)[2..]).unwrap();
+    let mut vanished = false;
+    let (gen, _) = registry::newest_by(&dir, |gen, _| {
+        if gen == 2 && !vanished {
+            // Generation 3 commits and GC collects generation 2.
+            vanished = true;
+            std::fs::rename(dir.join(manifest_name(2)), dir.join(manifest_name(3)))?;
+            return Err(std::io::ErrorKind::NotFound.into());
+        }
+        Ok(Some(gen))
+    })
+    .unwrap();
+    assert_eq!(gen, 3, "answered with a generation older than the newest");
 }
 
 #[test]

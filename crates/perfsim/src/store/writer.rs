@@ -9,25 +9,32 @@
 // `CrashClock` tick to the last GC step runs under the lock, so the
 // enumerable crash-point sequence is exactly the single-writer one —
 // taking the lock adds no points.
+//
+// Every commit registers the manifest it wrote in the process-wide
+// registry, and `append` and `compact` take their base through it: a
+// process that committed the newest generation grows it without
+// parsing it again.
 
 use super::crc::crc32c;
 use super::layout::{
     list_dir, list_generations, manifest_name, parse_manifest_name, parse_shard_name, shard_name,
 };
 use super::manifest::{
-    append_columns, build_columns, sorted_meta, Manifest, ShardInfo, StoreEntry,
+    append_columns, build_columns, select_columns, sorted_meta, Manifest, ShardInfo, StoreEntry,
 };
 use super::reader::{record_index_of, PayloadSlice, StoreReader};
 use super::{
-    lease, legacy, CompactReport, StoreError, StoreOptions, WriteReport, RECORD_HEADER_BYTES,
-    SHARD_MAGIC,
+    lease, legacy, registry, CompactReport, StoreError, StoreOptions, WriteReport,
+    RECORD_HEADER_BYTES, SHARD_MAGIC,
 };
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
 use crate::profile::Profile;
 use std::collections::HashSet;
+use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::Path;
 use std::sync::Arc;
+use std::time::SystemTime;
 use thicket_dataframe::Value;
 
 /// Counts the writer's enumerated crash points and aborts at the
@@ -58,21 +65,21 @@ impl CrashClock {
 /// Write `bytes` to `path` and sync them through the same handle, behind
 /// the crash point `label` ("the process died mid-write"). Only when
 /// that point is the injected crash does the file get its torn state:
-/// the first half of `bytes`.
+/// the first half of `bytes`. Returns the handle, still open.
 fn write_synced(
     path: &Path,
     bytes: &[u8],
     label: &'static str,
     clock: &mut CrashClock,
-) -> Result<(), StoreError> {
+) -> Result<File, StoreError> {
     if clock.fires_next() {
         std::fs::write(path, &bytes[..bytes.len() / 2])?;
     }
     clock.tick(label)?;
-    let mut file = std::fs::File::create(path)?;
+    let mut file = File::create(path)?;
     file.write_all(bytes)?;
     file.sync_all()?;
-    Ok(())
+    Ok(file)
 }
 
 /// Where one payload landed: shard index *within this write's packs*,
@@ -182,15 +189,26 @@ fn write_shards(
     Ok((infos, placements))
 }
 
-/// Manifest commit: dot-temp, sync, rename (the atomic commit point).
-fn commit_manifest(dir: &Path, manifest: &Manifest, clock: &mut CrashClock) -> Result<(), StoreError> {
+/// Manifest commit: dot-temp, sync, rename (the atomic commit point),
+/// then registration of the committed manifest, identified by an
+/// `fstat` of the file written. Registration adds no crash point.
+fn commit_manifest(
+    dir: &Path,
+    manifest: &Arc<Manifest>,
+    clock: &mut CrashClock,
+) -> Result<(), StoreError> {
     let gen = manifest.generation;
     let bytes = manifest.to_file_bytes();
     let tmp = dir.join(format!(".{}.tmp", manifest_name(gen)));
-    write_synced(&tmp, &bytes, "mid-manifest-write", clock)?;
+    // Taken before the write, so the registered entry starts young.
+    let written_at = SystemTime::now();
+    let file = write_synced(&tmp, &bytes, "mid-manifest-write", clock)?;
     clock.tick("manifest-written")?;
     std::fs::rename(&tmp, dir.join(manifest_name(gen)))?;
     clock.tick("manifest-committed")?;
+    if let Ok(meta) = file.metadata() {
+        registry::register(dir, manifest, &bytes, &meta, written_at);
+    }
     Ok(())
 }
 
@@ -260,58 +278,6 @@ fn gc_generations(
     Ok(())
 }
 
-/// Read-only probe for the newest self-verifying manifest, in whatever
-/// format wrote it, read from disk: the writers' and the migrator's
-/// base. Readers go through the registry instead.
-pub(crate) fn newest_manifest(dir: &Path) -> Result<(Manifest, u64), StoreError> {
-    newest_by(dir, |gen, read| {
-        let bytes = std::fs::read(dir.join(manifest_name(gen)))?;
-        *read += bytes.len() as u64;
-        Ok(Manifest::from_file_bytes(&bytes)
-            .ok()
-            .filter(|m| m.generation == gen))
-    })
-}
-
-/// The newest generation `probe` accepts, plus every manifest byte the
-/// probes read along the way (for [`super::StoreReader::bytes_read`]
-/// accounting). `probe(gen, read)` returns `Ok(None)` for a manifest
-/// that does not verify; [`StoreError::NoGeneration`] when none does.
-///
-/// A manifest listed a moment ago can be GC'd before the probe reads it
-/// (`NotFound`) — that is only legal when a newer generation just
-/// committed, so on a vanished read the listing is retried (bounded;
-/// each retry means another writer made progress, and the newest
-/// manifest is never deleted).
-pub(crate) fn newest_by<M>(
-    dir: &Path,
-    mut probe: impl FnMut(u64, &mut u64) -> io::Result<Option<M>>,
-) -> Result<(M, u64), StoreError> {
-    let mut bytes_total = 0u64;
-    let mut gens = Vec::new();
-    for _pass in 0..16 {
-        gens = list_generations(dir)?;
-        gens.reverse();
-        let mut vanished = false;
-        for &gen in &gens {
-            match probe(gen, &mut bytes_total) {
-                Ok(Some(m)) => return Ok((m, bytes_total)),
-                Ok(None) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => vanished = true,
-                Err(e) => return Err(StoreError::Io(e)),
-            }
-        }
-        if !vanished {
-            break;
-        }
-    }
-    Err(StoreError::NoGeneration(if gens.is_empty() {
-        format!("no manifest in {}", dir.display())
-    } else {
-        format!("no manifest in {} verifies (run Store::recover)", dir.display())
-    }))
-}
-
 /// [`Store::save_opts`]'s critical section: write `staged` as a fresh
 /// generation, keeping the first of profiles that share a hash. Caller
 /// holds the commit lock.
@@ -340,13 +306,13 @@ pub(crate) fn save_locked(
         .map(|(s, pl)| pl.entry(s.hash, 0))
         .collect();
     let rows: Vec<&[(String, Value)]> = staged.iter().map(|s| s.row.as_slice()).collect();
-    let manifest = Manifest {
+    let manifest = Arc::new(Manifest {
         generation: gen,
         shards: shard_infos,
         profiles: entries,
         columns: build_columns(&rows),
         legacy: None,
-    };
+    });
     commit_manifest(dir, &manifest, &mut clock)?;
     gc_generations(
         dir,
@@ -365,16 +331,17 @@ pub(crate) fn save_locked(
 }
 
 /// [`Store::append_opts`]'s critical section. Caller holds the commit
-/// lock; the base manifest is (re-)read *here*, under the lock — that
-/// re-read is the optimistic rebase: a generation committed after the
+/// lock; the base is taken *here*, under the lock, through the registry
+/// — that is the optimistic rebase: a generation committed after the
 /// caller staged its batch simply becomes the new base, and lost
-/// updates are impossible by construction.
+/// updates are impossible by construction. A base this process
+/// committed or verified is shared, not parsed again.
 pub(crate) fn append_locked(
     dir: &Path,
     staged: &[Staged],
     opts: &StoreOptions,
 ) -> Result<WriteReport, StoreError> {
-    let base = match newest_manifest(dir) {
+    let base = match registry::newest(dir) {
         Ok((m, _)) => Some(m),
         // Only a directory that lists no generation is empty. Saving
         // over manifests that fail verification would let GC delete the
@@ -382,7 +349,7 @@ pub(crate) fn append_locked(
         Err(StoreError::NoGeneration(_)) if list_generations(dir)?.is_empty() => None,
         Err(e) => return Err(e),
     };
-    let Some(mut base) = base else {
+    let Some(base) = base else {
         // No generation at all: an append is exactly a save.
         return save_locked(dir, staged, opts);
     };
@@ -394,11 +361,11 @@ pub(crate) fn append_locked(
     let mut seen: HashSet<i64> = base.profiles.iter().map(|e| e.hash).collect();
     let writing: Vec<&Staged> = staged.iter().filter(|s| seen.insert(s.hash)).collect();
     let tail: Vec<&[(String, Value)]> = writing.iter().map(|s| s.row.as_slice()).collect();
-    // Decodes every base column before anything is written: a base
-    // whose index does not decode fails here, typed, untouched.
+    // Decodes every base column not yet decoded before anything is
+    // written: a base whose index does not decode fails here, typed,
+    // untouched.
     let n_base = base.profiles.len();
-    let columns = append_columns(std::mem::take(&mut base.columns), n_base, &tail)
-        .map_err(StoreError::Corrupt)?;
+    let columns = append_columns(&base.columns, n_base, &tail).map_err(StoreError::Corrupt)?;
     let mut clock = CrashClock {
         next: 0,
         trigger: opts.crash_after,
@@ -415,23 +382,25 @@ pub(crate) fn append_locked(
     let packs = pack_shards(&payloads, opts.shard_bytes);
     let (new_infos, placements) = write_shards(dir, gen, &payloads, &packs, &mut clock)?;
 
-    let mut shards = std::mem::take(&mut base.shards);
-    let shard_base = shards.len();
+    let shard_base = base.shards.len();
+    let mut shards = Vec::with_capacity(shard_base + new_infos.len());
+    shards.extend_from_slice(&base.shards);
     shards.extend(new_infos);
-    let mut entries = std::mem::take(&mut base.profiles);
+    let mut entries = Vec::with_capacity(n_base + writing.len());
+    entries.extend_from_slice(&base.profiles);
     entries.extend(
         writing
             .iter()
             .zip(&placements)
             .map(|(s, pl)| pl.entry(s.hash, shard_base)),
     );
-    let manifest = Manifest {
+    let manifest = Arc::new(Manifest {
         generation: gen,
         shards,
         profiles: entries,
         columns,
         legacy: None,
-    };
+    });
     commit_manifest(dir, &manifest, &mut clock)?;
     // The base's shards are the new manifest's first `shard_base`.
     gc_generations(
@@ -458,13 +427,13 @@ pub(crate) fn append_locked(
 /// rewritten cannot be GC'd or superseded mid-rewrite.
 pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactReport, StoreError> {
     // Read phase: load the newest generation's records and metadata
-    // before the first crash point (reads never mutate). The newest
-    // generation may be in an older build's format: this is the one
-    // writer that reads it.
-    let (m, manifest_bytes) = newest_manifest(dir)?;
-    let reader = StoreReader::new(dir.to_path_buf(), Arc::new(m), manifest_bytes);
+    // before the first crash point (reads never mutate). The base comes
+    // through the registry. It may be in an older build's format (never
+    // registered, so parsed from disk): this is the one writer that
+    // reads it.
+    let (m, manifest_bytes) = registry::newest(dir)?;
+    let reader = StoreReader::new(dir.to_path_buf(), m, manifest_bytes);
     let base = reader.manifest();
-    let rows = base.meta_rows().map_err(StoreError::Corrupt)?;
     let mut raw: Vec<(usize, Result<PayloadSlice, Diagnostic>)> =
         Vec::with_capacity(base.profiles.len());
     for si in 0..base.shards.len() {
@@ -500,6 +469,10 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
             Err(d) => diagnostics.push(d),
         }
     }
+    // The kept profiles' columns, re-encoded block by block. Decodes
+    // every base column not yet decoded before anything is written: a
+    // base whose index does not decode fails here, typed, untouched.
+    let columns = select_columns(&base.columns, &kept).map_err(StoreError::Corrupt)?;
 
     let mut clock = CrashClock {
         next: 0,
@@ -516,14 +489,13 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
         .zip(&placements)
         .map(|(&i, pl)| pl.entry(base.profiles[i].hash, 0))
         .collect();
-    let kept_rows: Vec<&[(String, Value)]> = kept.iter().map(|&i| rows[i].as_slice()).collect();
-    let manifest = Manifest {
+    let manifest = Arc::new(Manifest {
         generation: gen,
         shards: shard_infos,
         profiles: entries,
-        columns: build_columns(&kept_rows),
+        columns,
         legacy: None,
-    };
+    });
     let attempted = base.profiles.len();
     let loaded = manifest.profiles.len();
     commit_manifest(dir, &manifest, &mut clock)?;

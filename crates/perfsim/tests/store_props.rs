@@ -362,8 +362,11 @@ proptest! {
     /// A fixture manifest damaged by a bit flip, a truncation or an
     /// out-of-range number, then re-sealed under a valid self-CRC so
     /// the parser has to confront the damage: open + load, pinned open
-    /// + load, fsck and compact each return `Ok` or a typed error —
-    /// never a panic, never an allocation of a declared size.
+    /// + load, fsck, an append of one fresh profile and compact each
+    /// return `Ok` or a typed error — never a panic, never an
+    /// allocation of a declared size. A failed append leaves the
+    /// directory listing as it was: the damage reaches the writer's
+    /// decode of its base before anything is written.
     #[test]
     fn mutated_fixture_manifests_never_panic(
         which in any::<u32>(),
@@ -385,6 +388,20 @@ proptest! {
             let _ = snap.load_all();
         }
         let _ = Store::fsck(&dir);
+        let listing = || {
+            let mut names: Vec<OsString> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = listing();
+        let mut cfg = CpuRunConfig::quartz_default();
+        cfg.seed = 1_000_003;
+        if let Err(e) = Store::append(&dir, &[simulate_cpu_run(&cfg)]) {
+            prop_assert_eq!(listing(), before, "{}", e);
+        }
         let _ = Store::compact(&dir);
     }
 }

@@ -20,8 +20,11 @@ cargo test -q --release --test store_recovery crash_point
 # paths that only mean something on optimized builds.
 cargo test -q --release -p thicket-perfsim --test concurrency
 # Composition oracle under --release: every load path (slice, owned,
-# ensemble directory, store dense/sparse/chunked) against the reference
-# composer, at 1, 2 and 8 workers, on optimized builds too, plus the
+# ensemble directory, store dense/sparse/chunked, and the writer path: a
+# store grown by a save and appends, each append's base the manifest the
+# commit before it registered, read in place and from a copy) against
+# the reference composer, at 1, 2 and 8 workers, on optimized builds
+# too, plus the
 # pool law (pooling the loads of consecutive groups equals one load),
 # the split law (pooling a thicket's groupby groups gives it back), the
 # chunking law (a load, lenient or strict, repeated profile ids
