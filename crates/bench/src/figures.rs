@@ -128,7 +128,8 @@ pub fn fig04() -> FigureReport {
     let composed =
         concat_thickets(&[("CPU", &cpu), ("GPU", &gpu)], NodeMatch::Name).expect("compose");
     let view = composed
-        .perf_data()
+        .perf_data_named()
+        .sort_by_index()
         .select(&[
             ColKey::grouped("CPU", "time (exc)"),
             ColKey::grouped("CPU", "Reps"),
@@ -681,7 +682,8 @@ pub fn fig15() -> FigureReport {
         })
         .expect("derived");
     let view = composed
-        .perf_data()
+        .perf_data_named()
+        .sort_by_index()
         .select(&[
             ColKey::grouped("CPU", "time (exc)"),
             ColKey::grouped("CPU", "Bytes/Rep"),
@@ -919,5 +921,49 @@ pub fn fig18() -> FigureReport {
             ("fig18_scatter_right.svg".into(), right),
             ("fig18_pcp.svg".into(), pcp),
         ],
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The (kernel, problem size) labels of a composed table's rows, as
+    /// the figure prints them below the header rule.
+    fn row_labels(report: &FigureReport) -> Vec<(String, i64)> {
+        let rows = report.text.lines().skip_while(|l| !l.starts_with("---"));
+        rows.skip(1)
+            .map(|row| {
+                let mut words = row.split_whitespace();
+                let kernel = words.next().expect("a kernel").to_string();
+                let size = words.next().expect("a size").parse().expect("an int");
+                (kernel, size)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn composed_figures_list_their_kernels_by_problem_size() {
+        let label = |k: &str, s: i64| (k.to_string(), s);
+        assert_eq!(
+            row_labels(&fig04()),
+            [
+                label("Apps_NODAL_ACCUMULATION_3D", 1_048_576),
+                label("Apps_NODAL_ACCUMULATION_3D", 4_194_304),
+                label("Apps_VOL3D", 1_048_576),
+                label("Apps_VOL3D", 4_194_304),
+                label("Lcals_HYDRO_1D", 1_048_576),
+                label("Lcals_HYDRO_1D", 4_194_304),
+                label("Stream_DOT", 1_048_576),
+                label("Stream_DOT", 4_194_304),
+            ]
+        );
+        assert_eq!(
+            row_labels(&fig15()),
+            [
+                label("Apps_VOL3D", 8_388_608),
+                label("Lcals_HYDRO_1D", 8_388_608)
+            ]
+        );
     }
 }

@@ -1,22 +1,32 @@
 //! Hierarchical (column-axis) composition of thickets (paper §3.2.2,
 //! Figures 4 and 15): joining multiple thickets' performance data
 //! side-by-side under a new top-level column index.
+//!
+//! Both node-matching modes re-key every input's perf rows onto node ids
+//! of the composed graph in one loop, so a composition is a thicket like
+//! any other: its node level holds ids of its own graph, and every
+//! operation (query, squash, pooling, statistics) applies to it.
 
-use crate::thicket::{input_failure, Thicket, ThicketError, NODE_LEVEL, PROFILE_LEVEL};
-use std::collections::HashSet;
-use thicket_dataframe::{join_many, DataFrame, Index, JoinHow, Value};
-use thicket_graph::GraphUnion;
+use crate::thicket::{input_failure, Thicket, ThicketError, PROFILE_LEVEL};
+use std::collections::{HashMap, HashSet};
+use thicket_dataframe::{join_many, DataFrame, DfError, JoinHow};
+use thicket_graph::{Graph, GraphUnion, NodeId};
 
 /// How call-tree nodes are matched across the composed thickets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeMatch {
     /// Match by full call path (structural union) — the default when the
-    /// inputs come from the same code shape.
+    /// inputs come from the same code shape. The composed graph is the
+    /// union of the inputs' graphs.
     Path,
     /// Match by node *name* — needed when different tools produce
     /// different tree shapes around the same kernels (the paper's
-    /// CPU-Caliper vs GPU-NCU composition, Figure 15). Node names must
-    /// be unique within each input.
+    /// CPU-Caliper vs GPU-NCU composition, Figure 15). The composed
+    /// graph is the first input's: each input's node maps onto the first
+    /// input's first node of the same name that holds rows, so the first
+    /// input keeps its ids, and a row whose name the first input lacks is
+    /// dropped, as the inner join would drop it. Names of measured nodes
+    /// must be unique within each input.
     Name,
 }
 
@@ -40,25 +50,11 @@ impl Thicket {
                 }
             }
         }
-        // A perf row whose profile id has no metadata row cannot be
-        // re-keyed; silently mapping it to null would corrupt the index.
-        let remap = |old: &Value| -> Result<Option<Value>, ThicketError> {
-            match map.get(old) {
-                Some(new) => Ok(Some(new.clone())),
-                None => Err(ThicketError::Invalid(format!(
-                    "perf data references profile {old} which has no metadata row; \
-                     cannot reindex by {column}"
-                ))),
-            }
-        };
+        // Every perf row's profile has a metadata row, so every row maps.
+        let remap = |old: &_| Ok::<_, DfError>(map.get(old).cloned());
         let perf_data = self.perf_data.map_level(PROFILE_LEVEL, remap)?;
         let metadata = self.metadata.map_level(PROFILE_LEVEL, remap)?;
-        Thicket::from_components(
-            self.graph.clone(),
-            perf_data.sort_by_index(),
-            metadata,
-            DataFrame::new(Index::empty([NODE_LEVEL])),
-        )
+        Thicket::from_components(self.graph.clone(), perf_data.sort_by_index(), metadata)
     }
 }
 
@@ -67,15 +63,19 @@ impl Thicket {
 /// `(node, profile)` pairs present in **all** inputs (inner join — the
 /// paper's intersection semantics).
 ///
-/// Each input's re-keyed, column-grouped perf frame is built on its own
-/// worker; the frames then meet in one k-way inner join.
+/// Each input's perf frame is re-keyed onto the composed graph and
+/// column-grouped on its own worker; the frames then meet in one k-way
+/// inner join. An input that maps two of its measured nodes onto one
+/// composed node (two sibling nodes with the same frame in `Path` mode,
+/// two measured nodes of one name in `Name` mode) is rejected, naming
+/// its label.
 pub fn concat_thickets(
     inputs: &[(&str, &Thicket)],
     match_on: NodeMatch,
 ) -> Result<Thicket, ThicketError> {
-    if inputs.is_empty() {
+    let Some(&(_, first)) = inputs.first() else {
         return Err(ThicketError::Invalid("concat_thickets of nothing".into()));
-    }
+    };
     {
         let mut seen = HashSet::new();
         for (label, _) in inputs {
@@ -87,40 +87,62 @@ pub fn concat_thickets(
         }
     }
 
-    // Build each input's perf frame (re-keyed node level + grouped
-    // columns) on the workers, in input order.
-    let threads = thicket_perfsim::default_threads(inputs.len());
-    let (perf_frames, result_graph) = match match_on {
+    // Where each input's nodes land in the composed graph.
+    let (graph, mappings): (Graph, Vec<Vec<Option<NodeId>>>) = match match_on {
         NodeMatch::Path => {
-            let graphs: Vec<&thicket_graph::Graph> =
-                inputs.iter().map(|(_, t)| t.graph()).collect();
+            let graphs: Vec<&Graph> = inputs.iter().map(|(_, t)| t.graph()).collect();
             let union = GraphUnion::build(&graphs);
-            let items: Vec<_> = inputs.iter().zip(union.mappings.iter()).collect();
-            let frames =
-                thicket_perfsim::try_parallel_map(&items, threads, |((label, tk), mapping)| {
-                    let frame = tk.perf_rekeyed(|old| Some(mapping[old.index()]))?;
-                    Ok::<_, ThicketError>(frame.with_column_group(label))
-                })
-                .map_err(|e| input_failure(e, "input thicket"))?;
-            (frames, union.graph)
+            let mappings = union
+                .mappings
+                .iter()
+                .map(|m| m.iter().copied().map(Some).collect())
+                .collect();
+            (union.graph, mappings)
         }
         NodeMatch::Name => {
-            let frames = thicket_perfsim::try_parallel_map(inputs, threads, |(label, tk)| {
-                let frame = tk.perf_data.map_level(NODE_LEVEL, |v| {
-                    Ok::<_, ThicketError>(Some(Value::from(tk.node_name(v).as_str())))
-                })?;
-                if !frame.index().is_unique() {
-                    return Err(ThicketError::Invalid(format!(
-                        "node names are not unique in input {label:?}; use NodeMatch::Path"
-                    )));
+            let mut holds_rows = vec![false; first.graph.len()];
+            for key in first.perf_data.index().keys() {
+                if let Some(id) = first.node_of_value(&key[0]) {
+                    holds_rows[id.index()] = true;
                 }
-                Ok(frame.with_column_group(label))
-            })
-            .map_err(|e| input_failure(e, "input thicket"))?;
-            (frames, inputs[0].1.graph().clone())
+            }
+            let mut by_name: HashMap<&str, NodeId> = HashMap::new();
+            for id in first.graph.ids().filter(|id| holds_rows[id.index()]) {
+                by_name.entry(first.graph.node(id).name()).or_insert(id);
+            }
+            let mappings = inputs
+                .iter()
+                .map(|(_, tk)| {
+                    let g = tk.graph();
+                    g.ids()
+                        .map(|id| by_name.get(g.node(id).name()).copied())
+                        .collect()
+                })
+                .collect();
+            (first.graph.clone(), mappings)
         }
     };
 
+    let items: Vec<_> = inputs.iter().zip(&mappings).collect();
+    let threads = thicket_perfsim::default_threads(items.len());
+    let perf_frames =
+        thicket_perfsim::try_parallel_map(&items, threads, |((label, tk), mapping)| {
+            let frame = tk
+                .perf_rekeyed(|old| mapping[old.index()])
+                .with_column_group(label);
+            if frame.index().is_unique() {
+                return Ok(frame);
+            }
+            Err(ThicketError::Invalid(match match_on {
+                NodeMatch::Path => {
+                    format!("input {label:?} has two sibling nodes with the same frame")
+                }
+                NodeMatch::Name => {
+                    format!("node names are not unique in input {label:?}; use NodeMatch::Path")
+                }
+            }))
+        })
+        .map_err(|e| input_failure(e, "input thicket"))?;
     let refs: Vec<&DataFrame> = perf_frames.iter().collect();
     let perf_data = join_many(&refs, JoinHow::Inner)?;
 
@@ -132,26 +154,32 @@ pub fn concat_thickets(
     let mrefs: Vec<&DataFrame> = meta_frames.iter().collect();
     let metadata = join_many(&mrefs, JoinHow::Outer)?;
 
-    // In Name mode the node level holds names, not arena ids; keep the
-    // graph for display but note lookups go through names.
-    Thicket::from_components(
-        result_graph,
-        perf_data.sort_by_index(),
-        metadata,
-        DataFrame::new(Index::empty([NODE_LEVEL])),
-    )
+    Thicket::from_components(graph, perf_data.sort_by_index(), metadata)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use thicket_dataframe::ColKey;
+    use crate::concat_thickets_rows;
+    use std::collections::BTreeMap;
+    use thicket_dataframe::{AggFn, ColKey, Index, Value};
+    use thicket_graph::Frame;
     use thicket_perfsim::{
-        simulate_cpu_run, simulate_gpu_run, CpuRunConfig, GpuRunConfig,
+        simulate_cpu_run, simulate_gpu_run, CpuRunConfig, GpuRunConfig, Profile,
     };
 
+    const SIZES: [u64; 2] = [1_048_576, 4_194_304];
+
     fn cpu_thicket() -> Thicket {
-        let profiles: Vec<_> = [1_048_576u64, 4_194_304]
+        cpu_at(&SIZES)
+    }
+
+    fn gpu_thicket() -> Thicket {
+        gpu_at(&SIZES)
+    }
+
+    fn cpu_at(sizes: &[u64]) -> Thicket {
+        let profiles: Vec<_> = sizes
             .iter()
             .map(|&size| {
                 let mut cfg = CpuRunConfig::quartz_default();
@@ -166,8 +194,8 @@ mod tests {
             .unwrap()
     }
 
-    fn gpu_thicket() -> Thicket {
-        let profiles: Vec<_> = [1_048_576u64, 4_194_304]
+    fn gpu_at(sizes: &[u64]) -> Thicket {
+        let profiles: Vec<_> = sizes
             .iter()
             .map(|&size| {
                 let mut cfg = GpuRunConfig::lassen_default();
@@ -180,6 +208,52 @@ mod tests {
             .0
             .reindex_profiles_by(&ColKey::new("problem size"))
             .unwrap()
+    }
+
+    /// The quartz and lassen thickets at `sizes`, composed by name.
+    fn composed_at(sizes: &[u64]) -> Thicket {
+        concat_thickets(
+            &[("CPU", &cpu_at(sizes)), ("GPU", &gpu_at(sizes))],
+            NodeMatch::Name,
+        )
+        .unwrap()
+    }
+
+    /// One profile over the call paths `paths` (`main/a/x`); every node
+    /// but those named in `unmeasured` measures `time`.
+    fn over_paths(paths: &[&str], unmeasured: &[&str]) -> Thicket {
+        let mut g = Graph::new();
+        for path in paths {
+            let mut at = None;
+            for name in path.split('/') {
+                let frame = Frame::named(name);
+                let found = match at {
+                    None => g.root_with_frame(&frame),
+                    Some(p) => g.child_with_frame(p, &frame),
+                };
+                at = Some(found.unwrap_or_else(|| match at {
+                    None => g.add_root(frame),
+                    Some(p) => g.add_child(p, frame),
+                }));
+            }
+        }
+        let nodes: Vec<_> = g.ids().collect();
+        let mut p = Profile::new(g);
+        p.set_metadata("run", 1);
+        for id in nodes {
+            if !unmeasured.contains(&p.graph().node(id).name()) {
+                p.set_metric(id, "time", 1.0);
+            }
+        }
+        Thicket::loader(&[p][..]).load().unwrap().0
+    }
+
+    /// The non-null cells of `metric`, keyed by (node name, profile).
+    fn by_name(tk: &Thicket, metric: &ColKey) -> BTreeMap<(String, Value), f64> {
+        let col = tk.perf_data().column(metric).unwrap();
+        let keys = tk.perf_data().index().keys().iter().enumerate();
+        keys.filter_map(|(row, k)| Some(((tk.node_name(&k[0]), k[1].clone()), col.get_f64(row)?)))
+            .collect()
     }
 
     #[test]
@@ -215,36 +289,45 @@ mod tests {
         assert!(tk.reindex_profiles_by(&ColKey::new("problem size")).is_err());
     }
 
+    /// A perf row whose profile has no metadata row never reaches
+    /// `reindex_profiles_by`: `from_components` rejects it, naming the
+    /// profile.
     #[test]
     fn reindex_rejects_orphaned_perf_profile() {
-        // Hand-build a thicket whose perf data references a profile id
-        // that has no metadata row.
         let tk = cpu_thicket();
-        let mut perf = tk.perf_data().clone();
         let orphan = Value::Int(999_999);
-        let mut keys: Vec<Vec<Value>> = perf.index().keys().to_vec();
+        let mut keys: Vec<Vec<Value>> = tk.perf_data().index().keys().to_vec();
         keys[0][1] = orphan.clone();
         let index = Index::new(["node", "profile"], keys).unwrap();
-        let mut rekeyed = DataFrame::new(index);
-        for (k, c) in perf.columns() {
-            rekeyed.insert(k.clone(), c.clone()).unwrap();
+        let mut perf = DataFrame::new(index);
+        for (k, c) in tk.perf_data().columns() {
+            perf.insert(k.clone(), c.clone()).unwrap();
         }
-        perf = rekeyed;
-        let broken = Thicket::from_components(
-            tk.graph().clone(),
-            perf,
-            tk.metadata().clone(),
-            DataFrame::new(Index::empty(["node"])),
-        )
-        .unwrap();
-        let err = broken
-            .reindex_profiles_by(&ColKey::new("problem size"))
-            .unwrap_err();
+        let err =
+            Thicket::from_components(tk.graph().clone(), perf, tk.metadata().clone()).unwrap_err();
+        assert!(matches!(err, ThicketError::Invalid(_)), "{err}");
         assert!(
             err.to_string().contains("999999"),
             "error should name the orphaned profile: {err}"
         );
         assert!(err.to_string().contains("no metadata row"), "{err}");
+    }
+
+    #[test]
+    fn from_components_rejects_a_node_outside_the_graph() {
+        let tk = cpu_thicket();
+        let outside = Value::Int(tk.graph().len() as i64);
+        let named = Value::from("Stream_DOT");
+        for bad in [outside, named] {
+            let perf = tk
+                .perf_data()
+                .map_level("node", |_| Ok::<_, DfError>(Some(bad.clone())))
+                .unwrap();
+            let err = Thicket::from_components(tk.graph().clone(), perf, tk.metadata().clone())
+                .unwrap_err();
+            assert!(matches!(err, ThicketError::Invalid(_)), "{err}");
+            assert!(err.to_string().contains("not a node of the graph"), "{err}");
+        }
     }
 
     #[test]
@@ -278,12 +361,13 @@ mod tests {
             assert!(!gpu_col.is_null_at(row));
         }
         // Two rows (problem sizes) per shared kernel node (Figure 4).
+        let dot = composed.value_of_node(composed.find_node("Stream_DOT").unwrap());
         let dot_rows = composed
             .perf_data()
             .index()
             .keys()
             .iter()
-            .filter(|k| k[0] == Value::from("Stream_DOT"))
+            .filter(|k| k[0] == dot)
             .count();
         assert_eq!(dot_rows, 2);
         // Metadata composed with group labels.
@@ -340,5 +424,109 @@ mod tests {
             .column(&ColKey::grouped("Derived", "speedup"))
             .unwrap();
         assert!(speedup.numeric_values().iter().all(|v| *v > 0.0));
+    }
+
+    /// A composition by name is a thicket like any other: its rows name
+    /// nodes of its graph, so every operation finds the kernels' rows.
+    #[test]
+    fn name_composition_is_a_thicket() {
+        let (cpu, gpu) = (cpu_thicket(), gpu_thicket());
+        let composed = composed_at(&SIZES);
+        let cpu_time = ColKey::grouped("CPU", "time (exc)");
+        let gpu_time = ColKey::grouped("GPU", "time (gpu)");
+        let cells = by_name(&composed, &cpu_time);
+        assert_eq!(composed.perf_data().len(), 26);
+        assert_eq!(cells.len(), 26);
+        // Each side's cells are its input's, keyed by kernel name.
+        let cpu_cells = by_name(&cpu, &ColKey::new("time (exc)"));
+        let gpu_cells = by_name(&gpu, &ColKey::new("time (gpu)"));
+        for (key, v) in &cells {
+            assert_eq!(cpu_cells.get(key), Some(v), "{key:?}");
+        }
+        for (key, v) in by_name(&composed, &gpu_time) {
+            assert_eq!(gpu_cells.get(&key), Some(&v), "{key:?}");
+        }
+
+        // Lookups by node id.
+        let kernels: Vec<NodeId> = composed
+            .graph()
+            .ids()
+            .filter(|&id| !composed.metric_series(id, &cpu_time).is_empty())
+            .collect();
+        assert_eq!(kernels.len(), 13);
+        for &id in &kernels {
+            let name = composed.graph().node(id).name().to_string();
+            assert_eq!(composed.metric_series(id, &gpu_time).len(), 2, "{name}");
+            for size in composed.profiles() {
+                let want = cpu_cells[&(name.clone(), size.clone())];
+                assert_eq!(
+                    composed.metric_at(id, &size, &cpu_time),
+                    Some(want),
+                    "{name}"
+                );
+            }
+        }
+        let pivot = composed.pivot_metric(&gpu_time).unwrap();
+        assert_eq!((pivot.len(), pivot.ncols()), (13, 2));
+
+        // Operations that narrow the thicket keep the kernels' rows.
+        let vol3d = composed
+            .query_str(r#"("*") -> (".", name == "Apps_VOL3D")"#)
+            .unwrap();
+        let want: BTreeMap<_, _> = cells
+            .iter()
+            .filter(|((name, _), _)| name == "Apps_VOL3D")
+            .map(|(k, v)| (k.clone(), *v))
+            .collect();
+        assert_eq!(want.len(), 2);
+        assert_eq!(by_name(&vol3d, &cpu_time), want);
+        assert_eq!(by_name(&composed.squash(), &cpu_time), cells);
+        assert_eq!(by_name(&composed.intersect_nodes(), &cpu_time), cells);
+
+        // Pooling, with the composition first and later.
+        let other = composed_at(&[8_388_608]);
+        let mut both = cells.clone();
+        both.extend(by_name(&other, &cpu_time));
+        assert_eq!(both.len(), 39);
+        for inputs in [[&composed, &other], [&other, &composed]] {
+            let pooled = concat_thickets_rows(&inputs).unwrap();
+            assert_eq!(by_name(&pooled, &cpu_time), both);
+        }
+
+        // Statistics keyed by node ids.
+        let mut stats = composed.clone();
+        stats
+            .compute_stats(&[(cpu_time, vec![AggFn::Mean])])
+            .unwrap();
+        let nodes: Vec<NodeId> = stats
+            .statsframe()
+            .index()
+            .keys()
+            .iter()
+            .map(|k| stats.node_of_value(&k[0]).unwrap())
+            .collect();
+        assert_eq!(nodes, kernels);
+    }
+
+    #[test]
+    fn an_input_that_folds_two_measured_nodes_into_one_is_rejected() {
+        // Name: the later input measures two `x` nodes, and both map onto
+        // the first input's `x`.
+        let one_x = over_paths(&["main/a/x"], &[]);
+        let two_x = over_paths(&["main/a/x", "main/b/x"], &[]);
+        let err =
+            concat_thickets(&[("one", &one_x), ("two", &two_x)], NodeMatch::Name).unwrap_err();
+        assert!(matches!(err, ThicketError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("input \"two\""), "{err}");
+        // Path: squashing main→a→x, main→b→x (a and b unmeasured) leaves
+        // two `x` under main, which fold onto one node of the union.
+        let squashed = over_paths(&["main/a/x", "main/b/x"], &["a", "b"]).squash();
+        let err = concat_thickets(
+            &[("whole", &two_x), ("squashed", &squashed)],
+            NodeMatch::Path,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ThicketError::Invalid(_)), "{err}");
+        assert!(err.to_string().contains("input \"squashed\""), "{err}");
     }
 }

@@ -97,12 +97,7 @@ pub(crate) fn compose(
         let kept_ids: Vec<&Value> = healthy.iter().map(|&i| &ids[i]).collect();
         let perf_data = scatter(&rows, &kept_ids, union.graph.len())?;
         let metadata = metadata_frame(healthy.iter().map(|&i| (&profiles[i], &ids[i])))?;
-        let tk = Thicket {
-            graph: union.graph,
-            perf_data,
-            metadata,
-            statsframe: DataFrame::new(Index::empty([NODE_LEVEL])),
-        };
+        let tk = Thicket::unchecked(union.graph, perf_data, metadata);
         return Ok((Some(tk), report(profiles.len(), healthy.len(), diagnostics)));
     }
 }

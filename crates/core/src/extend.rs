@@ -4,7 +4,7 @@
 
 use crate::thicket::{Thicket, ThicketError, NODE_LEVEL};
 use std::collections::{HashMap, HashSet};
-use thicket_dataframe::{to_csv, ColKey, DataFrame, Index, Value};
+use thicket_dataframe::{to_csv, ColKey, Value};
 use thicket_query::Query;
 
 impl Thicket {
@@ -19,17 +19,7 @@ impl Thicket {
             .iter()
             .filter_map(|k| self.node_of_value(&k[0]))
             .collect();
-        let (subgraph, mapping) = self.graph.induced_subgraph(&measured);
-        let perf_data = self
-            .perf_rekeyed(|old| mapping.get(&old).copied())
-            .expect("every perf row names a node");
-        Thicket::from_components(
-            subgraph,
-            perf_data.sort_by_index(),
-            self.metadata.clone(),
-            DataFrame::new(Index::empty([NODE_LEVEL])),
-        )
-        .expect("valid components")
+        self.induced(&measured)
     }
 
     /// Keep only call-tree nodes measured in **every** profile — the
@@ -52,10 +42,7 @@ impl Thicket {
         let perf_data = self
             .perf_data
             .filter(|r| keep.contains(&r.level(NODE_LEVEL)));
-        let mut out = self.clone();
-        out.perf_data = perf_data;
-        out.statsframe = DataFrame::new(Index::empty([NODE_LEVEL]));
-        out.squash()
+        Thicket::unchecked(self.graph.clone(), perf_data, self.metadata.clone()).squash()
     }
 
     /// Apply a query written in the string dialect (see

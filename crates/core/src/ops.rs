@@ -5,7 +5,8 @@
 
 use crate::thicket::{Thicket, ThicketError, NODE_LEVEL, PROFILE_LEVEL};
 use std::collections::HashSet;
-use thicket_dataframe::{ColKey, DataFrame, GroupBy, Index, PredExpr, RowRef, Value};
+use thicket_dataframe::{ColKey, DataFrame, GroupBy, PredExpr, RowRef, Value};
+use thicket_graph::NodeId;
 use thicket_query::Query;
 
 impl Thicket {
@@ -56,13 +57,8 @@ impl Thicket {
         // pushdown use.
         let keep_expr = PredExpr::is_in(PROFILE_LEVEL, keep.iter().cloned());
         let perf_data = self.perf_data.filter_expr(&keep_expr);
-        Thicket {
-            graph: self.graph.clone(),
-            perf_data,
-            metadata,
-            // Statistics describe the previous profile set; reset them.
-            statsframe: DataFrame::new(Index::empty([NODE_LEVEL])),
-        }
+        // Statistics describe the previous profile set; they start empty.
+        Thicket::unchecked(self.graph.clone(), perf_data, metadata)
     }
 
     /// Split into one thicket per distinct combination of metadata
@@ -91,21 +87,24 @@ impl Thicket {
     /// kept ancestors, and the performance data filtered and re-keyed
     /// accordingly.
     pub fn query(&self, query: &Query) -> Result<Thicket, ThicketError> {
-        let matched = query.apply(&self.graph);
-        let (subgraph, mapping) = self.graph.induced_subgraph(&matched);
+        Ok(self.induced(&query.apply(&self.graph)))
+    }
 
-        let perf_data = self.perf_rekeyed(|old| mapping.get(&old).copied())?;
-        Ok(Thicket {
-            graph: subgraph,
-            perf_data: perf_data.sort_by_index(),
-            metadata: self.metadata.clone(),
-            statsframe: DataFrame::new(Index::empty([NODE_LEVEL])),
-        })
+    /// The thicket over the nodes `keep`: the subgraph they induce, with
+    /// each kept node re-rooted under its nearest kept ancestor, and the
+    /// perf rows of kept nodes re-keyed onto it.
+    pub(crate) fn induced(&self, keep: &HashSet<NodeId>) -> Thicket {
+        let (subgraph, mapping) = self.graph.induced_subgraph(keep);
+        let perf_data = self.perf_rekeyed(|old| mapping.get(&old).copied());
+        Thicket::unchecked(subgraph, perf_data.sort_by_index(), self.metadata.clone())
     }
 
     /// Keep only the statsframe rows (call-tree nodes) satisfying `pred`
-    /// over the *named* statsframe (paper §4.2.1, Figure 9 bottom).
-    /// Requires [`crate::Thicket::compute_stats`] to have run.
+    /// (paper §4.2.1, Figure 9 bottom). The closure sees the statsframe
+    /// as [`Thicket::statsframe`] holds it: its `node` level is node ids,
+    /// so a predicate on call-site names goes through
+    /// [`Thicket::node_name`]. Requires [`crate::Thicket::compute_stats`]
+    /// to have run.
     pub fn filter_stats<F>(&self, mut pred: F) -> Thicket
     where
         F: FnMut(RowRef<'_>) -> bool,

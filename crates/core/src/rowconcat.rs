@@ -3,9 +3,9 @@
 //! composition in [`crate::concat_thickets`]. Thicket's Python API calls
 //! this `concat_thickets(axis="index")`.
 
-use crate::thicket::{input_failure, Thicket, ThicketError, NODE_LEVEL};
+use crate::thicket::{input_failure, Thicket, ThicketError};
 use std::collections::{HashMap, HashSet};
-use thicket_dataframe::{ColKey, DataFrame, Index, Value};
+use thicket_dataframe::{ColKey, DataFrame, Value};
 use thicket_graph::{Graph, GraphUnion};
 
 /// Pool the profiles of several thickets into one thicket: call graphs
@@ -43,19 +43,6 @@ pub fn concat_thickets_rows(inputs: &[&Thicket]) -> Result<Thicket, ThicketError
             }
         }
     }
-    if let Some(key) = first
-        .perf_data()
-        .index()
-        .keys()
-        .iter()
-        .find(|k| first.node_of_value(&k[0]).is_none())
-    {
-        return Err(ThicketError::Invalid(format!(
-            "perf row references unknown node {}",
-            key[0]
-        )));
-    }
-
     let graphs: Vec<&Graph> = rest.iter().map(|t| t.graph()).collect();
     let union = GraphUnion::build_onto(first.graph().clone(), &graphs);
     for (i, mapping) in union.mappings.iter().enumerate() {
@@ -75,7 +62,7 @@ pub fn concat_thickets_rows(inputs: &[&Thicket]) -> Result<Thicket, ThicketError
         let threads = thicket_perfsim::default_threads(items.len());
         let mut frames: Vec<DataFrame> =
             thicket_perfsim::try_parallel_map(&items, threads, |(tk, mapping)| {
-                let frame = tk.perf_rekeyed(|old| Some(mapping[old.index()]))?;
+                let frame = tk.perf_rekeyed(|old| Some(mapping[old.index()]));
                 Ok::<_, ThicketError>(in_load_column_order(frame, tk, first.perf_data()))
             })
             .map_err(|mut e| {
@@ -93,12 +80,7 @@ pub fn concat_thickets_rows(inputs: &[&Thicket]) -> Result<Thicket, ThicketError
     let metas: Vec<&DataFrame> = inputs.iter().map(|tk| tk.metadata()).collect();
     let metadata = DataFrame::concat_rows(&metas)?;
 
-    Thicket::from_components(
-        union.graph,
-        perf_data,
-        metadata,
-        DataFrame::new(Index::empty([NODE_LEVEL])),
-    )
+    Thicket::from_components(union.graph, perf_data, metadata)
 }
 
 /// `frame`, the rows of `input` re-keyed onto the pooled graph, with its

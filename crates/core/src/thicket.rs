@@ -1,9 +1,9 @@
 //! The [`Thicket`] struct: construction from profile ensembles and
 //! component access.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use thicket_dataframe::{ColKey, DataFrame, DfError, Value};
+use thicket_dataframe::{ColKey, DataFrame, DfError, Index, Value};
 use thicket_graph::{Graph, NodeId};
 
 /// Name of the call-tree-node index level.
@@ -82,13 +82,19 @@ pub struct Thicket {
 }
 
 impl Thicket {
-    /// Assemble a thicket from raw components (used by composition and
-    /// the EDA operations; validates index level names).
+    /// Assemble a thicket from a graph, a `(node, profile)`-indexed perf
+    /// table and a `profile`-indexed metadata table, with an empty
+    /// statsframe. This is where the invariant every thicket keeps is
+    /// checked: every perf node value is the id of a node of `graph`
+    /// ([`Thicket::node_of_value`]), and every perf row's profile has a
+    /// metadata row. Composition and pooling build through here; a
+    /// load, and the operations that only narrow a thicket (`query`,
+    /// `squash`, `groupby`, the `filter_*` family), keep the invariant
+    /// by construction and skip this O(rows) check.
     pub fn from_components(
         graph: Graph,
         perf_data: DataFrame,
         metadata: DataFrame,
-        statsframe: DataFrame,
     ) -> Result<Thicket, ThicketError> {
         if perf_data.index().names() != [NODE_LEVEL, PROFILE_LEVEL] {
             return Err(ThicketError::Invalid(format!(
@@ -101,17 +107,34 @@ impl Thicket {
                 "metadata index must be (profile)".into(),
             ));
         }
-        if statsframe.index().names() != [NODE_LEVEL] {
-            return Err(ThicketError::Invalid(
-                "statsframe index must be (node)".into(),
-            ));
+        let tk = Thicket::unchecked(graph, perf_data, metadata);
+        let profiles: HashSet<&Value> = tk.metadata.index().keys().iter().map(|k| &k[0]).collect();
+        for key in tk.perf_data.index().keys() {
+            if tk.node_of_value(&key[0]).is_none() {
+                return Err(ThicketError::Invalid(format!(
+                    "perf row references node {}, which is not a node of the graph",
+                    key[0]
+                )));
+            }
+            if !profiles.contains(&key[1]) {
+                return Err(ThicketError::Invalid(format!(
+                    "perf data references profile {} which has no metadata row",
+                    key[1]
+                )));
+            }
         }
-        Ok(Thicket {
+        Ok(tk)
+    }
+
+    /// [`Thicket::from_components`] without the check, for parts that
+    /// keep the invariant by construction.
+    pub(crate) fn unchecked(graph: Graph, perf_data: DataFrame, metadata: DataFrame) -> Thicket {
+        Thicket {
             graph,
             perf_data,
             metadata,
-            statsframe,
-        })
+            statsframe: DataFrame::new(Index::empty([NODE_LEVEL])),
+        }
     }
 
     /// The unified call graph.
@@ -222,18 +245,14 @@ impl Thicket {
 
     /// The perf rows re-keyed onto another graph: `map` sends a node of
     /// this graph to its node there, and a row it sends to `None` is
-    /// dropped. Rows keep their order. Fails on a row that names no node
-    /// of this graph.
-    pub(crate) fn perf_rekeyed(
-        &self,
-        map: impl Fn(NodeId) -> Option<NodeId>,
-    ) -> Result<DataFrame, ThicketError> {
-        self.perf_data.map_level(NODE_LEVEL, |v| {
-            let old = self.node_of_value(v).ok_or_else(|| {
-                ThicketError::Invalid(format!("perf row references unknown node {v}"))
-            })?;
-            Ok(map(old).map(|new| self.value_of_node(new)))
-        })
+    /// dropped. Rows keep their order.
+    pub(crate) fn perf_rekeyed(&self, map: impl Fn(NodeId) -> Option<NodeId>) -> DataFrame {
+        self.perf_data
+            .map_level(NODE_LEVEL, |v| {
+                let new = self.node_of_value(v).and_then(&map);
+                Ok::<_, DfError>(new.map(|id| self.value_of_node(id)))
+            })
+            .expect("the perf frame has a node level")
     }
 
     /// Render the call tree annotated with one metric from one profile

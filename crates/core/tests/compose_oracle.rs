@@ -10,6 +10,14 @@
 //! whole load keeps. A store source and the store path read under the
 //! same loader settings load the same thicket.
 //!
+//! Four laws hold column-axis composition (`concat_thickets`) to its
+//! inputs, in both node-matching modes: projecting one label's columns
+//! out of a composition gives that input on the rows every input holds;
+//! composing filtered inputs equals filtering the composition; composing
+//! pooled inputs equals pooling compositions, so the row and column axes
+//! commute; and where names are call paths, matching by name composes
+//! what matching by path does.
+//!
 //! The reference is deliberately naive: [`GraphUnion::build_naive`] for
 //! the graph, one [`FrameBuilder`] row per measured `(node, profile)`
 //! pair (duplicate sibling frames summed in source order), then a
@@ -23,11 +31,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use thicket_core::{
-    concat_thickets_rows, FilterPlan, LoadSource, PredExpr, PredOp, ProfileSource, StoreSource,
-    Strictness, Thicket, ThicketError,
+    concat_thickets, concat_thickets_rows, FilterPlan, LoadSource, NodeMatch, PredExpr, PredOp,
+    ProfileSource, StoreSource, Strictness, Thicket, ThicketError,
 };
 use thicket_dataframe::{ColKey, DataFrame, FrameBuilder, Value};
-use thicket_graph::{Frame, Graph, GraphUnion};
+use thicket_graph::{Frame, Graph, GraphUnion, NodeId};
 use thicket_perfsim::{
     inject, save_ensemble, simulate_cpu_run, CpuRunConfig, DiagKind, FaultKind, Profile,
     ScratchDir, Store,
@@ -353,38 +361,73 @@ fn predicate(mix: &mut Mix, keys: &[String], ids: &[Value], depth: usize) -> Pre
 /// A thicket's non-null perf cells, keyed by (call path, profile,
 /// column), and its non-null metadata cells, keyed by (profile, column):
 /// what a load holds, whatever graph nodes or columns it carries empty.
-type Cells = (
-    BTreeMap<(Vec<Frame>, Value, String), Value>,
-    BTreeMap<(Value, String), Value>,
-);
+type Cells = (PerfCells, MetaCells);
+type PerfCells = BTreeMap<(Vec<Frame>, Value, String), Value>;
+type MetaCells = BTreeMap<(Value, String), Value>;
 
 fn cells(tk: &Thicket) -> Cells {
-    let mut perf = BTreeMap::new();
-    for (row, key) in tk.perf_data().index().keys().iter().enumerate() {
-        let node = tk.node_of_value(&key[0]).unwrap();
-        let path: Vec<Frame> = tk
-            .graph()
+    let all = |k: &ColKey| Some(k.to_string());
+    (perf_cells(tk, NodeMatch::Path, all), meta_cells(tk, all))
+}
+
+/// How the column-axis laws key a node: by its call path, or under
+/// `NodeMatch::Name` by its name alone.
+fn node_key(tk: &Thicket, node: NodeId, mode: NodeMatch) -> Vec<Frame> {
+    let g = tk.graph();
+    match mode {
+        NodeMatch::Path => g
             .path_to(node)
             .into_iter()
-            .map(|id| tk.graph().node(id).frame().clone())
-            .collect();
-        for (col, values) in tk.perf_data().columns() {
+            .map(|id| g.node(id).frame().clone())
+            .collect(),
+        NodeMatch::Name => vec![Frame::named(g.node(node).name())],
+    }
+}
+
+/// `tk`'s non-null perf cells, keyed by (node, profile, column), nodes
+/// keyed as `mode` matches them; `column` names a column in the key, or
+/// leaves it out.
+fn perf_cells(
+    tk: &Thicket,
+    mode: NodeMatch,
+    column: impl Fn(&ColKey) -> Option<String>,
+) -> PerfCells {
+    let columns: Vec<_> = tk
+        .perf_data()
+        .columns()
+        .filter_map(|(k, c)| Some((column(k)?, c)))
+        .collect();
+    let mut out = BTreeMap::new();
+    for (row, key) in tk.perf_data().index().keys().iter().enumerate() {
+        let node = node_key(tk, tk.node_of_value(&key[0]).unwrap(), mode);
+        for (col, values) in &columns {
             let v = values.get(row);
             if !v.is_null() {
-                perf.insert((path.clone(), key[1].clone(), col.to_string()), v);
+                out.insert((node.clone(), key[1].clone(), col.clone()), v);
             }
         }
     }
-    let mut meta = BTreeMap::new();
+    out
+}
+
+/// `tk`'s non-null metadata cells, keyed by (profile, column); `column`
+/// as for [`perf_cells`].
+fn meta_cells(tk: &Thicket, column: impl Fn(&ColKey) -> Option<String>) -> MetaCells {
+    let columns: Vec<_> = tk
+        .metadata()
+        .columns()
+        .filter_map(|(k, c)| Some((column(k)?, c)))
+        .collect();
+    let mut out = BTreeMap::new();
     for (row, key) in tk.metadata().index().keys().iter().enumerate() {
-        for (col, values) in tk.metadata().columns() {
+        for (col, values) in &columns {
             let v = values.get(row);
             if !v.is_null() {
-                meta.insert((key[0].clone(), col.to_string()), v);
+                out.insert((key[0].clone(), col.clone()), v);
             }
         }
     }
-    (perf, meta)
+    out
 }
 
 fn assert_matches(tk: &Thicket, want: &(Graph, DataFrame, DataFrame), path: &str) {
@@ -752,5 +795,162 @@ proptest! {
         prop_assert!(same_graph(pooled.graph(), tk.graph()), "{}: graph differs", at);
         prop_assert!(same_frame(pooled.perf_data(), tk.perf_data()), "{}: perf data differs", at);
         prop_assert!(same_frame(pooled.metadata(), &tk.metadata().take(&rows)), "{}: metadata differs", at);
+    }
+}
+
+/// Inputs to compose over one secondary index: two or three loads, each
+/// under its own draw of profile ids from 0..8, so some ids are in every
+/// input and some are not. An input's profiles share one call tree cut
+/// from a universe whose node names are unique, so every input measures
+/// each name at most once and `NodeMatch::Name` applies. With
+/// `same_paths` a tree keeps each node under its universe parent, so a
+/// name names one call path in every input; without, a node may move
+/// under another parent or to the top.
+fn composable(seed: u64, same_paths: bool) -> Vec<Thicket> {
+    let mut mix = Mix(seed);
+    let universe: Vec<(Option<usize>, Frame)> = (0..1 + mix.below(10))
+        .map(|i| {
+            let parent = (i > 0 && !mix.chance(5)).then(|| mix.below(i));
+            let name = format!("k{i}");
+            let frame = if mix.chance(5) {
+                Frame::with_type(name, "loop")
+            } else {
+                Frame::named(name)
+            };
+            (parent, frame)
+        })
+        .collect();
+    (0..2 + mix.below(2))
+        .map(|_| {
+            let mut g = Graph::new();
+            let mut ids: Vec<Option<NodeId>> = vec![None; universe.len()];
+            for (i, (parent, frame)) in universe.iter().enumerate() {
+                if i > 0 && mix.chance(4) {
+                    continue;
+                }
+                let stays = same_paths || !mix.chance(3);
+                let parent = match parent {
+                    Some(p) if stays => match ids[*p] {
+                        None if same_paths => continue,
+                        at => at,
+                    },
+                    None if stays => None,
+                    _ => {
+                        let kept: Vec<NodeId> = ids.iter().flatten().copied().collect();
+                        (!kept.is_empty() && mix.chance(2)).then(|| kept[mix.below(kept.len())])
+                    }
+                };
+                ids[i] = Some(match parent {
+                    None => g.add_root(frame.clone()),
+                    Some(p) => g.add_child(p, frame.clone()),
+                });
+            }
+            let mut runs: Vec<i64> = (0..8).filter(|_| !mix.chance(3)).collect();
+            if runs.is_empty() {
+                runs.push(mix.below(8) as i64);
+            }
+            for i in (1..runs.len()).rev() {
+                runs.swap(i, mix.below(i + 1));
+            }
+            let profiles: Vec<Profile> = runs
+                .iter()
+                .map(|&run| profile(&mut mix, g.clone(), run))
+                .collect();
+            let ids: Vec<Value> = runs.into_iter().map(Value::Int).collect();
+            Thicket::loader(&profiles)
+                .profile_ids(&ids)
+                .load()
+                .unwrap()
+                .0
+        })
+        .collect()
+}
+
+/// `inputs` composed under the labels `A`, `B`, `C`.
+fn compose(inputs: &[Thicket], mode: NodeMatch) -> Thicket {
+    let labelled: Vec<(&str, &Thicket)> = ["A", "B", "C"].into_iter().zip(inputs).collect();
+    concat_thickets(&labelled, mode).unwrap()
+}
+
+/// The profile ids `ids` as index values.
+fn index(ids: &[i64]) -> Vec<Value> {
+    ids.iter().map(|&i| Value::Int(i)).collect()
+}
+
+const MODES: [NodeMatch; 2] = [NodeMatch::Path, NodeMatch::Name];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Projection law: a composition's perf columns under label i, the
+    /// label stripped, are input i's cells on the (node, profile) rows
+    /// every input holds, and its metadata columns under label i are input
+    /// i's metadata, nodes keyed as the mode matches them.
+    #[test]
+    fn projecting_a_label_out_of_a_composition_gives_its_input(seed in any::<u64>()) {
+        let inputs = composable(seed, false);
+        let all = |k: &ColKey| Some(k.to_string());
+        for mode in MODES {
+            let composed = compose(&inputs, mode);
+            let rows: Vec<BTreeSet<(Vec<Frame>, Value)>> = inputs
+                .iter()
+                .map(|tk| perf_cells(tk, mode, all).into_keys().map(|(node, p, _)| (node, p)).collect())
+                .collect();
+            for (tk, label) in inputs.iter().zip(["A", "B", "C"]) {
+                let at = format!("label {label}, {mode:?} (seed {seed})");
+                let under = |k: &ColKey| (k.group_str() == Some(label)).then(|| k.ungrouped().to_string());
+                let mut want = perf_cells(tk, mode, all);
+                want.retain(|(node, p, _), _| rows.iter().all(|r| r.contains(&(node.clone(), p.clone()))));
+                prop_assert!(perf_cells(&composed, mode, under) == want, "{}: perf cells differ", at);
+                prop_assert!(meta_cells(&composed, under) == meta_cells(tk, all), "{}: metadata differs", at);
+            }
+        }
+    }
+
+    /// Filter law: composing the inputs filtered to a subset of the
+    /// shared index equals filtering the composition to it.
+    #[test]
+    fn composing_filtered_inputs_equals_filtering_the_composition(seed in any::<u64>()) {
+        let inputs = composable(seed, false);
+        let mut mix = Mix(seed ^ 0xf11e);
+        let keep = index(&(0..8).filter(|_| mix.chance(2)).collect::<Vec<_>>());
+        let filtered: Vec<Thicket> = inputs.iter().map(|tk| tk.filter_profiles(&keep)).collect();
+        for mode in MODES {
+            let want = compose(&inputs, mode).filter_profiles(&keep);
+            prop_assert!(cells(&compose(&filtered, mode)) == cells(&want), "{:?} (seed {}): cells differ", mode, seed);
+        }
+    }
+
+    /// Commutation law: split the shared index in two; composing each
+    /// input's pooled halves equals pooling the compositions of the
+    /// halves, so the row and column axes commute.
+    #[test]
+    fn composing_pools_equals_pooling_compositions(seed in any::<u64>()) {
+        let inputs = composable(seed, false);
+        let mut mix = Mix(seed ^ 0xc0c0);
+        let (left, right): (Vec<i64>, Vec<i64>) = (0..8).partition(|_| mix.chance(2));
+        let half = |ids: &[i64]| -> Vec<Thicket> {
+            inputs.iter().map(|tk| tk.filter_profiles(&index(ids))).collect()
+        };
+        let (left, right) = (half(&left), half(&right));
+        let pools: Vec<Thicket> = left
+            .iter()
+            .zip(&right)
+            .map(|(l, r)| concat_thickets_rows(&[l, r]).unwrap())
+            .collect();
+        for mode in MODES {
+            let want = concat_thickets_rows(&[&compose(&left, mode), &compose(&right, mode)]).unwrap();
+            prop_assert!(cells(&compose(&pools, mode)) == cells(&want), "{:?} (seed {}): cells differ", mode, seed);
+        }
+    }
+
+    /// Mode law: where node names are unique and name one call path in
+    /// every input, matching by name composes what matching by path does.
+    #[test]
+    fn name_and_path_agree_where_names_are_call_paths(seed in any::<u64>()) {
+        let inputs = composable(seed, true);
+        let by_path = compose(&inputs, NodeMatch::Path);
+        let by_name = compose(&inputs, NodeMatch::Name);
+        prop_assert!(cells(&by_path) == cells(&by_name), "seed {}: cells differ", seed);
     }
 }

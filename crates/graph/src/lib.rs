@@ -21,8 +21,8 @@
 //! b.add_child(main_b, Frame::named("BAR"));
 //!
 //! let u = GraphUnion::build(&[&a, &b]);
-//! assert_eq!(u.graph.len(), 3);           // MAIN, FOO, BAR
-//! assert_eq!(u.intersection().len(), 1);  // only MAIN is shared
+//! assert_eq!(u.graph.len(), 3);                    // MAIN, FOO, BAR
+//! assert_eq!(u.mappings[0][0], u.mappings[1][0]);  // MAIN is shared
 //! ```
 
 #![warn(missing_docs)]

@@ -112,28 +112,6 @@ impl GraphUnion {
             mappings,
         }
     }
-
-    /// Unified node ids present in **every** input graph — the call-tree
-    /// intersection the paper solves for hierarchical composition.
-    pub fn intersection(&self) -> Vec<NodeId> {
-        let mut counts: HashMap<NodeId, usize> = HashMap::new();
-        for map in &self.mappings {
-            let mut uniq: Vec<NodeId> = map.clone();
-            uniq.sort_unstable();
-            uniq.dedup();
-            for id in uniq {
-                *counts.entry(id).or_insert(0) += 1;
-            }
-        }
-        let n = self.mappings.len();
-        let mut out: Vec<NodeId> = counts
-            .into_iter()
-            .filter(|&(_, c)| c == n)
-            .map(|(id, _)| id)
-            .collect();
-        out.sort_unstable();
-        out
-    }
 }
 
 /// The indexed union state: the unified graph plus an index from
@@ -269,7 +247,7 @@ mod tests {
         let b = chain(&["MAIN", "FOO", "BAZ"]);
         let u = GraphUnion::build(&[&a, &b]);
         assert_eq!(u.graph.len(), 3);
-        assert_eq!(u.intersection().len(), 3);
+        assert_eq!(u.mappings[0], u.mappings[1]);
     }
 
     #[test]
@@ -282,7 +260,8 @@ mod tests {
         b.add_child(m2, Frame::named("BAR"));
         let u = GraphUnion::build(&[&a, &b]);
         assert_eq!(u.graph.len(), 3); // MAIN, FOO, BAR
-        assert_eq!(u.intersection().len(), 1); // only MAIN shared
+        assert_eq!(u.mappings[0][0], u.mappings[1][0]); // only MAIN shared
+        assert_ne!(u.mappings[0][1], u.mappings[1][1]);
     }
 
     #[test]
@@ -331,7 +310,7 @@ mod tests {
         let fast = GraphUnion::build(&[&a, &b]);
         let slow = GraphUnion::build_naive(&[&a, &b]);
         assert_eq!(fast.graph.len(), slow.graph.len());
-        assert_eq!(fast.intersection(), slow.intersection());
+        assert_eq!(fast.mappings, slow.mappings);
     }
 
     #[test]
@@ -379,11 +358,11 @@ mod tests {
     fn empty_input() {
         let u = GraphUnion::build(&[]);
         assert!(u.graph.is_empty());
-        assert!(u.intersection().is_empty());
+        assert!(u.mappings.is_empty());
         let e = Graph::new();
         let u2 = GraphUnion::build(&[&e]);
         assert!(u2.graph.is_empty());
-        assert_eq!(u2.intersection().len(), 0);
+        assert_eq!(u2.mappings, [Vec::<NodeId>::new()]);
     }
 
     #[test]
@@ -392,7 +371,7 @@ mod tests {
         let b = chain(&["B"]);
         let u = GraphUnion::build(&[&a, &b]);
         assert_eq!(u.graph.roots().len(), 2);
-        assert!(u.intersection().is_empty());
+        assert_ne!(u.mappings[0], u.mappings[1]);
     }
 
     #[test]

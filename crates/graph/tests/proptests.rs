@@ -144,16 +144,6 @@ proptest! {
         }
     }
 
-    /// The intersection of [g, g] is all of g's unified nodes; for [a, b]
-    /// it is no larger than the smaller graph.
-    #[test]
-    fn intersection_bounds(a in tree_strategy(), b in tree_strategy()) {
-        let self_u = GraphUnion::build(&[&a, &a]);
-        prop_assert_eq!(self_u.intersection().len(), self_u.graph.len());
-        let u = GraphUnion::build(&[&a, &b]);
-        prop_assert!(u.intersection().len() <= a.len().min(b.len()));
-    }
-
     /// Induced subgraph over all nodes reproduces the structure.
     #[test]
     fn induced_full_subgraph_is_identity(g in tree_strategy()) {

@@ -48,8 +48,8 @@ pub use faults::{inject, inject_all, ChaosOp, ChaosSchedule, FaultKind, ScratchD
 pub use ingest::{DiagKind, Diagnostic, FilterPlan, IngestReport, Strictness};
 pub use json::Json;
 pub use parallel::{
-    contend, default_threads, parallel_map, parallel_map_catch, simulate_cpu_ensemble,
-    simulate_gpu_ensemble, try_parallel_map, ContendResults, ContendTask, JobError, JobFailure,
+    contend, default_threads, parallel_map_catch, try_parallel_map, ContendResults, ContendTask,
+    JobError, JobFailure,
 };
 pub use machine::{Compiler, CpuSpec, GpuSpec, NetworkSpec};
 pub use marbl::{marbl_ensemble, simulate_marbl_run, MarblCluster, MarblConfig};

@@ -1,11 +1,12 @@
 //! Parallel fan-out over worker threads with deterministic output order
 //! and panic isolation.
 //!
-//! The Figure 13 study alone is 560 profiles; generating ensembles — and
-//! assembling their rows into a thicket — is embarrassingly parallel, so
-//! this module fans work items out over crossbeam scoped threads while
-//! keeping the output order deterministic (result `i` always corresponds
-//! to input `i`, regardless of thread count or scheduling).
+//! The Figure 13 study alone is 560 profiles; assembling their rows
+//! into a thicket, and reading them from disk, is embarrassingly
+//! parallel, so this module fans work items out over crossbeam scoped
+//! threads while keeping the output order deterministic (result `i`
+//! always corresponds to input `i`, regardless of thread count or
+//! scheduling).
 //!
 //! Every entry point routes through one panic-capturing core: a job that
 //! panics is caught on its worker (`catch_unwind`) and surfaces as a
@@ -14,12 +15,8 @@
 //! through `std::thread::scope` while the caller's `expect` on the
 //! result panicked a second time mid-unwind.
 //!
-//! Three variants share the core:
+//! Two variants share the core:
 //!
-//! * [`parallel_map`] — infallible jobs. If a job panics anyway, the
-//!   panic of the **lowest-indexed** failing item is resumed on the
-//!   calling thread (deterministic for any thread count), after all
-//!   workers have parked.
 //! * [`try_parallel_map`] — fallible jobs. The first failure *in item
 //!   order* wins deterministically; remaining work is cancelled through
 //!   an atomic flag so a 560-profile ingest does not grind through 500
@@ -30,11 +27,9 @@
 //!   lenient ingest, where per-item diagnostics must be complete and
 //!   byte-identical across thread counts.
 
-use crate::profile::Profile;
-use crate::rajaperf::{simulate_cpu_run, simulate_gpu_run, CpuRunConfig, GpuRunConfig};
 use std::any::Any;
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Why one work item failed: its job returned an error, or panicked.
@@ -251,29 +246,6 @@ where
         .collect()
 }
 
-/// Run an infallible `job` over every item on `threads` workers,
-/// preserving order: `out[i] == job(&items[i])` for all `i`.
-///
-/// A thin wrapper over the fallible core. Should a job panic after all,
-/// the panic of the lowest-indexed failing item is resumed on the
-/// calling thread with its original payload — one deterministic panic,
-/// never a double-panic abort.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, job: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let slots = run_jobs(items, threads, true, |item| {
-        Ok::<R, std::convert::Infallible>(job(item))
-    });
-    match first_failure(slots) {
-        Ok(out) => out,
-        Err((_, Slot::Panicked(payload))) => resume_unwind(payload),
-        Err(_) => unreachable!("Infallible error type"),
-    }
-}
-
 /// A sensible worker count for `n` items: the machine's available
 /// parallelism, capped by the item count (at least 1).
 pub fn default_threads(n: usize) -> usize {
@@ -339,38 +311,9 @@ pub fn contend<'env, R: Send + 'env>(
     .expect("tasks run under catch_unwind")
 }
 
-/// Run `job` over every item on `threads` workers, preserving order.
-pub fn generate_parallel<T, F>(items: &[T], threads: usize, job: F) -> Vec<Profile>
-where
-    T: Sync,
-    F: Fn(&T) -> Profile + Sync,
-{
-    parallel_map(items, threads, job)
-}
-
-/// Simulate many CPU runs in parallel (order preserved).
-pub fn simulate_cpu_ensemble(configs: &[CpuRunConfig], threads: usize) -> Vec<Profile> {
-    generate_parallel(configs, threads, simulate_cpu_run)
-}
-
-/// Simulate many GPU runs in parallel (order preserved).
-pub fn simulate_gpu_ensemble(configs: &[GpuRunConfig], threads: usize) -> Vec<Profile> {
-    generate_parallel(configs, threads, simulate_gpu_run)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn configs(n: u64) -> Vec<CpuRunConfig> {
-        (0..n)
-            .map(|seed| {
-                let mut cfg = CpuRunConfig::quartz_default();
-                cfg.seed = seed;
-                cfg
-            })
-            .collect()
-    }
 
     #[test]
     fn contend_stops_followers_and_contains_panics() {
@@ -408,67 +351,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_order_and_values() {
-        let cfgs = configs(12);
-        let serial = simulate_cpu_ensemble(&cfgs, 1);
-        let parallel = simulate_cpu_ensemble(&cfgs, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(parallel.iter()) {
-            assert_eq!(s.profile_hash(), p.profile_hash());
-            let ns = s.graph().find_by_name("Stream_DOT").unwrap();
-            let np = p.graph().find_by_name("Stream_DOT").unwrap();
-            assert_eq!(s.metric(ns, "time (exc)"), p.metric(np, "time (exc)"));
-        }
-    }
-
-    #[test]
-    fn more_threads_than_items() {
-        let cfgs = configs(2);
-        let out = simulate_cpu_ensemble(&cfgs, 16);
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn empty_input() {
-        assert!(simulate_cpu_ensemble(&[], 4).is_empty());
-    }
-
-    #[test]
-    fn parallel_map_is_order_preserving_for_any_result_type() {
-        let items: Vec<u64> = (0..100).collect();
-        let serial = parallel_map(&items, 1, |x| x * x);
-        for threads in [2, 3, 8, 200] {
-            assert_eq!(parallel_map(&items, threads, |x| x * x), serial);
-        }
-        // Heterogeneous result sizes keep their slots too.
-        let nested = parallel_map(&items, 4, |x| vec![*x; (*x % 5) as usize]);
-        for (i, v) in nested.iter().enumerate() {
-            assert_eq!(v.len(), i % 5);
-            assert!(v.iter().all(|e| *e == i as u64));
-        }
-    }
-
-    #[test]
     fn default_threads_bounds() {
         assert_eq!(default_threads(0), 1);
         assert_eq!(default_threads(1), 1);
         assert!(default_threads(1_000_000) >= 1);
-    }
-
-    #[test]
-    fn gpu_ensemble_parallel() {
-        let cfgs: Vec<GpuRunConfig> = (0..6)
-            .map(|seed| {
-                let mut cfg = GpuRunConfig::lassen_default();
-                cfg.seed = seed;
-                cfg
-            })
-            .collect();
-        let out = simulate_gpu_ensemble(&cfgs, 3);
-        assert_eq!(out.len(), 6);
-        for (i, p) in out.iter().enumerate() {
-            assert_eq!(p.metadata("seed").unwrap().as_i64(), Some(i as i64));
-        }
     }
 
     #[test]
@@ -549,25 +435,6 @@ mod tests {
                 _ => Ok(i * 2),
             });
             assert_eq!(out, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_map_resumes_first_panic_without_abort() {
-        // A panicking job must surface as exactly one unwind on the
-        // calling thread — the lowest-indexed one — not a process abort.
-        let items: Vec<u64> = (0..64).collect();
-        for threads in [1, 2, 8] {
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                parallel_map(&items, threads, |x| {
-                    if *x == 9 || *x == 40 {
-                        panic!("boom {x}");
-                    }
-                    *x
-                })
-            }))
-            .unwrap_err();
-            assert_eq!(panic_message(caught.as_ref()), "boom 9", "threads={threads}");
         }
     }
 

@@ -65,7 +65,8 @@ fn main() {
 
     // Print the Figure 15 table for the two featured kernels.
     let view = composed
-        .perf_data()
+        .perf_data_named()
+        .sort_by_index()
         .select(&[
             ColKey::grouped("CPU", "time (exc)"),
             ColKey::grouped("CPU", "Retiring"),
@@ -86,19 +87,12 @@ fn main() {
 
     // The paper's finding: VOL3D (compute-heavy, high retiring) gains
     // more from the GPU than HYDRO_1D (backend bound, bandwidth-limited).
+    let speedup = ColKey::grouped("Derived", "speedup");
     let speedup_at = |kernel: &str, size: i64| -> f64 {
-        for row in 0..composed.perf_data().len() {
-            let key = composed.perf_data().index().key(row);
-            if key[0] == Value::from(kernel) && key[1] == Value::Int(size) {
-                return composed
-                    .perf_data()
-                    .column(&ColKey::grouped("Derived", "speedup"))
-                    .unwrap()
-                    .get_f64(row)
-                    .unwrap();
-            }
-        }
-        f64::NAN
+        let node = composed.find_node(kernel).expect("a composed kernel");
+        composed
+            .metric_at(node, &Value::Int(size), &speedup)
+            .unwrap_or(f64::NAN)
     };
     let vol = speedup_at("Apps_VOL3D", 8_388_608);
     let hydro = speedup_at("Lcals_HYDRO_1D", 8_388_608);

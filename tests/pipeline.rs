@@ -151,22 +151,13 @@ fn compose_and_derive_speedup() {
     // Derived speedup equals the ratio of the source thickets' values.
     let vol_cpu = cpu.find_node("Apps_VOL3D").unwrap();
     let vol_gpu = gpu.find_node("Apps_VOL3D").unwrap();
+    let vol = composed.find_node("Apps_VOL3D").unwrap();
     for &size in &sizes {
         let p = Value::Int(size as i64);
         let c = cpu.metric_at(vol_cpu, &p, &ColKey::new("time (exc)")).unwrap();
         let g = gpu.metric_at(vol_gpu, &p, &ColKey::new("time (gpu)")).unwrap();
-        let row = composed
-            .perf_data()
-            .index()
-            .keys()
-            .iter()
-            .position(|k| k[0] == Value::from("Apps_VOL3D") && k[1] == p)
-            .unwrap();
         let got = composed
-            .perf_data()
-            .column(&ColKey::grouped("Derived", "speedup"))
-            .unwrap()
-            .get_f64(row)
+            .metric_at(vol, &p, &ColKey::grouped("Derived", "speedup"))
             .unwrap();
         assert!((got - c / g).abs() < 1e-12);
     }

@@ -31,9 +31,18 @@ cargo test -q --release -p thicket-perfsim --test concurrency
 # included, is the same thicket and report in any chunks), the pushdown
 # law (a filter, pushed below the read or run above it over keys no
 # profile carries and profile ids, keeps what filtering the whole load
-# keeps) and the one-home check (a store source and the store path,
-# under the loader's strictness alone, agree over a rotted record).
+# keeps), the one-home check (a store source and the store path, under
+# the loader's strictness alone, agree over a rotted record), and the
+# column-axis laws of `concat_thickets` in both node-matching modes:
+# projection (a label's columns give its input on the rows every input
+# holds), filtering (composing filtered inputs equals filtering the
+# composition), commutation (composing pools equals pooling
+# compositions) and mode agreement (where names are call paths, Name
+# and Path compose the same cells).
 cargo test -q --release -p thicket-core --test compose_oracle
+# The CPU/GPU composition example (Figures 4 and 15) end to end: it
+# asserts the paper's speedup ordering on a name-matched composition.
+cargo run -q --release --example multi_arch > /dev/null
 # Planner and predicate engine under --release: metadata conjuncts
 # pushed below a store read (select_expr, load_indices), the residual
 # exists-row pass, the row walk / row-wise / vectorized evaluators on a
@@ -65,7 +74,10 @@ for _ in $(seq 1 100); do
 done
 [ -n "$ADDR" ] || { echo "tier1: thicketd never published an address"; exit 1; }
 ./target/release/thicketd query "$ADDR" 'seed >= 6' | grep -q '6 matching profiles'
-./target/release/thicketd callpath "$ADDR" '("*", name contains "Stream")' | grep -q 'Stream_MUL'
+# Capture before matching: `grep -q` exits at its first match, and a
+# client still printing later node lines then dies on the closed pipe.
+CALLPATH=$(./target/release/thicketd callpath "$ADDR" '("*", name contains "Stream")')
+grep -q 'Stream_MUL' <<< "$CALLPATH"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" # non-zero exit here = the drain was not clean
 grep -q 'drained after' "$SMOKE_DIR/serve.log"
