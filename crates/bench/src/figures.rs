@@ -276,7 +276,7 @@ pub fn fig08() -> FigureReport {
         .any("*")
         .node(".", pred::name_ends_with("block_128"))
         .build();
-    let filtered = tk.query(&query).expect("query");
+    let filtered = tk.query(&query);
 
     let mut text = String::from("before:\n");
     text.push_str(&tk.tree(&ColKey::new("time (gpu)"), &Value::Int(128)));

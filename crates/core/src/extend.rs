@@ -51,7 +51,7 @@ impl Thicket {
     pub fn query_str(&self, query: &str) -> Result<Thicket, ThicketError> {
         let q = Query::parse(query)
             .map_err(|e| ThicketError::Invalid(format!("query dialect: {e}")))?;
-        self.query(&q)
+        Ok(self.query(&q))
     }
 
     /// Performance data as CSV, with the node level rendered as names.

@@ -61,11 +61,15 @@
 //!   through the manifest registry: a generation that landed in between
 //!   simply becomes the new base, so a lost update is impossible.
 //! * **Snapshot pinning.** [`Store::open_pinned`] returns a
-//!   [`Snapshot`] that holds every shard file handle open (an unlinked
-//!   file keeps serving reads) and registers a lease file
-//!   (`pin-<gen>-<pid>-<token>`, heartbeat = mtime). GC skips
-//!   generations with a live lease and reaps leases whose owner died
-//!   or stopped heartbeating for 30 s.
+//!   [`Snapshot`] that registers a lease file
+//!   (`pin-<gen>-<pid>-<token>`, heartbeat = mtime) and reads through a
+//!   handle held open on every shard file (an unlinked file keeps
+//!   serving reads). GC skips generations with a live lease and reaps
+//!   leases whose owner died or stopped heartbeating for 30 s. The
+//!   handles belong to the generation's registry entry: the first pin
+//!   opens them, later pins of the same manifest share them, and every
+//!   shard read is positional, since snapshots on other threads read
+//!   the same descriptor.
 //! * **Manifest registry.** A process-wide registry (`registry`)
 //!   shares one verified `Arc<Manifest>` per store directory among all
 //!   readers and writers, so an open of an unchanged generation reads a
@@ -77,12 +81,18 @@
 //!   registers the manifest it wrote, young, and `append` and `compact`
 //!   take their base through the registry: a process that committed a
 //!   generation grows it without parsing it again. Only the immutable
-//!   manifest is shared: leases, shard handles and `bytes_read` stay
-//!   per snapshot, and query results are never cached. fsck, recover
-//!   and GC read manifests from disk, and an older build's generation
-//!   is never registered. The registry holds a fixed handful of
-//!   directories, drops entries whose manifest file is gone, and never
-//!   holds its lock across I/O or a parse.
+//!   manifest and, once a pin opened them, the handles on its shards are
+//!   shared: leases and `bytes_read` stay per snapshot, commits open no
+//!   handles, and query results are never cached. fsck, recover and GC
+//!   read manifests from disk, and an older build's generation is never
+//!   registered. The registry holds a fixed handful of directories,
+//!   drops entries whose manifest file is gone, and never holds its
+//!   lock across I/O or a parse. Replacing or evicting an entry closes
+//!   its handles once no snapshot holds them, so a generation GC
+//!   collects after this process pinned it keeps its shards' disk space
+//!   until the process registers the directory's next generation (its
+//!   own commit or its next open there), finds that manifest gone, or
+//!   evicts the entry.
 //!
 //! `fsync` placement: shard files and the manifest temp are synced
 //! before the commit rename; lock and lease files are not load-bearing
@@ -561,9 +571,9 @@ impl Store {
         // bytes_read starts at the manifest bytes consumed while
         // probing: pushdown accounting reflects true I/O, not just
         // shard payloads (a shared manifest costs its header).
-        let (m, manifest_bytes) = registry::newest(dir)?;
-        m.ensure_current()?;
-        Ok(StoreReader::new(dir.to_path_buf(), m, manifest_bytes))
+        let (shared, manifest_bytes) = registry::newest(dir)?;
+        shared.manifest.ensure_current()?;
+        Ok(StoreReader::new(dir.to_path_buf(), shared, manifest_bytes))
     }
 
     /// Open the newest generation as a pinned [`Snapshot`]: shard
@@ -575,8 +585,12 @@ impl Store {
     /// with no verifiable generation fails at once with
     /// [`StoreError::NoGeneration`], without backing off.
     ///
-    /// The manifest is shared as [`Store::open`] describes; the lease,
-    /// the shard handles and the retry stay per snapshot.
+    /// The manifest is shared as [`Store::open`] describes, and so are
+    /// the shard handles: the first pin of a registered manifest opens
+    /// them, and every later pin of it in this process shares them and
+    /// opens nothing. They close once the registry replaces or evicts
+    /// the generation and no snapshot holds them. The lease, the retry
+    /// and `bytes_read` stay per snapshot.
     pub fn open_pinned(dir: impl AsRef<Path>) -> Result<Snapshot, StoreError> {
         reader::open_pinned(dir.as_ref())
     }

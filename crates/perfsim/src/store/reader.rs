@@ -6,6 +6,7 @@ use super::crc::crc32c;
 use super::layout::manifest_name;
 use super::lease::{self, LeaseCore};
 use super::manifest::{Manifest, ShardInfo, StoreEntry};
+use super::registry::SharedGen;
 use super::{Store, StoreError, RECORD_HEADER_BYTES};
 use crate::backoff::Backoff;
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
@@ -14,8 +15,9 @@ use crate::profile::Profile;
 use std::cell::{Cell, OnceCell};
 use std::collections::BTreeSet;
 use std::fs::File;
-use std::io::{self, Read, Seek, SeekFrom};
+use std::io;
 use std::ops::Deref;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use thicket_dataframe::{BoundSource, PredExpr};
@@ -27,29 +29,31 @@ use thicket_dataframe::{BoundSource, PredExpr};
 /// worker-thread count, and the healthy subset is returned.
 pub struct StoreReader {
     dir: PathBuf,
-    /// Shared with every reader of the same manifest file in this
-    /// process through the manifest registry.
-    manifest: Arc<Manifest>,
+    /// The manifest, and the shard handles a pin reads through: shared
+    /// with every reader of the same manifest file in this process
+    /// through the manifest registry.
+    shared: Arc<SharedGen>,
     /// Bytes read so far (manifest probing + shard headers, payloads,
     /// and magics), for pushdown accounting.
     bytes_read: Cell<u64>,
     /// Entries with metadata materialized out of the columnar index
     /// (built on first [`StoreReader::entries`] call).
     materialized: OnceCell<Vec<StoreEntry>>,
-    /// Open handles on every shard file, in shard order — present once
-    /// the reader is pinned. An unlinked-but-open file keeps serving
-    /// reads, so GC by any process cannot tear a pinned load.
-    handles: Option<Vec<File>>,
+    /// Set once the reader is pinned: reads go through the shared
+    /// handles, which are then open. An unlinked-but-open file keeps
+    /// serving reads, so GC by any process cannot tear a pinned load.
+    /// An unpinned reader opens each shard it reads by name.
+    pinned: bool,
 }
 
 impl StoreReader {
-    pub(crate) fn new(dir: PathBuf, manifest: Arc<Manifest>, manifest_bytes: u64) -> StoreReader {
+    pub(crate) fn new(dir: PathBuf, shared: Arc<SharedGen>, manifest_bytes: u64) -> StoreReader {
         StoreReader {
             dir,
-            manifest,
+            shared,
             bytes_read: Cell::new(manifest_bytes),
             materialized: OnceCell::new(),
-            handles: None,
+            pinned: false,
         }
     }
 
@@ -60,10 +64,16 @@ impl StoreReader {
     /// 1. registers a **lease** (`pin-<gen>-<pid>-<token>` file) that
     ///    tells every GC — this process or another — to keep the
     ///    generation's files;
-    /// 2. opens a **handle** on every shard file, so even a GC that
-    ///    never saw the lease (it scanned just before the file
+    /// 2. makes sure a **handle** on every shard file is open, so even a
+    ///    GC that never saw the lease (it scanned just before the file
     ///    appeared) cannot tear reads: an unlinked-but-open file keeps
     ///    serving.
+    ///
+    /// The handles belong to the generation's registry entry, not to
+    /// the snapshot: the first pin of the entry opens them, and every
+    /// later pin of the same manifest file in this process shares them
+    /// and opens nothing. They stay open until the entry is replaced or
+    /// evicted and no snapshot holds them.
     ///
     /// If the generation was collected in the window between
     /// [`Store::open`] and the handle opens, the pin fails with a
@@ -72,20 +82,25 @@ impl StoreReader {
     /// can be written, but no GC can run either) the snapshot degrades
     /// to handle-only pinning.
     pub(crate) fn pin(mut self) -> Result<Snapshot, StoreError> {
-        let gen = self.manifest.generation;
+        let gen = self.generation();
         let lease = lease::acquire(&self.dir, gen)?;
-        let mut handles = Vec::with_capacity(self.manifest.shards.len());
-        for info in &self.manifest.shards {
-            match File::open(self.dir.join(&info.file)) {
-                Ok(f) => handles.push(f),
-                Err(e) => {
-                    return Err(StoreError::NoGeneration(format!(
-                        "generation {gen} was collected while pinning ({}: {e}); \
-                         reopen and retry",
-                        info.file
-                    )));
+        if self.shared.shards.get().is_none() {
+            let mut handles = Vec::with_capacity(self.manifest().shards.len());
+            for info in &self.manifest().shards {
+                match File::open(self.dir.join(&info.file)) {
+                    Ok(f) => handles.push(f),
+                    Err(e) => {
+                        return Err(StoreError::NoGeneration(format!(
+                            "generation {gen} was collected while pinning ({}: {e}); \
+                             reopen and retry",
+                            info.file
+                        )));
+                    }
                 }
             }
+            // A pin racing this one may have opened them first; then
+            // its set serves both, and these close.
+            let _ = self.shared.shards.set(handles);
         }
         // The manifest itself must still exist *after* the lease and
         // handles are in place — if it does, either GC saw our lease
@@ -96,15 +111,24 @@ impl StoreReader {
                 "generation {gen} was collected while pinning; reopen and retry"
             )));
         }
-        self.handles = Some(handles);
+        self.pinned = true;
         Ok(Snapshot {
             reader: self,
             lease,
         })
     }
+
+    /// The shared handle on shard `si`, when this reader is pinned.
+    fn pinned_shard(&self, si: usize) -> Option<&File> {
+        if !self.pinned {
+            return None;
+        }
+        self.shared.shards.get().map(|hs| &hs[si])
+    }
+
     /// The generation this reader serves.
     pub fn generation(&self) -> u64 {
-        self.manifest.generation
+        self.manifest().generation
     }
 
     /// The manifest's per-profile index, in storage order, with
@@ -113,8 +137,8 @@ impl StoreReader {
     /// predicate's keys, so prefer it on hot paths.
     pub fn entries(&self) -> &[StoreEntry] {
         self.materialized.get_or_init(|| {
-            let rows = self.manifest.meta_rows_lossy();
-            self.manifest
+            let rows = self.manifest().meta_rows_lossy();
+            self.manifest()
                 .profiles
                 .iter()
                 .zip(rows)
@@ -128,14 +152,21 @@ impl StoreReader {
 
     /// The manifest (shard descriptors included).
     pub fn manifest(&self) -> &Manifest {
-        &self.manifest
+        &self.shared.manifest
+    }
+
+    /// The generation as this process shares it: the registry's entry
+    /// for this reader's manifest file, with its shard handles.
+    #[cfg(test)]
+    pub(crate) fn shared(&self) -> &Arc<SharedGen> {
+        &self.shared
     }
 
     /// Every metadata key this store can answer predicates about
     /// without shard I/O: the columnar index keys. The loader's planner
     /// uses this to decide which conjuncts push below the read.
     pub fn meta_keys(&self) -> BTreeSet<String> {
-        self.manifest
+        self.manifest()
             .columns
             .iter()
             .map(|b| b.key().to_string())
@@ -158,10 +189,10 @@ impl StoreReader {
     /// columns stay undecoded. A named column that fails to decode is
     /// [`StoreError::Corrupt`] (fsck classifies the damage).
     pub fn select_expr(&self, expr: &PredExpr) -> Result<Vec<usize>, StoreError> {
-        let n = self.manifest.profiles.len();
+        let n = self.manifest().profiles.len();
         let mut src = BoundSource::new(n);
         for key in expr.fields() {
-            if let Some(b) = self.manifest.column(key) {
+            if let Some(b) = self.manifest().column(key) {
                 let vals = b.values().map_err(StoreError::Corrupt)?;
                 src.bind_slice(key, vals, Some(b.present()));
             }
@@ -186,7 +217,7 @@ impl StoreReader {
         expr: &PredExpr,
     ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
         let selected = self.select_expr(expr)?;
-        let threads = crate::parallel::default_threads(self.manifest.profiles.len());
+        let threads = crate::parallel::default_threads(self.manifest().profiles.len());
         self.load_indices(&selected, threads)
     }
 
@@ -204,11 +235,11 @@ impl StoreReader {
         // Read the selected ranges, shard by shard, in storage order.
         let mut raw: Vec<(usize, Result<PayloadSlice, Diagnostic>)> =
             Vec::with_capacity(selected.len());
-        for si in 0..self.manifest.shards.len() {
+        for si in 0..self.manifest().shards.len() {
             let members: Vec<usize> = selected
                 .iter()
                 .copied()
-                .filter(|&i| self.manifest.profiles[i].shard == si)
+                .filter(|&i| self.manifest().profiles[i].shard == si)
                 .collect();
             if members.is_empty() {
                 continue; // whole shard skipped: not even opened.
@@ -246,11 +277,11 @@ impl StoreReader {
                 None => match parsed_iter.next().expect("job per ok record") {
                     Ok(p) => profiles.push(p),
                     Err(JobFailure::Error(e)) => diagnostics.push(Diagnostic {
-                        source: record_source(&self.manifest, i),
+                        source: record_source(self.manifest(), i),
                         kind: DiagKind::from_profile_error(&e),
                     }),
                     Err(JobFailure::Panic(m)) => diagnostics.push(Diagnostic {
-                        source: record_source(&self.manifest, i),
+                        source: record_source(self.manifest(), i),
                         kind: DiagKind::WorkerPanic(m),
                     }),
                 },
@@ -272,59 +303,58 @@ impl StoreReader {
     ///
     /// Dense selections (members cover at least half the shard's bytes)
     /// read the whole file once and hand every record an `Arc` slice of
-    /// that buffer; sparse selections seek to each record's frame so
-    /// skipped records cost no I/O. `bytes_read` reflects whichever
-    /// actually happened.
+    /// that buffer; sparse selections read each record's frame alone,
+    /// so skipped records cost no I/O. `bytes_read` reflects whichever
+    /// actually happened. Every read is positional: a pinned reader
+    /// reads through the generation's shared handle, which snapshots on
+    /// other threads read at the same time, and which keeps serving
+    /// after the file is unlinked.
     pub(crate) fn read_shard_members(
         &self,
         si: usize,
         members: &[usize],
         out: &mut Vec<(usize, Result<PayloadSlice, Diagnostic>)>,
     ) -> Result<(), StoreError> {
-        let info = &self.manifest.shards[si];
-        let member_frame_bytes: u64 = members
-            .iter()
-            .map(|&i| RECORD_HEADER_BYTES as u64 + self.manifest.profiles[i].len as u64)
-            .sum();
-        if member_frame_bytes.saturating_mul(2) >= info.bytes {
-            return self.read_shard_bulk(si, members, out);
-        }
-        // A pinned reader seeks on its held handle (`impl Seek/Read for
-        // &File`), so reads survive the file being unlinked underneath.
-        let owned;
-        let mut file: &File = match self.handles.as_ref().map(|hs| &hs[si]) {
+        let info = &self.manifest().shards[si];
+        let opened;
+        let file = match self.pinned_shard(si) {
             Some(f) => f,
             None => match File::open(self.dir.join(&info.file)) {
                 Ok(f) => {
-                    owned = f;
-                    &owned
+                    opened = f;
+                    &opened
                 }
                 Err(e) => return unreadable(info, members, e, out),
             },
         };
+        let member_frame_bytes: u64 = members
+            .iter()
+            .map(|&i| RECORD_HEADER_BYTES as u64 + self.manifest().profiles[i].len as u64)
+            .sum();
+        if member_frame_bytes.saturating_mul(2) >= info.bytes {
+            return self.read_shard_bulk(si, file, members, out);
+        }
         let file_len = file.metadata().map(|m| m.len()).unwrap_or(0);
         for &i in members {
             if let Err(d) = self.frame_in_file(i, file_len) {
                 out.push((i, Err(d)));
                 continue;
             }
-            let entry = &self.manifest.profiles[i];
-            let mut header = [0u8; RECORD_HEADER_BYTES];
-            let mut payload = vec![0u8; entry.len as usize];
-            let read = (|| -> io::Result<()> {
-                file.seek(SeekFrom::Start(entry.offset - RECORD_HEADER_BYTES as u64))?;
-                file.read_exact(&mut header)?;
-                file.read_exact(&mut payload)?;
-                Ok(())
-            })();
+            let entry = &self.manifest().profiles[i];
+            let mut frame = vec![0u8; RECORD_HEADER_BYTES + entry.len as usize];
+            let read = file.read_exact_at(&mut frame, entry.offset - RECORD_HEADER_BYTES as u64);
             self.bytes_read
-                .set(self.bytes_read.get() + (RECORD_HEADER_BYTES + entry.len as usize) as u64);
+                .set(self.bytes_read.get() + frame.len() as u64);
             let record = match read {
-                Ok(()) => self
-                    .check_frame(i, &header, &payload)
-                    .map(|()| PayloadSlice::owned(payload)),
+                Ok(()) => {
+                    let (header, payload) = frame.split_at(RECORD_HEADER_BYTES);
+                    self.check_frame(i, header, payload).map(|()| {
+                        let range = RECORD_HEADER_BYTES..frame.len();
+                        PayloadSlice::shared(Arc::new(frame), range)
+                    })
+                }
                 Err(e) => Err(Diagnostic {
-                    source: record_source(&self.manifest, i),
+                    source: record_source(self.manifest(), i),
                     kind: DiagKind::Io(format!("{}: {e}", info.file)),
                 }),
             };
@@ -334,27 +364,23 @@ impl StoreReader {
     }
 
     /// Dense-selection counterpart of [`Self::read_shard_members`]: one
-    /// `fs::read` for the whole shard, then every member validates its
-    /// frame against a shared `Arc` of that buffer. No seeks, no
-    /// per-record allocation.
+    /// read of the whole shard `file`, then every member validates its
+    /// frame against a shared `Arc` of that buffer. No per-record read
+    /// or allocation. The buffer is sized by the file's `fstat`, never
+    /// by the size the manifest declares.
     fn read_shard_bulk(
         &self,
         si: usize,
+        file: &File,
         members: &[usize],
         out: &mut Vec<(usize, Result<PayloadSlice, Diagnostic>)>,
     ) -> Result<(), StoreError> {
-        let info = &self.manifest.shards[si];
-        let whole = match self.handles.as_ref().map(|hs| &hs[si]) {
-            // Pinned: rewind the held handle and drain it — works even
-            // after the file is unlinked. The buffer starts empty:
-            // `read_to_end` reserves the file's real length, never the
-            // size the manifest declares.
-            Some(mut f) => f.seek(SeekFrom::Start(0)).and_then(|_| {
-                let mut buf = Vec::new();
-                f.read_to_end(&mut buf).map(|_| buf)
-            }),
-            None => std::fs::read(self.dir.join(&info.file)),
-        };
+        let info = &self.manifest().shards[si];
+        let whole = file.metadata().and_then(|meta| {
+            let len = usize::try_from(meta.len()).map_err(io::Error::other)?;
+            let mut buf = vec![0u8; len];
+            file.read_exact_at(&mut buf, 0).map(|()| buf)
+        });
         let bytes = match whole {
             Ok(b) => Arc::new(b),
             Err(e) => return unreadable(info, members, e, out),
@@ -363,8 +389,8 @@ impl StoreReader {
             .set(self.bytes_read.get() + bytes.len() as u64);
         for &i in members {
             let record = self.frame_in_file(i, bytes.len() as u64).and_then(|()| {
-                let start = self.manifest.profiles[i].offset as usize;
-                let end = start + self.manifest.profiles[i].len as usize;
+                let start = self.manifest().profiles[i].offset as usize;
+                let end = start + self.manifest().profiles[i].len as usize;
                 self.check_frame(
                     i,
                     &bytes[start - RECORD_HEADER_BYTES..start],
@@ -381,10 +407,10 @@ impl StoreReader {
     /// `file_len` actual bytes (overflow-proof). Manifest parsing
     /// already bounds every entry against its shard's *declared* size;
     /// this re-checks against the *actual* size before the length is
-    /// used to allocate, seek or slice, so a truncated file or a stale
+    /// used to allocate, read or slice, so a truncated file or a stale
     /// manifest can never trigger an oversized or out-of-bounds read.
     fn frame_in_file(&self, i: usize, file_len: u64) -> Result<(), Diagnostic> {
-        let e = &self.manifest.profiles[i];
+        let e = &self.manifest().profiles[i];
         let inside = e.offset >= RECORD_HEADER_BYTES as u64
             && e.offset
                 .checked_add(e.len as u64)
@@ -393,9 +419,9 @@ impl StoreReader {
             return Ok(());
         }
         Err(Diagnostic {
-            source: record_source(&self.manifest, i),
+            source: record_source(self.manifest(), i),
             kind: DiagKind::TornShard {
-                shard: self.manifest.shards[e.shard].file.clone(),
+                shard: self.manifest().shards[e.shard].file.clone(),
             },
         })
     }
@@ -403,17 +429,17 @@ impl StoreReader {
     /// Entry `i`'s frame header and payload agree with the length and
     /// CRC its manifest entry declares.
     fn check_frame(&self, i: usize, header: &[u8], payload: &[u8]) -> Result<(), Diagnostic> {
-        let e = &self.manifest.profiles[i];
+        let e = &self.manifest().profiles[i];
         let framed_len = u32::from_le_bytes(header[..4].try_into().unwrap());
         let framed_crc = u32::from_le_bytes(header[4..].try_into().unwrap());
         if framed_len == e.len && framed_crc == e.crc && crc32c(payload) == e.crc {
             return Ok(());
         }
         Err(Diagnostic {
-            source: record_source(&self.manifest, i),
+            source: record_source(self.manifest(), i),
             kind: DiagKind::ChecksumMismatch {
-                shard: self.manifest.shards[e.shard].file.clone(),
-                record: record_index_of(&self.manifest, i),
+                shard: self.manifest().shards[e.shard].file.clone(),
+                record: record_index_of(self.manifest(), i),
             },
         })
     }
@@ -439,24 +465,16 @@ fn unreadable(
     Ok(())
 }
 
-/// A record payload: either its own buffer (sparse seek reads) or a
-/// range of a whole-shard read shared by every record in the shard
-/// (dense bulk reads). Decoders borrow the slice either way — nothing
-/// is copied between disk and the parser.
+/// A record payload: a range of its own frame's buffer (sparse reads)
+/// or of a whole-shard read shared by every record in the shard (dense
+/// bulk reads). Decoders borrow the slice either way — nothing is
+/// copied between disk and the parser.
 pub(crate) struct PayloadSlice {
     bytes: Arc<Vec<u8>>,
     range: std::ops::Range<usize>,
 }
 
 impl PayloadSlice {
-    fn owned(bytes: Vec<u8>) -> Self {
-        let range = 0..bytes.len();
-        PayloadSlice {
-            bytes: Arc::new(bytes),
-            range,
-        }
-    }
-
     fn shared(bytes: Arc<Vec<u8>>, range: std::ops::Range<usize>) -> Self {
         PayloadSlice { bytes, range }
     }
@@ -498,8 +516,11 @@ pub(crate) fn record_index_of(m: &Manifest, i: usize) -> usize {
 ///
 /// In-process snapshots of the same (directory, generation) share one
 /// lease file via a refcount; dropping the last snapshot removes it.
-/// They share one verified manifest too (see [`Store::open`]); the
-/// lease, the shard handles and `bytes_read` stay per snapshot.
+/// Snapshots of the same manifest file share one verified manifest (see
+/// [`Store::open`]) and one set of shard handles, which the first pin
+/// opened and which outlive the snapshot while the registry holds the
+/// generation; dropping a snapshot closes none. `bytes_read` stays per
+/// snapshot.
 /// Using the snapshot heartbeats the lease (re-touches its mtime) so
 /// long-lived pins are not mistaken for leaks by other processes' GC.
 pub struct Snapshot {

@@ -1,5 +1,5 @@
 // ---------------------------------------------------------------------
-// Process-wide registry of verified manifests, shared by readers and
+// Process-wide registry of verified generations, shared by readers and
 // writers.
 // ---------------------------------------------------------------------
 //
@@ -11,9 +11,9 @@
 // `fstat` and reads the 13-byte header. When the file's identity —
 // canonical directory, generation, header CRC, length, inode, mtime —
 // matches the directory's entry, the caller shares that entry's
-// `Arc<Manifest>`, lazily decoded metadata columns included, instead of
-// reading, CRC-checking and parsing the body. A miss parses the file
-// and registers it.
+// `SharedGen`: its `Arc<Manifest>`, lazily decoded metadata columns
+// included, instead of reading, CRC-checking and parsing the body. A
+// miss parses the file and registers it.
 //
 // Every commit registers the manifest it just wrote, right after the
 // rename, under an `fstat` of the committed file. The writer never read
@@ -26,10 +26,25 @@
 // (no parse) before it is served. Once that gap reaches `SETTLE`, any
 // later write moves the mtime, and the next probe misses.
 //
+// A `SharedGen` also holds a handle on each of the generation's shard
+// files. The first pin of the entry opens them; every later pin with
+// the same identity shares them, and commits never open any. Snapshots
+// on different threads then read one descriptor at once, so every read
+// of a shard is positional. The handles belong to the entry: replacing
+// or evicting it closes them once no snapshot holds them. So between
+// pins the registry keeps at most one generation's handles per
+// directory, at most `MAX_DIRS` in all, and an older generation's
+// handles live only as long as its snapshots. Disk space follows the
+// handles: when GC collects a generation this process pinned and still
+// holds, its shards' blocks stay in use until the entry goes, that is
+// until this process registers the directory's next generation (its own
+// commit, or its next open of the directory), until a registration
+// anywhere in the process finds the manifest gone, or until eviction.
+//
 // fsck, recover and GC read manifests from disk, and a generation an
 // older build wrote (`NeedsMigration`) is never registered. Leases and
-// shard handles stay per snapshot: only the immutable manifest is
-// shared, never a result.
+// `bytes_read` stay per snapshot: only the immutable manifest and the
+// descriptors on its immutable shards are shared, never a result.
 //
 // The lock is never held across I/O, a parse or a manifest's drop:
 // lookups clone an `Arc`, and inserts stat the other entries' manifests
@@ -46,8 +61,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, SystemTime};
 
-/// Most store directories the registry holds at once.
-const MAX_DIRS: usize = 8;
+/// Most store directories the registry holds at once, and so the most
+/// generations whose shard handles stay open between pins.
+pub(super) const MAX_DIRS: usize = 8;
 
 /// How long before its verification a manifest must have been modified
 /// for its mtime alone to vouch for its body: a write after the
@@ -65,12 +81,29 @@ struct Identity {
     mtime: SystemTime,
 }
 
-/// One directory's registered manifest.
+/// One generation as every reader and writer in the process shares it:
+/// its verified manifest and, once a pin has opened them, a handle on
+/// each of its shard files, in shard order.
+pub(crate) struct SharedGen {
+    pub(crate) manifest: Arc<Manifest>,
+    pub(crate) shards: OnceLock<Vec<File>>,
+}
+
+impl SharedGen {
+    fn new(manifest: Arc<Manifest>) -> Arc<SharedGen> {
+        Arc::new(SharedGen {
+            manifest,
+            shards: OnceLock::new(),
+        })
+    }
+}
+
+/// One directory's registered generation.
 struct Entry {
     /// Canonical store directory.
     dir: PathBuf,
     id: Identity,
-    manifest: Arc<Manifest>,
+    shared: Arc<SharedGen>,
     /// Wall-clock time taken before the bytes were last verified.
     verified_at: SystemTime,
 }
@@ -99,7 +132,7 @@ fn canonical(dir: &Path) -> PathBuf {
 /// The newest generation in `dir` whose manifest verifies, shared with
 /// every other reader and writer of it in this process, plus the
 /// manifest bytes read to find it.
-pub(crate) fn newest(dir: &Path) -> Result<(Arc<Manifest>, u64), StoreError> {
+pub(crate) fn newest(dir: &Path) -> Result<(Arc<SharedGen>, u64), StoreError> {
     let dir = canonical(dir);
     newest_by(&dir, |gen, read| probe(&dir, gen, read))
 }
@@ -170,12 +203,17 @@ pub(crate) fn register(
         inode: inode(meta),
         mtime,
     };
-    insert(&canonical(dir), id, Arc::clone(manifest), written_at);
+    insert(
+        &canonical(dir),
+        id,
+        SharedGen::new(Arc::clone(manifest)),
+        written_at,
+    );
 }
 
 /// Generation `gen`'s manifest in `dir`, through the registry. `Ok(None)`
 /// when it does not verify, exactly as a cold parse would decide.
-fn probe(dir: &Path, gen: u64, read: &mut u64) -> io::Result<Option<Arc<Manifest>>> {
+fn probe(dir: &Path, gen: u64, read: &mut u64) -> io::Result<Option<Arc<SharedGen>>> {
     let mut file = File::open(dir.join(manifest_name(gen)))?;
     let meta = file.metadata()?;
     // Taken before any byte is read: a write this read misses lands
@@ -197,17 +235,17 @@ fn probe(dir: &Path, gen: u64, read: &mut u64) -> io::Result<Option<Arc<Manifest
         mtime: meta.modified()?,
     };
     let hit = lookup(dir, &id);
-    if let Some((manifest, false)) = hit {
-        return Ok(Some(manifest));
+    if let Some((shared, false)) = hit {
+        return Ok(Some(shared));
     }
     *read += file.read_to_end(&mut bytes)? as u64;
-    if let Some((manifest, _young)) = hit {
+    if let Some((shared, _young)) = hit {
         // A young file must still hold the body its header vouches for.
         if crc32c(&bytes[MANIFEST_HEADER_BYTES..]) != crc {
             return Ok(None);
         }
         settle(dir, &id, now);
-        return Ok(Some(manifest));
+        return Ok(Some(shared));
     }
     let Some(m) = Manifest::from_file_bytes(&bytes)
         .ok()
@@ -215,11 +253,12 @@ fn probe(dir: &Path, gen: u64, read: &mut u64) -> io::Result<Option<Arc<Manifest
     else {
         return Ok(None);
     };
-    let m = Arc::new(m);
-    if m.legacy.is_none() {
-        insert(dir, id, Arc::clone(&m), now);
+    let legacy = m.legacy.is_some();
+    let shared = SharedGen::new(Arc::new(m));
+    if !legacy {
+        insert(dir, id, Arc::clone(&shared), now);
     }
-    Ok(Some(m))
+    Ok(Some(shared))
 }
 
 #[cfg(unix)]
@@ -232,13 +271,13 @@ fn inode(_: &Metadata) -> u64 {
     0
 }
 
-/// The manifest registered for `dir` under `id`, if any, marked most
+/// The generation registered for `dir` under `id`, if any, marked most
 /// recently used; `true` when it is young.
-fn lookup(dir: &Path, id: &Identity) -> Option<(Arc<Manifest>, bool)> {
+fn lookup(dir: &Path, id: &Identity) -> Option<(Arc<SharedGen>, bool)> {
     let mut entries = entries().lock();
     let i = entries.iter().position(|e| e.dir == dir && e.id == *id)?;
     let entry = entries.remove(i);
-    let hit = (Arc::clone(&entry.manifest), entry.young());
+    let hit = (Arc::clone(&entry.shared), entry.young());
     entries.push(entry);
     Some(hit)
 }
@@ -255,9 +294,9 @@ fn settle(dir: &Path, id: &Identity, at: SystemTime) {
     }
 }
 
-/// Register `dir`'s freshly verified manifest, first dropping entries
+/// Register `dir`'s freshly verified generation, first dropping entries
 /// whose manifest file is gone.
-fn insert(dir: &Path, id: Identity, manifest: Arc<Manifest>, verified_at: SystemTime) {
+fn insert(dir: &Path, id: Identity, shared: Arc<SharedGen>, verified_at: SystemTime) {
     // Listed under the lock, stat'ed after it.
     let listed: Vec<(PathBuf, Identity)> = entries()
         .lock()
@@ -271,11 +310,12 @@ fn insert(dir: &Path, id: Identity, manifest: Arc<Manifest>, verified_at: System
     let entry = Entry {
         dir: dir.to_path_buf(),
         id,
-        manifest,
+        shared,
         verified_at,
     };
     // The guard is a temporary of this statement: the evicted manifests
-    // are freed after the lock is released.
+    // are freed, and their shard handles closed, after the lock is
+    // released.
     let evicted = admit(&mut entries().lock(), entry, &gone);
     drop(evicted);
 }
@@ -283,9 +323,9 @@ fn insert(dir: &Path, id: Identity, manifest: Arc<Manifest>, verified_at: System
 /// Under the lock: drop the `gone` entries and put `new` in its
 /// directory's slot, unless a newer generation another caller
 /// registered meanwhile holds it. Past [`MAX_DIRS`], the least recently
-/// used directory no caller holds leaves (evicting a manifest a reader
-/// or writer still holds would free nothing), else the least recently
-/// used.
+/// used directory no caller holds leaves (evicting a generation a
+/// reader or writer still holds would free nothing), else the least
+/// recently used.
 /// Returns what left.
 fn admit(entries: &mut Vec<Entry>, new: Entry, gone: &[(PathBuf, Identity)]) -> Vec<Entry> {
     let (mut evicted, kept): (Vec<Entry>, Vec<Entry>) = std::mem::take(entries)
@@ -304,7 +344,7 @@ fn admit(entries: &mut Vec<Entry>, new: Entry, gone: &[(PathBuf, Identity)]) -> 
     if entries.len() > MAX_DIRS {
         let victim = entries
             .iter()
-            .position(|e| Arc::strong_count(&e.manifest) == 1)
+            .position(|e| Arc::strong_count(&e.shared) == 1)
             .unwrap_or(0);
         evicted.push(entries.remove(victim));
     }
@@ -319,5 +359,5 @@ pub(crate) fn registered(dir: &Path) -> Option<Arc<Manifest>> {
         .lock()
         .iter()
         .find(|e| e.dir == dir)
-        .map(|e| Arc::clone(&e.manifest))
+        .map(|e| Arc::clone(&e.shared.manifest))
 }

@@ -1415,6 +1415,162 @@ fn registry_cold_and_warm_loads_are_bit_identical() {
     );
 }
 
+#[test]
+fn registry_pins_of_one_generation_share_one_handle_set() {
+    let dir = ScratchDir::new("registry-handles");
+    let opts = StoreOptions {
+        shard_bytes: 1,
+        ..StoreOptions::default()
+    };
+    Store::save_opts(&dir, &runs(4), &opts).unwrap();
+    let a = Store::open_pinned(&dir).unwrap();
+    let b = Store::open_pinned(&dir).unwrap();
+    assert!(
+        std::sync::Arc::ptr_eq(a.shared(), b.shared()),
+        "a re-pin opened handles of its own"
+    );
+    assert_eq!(a.shared().shards.get().map(Vec::len), Some(4));
+
+    // The generation a commit makes gets a set of its own, which the
+    // commit does not open; the older snapshot keeps reading its set.
+    Store::append_opts(&dir, &runs(5)[4..], &opts).unwrap();
+    let unpinned = Store::open(&dir).unwrap();
+    assert_eq!(unpinned.generation(), 2);
+    assert!(
+        unpinned.shared().shards.get().is_none(),
+        "the commit opened shard handles"
+    );
+    let c = Store::open_pinned(&dir).unwrap();
+    assert!(std::sync::Arc::ptr_eq(c.shared(), unpinned.shared()));
+    assert!(!std::sync::Arc::ptr_eq(c.shared(), a.shared()));
+    assert_eq!(c.shared().shards.get().map(Vec::len), Some(5));
+    assert_eq!(hashes(&a.load_all().unwrap().0), hashes(&runs(4)));
+    assert_eq!(hashes(&c.load_all().unwrap().0), hashes(&runs(5)));
+}
+
+#[test]
+fn registry_never_reuses_a_wiped_and_resaved_stores_handles() {
+    let dir = ScratchDir::new("registry-handles-resave");
+    Store::save(&dir, &runs(3)).unwrap();
+    settle_manifest(&dir, 1);
+    let first = Store::open_pinned(&dir).unwrap();
+    let old = std::sync::Arc::downgrade(first.shared());
+    drop(first);
+    assert!(old.upgrade().is_some(), "the entry dropped its handles");
+    // Wiped and saved again: generation 1 once more, with the same (old)
+    // mtime, and likely a recycled inode.
+    std::fs::remove_dir_all(&dir).unwrap();
+    let second_profiles = runs(6)[3..].to_vec();
+    Store::save(&dir, &second_profiles).unwrap();
+    assert!(
+        old.upgrade().is_none(),
+        "the replaced generation's handles outlived its entry"
+    );
+    settle_manifest(&dir, 1);
+    let second = Store::open_pinned(&dir).unwrap();
+    let (loaded, rep) = second.load_all().unwrap();
+    assert!(rep.is_clean(), "{rep}");
+    assert_eq!(hashes(&loaded), hashes(&second_profiles));
+}
+
+#[test]
+fn registry_repinned_loads_read_the_same_bytes() {
+    let dir = ScratchDir::new("registry-handles-bytes");
+    let opts = StoreOptions {
+        shard_bytes: 8 * 1024,
+        ..StoreOptions::default()
+    };
+    Store::save_opts(&dir, &runs(9), &opts).unwrap();
+    // Settled and registered: every pin below is a registry hit that
+    // reads the manifest's header alone.
+    settle_manifest(&dir, 1);
+    let registered = Store::open(&dir).unwrap();
+    assert!(registered.shared().shards.get().is_none());
+    // One record of a shard of three is read alone; every record is
+    // read shard by shard, in bulk.
+    for pred in [PredExpr::eq("seed", 4i64), PredExpr::True] {
+        let first = Store::open_pinned(&dir).unwrap();
+        let (first_profiles, first_report) = first.load_matching(&pred).unwrap();
+        let again = Store::open_pinned(&dir).unwrap();
+        let (again_profiles, again_report) = again.load_matching(&pred).unwrap();
+        assert!(std::sync::Arc::ptr_eq(first.shared(), again.shared()));
+        assert_eq!(again.bytes_read(), first.bytes_read(), "{pred:?}");
+        assert_eq!(again_report, first_report);
+        let encode = |ps: &[Profile]| -> Vec<Vec<u8>> {
+            ps.iter().map(crate::binprofile::encode_profile).collect()
+        };
+        assert_eq!(encode(&again_profiles), encode(&first_profiles));
+    }
+}
+
+/// How many of this process's open descriptors point into `dir`.
+#[cfg(target_os = "linux")]
+fn descriptors_into(dir: &std::path::Path) -> usize {
+    std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|fd| std::fs::read_link(fd.ok()?.path()).ok())
+        .filter(|target| target.starts_with(dir))
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn registry_keeps_shard_handles_of_at_most_max_dirs_directories() {
+    let opts = StoreOptions {
+        shard_bytes: 1,
+        ..StoreOptions::default()
+    };
+    let dirs: Vec<ScratchDir> = (0..=registry::MAX_DIRS)
+        .map(|k| ScratchDir::new(&format!("registry-fds-{k}")))
+        .collect();
+    let canonical: Vec<std::path::PathBuf> = dirs
+        .iter()
+        .map(|d| {
+            Store::save_opts(d, &runs(3), &opts).unwrap();
+            let pinned = Store::open_pinned(d).unwrap();
+            assert_eq!(pinned.shared().shards.get().map(Vec::len), Some(3));
+            d.canonicalize().unwrap()
+        })
+        .collect();
+    let holding = canonical.iter().filter(|d| descriptors_into(d) > 0).count();
+    assert!(
+        holding <= registry::MAX_DIRS,
+        "{holding} directories keep shard handles"
+    );
+    assert_eq!(
+        descriptors_into(&canonical[0]),
+        0,
+        "the least recently used directory kept its handles"
+    );
+
+    // A commit replaces the generation: its handles close with the
+    // last snapshot that reads them.
+    let last = &dirs[registry::MAX_DIRS];
+    let pinned = Store::open_pinned(last).unwrap();
+    assert_eq!(descriptors_into(&canonical[registry::MAX_DIRS]), 3);
+    Store::append_opts(last, &runs(4)[3..], &opts).unwrap();
+    assert_eq!(descriptors_into(&canonical[registry::MAX_DIRS]), 3);
+    drop(pinned);
+    assert_eq!(
+        descriptors_into(&canonical[registry::MAX_DIRS]),
+        0,
+        "a replaced generation kept its handles"
+    );
+
+    // A removed directory keeps none once a registration finds its
+    // manifest gone.
+    let removed = &dirs[registry::MAX_DIRS - 1];
+    drop(Store::open_pinned(removed).unwrap());
+    std::fs::remove_dir_all(removed).unwrap();
+    let next = ScratchDir::new("registry-fds-next");
+    Store::save(&next, &runs(1)).unwrap();
+    assert_eq!(
+        descriptors_into(&canonical[registry::MAX_DIRS - 1]),
+        0,
+        "a removed directory kept its handles"
+    );
+}
+
 /// A one-node profile carrying `row` as its metadata (its hash is the
 /// row's) and `time` as its only metric.
 fn tiny(row: &[(String, Value)], time: f64) -> Profile {

@@ -342,17 +342,18 @@ pub(crate) fn append_locked(
     opts: &StoreOptions,
 ) -> Result<WriteReport, StoreError> {
     let base = match registry::newest(dir) {
-        Ok((m, _)) => Some(m),
+        Ok((shared, _)) => Some(shared),
         // Only a directory that lists no generation is empty. Saving
         // over manifests that fail verification would let GC delete the
         // shards `Store::recover` can still salvage.
         Err(StoreError::NoGeneration(_)) if list_generations(dir)?.is_empty() => None,
         Err(e) => return Err(e),
     };
-    let Some(base) = base else {
+    let Some(shared) = base else {
         // No generation at all: an append is exactly a save.
         return save_locked(dir, staged, opts);
     };
+    let base = &shared.manifest;
     // Never write a store that mixes encodings: appending onto an older
     // build's generation waits for the migrator.
     base.ensure_current()?;
@@ -431,8 +432,8 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
     // through the registry. It may be in an older build's format (never
     // registered, so parsed from disk): this is the one writer that
     // reads it.
-    let (m, manifest_bytes) = registry::newest(dir)?;
-    let reader = StoreReader::new(dir.to_path_buf(), m, manifest_bytes);
+    let (shared, manifest_bytes) = registry::newest(dir)?;
+    let reader = StoreReader::new(dir.to_path_buf(), shared, manifest_bytes);
     let base = reader.manifest();
     let mut raw: Vec<(usize, Result<PayloadSlice, Diagnostic>)> =
         Vec::with_capacity(base.profiles.len());

@@ -17,10 +17,11 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 use thicket_perfsim::{
-    contend, simulate_cpu_run, ChaosOp, ChaosSchedule, ContendTask, CpuRunConfig, Profile,
-    ScratchDir, Store, StoreError, StoreOptions,
+    contend, encode_profile, simulate_cpu_run, ChaosOp, ChaosSchedule, ContendTask, CpuRunConfig,
+    Profile, ScratchDir, Store, StoreError, StoreOptions,
 };
 
 fn run(seed: u64) -> Profile {
@@ -244,6 +245,78 @@ fn registry_readers_stay_whole_under_appends() {
     );
     assert_eq!(lease_files(&dir), Vec::<String>::new(), "leaked leases");
     assert!(Store::fsck(&dir).unwrap().is_clean());
+}
+
+/// A one-node profile whose metadata is its seed: a record of about a
+/// hundred bytes, so a load spends its time reading frames, not
+/// decoding them.
+fn tiny(seed: u64) -> Profile {
+    let mut graph = thicket_graph::Graph::new();
+    let root = graph.add_root(thicket_graph::Frame::named("main"));
+    let mut p = Profile::new(graph);
+    p.set_metric(root, "time", seed as f64);
+    p.set_metadata("seed", seed as i64);
+    p
+}
+
+/// Snapshots on several threads re-pin one generation of a multi-shard
+/// store, so they share the shard handles its first pin opened, and
+/// load overlapping selections at once: single frames (sparse) and
+/// whole shards (dense, read in bulk). Every read is positional, so each
+/// load returns the profiles and the shard bytes of the same load run
+/// alone on one thread.
+#[test]
+fn shared_shard_handles_serve_concurrent_readers() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 150;
+    const PROFILES: usize = 1200;
+
+    let dir = ScratchDir::new("concurrency-shared-handles");
+    // About ten records a shard: a dense load reads a hundred shards.
+    let opts = StoreOptions {
+        shard_bytes: 1024,
+        ..StoreOptions::default()
+    };
+    let profiles: Vec<Profile> = (0..PROFILES as u64).map(tiny).collect();
+    let written = Store::save_opts(&dir, &profiles, &opts).unwrap();
+    assert!(written.shards >= 4, "{} shards", written.shards);
+    let selections: Vec<Vec<usize>> = vec![
+        (0..PROFILES).step_by(7).collect(),
+        (1..PROFILES).step_by(3).collect(),
+        (100..900).collect(),
+        (0..PROFILES).collect(),
+    ];
+    let load = |selected: &[usize]| -> (Vec<Vec<u8>>, u64) {
+        let snap = Store::open_pinned(&dir).expect("open_pinned");
+        let before = snap.bytes_read();
+        let (loaded, rep) = snap.load_indices(selected, 1).expect("pinned load");
+        assert!(rep.is_clean(), "torn read: {rep}");
+        let encoded = loaded.iter().map(encode_profile).collect();
+        (encoded, snap.bytes_read() - before)
+    };
+    let expect: Vec<(Vec<Vec<u8>>, u64)> = selections.iter().map(|s| load(s)).collect();
+    assert!(
+        expect.windows(2).all(|w| w[0].1 != w[1].1),
+        "the selections read alike"
+    );
+
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (start, selections, expect, load) = (&start, &selections, &expect, &load);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..ROUNDS {
+                    let k = (t + round) % selections.len();
+                    let got = load(&selections[k]);
+                    assert!(
+                        got == expect[k],
+                        "thread {t}, round {round}: selection {k} read differently"
+                    );
+                }
+            });
+        }
+    });
 }
 
 /// GC at `keep_generations: 0` must skip a generation a live snapshot

@@ -34,7 +34,7 @@ fn main() {
         .node(".", pred::name_ends_with("block_128"))
         .build();
 
-    let filtered = tk.query(&query).expect("apply query");
+    let filtered = tk.query(&query);
     println!("\ncall tree after querying for *.block_128 leaves:");
     print!("{}", filtered.tree(&ColKey::new("time (gpu)"), &Value::Int(128)));
 

@@ -61,7 +61,7 @@ fn main() {
         .any("*")
         .node(".", pred::name_starts_with("Stream_"))
         .build();
-    let streams = opt_tk.query(&q).expect("query");
+    let streams = opt_tk.query(&q);
 
     // Speedup relative to -O0, plus top-down features, per (kernel, opt).
     let kernels = ["Stream_ADD", "Stream_COPY", "Stream_DOT", "Stream_MUL", "Stream_TRIAD"];

@@ -13,25 +13,25 @@
 //!   csv  <perf|metadata|stats>  CSV to stdout
 //! ```
 
+use std::io::Write;
 use std::process::ExitCode;
 use thicket::prelude::*;
 use thicket_dataframe::AggFn;
 
+#[path = "common/output.rs"]
+mod output;
+use output::{run_to_stdout, Failure};
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("thicket: {msg}");
-            eprintln!(
-                "usage: thicket <PROFILE_DIR> [summary|metadata|perf [N]|stats <METRIC>|tree <METRIC>|query <QUERY> <METRIC>|csv <perf|metadata|stats>]"
-            );
-            ExitCode::FAILURE
-        }
-    }
+    run_to_stdout(
+        "thicket",
+        "usage: thicket <PROFILE_DIR> [summary|metadata|perf [N]|stats <METRIC>|tree <METRIC>|query <QUERY> <METRIC>|csv <perf|metadata|stats>]",
+        |out| run(&args, out),
+    )
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let dir = args.first().ok_or("missing profile directory")?;
     let mut tk = Thicket::loader(LoadSource::ensemble(dir))
         .load()
@@ -41,24 +41,24 @@ fn run(args: &[String]) -> Result<(), String> {
     let command = args.get(1).map(String::as_str).unwrap_or("summary");
     match command {
         "summary" => {
-            print!("{tk}");
-            println!("metric columns:");
+            write!(out, "{tk}")?;
+            writeln!(out, "metric columns:")?;
             for key in tk.perf_data().column_keys() {
-                println!("  {key}");
+                writeln!(out, "  {key}")?;
             }
-            println!("metadata columns:");
+            writeln!(out, "metadata columns:")?;
             for key in tk.metadata().column_keys() {
-                println!("  {key}");
+                writeln!(out, "  {key}")?;
             }
         }
-        "metadata" => print!("{}", tk.metadata()),
+        "metadata" => write!(out, "{}", tk.metadata())?,
         "perf" => {
             let n: usize = args
                 .get(2)
                 .map(|s| s.parse().map_err(|_| format!("bad row count {s:?}")))
                 .transpose()?
                 .unwrap_or(20);
-            print!("{}", tk.perf_data_named().head(n));
+            write!(out, "{}", tk.perf_data_named().head(n))?;
         }
         "stats" => {
             let metric = args.get(2).ok_or("stats needs a metric name")?;
@@ -67,37 +67,37 @@ fn run(args: &[String]) -> Result<(), String> {
                 vec![AggFn::Mean, AggFn::Std, AggFn::Min, AggFn::Max],
             )])
             .map_err(|e| e.to_string())?;
-            print!("{}", tk.statsframe_named());
+            write!(out, "{}", tk.statsframe_named())?;
         }
         "tree" => {
             let metric = args.get(2).ok_or("tree needs a metric name")?;
             let profile = tk.profiles()[0].clone();
-            print!("{}", tk.tree(&ColKey::new(metric), &profile));
+            write!(out, "{}", tk.tree(&ColKey::new(metric), &profile))?;
         }
         "query" => {
             let query = args.get(2).ok_or("query needs a query string")?;
             let metric = args.get(3).ok_or("query needs a metric name")?;
             let sub = tk.query_str(query).map_err(|e| e.to_string())?;
             if sub.graph().is_empty() {
-                println!("(no nodes matched)");
+                writeln!(out, "(no nodes matched)")?;
             } else {
                 let profile = sub.profiles()[0].clone();
-                print!("{}", sub.tree(&ColKey::new(metric), &profile));
+                write!(out, "{}", sub.tree(&ColKey::new(metric), &profile))?;
             }
         }
         "csv" => {
             let what = args.get(2).map(String::as_str).unwrap_or("perf");
             match what {
-                "perf" => print!("{}", tk.perf_csv()),
-                "metadata" => print!("{}", tk.metadata_csv()),
+                "perf" => write!(out, "{}", tk.perf_csv())?,
+                "metadata" => write!(out, "{}", tk.metadata_csv())?,
                 "stats" => {
                     tk.compute_stats_all(AggFn::Mean).map_err(|e| e.to_string())?;
-                    print!("{}", tk.stats_csv());
+                    write!(out, "{}", tk.stats_csv())?;
                 }
-                other => return Err(format!("unknown csv target {other:?}")),
+                other => return Err(format!("unknown csv target {other:?}").into()),
             }
         }
-        other => return Err(format!("unknown command {other:?}")),
+        other => return Err(format!("unknown command {other:?}").into()),
     }
     Ok(())
 }

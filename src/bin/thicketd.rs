@@ -15,12 +15,17 @@
 //! drains in-flight requests (releasing every per-request pin), and
 //! exits 0.
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicI32, Ordering};
 use std::time::Duration;
 
 use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, Store};
 use thicket_serve::{ServeOptions, Server, ThicketClient};
+
+#[path = "common/output.rs"]
+mod output;
+use output::{run_to_stdout, Failure};
 
 /// SIGTERM/SIGINT latch, set from the signal handler.
 static TERM: AtomicBool = AtomicBool::new(false);
@@ -90,18 +95,13 @@ fn wait_for_term(pipe_rd: i32) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("thicketd: {msg}");
-            eprintln!(
-                "usage: thicketd <seed <DIR> [--profiles N] [--base-seed S]\n\
-                 \x20              | serve <DIR> [--addr A] [--workers N] [--queue N] [--deadline-ms N] [--debug-ops]\n\
-                 \x20              | query <ADDR> [PRED] | callpath <ADDR> <QUERY> | status <ADDR>>"
-            );
-            ExitCode::FAILURE
-        }
-    }
+    run_to_stdout(
+        "thicketd",
+        "usage: thicketd <seed <DIR> [--profiles N] [--base-seed S]\n\
+         \x20              | serve <DIR> [--addr A] [--workers N] [--queue N] [--deadline-ms N] [--debug-ops]\n\
+         \x20              | query <ADDR> [PRED] | callpath <ADDR> <QUERY> | status <ADDR>>",
+        |out| run(&args, out),
+    )
 }
 
 /// Parse `--flag value` pairs and boolean `--flag`s from `args`.
@@ -123,19 +123,23 @@ fn parse_flag<T: std::str::FromStr>(
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let verb = args.first().map(String::as_str).ok_or("missing subcommand")?;
     let rest = &args[1..];
     match verb {
-        "seed" => seed(rest),
-        "serve" => serve(rest),
+        "seed" => seed(rest, out),
+        "serve" => serve(rest, out),
         "query" => {
             let addr = rest.first().ok_or("query needs an address")?;
             let pred = rest.get(1).map(String::as_str);
             let (generation, profiles) = ThicketClient::new(addr)
                 .load_matching(pred)
                 .map_err(|e| e.to_string())?;
-            println!("generation {generation}: {} matching profiles", profiles.len());
+            writeln!(
+                out,
+                "generation {generation}: {} matching profiles",
+                profiles.len()
+            )?;
             Ok(())
         }
         "callpath" => {
@@ -144,27 +148,28 @@ fn run(args: &[String]) -> Result<(), String> {
             let (nodes, rows) = ThicketClient::new(addr)
                 .query_nodes(query, None)
                 .map_err(|e| e.to_string())?;
-            println!("{} nodes, {rows} perf rows", nodes.len());
+            writeln!(out, "{} nodes, {rows} perf rows", nodes.len())?;
             for n in nodes {
-                println!("  {n}");
+                writeln!(out, "  {n}")?;
             }
             Ok(())
         }
         "status" => {
             let addr = rest.first().ok_or("status needs an address")?;
             let s = ThicketClient::new(addr).status().map_err(|e| e.to_string())?;
-            println!(
+            writeln!(
+                out,
                 "generation {} · {} profiles · served {} · shed {} · up {} ms",
                 s.generation, s.profiles, s.served, s.shed, s.uptime_ms
-            );
+            )?;
             Ok(())
         }
-        other => Err(format!("unknown subcommand {other:?}")),
+        other => Err(format!("unknown subcommand {other:?}").into()),
     }
 }
 
 /// Build a store of simulated RAJA-Perf runs to serve.
-fn seed(args: &[String]) -> Result<(), String> {
+fn seed(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let dir = args.first().ok_or("seed needs a store directory")?;
     let n: usize = parse_flag(args, "--profiles", 16)?;
     let base: u64 = parse_flag(args, "--base-seed", 0)?;
@@ -181,11 +186,15 @@ fn seed(args: &[String]) -> Result<(), String> {
         })
         .collect();
     let report = Store::save(dir, &profiles).map_err(|e| e.to_string())?;
-    println!("seeded {} profiles into {dir} ({} shards)", n, report.shards);
+    writeln!(
+        out,
+        "seeded {} profiles into {dir} ({} shards)",
+        n, report.shards
+    )?;
     Ok(())
 }
 
-fn serve(args: &[String]) -> Result<(), String> {
+fn serve(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let dir = args.first().ok_or("serve needs a store directory")?;
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:0");
     let mut opts = ServeOptions {
@@ -204,13 +213,12 @@ fn serve(args: &[String]) -> Result<(), String> {
     let pipe_rd = install_signal_handlers();
     let server = Server::bind(dir, addr, opts).map_err(|e| format!("bind {addr}: {e}"))?;
     // The smoke script scrapes this line for the ephemeral port.
-    println!("listening on {}", server.addr());
-    use std::io::Write;
-    std::io::stdout().flush().ok();
+    writeln!(out, "listening on {}", server.addr())?;
+    out.flush()?;
 
     wait_for_term(pipe_rd);
     let served = server.served();
     server.shutdown();
-    println!("drained after {served} requests; exiting");
+    writeln!(out, "drained after {served} requests; exiting")?;
     Ok(())
 }

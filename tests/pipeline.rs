@@ -86,7 +86,7 @@ fn query_preserves_metric_values() {
         .any("*")
         .node(".", pred::name_eq("Apps_VOL3D"))
         .build();
-    let sub = tk.query(&q).unwrap();
+    let sub = tk.query(&q);
 
     let before = tk.find_node("Apps_VOL3D").unwrap();
     let after = sub.find_node("Apps_VOL3D").unwrap();

@@ -16,8 +16,11 @@ cargo test -q --release -p thicket-perfsim --test faults v3_
 cargo test -q --release --test store_recovery crash_point
 # Concurrency smoke under --release: the live-contention matrix (readers
 # × appender × compactor with GC on), the chaos-schedule linearization
-# check, and the kill-9 subprocess recovery test — timing-sensitive
-# paths that only mean something on optimized builds.
+# check, the kill-9 subprocess recovery test, and
+# shared_shard_handles_serve_concurrent_readers (four threads re-pinning
+# one generation read sparse and dense selections through its shared
+# shard handles exactly as one thread does) — timing-sensitive paths
+# that only mean something on optimized builds.
 cargo test -q --release -p thicket-perfsim --test concurrency
 # Composition oracle under --release: every load path (slice, owned,
 # ensemble directory, store dense/sparse/chunked, and the writer path: a
@@ -74,8 +77,8 @@ for _ in $(seq 1 100); do
 done
 [ -n "$ADDR" ] || { echo "tier1: thicketd never published an address"; exit 1; }
 ./target/release/thicketd query "$ADDR" 'seed >= 6' | grep -q '6 matching profiles'
-# Capture before matching: `grep -q` exits at its first match, and a
-# client still printing later node lines then dies on the closed pipe.
+# Capture before matching: `grep -q` exits at its first match, so a
+# piped client would stop at a closed pipe before printing every node.
 CALLPATH=$(./target/release/thicketd callpath "$ADDR" '("*", name contains "Stream")')
 grep -q 'Stream_MUL' <<< "$CALLPATH"
 kill -TERM "$SERVE_PID"
