@@ -165,8 +165,9 @@ fn owned_source_matches_borrowed_source() {
 }
 
 /// The predicate engine on a store and on a composed perf frame: the
-/// columnar manifest selection counts what a walk over the entries
-/// counts, the pushed read takes fewer shard bytes than a full one, and
+/// columnar manifest selection counts what a walk over the saved
+/// profiles' own metadata counts, the pushed read takes fewer shard
+/// bytes than a full one, and
 /// a closure row walk, the row-wise evaluator and the vectorized one
 /// select the same perf rows.
 #[test]
@@ -176,10 +177,9 @@ fn selection_paths_agree_on_a_store_and_a_composed_frame() {
 
     let seed_lt = PredExpr::lt("seed", 2i64);
     let reader = Store::open(&dir).unwrap();
-    let walked = reader
-        .entries()
+    let walked = profiles
         .iter()
-        .filter(|e| seed_lt.eval_lookup(&mut |k| e.meta(k).cloned()))
+        .filter(|p| seed_lt.eval_lookup(&mut |k| p.metadata(k).cloned()))
         .count();
     assert_eq!(walked, 2);
     assert_eq!(reader.select_expr(&seed_lt).unwrap().len(), walked);

@@ -367,19 +367,13 @@ fn manifest_pool(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(paths)
 }
 
-/// `(payload offset, payload len)` of each record in a shard image.
+/// `(payload offset, payload len)` of each whole record in a shard image.
 fn shard_record_ranges(bytes: &[u8]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    let mut pos = 4; // skip magic
-    while bytes.len().saturating_sub(pos) >= 8 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        if bytes.len() - pos - 8 < len {
-            break;
-        }
-        out.push((pos + 8, len));
-        pos += 8 + len;
-    }
-    out
+    let frames = crate::store::frame::walk(bytes).map_or_else(Vec::new, |w| w.frames);
+    frames
+        .into_iter()
+        .map(|f| (f.payload.start, f.payload.len()))
+        .collect()
 }
 
 fn no_victim(dir: &Path) -> io::Error {
@@ -569,7 +563,7 @@ fn corrupt_coordination(dir: &Path, kind: FaultKind, seed: u64) -> io::Result<Pa
 /// every structural check and reaches the payload decoder.
 fn corrupt_v3_record(dir: &Path, kind: FaultKind, seed: u64) -> io::Result<PathBuf> {
     use crate::binprofile::metric_column_spans;
-    use crate::store::{crc32c, Manifest, RECORD_HEADER_BYTES};
+    use crate::store::{crc32c, frame, Manifest};
 
     let pool = manifest_pool(dir)?;
     let mpath = pool
@@ -619,18 +613,19 @@ fn corrupt_v3_record(dir: &Path, kind: FaultKind, seed: u64) -> io::Result<PathB
     }
 
     // Re-frame: splice the poisoned payload in with a fresh header.
+    let frame_start = frame::span(entry.offset, entry.len)
+        .ok_or_else(|| io::Error::other("manifest entry has no room for a header"))?
+        .start as usize;
     let mut out = Vec::with_capacity(bytes.len());
-    out.extend_from_slice(&bytes[..start - RECORD_HEADER_BYTES]);
-    out.extend_from_slice(&(poisoned.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32c(&poisoned).to_le_bytes());
-    out.extend_from_slice(&poisoned);
+    out.extend_from_slice(&bytes[..frame_start]);
+    let (_, crc) = frame::push(&mut out, &poisoned);
     out.extend_from_slice(&bytes[end..]);
 
     // Manifest fixups: the entry itself, offsets of records behind it
     // in the same shard, and the shard digest.
     let delta = poisoned.len() as i64 - entry.len as i64;
     manifest.profiles[vi].len = poisoned.len() as u32;
-    manifest.profiles[vi].crc = crc32c(&poisoned);
+    manifest.profiles[vi].crc = crc;
     for e in manifest.profiles.iter_mut() {
         if e.shard == entry.shard && e.offset > entry.offset {
             e.offset = (e.offset as i64 + delta) as u64;

@@ -53,15 +53,24 @@ fn read_only_medium(e: &io::Error) -> bool {
     e.kind() == io::ErrorKind::PermissionDenied || e.raw_os_error() == Some(30)
 }
 
-/// Fault-injection seam for the read-only-medium path: with
-/// `THICKET_FAULT_EROFS` set in the environment, every lease-file write
-/// fails with EROFS exactly as a read-only mount would make it fail.
-/// Tests run as root cannot provoke the real thing with permission bits
-/// (root bypasses them), and mounting a filesystem inside a unit test
-/// is worse — so, per this repo's injection discipline, the fault is a
-/// seam. The classification path ([`read_only_medium`]) still runs.
+#[cfg(test)]
+thread_local! {
+    /// Fault-injection seam for the read-only-medium path, in test
+    /// builds only: while set, every lease-file write this thread makes
+    /// fails with EROFS, as a read-only mount would make it fail. Tests
+    /// run as root cannot provoke the real thing with permission bits,
+    /// and mounting a filesystem inside a unit test is worse.
+    /// [`read_only_medium`] still classifies the error.
+    pub(crate) static FAULT_EROFS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The error `FAULT_EROFS` injects (`None` outside test builds).
 fn erofs_injected() -> Option<io::Error> {
-    std::env::var_os("THICKET_FAULT_EROFS").map(|_| io::Error::from_raw_os_error(30))
+    #[cfg(test)]
+    if FAULT_EROFS.get() {
+        return Some(io::Error::from_raw_os_error(30));
+    }
+    None
 }
 
 /// Acquire (or share) a lease on `gen` in `dir`. `Ok(None)` means the

@@ -3,9 +3,8 @@
 // ---------------------------------------------------------------------
 
 use super::crc::crc32c;
-use super::{
-    legacy, StoreError, MANIFEST_FORMAT, MANIFEST_MAGIC, RECORD_HEADER_BYTES, SHARD_MAGIC,
-};
+use super::frame::{self, SHARD_MAGIC};
+use super::{legacy, StoreError, MANIFEST_FORMAT, MANIFEST_MAGIC};
 use crate::json::{write_num, write_str, Json, HEX_DIGITS};
 use crate::profile::{json_to_value, value_to_json, Profile};
 use std::collections::BTreeSet;
@@ -26,11 +25,12 @@ pub struct ShardInfo {
     pub records: usize,
 }
 
-/// One profile as the manifest indexes it: identity, byte range, and
-/// the scalar metadata fields a
+/// One profile as the manifest indexes it: identity and byte range.
+/// Its metadata lives only in the manifest's columnar index
+/// ([`Manifest::columns`]), which a
 /// [`StoreReader::select_expr`](super::StoreReader::select_expr)
-/// predicate can filter on without touching the shard.
-#[derive(Debug, Clone, PartialEq)]
+/// predicate filters on without touching the shard.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreEntry {
     /// Deterministic profile identity ([`Profile::profile_hash`]).
     pub hash: i64,
@@ -42,23 +42,6 @@ pub struct StoreEntry {
     pub len: u32,
     /// CRC32C of the payload.
     pub crc: u32,
-    /// Scalar metadata fields, **sorted by key** so lookups are a
-    /// binary search instead of a per-call linear scan. Empty in a
-    /// manifest's raw entries (the metadata lives in
-    /// [`Manifest::columns`]) —
-    /// [`StoreReader::entries`](super::StoreReader::entries)
-    /// materializes it from the columnar index on demand.
-    pub meta: Vec<(String, Value)>,
-}
-
-impl StoreEntry {
-    /// Metadata lookup by key (binary search; `meta` is key-sorted).
-    pub fn meta(&self, key: &str) -> Option<&Value> {
-        self.meta
-            .binary_search_by(|(k, _)| k.as_str().cmp(key))
-            .ok()
-            .map(|i| &self.meta[i].1)
-    }
 }
 
 /// One key's column in the manifest's metadata index: a presence
@@ -299,8 +282,8 @@ pub(crate) fn select_columns(
     Ok(out)
 }
 
-/// A profile's scalar metadata as a key-sorted row (the order
-/// [`StoreEntry::meta`]'s binary search requires).
+/// A profile's scalar metadata as a key-sorted row (the order the
+/// column builders' binary search requires).
 pub(crate) fn sorted_meta(p: &Profile) -> Vec<(String, Value)> {
     let mut meta: Vec<(String, Value)> = p
         .metadata_iter()
@@ -416,23 +399,6 @@ impl Manifest {
         }
         // Columns are key-sorted, so each row came out sorted.
         Ok(rows)
-    }
-
-    /// Every profile's key-sorted metadata row, decoded out of every
-    /// column; undecodable columns are skipped instead of failing (for
-    /// best-effort entry materialization; fsck reports the damage).
-    pub(crate) fn meta_rows_lossy(&self) -> Vec<Vec<(String, Value)>> {
-        let mut rows = vec![Vec::new(); self.profiles.len()];
-        for b in &self.columns {
-            if let Ok(vals) = b.values() {
-                for (i, row) in rows.iter_mut().enumerate() {
-                    if b.present_at(i) {
-                        row.push((b.key.clone(), vals[i].clone()));
-                    }
-                }
-            }
-        }
-        rows
     }
 
     /// The manifest file: header, then the compact JSON body, written
@@ -576,7 +542,6 @@ impl Manifest {
                     offset: uint(p, "offset")? as u64,
                     len: u32_of(p, "len")?,
                     crc: u32_of(p, "crc")?,
-                    meta: Vec::new(),
                 })
             })
             .collect::<Option<Vec<_>>>()
@@ -586,7 +551,6 @@ impl Manifest {
         // corrupt offset or length must be caught here (as a typed
         // manifest error → `StaleManifest` under fsck), never by an
         // oversized allocation or an out-of-bounds seek later.
-        let record_min = (SHARD_MAGIC.len() + RECORD_HEADER_BYTES) as u64;
         for p in &profiles {
             if p.shard >= shards.len() {
                 return Err(format!(
@@ -596,8 +560,9 @@ impl Manifest {
                 ));
             }
             let info = &shards[p.shard];
-            let end = p.offset.checked_add(p.len as u64);
-            if p.offset < record_min || end.is_none() || end.unwrap() > info.bytes {
+            let inside = frame::span(p.offset, p.len)
+                .is_some_and(|s| s.start >= SHARD_MAGIC.len() as u64 && s.end <= info.bytes);
+            if !inside {
                 return Err(format!(
                     "profile byte range {}+{} exceeds shard {} ({} bytes)",
                     p.offset, p.len, info.file, info.bytes

@@ -2,7 +2,8 @@
 //! the loose-JSON-directory loader in [`crate::ensemble`].
 //!
 //! Profiles are packed into fixed-size **shards**, each record framed as
-//! `[u32 len][u32 crc32c(payload)][payload]`, and committed under a
+//! `[u32 len][u32 crc32c(payload)][payload]` (one module, `frame`, owns
+//! that layout), and committed under a
 //! generation-numbered **manifest** (`MANIFEST-<gen>`, written via
 //! temp-file + rename). The manifest carries per-shard digests, the
 //! per-profile byte ranges, and a **columnar metadata index** — one
@@ -27,6 +28,10 @@
 //! only `compact` and the maintenance paths (fsck, recover, GC) reach.
 //!
 //! ## Commit protocol
+//!
+//! `save`, `append` and `compact` run one commit sequence, from the
+//! first crash point to GC; each keeps only its read phase, the records
+//! it writes and how it builds their metadata columns.
 //!
 //! 1. New shard files are written under names unique to the new
 //!    generation (`shard-<gen>-<idx>.tks`). They are invisible to
@@ -112,6 +117,7 @@
 //! coordination files are reaped either way, live ones left untouched.
 
 mod crc;
+pub(crate) mod frame;
 mod layout;
 mod lease;
 mod legacy;
@@ -126,6 +132,7 @@ mod writer;
 mod tests;
 
 pub use crc::crc32c;
+pub use frame::{RECORD_HEADER_BYTES, SHARD_MAGIC};
 pub use manifest::{Manifest, MetaBlock, ShardInfo, StoreEntry};
 pub use reader::{Snapshot, StoreReader};
 
@@ -136,18 +143,11 @@ use std::io;
 use std::path::Path;
 use std::time::Duration;
 
-/// Magic prefix of every shard file.
-pub const SHARD_MAGIC: &[u8; 4] = b"TKS1";
 /// Magic prefix of every manifest file (followed by 8 hex CRC chars).
 pub const MANIFEST_MAGIC: &[u8; 4] = b"TKM1";
 /// Format tag of a manifest body: columnar metadata index, binary
 /// `TKP3` record payloads. The only tag this build writes or serves.
 pub const MANIFEST_FORMAT: &str = "thicket-store-3";
-
-/// Bytes of framing ahead of every record payload: `[u32 len][u32 crc]`.
-/// Derived from the frame layout so reader accounting, writer
-/// placement, and the salvage walk can never drift apart.
-pub const RECORD_HEADER_BYTES: usize = size_of::<u32>() + size_of::<u32>();
 
 // ---------------------------------------------------------------------
 // Errors, options, reports.
@@ -450,7 +450,7 @@ impl Store {
         // Stage (encode) outside the lock; only I/O runs inside it.
         let staged = writer::stage(profiles);
         let lock = lock::CommitLock::acquire(dir, opts)?;
-        lock.seal(writer::save_locked(dir, &staged, opts))
+        lock.seal(writer::commit_staged(dir, &staged, None, opts))
     }
 
     /// [`Store::append`] with default options.

@@ -3,20 +3,21 @@
 // ---------------------------------------------------------------------
 
 use super::crc::crc32c;
+use super::frame;
 use super::layout::manifest_name;
 use super::lease::{self, LeaseCore};
 use super::manifest::{Manifest, ShardInfo, StoreEntry};
 use super::registry::SharedGen;
-use super::{Store, StoreError, RECORD_HEADER_BYTES};
+use super::{Store, StoreError};
 use crate::backoff::Backoff;
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
 use crate::parallel::{parallel_map_catch, JobFailure};
 use crate::profile::Profile;
-use std::cell::{Cell, OnceCell};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fs::File;
 use std::io;
-use std::ops::Deref;
+use std::ops::{Deref, Range};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -36,9 +37,6 @@ pub struct StoreReader {
     /// Bytes read so far (manifest probing + shard headers, payloads,
     /// and magics), for pushdown accounting.
     bytes_read: Cell<u64>,
-    /// Entries with metadata materialized out of the columnar index
-    /// (built on first [`StoreReader::entries`] call).
-    materialized: OnceCell<Vec<StoreEntry>>,
     /// Set once the reader is pinned: reads go through the shared
     /// handles, which are then open. An unlinked-but-open file keeps
     /// serving reads, so GC by any process cannot tear a pinned load.
@@ -52,7 +50,6 @@ impl StoreReader {
             dir,
             shared,
             bytes_read: Cell::new(manifest_bytes),
-            materialized: OnceCell::new(),
             pinned: false,
         }
     }
@@ -131,23 +128,12 @@ impl StoreReader {
         self.manifest().generation
     }
 
-    /// The manifest's per-profile index, in storage order, with
-    /// metadata populated. This decodes **every** column on first call
-    /// (cached) — [`StoreReader::select_expr`] decodes only the
-    /// predicate's keys, so prefer it on hot paths.
+    /// The manifest's per-profile index, in storage order: each
+    /// profile's hash and byte range. Decodes nothing; a profile's
+    /// metadata lives only in the manifest's columnar index, which
+    /// [`StoreReader::select_expr`] filters on.
     pub fn entries(&self) -> &[StoreEntry] {
-        self.materialized.get_or_init(|| {
-            let rows = self.manifest().meta_rows_lossy();
-            self.manifest()
-                .profiles
-                .iter()
-                .zip(rows)
-                .map(|(e, meta)| StoreEntry {
-                    meta,
-                    ..e.clone()
-                })
-                .collect()
-        })
+        &self.manifest().profiles
     }
 
     /// The manifest (shard descriptors included).
@@ -175,7 +161,8 @@ impl StoreReader {
 
     /// Total bytes this reader has read so far — manifest bytes from
     /// [`Store::open`] plus shard I/O. Sparse selections are charged
-    /// per record frame (`RECORD_HEADER_BYTES` + payload); dense
+    /// per record frame, the payload plus
+    /// [`RECORD_HEADER_BYTES`](super::RECORD_HEADER_BYTES); dense
     /// selections bulk-read whole shard files and are charged the file
     /// size. Metadata-pushdown reads do strictly less I/O than a full
     /// load whenever the predicate excludes enough.
@@ -232,20 +219,7 @@ impl StoreReader {
         selected: &[usize],
         threads: usize,
     ) -> Result<(Vec<Profile>, IngestReport), StoreError> {
-        // Read the selected ranges, shard by shard, in storage order.
-        let mut raw: Vec<(usize, Result<PayloadSlice, Diagnostic>)> =
-            Vec::with_capacity(selected.len());
-        for si in 0..self.manifest().shards.len() {
-            let members: Vec<usize> = selected
-                .iter()
-                .copied()
-                .filter(|&i| self.manifest().profiles[i].shard == si)
-                .collect();
-            if members.is_empty() {
-                continue; // whole shard skipped: not even opened.
-            }
-            self.read_shard_members(si, &members, &mut raw)?;
-        }
+        let raw = self.read_records(selected)?;
 
         // Partition into decode jobs (payloads move, never copy — a
         // bulk-read shard is shared by all its records through the Arc)
@@ -296,6 +270,24 @@ impl StoreReader {
         Ok((profiles, report))
     }
 
+    /// The records at `selected` entry indices, grouped by shard in one
+    /// pass over the selection: shards in shard order, each shard's
+    /// members in selection order. A shard with no selected member is
+    /// skipped, not even opened. Loads and compaction read through this.
+    pub(crate) fn read_records(&self, selected: &[usize]) -> Result<Vec<Record>, StoreError> {
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); self.manifest().shards.len()];
+        for &i in selected {
+            members[self.manifest().profiles[i].shard].push(i);
+        }
+        let mut out = Vec::with_capacity(selected.len());
+        for (si, members) in members.iter().enumerate() {
+            if !members.is_empty() {
+                self.read_shard_members(si, members, &mut out)?;
+            }
+        }
+        Ok(out)
+    }
+
     /// Read the framed records for `members` (entry indices, all in
     /// shard `si`), verifying framing and CRC as we go. Pushes one
     /// `(entry index, payload-or-diagnostic)` per member, in member
@@ -309,11 +301,11 @@ impl StoreReader {
     /// reads through the generation's shared handle, which snapshots on
     /// other threads read at the same time, and which keeps serving
     /// after the file is unlinked.
-    pub(crate) fn read_shard_members(
+    fn read_shard_members(
         &self,
         si: usize,
         members: &[usize],
-        out: &mut Vec<(usize, Result<PayloadSlice, Diagnostic>)>,
+        out: &mut Vec<Record>,
     ) -> Result<(), StoreError> {
         let info = &self.manifest().shards[si];
         let opened;
@@ -329,35 +321,26 @@ impl StoreReader {
         };
         let member_frame_bytes: u64 = members
             .iter()
-            .map(|&i| RECORD_HEADER_BYTES as u64 + self.manifest().profiles[i].len as u64)
+            .map(|&i| frame::RECORD_HEADER_BYTES as u64 + self.manifest().profiles[i].len as u64)
             .sum();
         if member_frame_bytes.saturating_mul(2) >= info.bytes {
             return self.read_shard_bulk(si, file, members, out);
         }
         let file_len = file.metadata().map(|m| m.len()).unwrap_or(0);
         for &i in members {
-            if let Err(d) = self.frame_in_file(i, file_len) {
-                out.push((i, Err(d)));
-                continue;
-            }
-            let entry = &self.manifest().profiles[i];
-            let mut frame = vec![0u8; RECORD_HEADER_BYTES + entry.len as usize];
-            let read = file.read_exact_at(&mut frame, entry.offset - RECORD_HEADER_BYTES as u64);
-            self.bytes_read
-                .set(self.bytes_read.get() + frame.len() as u64);
-            let record = match read {
-                Ok(()) => {
-                    let (header, payload) = frame.split_at(RECORD_HEADER_BYTES);
-                    self.check_frame(i, header, payload).map(|()| {
-                        let range = RECORD_HEADER_BYTES..frame.len();
-                        PayloadSlice::shared(Arc::new(frame), range)
-                    })
+            let record = self.frame_in_file(i, file_len).and_then(|span| {
+                let mut frame = vec![0u8; (span.end - span.start) as usize];
+                let read = file.read_exact_at(&mut frame, span.start);
+                self.bytes_read
+                    .set(self.bytes_read.get() + frame.len() as u64);
+                match read {
+                    Ok(()) => self.check_frame(i, Arc::new(frame), 0),
+                    Err(e) => Err(Diagnostic {
+                        source: record_source(self.manifest(), i),
+                        kind: DiagKind::Io(format!("{}: {e}", info.file)),
+                    }),
                 }
-                Err(e) => Err(Diagnostic {
-                    source: record_source(self.manifest(), i),
-                    kind: DiagKind::Io(format!("{}: {e}", info.file)),
-                }),
-            };
+            });
             out.push((i, record));
         }
         Ok(())
@@ -373,7 +356,7 @@ impl StoreReader {
         si: usize,
         file: &File,
         members: &[usize],
-        out: &mut Vec<(usize, Result<PayloadSlice, Diagnostic>)>,
+        out: &mut Vec<Record>,
     ) -> Result<(), StoreError> {
         let info = &self.manifest().shards[si];
         let whole = file.metadata().and_then(|meta| {
@@ -388,35 +371,24 @@ impl StoreReader {
         self.bytes_read
             .set(self.bytes_read.get() + bytes.len() as u64);
         for &i in members {
-            let record = self.frame_in_file(i, bytes.len() as u64).and_then(|()| {
-                let start = self.manifest().profiles[i].offset as usize;
-                let end = start + self.manifest().profiles[i].len as usize;
-                self.check_frame(
-                    i,
-                    &bytes[start - RECORD_HEADER_BYTES..start],
-                    &bytes[start..end],
-                )
-                .map(|()| PayloadSlice::shared(Arc::clone(&bytes), start..end))
-            });
+            let record = self
+                .frame_in_file(i, bytes.len() as u64)
+                .and_then(|span| self.check_frame(i, Arc::clone(&bytes), span.start as usize));
             out.push((i, record));
         }
         Ok(())
     }
 
-    /// Entry `i`'s declared frame lies inside a shard file of
+    /// Entry `i`'s declared frame, when it lies inside a shard file of
     /// `file_len` actual bytes (overflow-proof). Manifest parsing
     /// already bounds every entry against its shard's *declared* size;
     /// this re-checks against the *actual* size before the length is
     /// used to allocate, read or slice, so a truncated file or a stale
     /// manifest can never trigger an oversized or out-of-bounds read.
-    fn frame_in_file(&self, i: usize, file_len: u64) -> Result<(), Diagnostic> {
+    fn frame_in_file(&self, i: usize, file_len: u64) -> Result<Range<u64>, Diagnostic> {
         let e = &self.manifest().profiles[i];
-        let inside = e.offset >= RECORD_HEADER_BYTES as u64
-            && e.offset
-                .checked_add(e.len as u64)
-                .is_some_and(|end| end <= file_len);
-        if inside {
-            return Ok(());
+        if let Some(span) = frame::span(e.offset, e.len).filter(|s| s.end <= file_len) {
+            return Ok(span);
         }
         Err(Diagnostic {
             source: record_source(self.manifest(), i),
@@ -426,14 +398,23 @@ impl StoreReader {
         })
     }
 
-    /// Entry `i`'s frame header and payload agree with the length and
-    /// CRC its manifest entry declares.
-    fn check_frame(&self, i: usize, header: &[u8], payload: &[u8]) -> Result<(), Diagnostic> {
+    /// Entry `i`'s payload, read from the frame at `at` in `bytes`, when
+    /// that frame agrees with the length and CRC the entry declares.
+    fn check_frame(
+        &self,
+        i: usize,
+        bytes: Arc<Vec<u8>>,
+        at: usize,
+    ) -> Result<PayloadSlice, Diagnostic> {
         let e = &self.manifest().profiles[i];
-        let framed_len = u32::from_le_bytes(header[..4].try_into().unwrap());
-        let framed_crc = u32::from_le_bytes(header[4..].try_into().unwrap());
-        if framed_len == e.len && framed_crc == e.crc && crc32c(payload) == e.crc {
-            return Ok(());
+        if let Some((crc, payload)) = frame::read(&bytes[at..]) {
+            let payload = at + payload.start..at + payload.end;
+            let agrees = payload.len() == e.len as usize
+                && crc == e.crc
+                && crc32c(&bytes[payload.clone()]) == e.crc;
+            if agrees {
+                return Ok(PayloadSlice::shared(bytes, payload));
+            }
         }
         Err(Diagnostic {
             source: record_source(self.manifest(), i),
@@ -451,7 +432,7 @@ fn unreadable(
     info: &ShardInfo,
     members: &[usize],
     e: io::Error,
-    out: &mut Vec<(usize, Result<PayloadSlice, Diagnostic>)>,
+    out: &mut Vec<Record>,
 ) -> Result<(), StoreError> {
     for &i in members {
         out.push((
@@ -465,17 +446,21 @@ fn unreadable(
     Ok(())
 }
 
+/// One selected record: its entry index, and its payload or the
+/// diagnostic that replaced it.
+pub(crate) type Record = (usize, Result<PayloadSlice, Diagnostic>);
+
 /// A record payload: a range of its own frame's buffer (sparse reads)
 /// or of a whole-shard read shared by every record in the shard (dense
 /// bulk reads). Decoders borrow the slice either way — nothing is
 /// copied between disk and the parser.
 pub(crate) struct PayloadSlice {
     bytes: Arc<Vec<u8>>,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
 }
 
 impl PayloadSlice {
-    fn shared(bytes: Arc<Vec<u8>>, range: std::ops::Range<usize>) -> Self {
+    fn shared(bytes: Arc<Vec<u8>>, range: Range<usize>) -> Self {
         PayloadSlice { bytes, range }
     }
 
@@ -486,7 +471,7 @@ impl PayloadSlice {
 
 /// `shard-file#record-index` label for a record-scoped diagnostic.
 /// Walks the manifest, so only call it on the error path.
-fn record_source(m: &Manifest, i: usize) -> String {
+pub(crate) fn record_source(m: &Manifest, i: usize) -> String {
     format!(
         "{}#{}",
         m.shards[m.profiles[i].shard].file,
@@ -496,7 +481,7 @@ fn record_source(m: &Manifest, i: usize) -> String {
 
 /// Zero-based record index of entry `i` within its shard (entries are
 /// stored in offset order per shard).
-pub(crate) fn record_index_of(m: &Manifest, i: usize) -> usize {
+fn record_index_of(m: &Manifest, i: usize) -> usize {
     let e = &m.profiles[i];
     m.profiles
         .iter()

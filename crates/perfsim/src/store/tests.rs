@@ -198,12 +198,8 @@ fn bytes_read_is_exact_frame_accounting() {
     let (subset, rep) = filtered.load_matching(&PredExpr::eq("seed", 2i64)).unwrap();
     assert!(rep.is_clean());
     assert_eq!(subset.len(), 1);
-    let entry = filtered
-        .entries()
-        .iter()
-        .find(|e| e.meta("seed") == Some(&Value::Int(2)))
-        .cloned()
-        .unwrap();
+    let seed_2 = filtered.select_expr(&PredExpr::eq("seed", 2i64)).unwrap();
+    let entry = filtered.entries()[seed_2[0]].clone();
     let selected_shard = filtered.manifest().shards[entry.shard].bytes;
     assert_eq!(filtered.bytes_read(), header + selected_shard);
 
@@ -221,12 +217,8 @@ fn bytes_read_is_exact_frame_accounting() {
     let (subset, rep) = sparse.load_matching(&PredExpr::eq("seed", 2i64)).unwrap();
     assert!(rep.is_clean());
     assert_eq!(subset.len(), 1);
-    let entry = sparse
-        .entries()
-        .iter()
-        .find(|e| e.meta("seed") == Some(&Value::Int(2)))
-        .cloned()
-        .unwrap();
+    let seed_2 = sparse.select_expr(&PredExpr::eq("seed", 2i64)).unwrap();
+    let entry = sparse.entries()[seed_2[0]].clone();
     let frame = RECORD_HEADER_BYTES as u64 + entry.len as u64;
     assert_eq!(sparse.bytes_read(), manifest_bytes + frame);
     let warm = Store::open(&dir).unwrap();
@@ -272,14 +264,14 @@ fn columnar_selection_matches_row_selection() {
         PredExpr::eq("no-such-key", 1i64),
         PredExpr::not(PredExpr::eq("no-such-key", 1i64)),
     ];
+    // The reference rows are the saved profiles' own metadata, found
+    // by each entry's hash: an oracle independent of the index.
+    let by_hash = |h: i64| profiles.iter().find(|p| p.profile_hash() == h).unwrap();
+    let saved: Vec<&Profile> = reader.entries().iter().map(|e| by_hash(e.hash)).collect();
     for pred in &preds {
         let columnar = reader.select_expr(pred).unwrap();
-        let by_rows: Vec<usize> = reader
-            .entries()
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| pred.eval_lookup(&mut |k| e.meta(k).cloned()))
-            .map(|(i, _)| i)
+        let by_rows: Vec<usize> = (0..saved.len())
+            .filter(|&i| pred.eval_lookup(&mut |k| saved[i].metadata(k).cloned()))
             .collect();
         assert_eq!(columnar, by_rows, "pred: {pred}");
     }
@@ -309,7 +301,6 @@ fn manifest_roundtrip_and_self_check() {
                 offset: 12 + i as u64,
                 len: 4,
                 crc: 7,
-                meta: Vec::new(),
             })
             .collect(),
         columns: build_columns(&rows),
@@ -369,7 +360,6 @@ fn v2_manifest_roundtrips_columns_and_masks() {
                 offset: 12 + i as u64,
                 len: 4,
                 crc: 1,
-                meta: Vec::new(),
             })
             .collect(),
         columns: build_columns(&rows),
@@ -785,22 +775,6 @@ fn compact_transcodes_json_records_an_older_append_left() {
 }
 
 #[test]
-fn store_entry_meta_is_key_sorted_binary_search() {
-    let dir = ScratchDir::new("store-meta-sorted");
-    Store::save(&dir, &runs(1)).unwrap();
-    let reader = Store::open(&dir).unwrap();
-    let e = &reader.entries()[0];
-    let keys: Vec<&str> = e.meta.iter().map(|(k, _)| k.as_str()).collect();
-    let mut sorted = keys.clone();
-    sorted.sort_unstable();
-    assert_eq!(keys, sorted, "meta rows must be key-sorted");
-    for (k, v) in &e.meta {
-        assert_eq!(e.meta(k), Some(v));
-    }
-    assert_eq!(e.meta("zzz-no-such-key"), None);
-}
-
-#[test]
 fn crash_points_are_enumerable() {
     // begin, two per shard, three for the manifest (mid-write, written,
     // committed), one for GC.
@@ -824,6 +798,82 @@ fn crash_points_are_enumerable() {
         ..StoreOptions::default()
     };
     Store::save_opts(&dir2, &runs(3), &opts).unwrap();
+}
+
+/// The label of every crash point `write` passes, in order: the write
+/// runs once clean to count its points, then crashes at each point on a
+/// fresh directory that `setup` prepared.
+fn crash_labels(
+    setup: impl Fn(&std::path::Path),
+    write: impl Fn(&std::path::Path, &StoreOptions) -> Result<(usize, usize), StoreError>,
+    shard_bytes: usize,
+) -> (usize, Vec<&'static str>) {
+    let opts = |crash_after| StoreOptions {
+        shard_bytes,
+        crash_after,
+        ..StoreOptions::default()
+    };
+    let clean = ScratchDir::new("store-labels");
+    setup(&clean);
+    let (shards, points) = write(&clean, &opts(None)).unwrap();
+    let labels = (0..points)
+        .map(|at| {
+            let dir = ScratchDir::new("store-labels");
+            setup(&dir);
+            match write(&dir, &opts(Some(at))) {
+                Err(StoreError::InjectedCrash { point, label }) if point == at => label,
+                other => panic!("crash point {at}: {other:?}"),
+            }
+        })
+        .collect();
+    (shards, labels)
+}
+
+#[test]
+fn crash_point_labels_follow_one_commit_sequence() {
+    let profiles = runs(5);
+    let nothing = |_: &std::path::Path| {};
+    let one_generation = |dir: &std::path::Path| {
+        Store::save(dir, &profiles[..3]).unwrap();
+    };
+    let fragmented = |dir: &std::path::Path| {
+        let one_per_record = StoreOptions {
+            shard_bytes: 1,
+            ..StoreOptions::default()
+        };
+        Store::save_opts(dir, &profiles, &one_per_record).unwrap();
+    };
+    let save = |dir: &std::path::Path, opts: &StoreOptions| {
+        Store::save_opts(dir, &profiles[..2], opts).map(|r| (r.shards, r.crash_points))
+    };
+    let append = |dir: &std::path::Path, opts: &StoreOptions| {
+        Store::append_opts(dir, &profiles[3..], opts).map(|r| (r.shards, r.crash_points))
+    };
+    let compact = |dir: &std::path::Path, opts: &StoreOptions| {
+        Store::compact_opts(dir, opts).map(|r| (r.shards, r.crash_points))
+    };
+    // Shards that never fill, so every write packs one shard.
+    let wide = 1 << 20;
+    let cases = [
+        ("save, one shard", 1, crash_labels(nothing, save, wide)),
+        ("save, two shards", 2, crash_labels(nothing, save, 1)),
+        ("append", 1, crash_labels(one_generation, append, wide)),
+        ("compact", 1, crash_labels(fragmented, compact, wide)),
+    ];
+    for (case, want_shards, (shards, labels)) in cases {
+        assert_eq!(shards, want_shards, "{case}");
+        let mut want = vec!["begin"];
+        for _ in 0..shards {
+            want.extend(["mid-shard-write", "shard-written"]);
+        }
+        want.extend([
+            "mid-manifest-write",
+            "manifest-written",
+            "manifest-committed",
+            "gc-manifests",
+        ]);
+        assert_eq!(labels, want, "{case}");
+    }
 }
 
 #[test]
@@ -1031,6 +1081,44 @@ fn shared_in_process_leases_refcount_one_file() {
     assert!(dir.join(&lease).exists(), "lease dropped while a pin lives");
     drop(b);
     assert!(!dir.join(&lease).exists(), "last pin did not clean up");
+}
+
+/// `open_pinned` on a read-only medium falls back to handle-only
+/// pinning — no lease file, no error — because a medium no one can
+/// write to is a medium no GC can run against either. The medium is
+/// provoked through the thread-local `lease::FAULT_EROFS` seam: tests
+/// run as root, so permission bits cannot produce the real EROFS.
+#[test]
+fn open_pinned_on_read_only_store_degrades_to_handles_only() {
+    let dir = ScratchDir::new("erofs-pin");
+    Store::save(&dir, &runs(3)).unwrap();
+
+    // With every lease write failing EROFS, the pin must degrade, not
+    // error: a handle-only snapshot that still serves complete reads.
+    // The switch is per thread, and each test runs on a thread of its
+    // own.
+    lease::FAULT_EROFS.set(true);
+    let snap = Store::open_pinned(&dir).expect("EROFS must degrade, not fail");
+    assert!(!snap.leased(), "read-only medium cannot carry a lease");
+    assert_eq!(snap.lease_file(), None);
+    let (loaded, rep) = snap.load_all().unwrap();
+    assert!(rep.is_clean(), "{rep}");
+    assert_eq!(loaded.len(), 3);
+    // No pin file may have touched the directory.
+    assert_eq!(
+        lease_files(&dir),
+        Vec::<String>::new(),
+        "degraded pin left a lease file"
+    );
+    drop(snap);
+
+    // Seam off: the same store pins with a lease again — the
+    // degradation is the *medium's* property, not the store's.
+    lease::FAULT_EROFS.set(false);
+    let snap = Store::open_pinned(&dir).unwrap();
+    assert!(snap.leased());
+    assert!(dir.join(snap.lease_file().unwrap()).exists());
+    drop(snap);
 }
 
 #[test]
@@ -1758,5 +1846,87 @@ proptest::proptest! {
                 column_and_gc_oracle(seed, keep, pin);
             }
         }
+    }
+}
+
+/// The shard images of a saved store whose shards hold several records
+/// each, saved once per process.
+fn sample_shard_images() -> &'static [Vec<u8>] {
+    static IMAGES: std::sync::OnceLock<Vec<Vec<u8>>> = std::sync::OnceLock::new();
+    IMAGES.get_or_init(|| {
+        let dir = ScratchDir::new("frame-fuzz");
+        let opts = StoreOptions {
+            shard_bytes: 8 * 1024,
+            ..StoreOptions::default()
+        };
+        Store::save_opts(&dir, &runs(8), &opts).unwrap();
+        let reader = Store::open(&dir).unwrap();
+        let images: Vec<Vec<u8>> = reader
+            .manifest()
+            .shards
+            .iter()
+            .map(|s| std::fs::read(dir.join(&s.file)).unwrap())
+            .collect();
+        assert!(images.len() > 1 && reader.manifest().shards.iter().all(|s| s.records > 1));
+        images
+    })
+}
+
+/// `image` damaged by a truncation, a bit flip, or a huge length spliced
+/// into one record header, plus the offset of its first damaged byte.
+fn mutate_image(image: &[u8], kind: u32, at: u32, pick: u32) -> (Vec<u8>, usize) {
+    let mut out = image.to_vec();
+    let at = at as usize % image.len();
+    match kind % 3 {
+        0 => {
+            out.truncate(at);
+            (out, at)
+        }
+        1 => {
+            out[at] ^= 1 << (pick % 8);
+            (out, at)
+        }
+        _ => {
+            let frames = frame::walk(image).unwrap().frames;
+            let payload = &frames[at % frames.len()].payload;
+            let header = payload.start - RECORD_HEADER_BYTES;
+            let past_end = (image.len() - payload.start + 1) as u32;
+            let lens = [u32::MAX, u32::MAX - 1, 1 << 31, 1 << 24, past_end];
+            let len = lens[pick as usize % lens.len()];
+            out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+            (out, header)
+        }
+    }
+}
+
+proptest::proptest! {
+    /// The frame walk over a damaged shard image never panics, returns
+    /// only payload ranges inside the image, and gives back every frame
+    /// that ends before the first damaged byte unchanged and intact.
+    #[test]
+    fn frame_walk_survives_mutated_shard_images(
+        which in proptest::arbitrary::any::<u32>(),
+        kind in proptest::arbitrary::any::<u32>(),
+        at in proptest::arbitrary::any::<u32>(),
+        pick in proptest::arbitrary::any::<u32>(),
+    ) {
+        let images = sample_shard_images();
+        let image = &images[which as usize % images.len()];
+        let original = frame::walk(image).unwrap();
+        proptest::prop_assert!(!original.torn && original.frames.iter().all(|f| f.intact));
+        let (mutant, first) = mutate_image(image, kind, at, pick);
+        let Some(walk) = frame::walk(&mutant) else {
+            proptest::prop_assert!(first < SHARD_MAGIC.len(), "magic intact, walk refused");
+            return Ok(());
+        };
+        for f in &walk.frames {
+            proptest::prop_assert!(
+                f.payload.start <= f.payload.end && f.payload.end <= mutant.len(),
+                "{:?} outside {} bytes", f.payload, mutant.len()
+            );
+        }
+        let untouched = original.frames.iter().take_while(|f| f.payload.end <= first).count();
+        proptest::prop_assert!(walk.frames.len() >= untouched);
+        proptest::prop_assert_eq!(&walk.frames[..untouched], &original.frames[..untouched]);
     }
 }

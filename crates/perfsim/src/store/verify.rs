@@ -3,15 +3,14 @@
 // ---------------------------------------------------------------------
 
 use super::crc::crc32c;
+use super::frame;
 use super::layout::{
     list_dir, manifest_name, parse_manifest_name, parse_shard_name, LOCK_NAME,
 };
 use super::lock::{classify_lock, LockState};
 use super::manifest::{Manifest, ShardInfo};
 use super::{lease, legacy};
-use super::{
-    FsckReport, GenCheck, RecoverReport, Store, StoreError, RECORD_HEADER_BYTES, SHARD_MAGIC,
-};
+use super::{FsckReport, GenCheck, RecoverReport, Store, StoreError};
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
 use crate::profile::Profile;
 use std::collections::HashSet;
@@ -30,68 +29,36 @@ fn entry_ranges(m: &Manifest, si: usize) -> Vec<(u64, u32, u32)> {
 
 /// Walk a shard byte image, returning every CRC-intact record as
 /// `(index, payload)` plus at most one classified finding for the first
-/// structural problem (torn tail or checksum mismatch).
+/// structural problem (bad magic, checksum mismatch or torn tail).
 ///
 /// The walk is resilient: a record with a bad CRC does not stop it
 /// (framing is still trusted as long as lengths stay in bounds), so
 /// later intact records remain salvageable.
 fn walk_shard<'a>(bytes: &'a [u8], name: &str) -> (Vec<(usize, &'a [u8])>, Option<Diagnostic>) {
-    let mut out = Vec::new();
-    if bytes.len() < 4 || &bytes[..4] != SHARD_MAGIC {
-        return (
-            out,
-            Some(Diagnostic {
-                source: name.to_string(),
-                kind: DiagKind::ChecksumMismatch {
-                    shard: name.to_string(),
-                    record: 0,
-                },
-            }),
-        );
-    }
-    let mut pos = SHARD_MAGIC.len();
-    let mut ri = 0usize;
-    let mut finding = None;
-    while pos < bytes.len() {
-        // The length prefix is only trusted after checking it fits in
-        // the bytes that actually remain — a flipped length byte lands
-        // as a torn-shard finding, never an out-of-bounds slice.
-        if bytes.len() - pos < RECORD_HEADER_BYTES {
-            finding = finding.or(Some(Diagnostic {
-                source: format!("{name}#{ri}"),
-                kind: DiagKind::TornShard {
-                    shard: name.to_string(),
-                },
-            }));
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + RECORD_HEADER_BYTES].try_into().unwrap());
-        if bytes.len() - pos - RECORD_HEADER_BYTES < len {
-            finding = finding.or(Some(Diagnostic {
-                source: format!("{name}#{ri}"),
-                kind: DiagKind::TornShard {
-                    shard: name.to_string(),
-                },
-            }));
-            break;
-        }
-        let payload = &bytes[pos + RECORD_HEADER_BYTES..pos + RECORD_HEADER_BYTES + len];
-        if crc32c(payload) == crc {
-            out.push((ri, payload));
-        } else {
-            finding = finding.or(Some(Diagnostic {
-                source: format!("{name}#{ri}"),
-                kind: DiagKind::ChecksumMismatch {
-                    shard: name.to_string(),
-                    record: ri,
-                },
-            }));
-        }
-        pos += RECORD_HEADER_BYTES + len;
-        ri += 1;
-    }
-    (out, finding)
+    let shard = name.to_string();
+    let Some(walk) = frame::walk(bytes) else {
+        let kind = DiagKind::ChecksumMismatch { shard, record: 0 };
+        let source = name.to_string();
+        return (Vec::new(), Some(Diagnostic { source, kind }));
+    };
+    // The first problem in image order: a torn tail comes last.
+    let finding = match walk.frames.iter().position(|f| !f.intact) {
+        Some(record) => Some((record, DiagKind::ChecksumMismatch { shard, record })),
+        None if walk.torn => Some((walk.frames.len(), DiagKind::TornShard { shard })),
+        None => None,
+    };
+    let records = walk
+        .frames
+        .into_iter()
+        .enumerate()
+        .filter(|(_, f)| f.intact)
+        .map(|(ri, f)| (ri, &bytes[f.payload]))
+        .collect();
+    let finding = finding.map(|(ri, kind)| Diagnostic {
+        source: format!("{name}#{ri}"),
+        kind,
+    });
+    (records, finding)
 }
 
 /// Deep-check one shard against its manifest descriptor.

@@ -2,13 +2,19 @@
 // Writer with enumerable crash points.
 // ---------------------------------------------------------------------
 //
-// The `*_locked` functions here are the commit critical sections: the
-// facade in `mod.rs` stages what it can outside the lock (payload
-// encoding dominates append CPU and needs no directory state), then
-// acquires the commit lock and calls in. Everything from the first
-// `CrashClock` tick to the last GC step runs under the lock, so the
-// enumerable crash-point sequence is exactly the single-writer one —
-// taking the lock adds no points.
+// `commit_staged` (a save) and the `*_locked` functions here are the
+// commit critical sections: the facade in `mod.rs` stages what it can
+// outside the lock (payload encoding dominates append CPU and needs no
+// directory state), then acquires the commit lock and calls in.
+// Everything from the first `CrashClock` tick to the last GC step runs
+// under the lock, so the enumerable crash-point sequence is exactly the
+// single-writer one — taking the lock adds no points.
+//
+// Save, append and compact share that sequence: one function, `commit`,
+// numbers the generation, writes the shards, commits the manifest and
+// runs GC. Each writer keeps only what differs: its read phase, which
+// records it writes, and how it builds their metadata columns
+// (`build_columns`, `append_columns` or `select_columns`).
 //
 // Every commit registers the manifest it wrote in the process-wide
 // registry, and `append` and `compact` take their base through it: a
@@ -16,16 +22,17 @@
 // parsing it again.
 
 use super::crc::crc32c;
+use super::frame;
 use super::layout::{
     list_dir, list_generations, manifest_name, parse_manifest_name, parse_shard_name, shard_name,
 };
 use super::manifest::{
-    append_columns, build_columns, select_columns, sorted_meta, Manifest, ShardInfo, StoreEntry,
+    append_columns, build_columns, select_columns, sorted_meta, Manifest, MetaBlock, ShardInfo,
+    StoreEntry,
 };
-use super::reader::{record_index_of, PayloadSlice, StoreReader};
+use super::reader::{record_source, StoreReader};
 use super::{
-    lease, legacy, registry, CompactReport, StoreError, StoreOptions, WriteReport,
-    RECORD_HEADER_BYTES, SHARD_MAGIC,
+    lease, legacy, registry, CompactReport, StoreError, StoreOptions, WriteReport, SHARD_MAGIC,
 };
 use crate::ingest::{DiagKind, Diagnostic, IngestReport};
 use crate::profile::Profile;
@@ -40,9 +47,9 @@ use thicket_dataframe::Value;
 /// Counts the writer's enumerated crash points and aborts at the
 /// injected one. Each `tick` is a distinct "the process died exactly
 /// here" scenario.
-pub(crate) struct CrashClock {
-    pub(crate) next: usize,
-    pub(crate) trigger: Option<usize>,
+struct CrashClock {
+    next: usize,
+    trigger: Option<usize>,
 }
 
 impl CrashClock {
@@ -51,7 +58,7 @@ impl CrashClock {
         self.trigger == Some(self.next)
     }
 
-    pub(crate) fn tick(&mut self, label: &'static str) -> Result<(), StoreError> {
+    fn tick(&mut self, label: &'static str) -> Result<(), StoreError> {
         let point = self.next;
         self.next += 1;
         if self.trigger == Some(point) {
@@ -82,32 +89,6 @@ fn write_synced(
     Ok(file)
 }
 
-/// Where one payload landed: shard index *within this write's packs*,
-/// plus frame coordinates.
-#[derive(Debug, Clone, Copy, Default)]
-struct Placement {
-    shard: usize,
-    offset: u64,
-    len: u32,
-    crc: u32,
-}
-
-impl Placement {
-    /// This payload's manifest entry; `shard_base` offsets the shard
-    /// index past the shards an append reuses. Entries carry no
-    /// metadata: the manifest's columns do.
-    fn entry(&self, hash: i64, shard_base: usize) -> StoreEntry {
-        StoreEntry {
-            hash,
-            shard: shard_base + self.shard,
-            offset: self.offset,
-            len: self.len,
-            crc: self.crc,
-            meta: Vec::new(),
-        }
-    }
-}
-
 /// One profile fully prepared for commit — hash, sorted metadata row,
 /// and `TKP3` payload — so the commit lock is held only for I/O, not
 /// for encoding.
@@ -128,65 +109,54 @@ pub(crate) fn stage(profiles: &[Profile]) -> Vec<Staged> {
         .collect()
 }
 
-/// Greedy packing: a shard closes once it carries ≥ `shard_bytes` of
-/// payload (every shard holds ≥ 1 record). Returns payload indices per
-/// shard.
-fn pack_shards(payloads: &[&[u8]], shard_bytes: usize) -> Vec<Vec<usize>> {
-    let mut shards: Vec<Vec<usize>> = Vec::new();
-    let mut open: Vec<usize> = Vec::new();
-    let mut open_bytes = 0usize;
-    for (i, pl) in payloads.iter().enumerate() {
-        open.push(i);
-        open_bytes += pl.len();
-        if open_bytes >= shard_bytes {
-            shards.push(std::mem::take(&mut open));
-            open_bytes = 0;
-        }
-    }
-    if !open.is_empty() {
-        shards.push(open);
-    }
-    shards
-}
-
-/// Write the packed shard files under generation `gen` (final names —
-/// invisible until a manifest references them). Two crash points per
-/// shard: mid-write (a torn file) and after the full write.
+/// Pack `records` greedily into shard files under generation `gen` — a
+/// shard closes once it carries ≥ `shard_bytes` of payload, so every
+/// shard holds ≥ 1 record — and write each under its final name
+/// (invisible until a manifest references it). Two crash points per
+/// shard: mid-write (a torn file) and after the full write. Returns the
+/// shards and, in record order, the records' entries, whose shard
+/// indices start at `shard_base` (past the shards an append reuses).
 fn write_shards(
     dir: &Path,
     gen: u64,
-    payloads: &[&[u8]],
-    packs: &[Vec<usize>],
+    records: &[(i64, &[u8])],
+    shard_base: usize,
+    shard_bytes: usize,
     clock: &mut CrashClock,
-) -> Result<(Vec<ShardInfo>, Vec<Placement>), StoreError> {
-    let mut infos = Vec::with_capacity(packs.len());
-    let mut placements = vec![Placement::default(); payloads.len()];
-    for (si, members) in packs.iter().enumerate() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(SHARD_MAGIC);
-        for &pi in members {
-            let pl = payloads[pi];
-            let crc = crc32c(pl);
-            placements[pi] = Placement {
-                shard: si,
-                offset: (bytes.len() + RECORD_HEADER_BYTES) as u64,
-                len: pl.len() as u32,
-                crc,
-            };
-            bytes.extend_from_slice(&(pl.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc.to_le_bytes());
-            bytes.extend_from_slice(pl);
+) -> Result<(Vec<ShardInfo>, Vec<StoreEntry>), StoreError> {
+    let mut infos = Vec::new();
+    let mut entries = Vec::with_capacity(records.len());
+    let mut image = SHARD_MAGIC.to_vec();
+    // The open shard's first record, and the payload bytes it holds.
+    let mut first = 0;
+    let mut payload_bytes = 0;
+    for (k, &(hash, payload)) in records.iter().enumerate() {
+        let (offset, crc) = frame::push(&mut image, payload);
+        entries.push(StoreEntry {
+            hash,
+            shard: shard_base + infos.len(),
+            offset,
+            len: payload.len() as u32,
+            crc,
+        });
+        payload_bytes += payload.len();
+        if payload_bytes < shard_bytes && k + 1 < records.len() {
+            continue;
         }
-        write_synced(&dir.join(shard_name(gen, si)), &bytes, "mid-shard-write", clock)?;
+        let file = shard_name(gen, infos.len());
+        write_synced(&dir.join(&file), &image, "mid-shard-write", clock)?;
         clock.tick("shard-written")?;
         infos.push(ShardInfo {
-            file: shard_name(gen, si),
-            bytes: bytes.len() as u64,
-            crc: crc32c(&bytes),
-            records: members.len(),
+            file,
+            bytes: image.len() as u64,
+            crc: crc32c(&image),
+            records: k + 1 - first,
         });
+        image = SHARD_MAGIC.to_vec();
+        first = k + 1;
+        payload_bytes = 0;
     }
-    Ok((infos, placements))
+    Ok((infos, entries))
 }
 
 /// Manifest commit: dot-temp, sync, rename (the atomic commit point),
@@ -278,16 +248,21 @@ fn gc_generations(
     Ok(())
 }
 
-/// [`Store::save_opts`]'s critical section: write `staged` as a fresh
-/// generation, keeping the first of profiles that share a hash. Caller
-/// holds the commit lock.
-pub(crate) fn save_locked(
+/// The one commit sequence, from the `begin` crash point to GC. It
+/// numbers a generation past every listed one and past `base`, packs
+/// `records` (hash and `TKP3` payload, in storage order) into new
+/// shards and writes them, and commits a manifest indexed by `columns`
+/// whose shards and entries are `carried`'s (an append's base)
+/// followed by the new ones. GC then takes the shards of the new
+/// manifest and of `base` from memory.
+fn commit(
     dir: &Path,
-    staged: &[Staged],
+    records: &[(i64, &[u8])],
+    columns: Vec<MetaBlock>,
+    carried: Option<&Manifest>,
+    base: Option<&Manifest>,
     opts: &StoreOptions,
 ) -> Result<WriteReport, StoreError> {
-    let mut seen: HashSet<i64> = HashSet::new();
-    let staged: Vec<&Staged> = staged.iter().filter(|s| seen.insert(s.hash)).collect();
     let mut clock = CrashClock {
         next: 0,
         trigger: opts.crash_after,
@@ -295,39 +270,74 @@ pub(crate) fn save_locked(
     // Point 0: crash before anything is written.
     clock.tick("begin")?;
 
-    let gen = list_generations(dir)?.last().copied().unwrap_or(0) + 1;
-    let payloads: Vec<&[u8]> = staged.iter().map(|s| s.payload.as_slice()).collect();
-    let packs = pack_shards(&payloads, opts.shard_bytes);
-    let (shard_infos, placements) = write_shards(dir, gen, &payloads, &packs, &mut clock)?;
-
-    let entries: Vec<StoreEntry> = staged
-        .iter()
-        .zip(&placements)
-        .map(|(s, pl)| pl.entry(s.hash, 0))
-        .collect();
-    let rows: Vec<&[(String, Value)]> = staged.iter().map(|s| s.row.as_slice()).collect();
+    let listed = list_generations(dir)?.last().copied().unwrap_or(0);
+    let gen = listed.max(base.map_or(0, |b| b.generation)) + 1;
+    let (carried_shards, carried_entries) =
+        carried.map_or((&[][..], &[][..]), |m| (&m.shards[..], &m.profiles[..]));
+    let (new_shards, new_entries) = write_shards(
+        dir,
+        gen,
+        records,
+        carried_shards.len(),
+        opts.shard_bytes,
+        &mut clock,
+    )?;
     let manifest = Arc::new(Manifest {
         generation: gen,
-        shards: shard_infos,
-        profiles: entries,
-        columns: build_columns(&rows),
+        shards: [carried_shards, &new_shards].concat(),
+        profiles: [carried_entries, &new_entries].concat(),
+        columns,
         legacy: None,
     });
     commit_manifest(dir, &manifest, &mut clock)?;
+    let mut held = vec![(gen, manifest.shards.as_slice())];
+    held.extend(base.map(|b| (b.generation, b.shards.as_slice())));
     gc_generations(
         dir,
         gen.saturating_sub(opts.keep_generations as u64),
-        &[(gen, &manifest.shards)],
+        &held,
         &mut clock,
     )?;
 
     Ok(WriteReport {
         generation: gen,
-        shards: packs.len(),
-        profiles: staged.len(),
-        appended: staged.len(),
+        shards: new_shards.len(),
+        profiles: manifest.profiles.len(),
+        appended: records.len(),
         crash_points: clock.next,
     })
+}
+
+/// Commit staged profiles onto `base`, or as a fresh generation when
+/// there is none: [`Store::save_opts`]'s critical section, and
+/// [`Store::append_opts`]'s once [`append_locked`] took its base.
+/// Caller holds the commit lock. Of in-batch duplicates the first wins,
+/// and hashes the base already holds are skipped (seeding `seen` with
+/// them does both at once). Every base column not yet decoded is
+/// decoded before anything is written: a base whose index does not
+/// decode fails here, typed, untouched.
+pub(crate) fn commit_staged(
+    dir: &Path,
+    staged: &[Staged],
+    base: Option<&Manifest>,
+    opts: &StoreOptions,
+) -> Result<WriteReport, StoreError> {
+    let mut seen: HashSet<i64> = base
+        .map(|b| b.profiles.iter().map(|e| e.hash).collect())
+        .unwrap_or_default();
+    let writing: Vec<&Staged> = staged.iter().filter(|s| seen.insert(s.hash)).collect();
+    let rows: Vec<&[(String, Value)]> = writing.iter().map(|s| s.row.as_slice()).collect();
+    let columns = match base {
+        None => build_columns(&rows),
+        Some(b) => {
+            append_columns(&b.columns, b.profiles.len(), &rows).map_err(StoreError::Corrupt)?
+        }
+    };
+    let records: Vec<(i64, &[u8])> = writing
+        .iter()
+        .map(|s| (s.hash, s.payload.as_slice()))
+        .collect();
+    commit(dir, &records, columns, base, base, opts)
 }
 
 /// [`Store::append_opts`]'s critical section. Caller holds the commit
@@ -341,7 +351,7 @@ pub(crate) fn append_locked(
     staged: &[Staged],
     opts: &StoreOptions,
 ) -> Result<WriteReport, StoreError> {
-    let base = match registry::newest(dir) {
+    let shared = match registry::newest(dir) {
         Ok((shared, _)) => Some(shared),
         // Only a directory that lists no generation is empty. Saving
         // over manifests that fail verification would let GC delete the
@@ -349,78 +359,14 @@ pub(crate) fn append_locked(
         Err(StoreError::NoGeneration(_)) if list_generations(dir)?.is_empty() => None,
         Err(e) => return Err(e),
     };
-    let Some(shared) = base else {
-        // No generation at all: an append is exactly a save.
-        return save_locked(dir, staged, opts);
-    };
-    let base = &shared.manifest;
-    // Never write a store that mixes encodings: appending onto an older
-    // build's generation waits for the migrator.
-    base.ensure_current()?;
-    // Of in-batch duplicates the first wins; hashes the base already
-    // holds are skipped (seeding `seen` with them does both at once).
-    let mut seen: HashSet<i64> = base.profiles.iter().map(|e| e.hash).collect();
-    let writing: Vec<&Staged> = staged.iter().filter(|s| seen.insert(s.hash)).collect();
-    let tail: Vec<&[(String, Value)]> = writing.iter().map(|s| s.row.as_slice()).collect();
-    // Decodes every base column not yet decoded before anything is
-    // written: a base whose index does not decode fails here, typed,
-    // untouched.
-    let n_base = base.profiles.len();
-    let columns = append_columns(&base.columns, n_base, &tail).map_err(StoreError::Corrupt)?;
-    let mut clock = CrashClock {
-        next: 0,
-        trigger: opts.crash_after,
-    };
-    clock.tick("begin")?;
-
-    let gen = list_generations(dir)?
-        .last()
-        .copied()
-        .unwrap_or(0)
-        .max(base.generation)
-        + 1;
-    let payloads: Vec<&[u8]> = writing.iter().map(|s| s.payload.as_slice()).collect();
-    let packs = pack_shards(&payloads, opts.shard_bytes);
-    let (new_infos, placements) = write_shards(dir, gen, &payloads, &packs, &mut clock)?;
-
-    let shard_base = base.shards.len();
-    let mut shards = Vec::with_capacity(shard_base + new_infos.len());
-    shards.extend_from_slice(&base.shards);
-    shards.extend(new_infos);
-    let mut entries = Vec::with_capacity(n_base + writing.len());
-    entries.extend_from_slice(&base.profiles);
-    entries.extend(
-        writing
-            .iter()
-            .zip(&placements)
-            .map(|(s, pl)| pl.entry(s.hash, shard_base)),
-    );
-    let manifest = Arc::new(Manifest {
-        generation: gen,
-        shards,
-        profiles: entries,
-        columns,
-        legacy: None,
-    });
-    commit_manifest(dir, &manifest, &mut clock)?;
-    // The base's shards are the new manifest's first `shard_base`.
-    gc_generations(
-        dir,
-        gen.saturating_sub(opts.keep_generations as u64),
-        &[
-            (gen, &manifest.shards),
-            (base.generation, &manifest.shards[..shard_base]),
-        ],
-        &mut clock,
-    )?;
-
-    Ok(WriteReport {
-        generation: gen,
-        shards: packs.len(),
-        profiles: manifest.profiles.len(),
-        appended: writing.len(),
-        crash_points: clock.next,
-    })
+    // No generation at all: an append is exactly a save.
+    let base = shared.as_ref().map(|shared| &*shared.manifest);
+    if let Some(base) = base {
+        // Never write a store that mixes encodings: appending onto an
+        // older build's generation waits for the migrator.
+        base.ensure_current()?;
+    }
+    commit_staged(dir, staged, base, opts)
 }
 
 /// [`Store::compact_opts`]'s critical section. Caller holds the commit
@@ -435,20 +381,11 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
     let (shared, manifest_bytes) = registry::newest(dir)?;
     let reader = StoreReader::new(dir.to_path_buf(), shared, manifest_bytes);
     let base = reader.manifest();
-    let mut raw: Vec<(usize, Result<PayloadSlice, Diagnostic>)> =
-        Vec::with_capacity(base.profiles.len());
-    for si in 0..base.shards.len() {
-        let members: Vec<usize> = (0..base.profiles.len())
-            .filter(|&i| base.profiles[i].shard == si)
-            .collect();
-        if !members.is_empty() {
-            reader.read_shard_members(si, &members, &mut raw)?;
-        }
-    }
+    let all: Vec<usize> = (0..base.profiles.len()).collect();
     let mut diagnostics = Vec::new();
-    let mut kept: Vec<usize> = Vec::with_capacity(raw.len());
-    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(raw.len());
-    for (i, r) in raw {
+    let mut kept: Vec<usize> = Vec::with_capacity(all.len());
+    let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(all.len());
+    for (i, r) in reader.read_records(&all)? {
         match r {
             // A JSON record is transcoded to TKP3 (the migration path);
             // one that fails to transcode is dropped with a typed
@@ -459,11 +396,7 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
                     payloads.push(bytes);
                 }
                 Err(e) => diagnostics.push(Diagnostic {
-                    source: format!(
-                        "{}#{}",
-                        base.shards[base.profiles[i].shard].file,
-                        record_index_of(base, i)
-                    ),
+                    source: record_source(base, i),
                     kind: DiagKind::from_profile_error(&e),
                 }),
             },
@@ -474,47 +407,21 @@ pub(crate) fn compact_locked(dir: &Path, opts: &StoreOptions) -> Result<CompactR
     // every base column not yet decoded before anything is written: a
     // base whose index does not decode fails here, typed, untouched.
     let columns = select_columns(&base.columns, &kept).map_err(StoreError::Corrupt)?;
-
-    let mut clock = CrashClock {
-        next: 0,
-        trigger: opts.crash_after,
-    };
-    clock.tick("begin")?;
-    let gen = list_generations(dir)?.last().copied().unwrap_or(0) + 1;
-    let payload_slices: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-    let packs = pack_shards(&payload_slices, opts.shard_bytes);
-    let (shard_infos, placements) = write_shards(dir, gen, &payload_slices, &packs, &mut clock)?;
-
-    let entries: Vec<StoreEntry> = kept
+    let records: Vec<(i64, &[u8])> = kept
         .iter()
-        .zip(&placements)
-        .map(|(&i, pl)| pl.entry(base.profiles[i].hash, 0))
+        .zip(&payloads)
+        .map(|(&i, payload)| (base.profiles[i].hash, payload.as_slice()))
         .collect();
-    let manifest = Arc::new(Manifest {
-        generation: gen,
-        shards: shard_infos,
-        profiles: entries,
-        columns,
-        legacy: None,
-    });
-    let attempted = base.profiles.len();
-    let loaded = manifest.profiles.len();
-    commit_manifest(dir, &manifest, &mut clock)?;
-    gc_generations(
-        dir,
-        gen.saturating_sub(opts.keep_generations as u64),
-        &[(gen, &manifest.shards), (base.generation, &base.shards)],
-        &mut clock,
-    )?;
+    let written = commit(dir, &records, columns, None, Some(base), opts)?;
 
     Ok(CompactReport {
-        generation: gen,
-        shards: packs.len(),
-        profiles: loaded,
-        crash_points: clock.next,
+        generation: written.generation,
+        shards: written.shards,
+        profiles: written.profiles,
+        crash_points: written.crash_points,
         report: IngestReport {
-            attempted,
-            loaded,
+            attempted: base.profiles.len(),
+            loaded: written.profiles,
             diagnostics,
             pushdown: None,
         },

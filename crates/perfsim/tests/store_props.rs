@@ -11,20 +11,21 @@ use proptest::prelude::*;
 use std::ffi::OsString;
 use std::path::Path;
 use std::sync::OnceLock;
-use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, ScratchDir, Store, StoreOptions};
+use thicket_perfsim::{simulate_cpu_run, CpuRunConfig, Profile, ScratchDir, Store, StoreOptions};
 
-/// The base store's files (name, bytes) and profile hashes: four
-/// profiles, one record per shard, saved once per process.
-type BaseStore = (Vec<(OsString, Vec<u8>)>, Vec<i64>);
+/// A saved store's files (name, bytes) and the profiles it holds.
+type SavedStore = (Vec<(OsString, Vec<u8>)>, Vec<Profile>);
 
-static BASE: OnceLock<BaseStore> = OnceLock::new();
-
-/// A private copy of the base store in a fresh scratch directory, plus
-/// the hashes of the profiles it holds.
-fn base_store() -> (ScratchDir, &'static [i64]) {
-    let (files, hashes) = BASE.get_or_init(|| {
+/// `n` quartz profiles saved with `shard_bytes` per shard, once per
+/// process and `slot`.
+fn saved_store(
+    slot: &'static OnceLock<SavedStore>,
+    n: u64,
+    shard_bytes: usize,
+) -> &'static SavedStore {
+    slot.get_or_init(|| {
         let dir = ScratchDir::new("storeprops-base");
-        let profiles: Vec<_> = (0..4)
+        let profiles: Vec<_> = (0..n)
             .map(|seed| {
                 let mut cfg = CpuRunConfig::quartz_default();
                 cfg.seed = seed;
@@ -32,7 +33,7 @@ fn base_store() -> (ScratchDir, &'static [i64]) {
             })
             .collect();
         let opts = StoreOptions {
-            shard_bytes: 1,
+            shard_bytes,
             ..StoreOptions::default()
         };
         Store::save_opts(&dir, &profiles, &opts).unwrap();
@@ -43,13 +44,30 @@ fn base_store() -> (ScratchDir, &'static [i64]) {
                 (e.file_name(), std::fs::read(e.path()).unwrap())
             })
             .collect();
-        (files, profiles.iter().map(|p| p.profile_hash()).collect())
-    });
+        (files, profiles)
+    })
+}
+
+/// A private copy of a saved store in a fresh scratch directory.
+fn copy_of(saved: &SavedStore) -> ScratchDir {
     let dir = ScratchDir::new("storeprops");
-    for (name, bytes) in files {
+    for (name, bytes) in &saved.0 {
         std::fs::write(dir.join(name), bytes).unwrap();
     }
-    (dir, hashes)
+    dir
+}
+
+/// The base store: four profiles, one record per shard.
+fn base() -> &'static SavedStore {
+    static BASE: OnceLock<SavedStore> = OnceLock::new();
+    saved_store(&BASE, 4, 1)
+}
+
+/// A private copy of the base store, plus the hashes of the profiles
+/// it holds.
+fn base_store() -> (ScratchDir, Vec<i64>) {
+    let hashes = base().1.iter().map(|p| p.profile_hash()).collect();
+    (copy_of(base()), hashes)
 }
 
 proptest! {
@@ -175,19 +193,24 @@ proptest! {
     /// The columnar index path (`StoreReader::select_expr`, which
     /// decodes only the key blocks the predicate names and evaluates
     /// them vectorized) selects exactly the rows that the scalar
-    /// `eval_lookup` walk over each materialized manifest entry
-    /// selects — for arbitrary predicate shapes.
+    /// `eval_lookup` walk over each saved profile's own metadata
+    /// selects, the profile found by its entry's hash — for arbitrary
+    /// predicate shapes.
     #[test]
     fn columnar_selection_equals_row_selection(pred in pred_strategy()) {
         let (dir, _) = base_store();
         let reader = Store::open(&dir).unwrap();
+        let saved = &base().1;
 
         let columnar = reader.select_expr(&pred).unwrap();
         let by_rows: Vec<usize> = reader
             .entries()
             .iter()
             .enumerate()
-            .filter(|(_, e)| pred.eval_lookup(&mut |k| e.meta(k).cloned()))
+            .filter(|(_, e)| {
+                let p = saved.iter().find(|p| p.profile_hash() == e.hash).unwrap();
+                pred.eval_lookup(&mut |k| p.metadata(k).cloned())
+            })
             .map(|(i, _)| i)
             .collect();
         prop_assert_eq!(
@@ -403,6 +426,82 @@ proptest! {
             prop_assert_eq!(listing(), before, "{}", e);
         }
         let _ = Store::compact(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Mutated shard images: typed findings and typed recovery, never a panic.
+
+/// Six profiles, two or three records per shard.
+fn multi_record() -> &'static SavedStore {
+    static MULTI: OnceLock<SavedStore> = OnceLock::new();
+    saved_store(&MULTI, 6, 6 * 1024)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One shard of a saved multi-record store truncated, bit-flipped,
+    /// or given a huge length in one record header: a load accounts for
+    /// every record, fsck reports the damage as typed findings (never as
+    /// clean), and recover returns a typed outcome, never a panic. A
+    /// recovered store is clean and loads only saved profiles, without
+    /// a diagnostic.
+    #[test]
+    fn mutated_shards_yield_typed_fsck_and_recover(
+        which in any::<u32>(),
+        kind in any::<u32>(),
+        at in any::<u32>(),
+        pick in any::<u32>(),
+    ) {
+        use thicket_perfsim::store::RECORD_HEADER_BYTES;
+        let dir = copy_of(multi_record());
+        let saved = &multi_record().1;
+        let manifest = Store::open(&dir).unwrap().manifest().clone();
+        prop_assert!(manifest.shards.iter().all(|s| s.records > 1), "one record per shard");
+        let si = which as usize % manifest.shards.len();
+        let path = dir.join(&manifest.shards[si].file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let cut = at as usize % bytes.len();
+        match kind % 3 {
+            0 => bytes.truncate(cut),
+            1 => bytes[cut] ^= 1 << (pick % 8),
+            _ => {
+                let offsets: Vec<usize> = manifest
+                    .profiles
+                    .iter()
+                    .filter(|e| e.shard == si)
+                    .map(|e| e.offset as usize)
+                    .collect();
+                let header = offsets[at as usize % offsets.len()] - RECORD_HEADER_BYTES;
+                let lens = [u32::MAX, u32::MAX - 1, 1 << 31, 1 << 24, bytes.len() as u32];
+                let len = lens[pick as usize % lens.len()];
+                bytes[header..header + 4].copy_from_slice(&len.to_le_bytes());
+            }
+        }
+        std::fs::write(&path, &bytes).unwrap();
+
+        // A load over the damage accounts for every record: a saved
+        // profile or a typed diagnostic.
+        let (loaded, report) = Store::open(&dir).unwrap().load_all().unwrap();
+        prop_assert_eq!(loaded.len() + report.diagnostics.len(), saved.len(), "{}", report);
+        for p in &loaded {
+            prop_assert!(saved.iter().any(|s| s.profile_hash() == p.profile_hash()));
+        }
+        let fsck = Store::fsck(&dir).unwrap();
+        prop_assert!(!fsck.is_clean(), "damage passed fsck: {}", fsck);
+        match Store::recover(&dir) {
+            Ok(_) => {
+                let after = Store::fsck(&dir).unwrap();
+                prop_assert!(after.is_clean(), "recover left dirt: {}", after);
+                let (profiles, report) = Store::open(&dir).unwrap().load_all().unwrap();
+                prop_assert!(report.is_clean(), "{}", report);
+                for p in &profiles {
+                    prop_assert!(saved.iter().any(|s| s.profile_hash() == p.profile_hash()));
+                }
+            }
+            Err(e) => prop_assert!(matches!(e, StoreError::NoGeneration(_)), "{}", e),
+        }
     }
 }
 

@@ -14,6 +14,9 @@ cargo test -q
 # (bounds checks and CRC verification are not debug-only behavior).
 cargo test -q --release -p thicket-perfsim --test faults v3_
 cargo test -q --release --test store_recovery crash_point
+# The label of every crash point save, append and compact pass, in
+# order: all three run the one commit sequence.
+cargo test -q --release -p thicket-perfsim --lib crash_point
 # Concurrency smoke under --release: the live-contention matrix (readers
 # × appender × compactor with GC on), the chaos-schedule linearization
 # check, the kill-9 subprocess recovery test, and
